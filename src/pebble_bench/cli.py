@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser
 from itertools import product
 
@@ -226,9 +225,10 @@ def _experiment_instances(cp: ConfigParser):
 def _instance_rows(spec: FamilySpec, cap_spec: str, game: str, bound: int | None):
     """Frontier and strategy comparison rows for one instance."""
     g = build_family(spec)
-    price = optimal_price(g, game=game, bound=bound)
-    cap = price + int(cap_spec[1:]) if cap_spec.startswith("+") else int(cap_spec)
-    frontier = tradeoff_frontier(g, game=game, space_cap=cap, bound=bound)
+    if cap_spec.startswith("+"):
+        frontier = tradeoff_frontier(g, game=game, bound=bound, above_price=int(cap_spec[1:]))
+    else:
+        frontier = tradeoff_frontier(g, game=game, space_cap=int(cap_spec), bound=bound)
     base_moves = None
     if spec.kind != "carlson_savage":
         moves = black_strategy(spec)
@@ -247,12 +247,14 @@ def _instance_rows(spec: FamilySpec, cap_spec: str, game: str, bound: int | None
     return rows, frontier
 
 
-def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
-    """Run the experiment file; returns (csv text, plot files, warnings)."""
+def _read_spec(spec_path: str) -> ConfigParser:
     cp = ConfigParser()
-    read = cp.read(spec_path)
-    if not read:
+    if not cp.read(spec_path):
         raise _Usage(f"cannot read spec {spec_path!r}")
+    return cp
+
+
+def _run_spec(cp: ConfigParser) -> tuple[str, dict[str, str], list[str]]:
     game = cp.get("experiment", "game", fallback="black")
     if game not in ("black", "bw"):
         raise _Usage(f"unknown game {game!r}")
@@ -261,29 +263,15 @@ def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
     if not instances:
         raise _Usage("empty family range: no instances to run")
 
-    threads = int(os.environ.get("PEBBLE_BENCH_THREADS", "1"))
-    warnings: list[str] = []
-
-    def run(item):
-        spec, cap_spec = item
-        try:
-            return _instance_rows(spec, cap_spec, game, bound)
-        except SizeBoundExceeded as e:
-            return e
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, instances))
-    else:
-        results = [run(item) for item in instances]
-
     lines = ["family,params,game,space,min_time,strategy_time"]
     plots: dict[str, str] = {}
-    for (spec, _), result in zip(instances, results):
-        if isinstance(result, SizeBoundExceeded):
-            warnings.append(f"skipped {spec.label()}: {result}")
+    warnings: list[str] = []
+    for spec, cap_spec in instances:
+        try:
+            rows, frontier = _instance_rows(spec, cap_spec, game, bound)
+        except SizeBoundExceeded as e:
+            warnings.append(f"skipped {spec.label()}: {e}")
             continue
-        rows, frontier = result
         for row in rows:
             lines.append(",".join(str(x) for x in row))
         plot = "space,time\n" + "".join(f"{s},{t}\n" for s, t in frontier.points)
@@ -291,11 +279,14 @@ def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
     return "\n".join(lines) + "\n", plots, warnings
 
 
+def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
+    """Run the experiment file; returns (csv text, plot files, warnings)."""
+    return _run_spec(_read_spec(spec_path))
+
+
 def _cmd_tradeoff_report(args) -> int:
-    cp = ConfigParser()
-    if not cp.read(args.spec):
-        raise _Usage(f"cannot read spec {args.spec!r}")
-    csv_text, plots, warnings = tradeoff_report(args.spec)
+    cp = _read_spec(args.spec)
+    csv_text, plots, warnings = _run_spec(cp)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     out_csv = cp.get("experiment", "out_csv", fallback=None)

@@ -64,63 +64,66 @@ def _masks(g: Dag) -> tuple[list[int], dict[int, int], int]:
 
 
 def _black_search(g: Dag, s: int, parents: dict | None = None):
-    """Min placements to pebble every target with space cap s, or None.
+    """(min placements, goal state) to pebble every target with space cap s.
 
-    State = board_mask | visited_targets << n, always right after a
-    placement.  When ``parents`` is a dict it is filled with
-    state -> (prev_state, placed, evicted_or_None) and the goal state is
-    returned alongside the distance.
+    Both are None when no pebbling fits.  State = board_mask |
+    visited_targets << n, always right after a placement.  When ``parents``
+    is a dict it is filled with state -> (prev_state, placed,
+    evicted_or_None).
+
+    The goal test runs when a state is generated, not when it is popped.
+    The queue is FIFO, so states are popped in the order they were pushed
+    and the first goal pushed is the first goal popped: distance and parent
+    chain are exactly those of the test-on-pop search.
     """
     n = g.n
     preds_mask, tgt_bit, all_tgts = _masks(g)
-    if s <= 0:
-        return None if parents is None else (None, None)
-    start = 0
-    dist = {start: 0}
-    queue = deque([start])
+    if not all_tgts:
+        return 0, 0
+    dist = {0: 0}
+    queue = deque([0])
     board_of = (1 << n) - 1
+    goal_vis = all_tgts << n
     while queue:
         state = queue.popleft()
-        d = dist[state]
+        d = dist[state] + 1
         board = state & board_of
         visited = state >> n
-        if visited == all_tgts:
-            # Trailing removals are free; this is the optimum.
-            return d if parents is None else (d, state)
         free = bin(board).count("1") < s
         for v in range(n):
             vbit = 1 << v
             if board & vbit or (preds_mask[v] & ~board):
                 continue
-            nvis = visited | tgt_bit.get(v, 0)
+            nvis = (visited | tgt_bit.get(v, 0)) << n
             if free:
-                nstate = (board | vbit) | (nvis << n)
+                nstate = board | vbit | nvis
                 if nstate not in dist:
-                    dist[nstate] = d + 1
+                    dist[nstate] = d
                     if parents is not None:
                         parents[nstate] = (state, v, None)
+                    if nvis == goal_vis:
+                        # Trailing removals are free; this is the optimum.
+                        return d, nstate
                     queue.append(nstate)
             else:
                 evictable = board & ~preds_mask[v]
                 u = 0
                 while evictable:
                     if evictable & 1:
-                        nstate = ((board & ~(1 << u)) | vbit) | (nvis << n)
+                        nstate = (board & ~(1 << u)) | vbit | nvis
                         if nstate not in dist:
-                            dist[nstate] = d + 1
+                            dist[nstate] = d
                             if parents is not None:
                                 parents[nstate] = (state, v, u)
+                            if nvis == goal_vis:
+                                return d, nstate
                             queue.append(nstate)
                     evictable >>= 1
                     u += 1
-    return None if parents is None else (None, None)
+    return None, None
 
 
-def _black_witness(g: Dag, s: int) -> list[Move] | None:
-    parents: dict = {}
-    d, goal = _black_search(g, s, parents=parents)
-    if d is None:
-        return None
+def _black_moves(parents: dict, goal: int) -> list[Move]:
     steps = []
     state = goal
     while state:
@@ -147,15 +150,13 @@ def _black_witness(g: Dag, s: int) -> list[Move] | None:
 
 
 def _bw_search(g: Dag, s: int, parents: dict | None = None):
-    """Min placements for a complete BW pebbling with space cap s, or None.
+    """(min placements, goal state) of a complete BW pebbling with space cap s.
 
     State = black | white << n | visited << 2n.  Goal: empty board, every
     target visited.  Placements cost 1, removals 0 (0-1 BFS).
     """
     n = g.n
     preds_mask, tgt_bit, all_tgts = _masks(g)
-    if s <= 0:
-        return None if parents is None else (None, None)
     goal = all_tgts << (2 * n)
     start = 0
     dist = {start: 0}
@@ -165,7 +166,7 @@ def _bw_search(g: Dag, s: int, parents: dict | None = None):
         if d > dist.get(state, 1 << 60):
             continue
         if state == goal:
-            return d if parents is None else (d, state)
+            return d, state
         black = state & ((1 << n) - 1)
         white = (state >> n) & ((1 << n) - 1)
         visited = state >> (2 * n)
@@ -206,14 +207,10 @@ def _bw_search(g: Dag, s: int, parents: dict | None = None):
                         if parents is not None:
                             parents[nstate] = (state, (colour, v))
                         queue.append((nd, nstate))
-    return None if parents is None else (None, None)
+    return None, None
 
 
-def _bw_witness(g: Dag, s: int) -> list[Move] | None:
-    parents: dict = {}
-    d, goal = _bw_search(g, s, parents=parents)
-    if d is None:
-        return None
+def _bw_moves(parents: dict, goal: int) -> list[Move]:
     moves: list[Move] = []
     state = goal
     while state:
@@ -238,17 +235,18 @@ def optimal_price(
     """Exact pebbling price: least space admitting a complete pebbling.
 
     With ``with_trace`` also returns a witness move list (deterministic for
-    a given graph).  Raises SizeBoundExceeded above the per-game bound
-    (black 20, bw 14 by default).
+    a given graph), read off the parent links of the winning search.
+    Raises SizeBoundExceeded above the per-game bound (black 20, bw 14 by
+    default).
     """
     _check_bound(g, game, bound)
     search = _black_search if game == "black" else _bw_search
+    moves_of = _black_moves if game == "black" else _bw_moves
     for s in range(1, g.n + 1):
-        if search(g, s) is not None:
-            if with_trace:
-                witness = _black_witness(g, s) if game == "black" else _bw_witness(g, s)
-                return s, witness
-            return s
+        parents = {} if with_trace else None
+        d, goal = search(g, s, parents)
+        if d is not None:
+            return (s, moves_of(parents, goal)) if with_trace else s
     raise SizeBoundExceeded("no complete pebbling found (unreachable for valid DAGs)")
 
 
@@ -274,23 +272,58 @@ def tradeoff_frontier(
     game: str = "black",
     space_cap: int = 0,
     bound: int | None = None,
+    *,
+    above_price: int | None = None,
 ) -> ParetoFrontier:
     """Minimum placements for every space budget from the price to the cap.
 
-    Returns the Pareto-filtered frontier; a cap below the price yields an
-    empty frontier.
+    The cap is ``space_cap``, or price + ``above_price`` when that is given
+    (passing both is an error).  Returns the Pareto-filtered frontier; a cap
+    below the price yields an empty frontier.
+
+    The sweep stops at the first budget whose time equals the time floor
+    F = |ancestors(targets)|.  This is exact.  In both games every ancestor
+    of a target is placed at least once: a black placement needs its
+    predecessors on the board, and a white pebble must be removed before
+    the board is empty, which also needs its predecessors on the board.  So
+    min time >= F at every budget.  Min time never rises as the budget
+    grows, so every budget above the stop also has time F.  Budgets above n
+    allow the same pebblings as budget n, so the sweep searches at most n
+    budgets.  ``raw`` is filled with the last time up to the cap.
     """
+    if above_price is not None and space_cap:
+        raise ValueError("give space_cap or above_price, not both")
     _check_bound(g, game, bound)
     search = _black_search if game == "black" else _bw_search
+    preds_mask, _, _ = _masks(g)
+    anc = 0
+    for t in g.targets:
+        anc |= 1 << t
+    # One pass down the ids; if some edge does not go forward it may miss
+    # ancestors, which only lowers the floor and keeps it a lower bound.
+    for v in range(g.n - 1, -1, -1):
+        if anc >> v & 1:
+            anc |= preds_mask[v]
+    floor = bin(anc).count("1")
+    cap = space_cap if above_price is None else g.n + above_price
     raw: list[tuple[int, int]] = []
     points: list[tuple[int, int]] = []
-    for s in range(1, space_cap + 1):
-        t = search(g, s)
+    for s in range(1, min(cap, g.n) + 1):
+        t, _ = search(g, s)
         if t is None:
             continue
+        if above_price is not None and not raw:
+            cap = s + above_price
+        if s > cap:
+            break
         raw.append((s, t))
         if not points or t < points[-1][1]:
             points.append((s, t))
+        if t == floor or s == cap:
+            break
+    if raw:
+        last_s, last_t = raw[-1]
+        raw.extend((b, last_t) for b in range(last_s + 1, cap + 1))
     return ParetoFrontier(points=tuple(points), raw=tuple(raw))
 
 

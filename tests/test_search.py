@@ -14,6 +14,7 @@ from pebble_bench import (
     tradeoff_frontier,
     validate_pebbling,
 )
+from pebble_bench import search
 
 SEED = 6502
 
@@ -173,6 +174,85 @@ def test_black_price_matches_brute_force_small():
         cases.append(Dag(n, edges))
     for g in cases:
         assert optimal_price(g, "black") == brute_black_price(g)
+
+
+# --- frontier pruning against a naive sweep -----------------------------------
+
+
+def naive_raw(g, game, cap):
+    """Reference series: search every budget from 1 to the cap, no stop."""
+    oracle = search._black_search if game == "black" else search._bw_search
+    raw = []
+    for s in range(1, cap + 1):
+        t, _ = oracle(g, s)
+        if t is not None:
+            raw.append((s, t))
+    return tuple(raw)
+
+
+def pareto(raw):
+    points = []
+    for s, t in raw:
+        if not points or t < points[-1][1]:
+            points.append((s, t))
+    return tuple(points)
+
+
+def cross_check_graphs():
+    graphs = [
+        build_family(FamilySpec.chain(4)),
+        build_family(FamilySpec.pyramid(2)),
+        build_family(FamilySpec.binary_tree(2)),
+        build_family(FamilySpec.carlson_savage(2, 1)),
+    ]
+    rng = random.Random(SEED)
+    for _ in range(20):
+        n = rng.randint(1, 8)
+        edges = []
+        for v in range(1, n):
+            k = rng.randint(0, min(2, v))
+            edges.extend((u, v) for u in rng.sample(range(v), k))
+        # Targets off the sinks leave some vertices outside every target's
+        # ancestors, so the time floor falls below n.
+        targets = rng.sample(range(n), rng.randint(1, n)) if rng.random() < 0.5 else None
+        graphs.append(Dag(n, edges, targets=targets))
+    return graphs
+
+
+@pytest.mark.parametrize("game", ["black", "bw"])
+def test_pruned_frontier_matches_naive_sweep(game):
+    for g in cross_check_graphs():
+        price = optimal_price(g, game, bound=g.n)
+        full = naive_raw(g, game, price + 3)
+        for k in range(4):
+            raw = tuple(p for p in full if p[0] <= price + k)
+            want = (pareto(raw), raw)
+            got = tradeoff_frontier(g, game, space_cap=price + k, bound=g.n)
+            assert (got.points, got.raw) == want, (g, game, price + k)
+            got = tradeoff_frontier(g, game, bound=g.n, above_price=k)
+            assert (got.points, got.raw) == want, (g, game, k)
+
+
+def test_frontier_stops_at_time_floor(monkeypatch):
+    budgets = []
+    real = search._black_search
+
+    def counting(g, s, parents=None):
+        budgets.append(s)
+        return real(g, s, parents)
+
+    monkeypatch.setattr(search, "_black_search", counting)
+    g = build_family(FamilySpec.carlson_savage(2, 1))  # 11 vertices, floor 11
+    fr = tradeoff_frontier(g, "black", space_cap=8)
+    assert budgets == [1, 2, 3, 4]  # budget 4 already reaches time 11
+    assert fr.points == ((3, 16), (4, 11))
+    assert fr.raw == ((3, 16), (4, 11), (5, 11), (6, 11), (7, 11), (8, 11))
+
+
+def test_frontier_rejects_two_caps():
+    g = build_family(FamilySpec.chain(3))
+    with pytest.raises(ValueError):
+        tradeoff_frontier(g, "black", space_cap=4, above_price=1)
 
 
 # --- blob price ---------------------------------------------------------------
