@@ -53,7 +53,7 @@ from .search import (
     optimal_price,
     tradeoff_frontier,
 )
-from .strategies import StrategyParams, black_strategy, cs_min_budget, cs_tradeoff_strategy
+from .strategies import black_strategy, cs_min_budget, cs_tradeoff_strategy
 from .cnf import Cnf, pebbling_contradiction, read_dimacs, var_id, var_vertex, write_dimacs
 from .resolution import (
     Axiom,

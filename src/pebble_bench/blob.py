@@ -14,7 +14,8 @@ above the blob ride for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 
 from .dag import Dag
 from .errors import (
@@ -137,7 +138,7 @@ def inflate(
     return target
 
 
-def bottom_vertex(g: Dag, blob: frozenset[int]) -> int:
+def bottom_vertex(blob: frozenset[int]) -> int:
     """Lowest blob vertex.  Ids are topological, so min(id) is the bottom."""
     return min(blob)
 
@@ -184,7 +185,7 @@ def check_strict_shape(g: Dag, s: BlobSubconfig) -> str | None:
 
 def chargeable_vertices(g: Dag, s: BlobSubconfig) -> frozenset[int]:
     """Blob vertices plus whites strictly below the blob's bottom vertex."""
-    bot = bottom_vertex(g, s.blob)
+    bot = bottom_vertex(s.blob)
     charged = set(s.blob)
     for w in s.whites:
         if w != bot and g.reaches(w, bot):
@@ -262,7 +263,6 @@ class BlobTrace:
     cost: int
     naive_cost: int
     final: BlobConfig
-    created: tuple[BlobSubconfig, ...] = field(default=(), repr=False)
 
     @property
     def moves_total(self) -> int:
@@ -292,7 +292,7 @@ def validate_blob_pebbling(
     moves = tuple(moves)
     live: dict[int, BlobSubconfig] = {}
     present: set[BlobSubconfig] = set()
-    created: list[BlobSubconfig] = []
+    ids = count()
     cost = 0
     naive = 0
 
@@ -305,8 +305,7 @@ def validate_blob_pebbling(
             problem = check_strict_shape(g, s)
             if problem:
                 raise IllegalMove(f"{problem}: {s}", index=idx)
-        live[len(created)] = s
-        created.append(s)
+        live[next(ids)] = s
         present.add(s)
 
     def get(i: int, idx: int) -> BlobSubconfig:
@@ -341,9 +340,7 @@ def validate_blob_pebbling(
     for t in g.targets:
         if BlobSubconfig(frozenset({t})) not in final.subs:
             raise IncompletePebbling(f"no unconditional subconfiguration for target {t}")
-    return BlobTrace(
-        moves=moves, cost=cost, naive_cost=naive, final=final, created=tuple(created)
-    )
+    return BlobTrace(moves=moves, cost=cost, naive_cost=naive, final=final)
 
 
 # --- text format: "I v", "M i j p", "F i blob|whites", "E i" ----------------

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from configparser import ConfigParser
+from configparser import ConfigParser, Error as ConfigError
 from itertools import product
 
 from . import blob as blobmod
@@ -24,7 +24,7 @@ from .measures import MeasureReport, hidden_vertices, klawe_measure, potential, 
 from .pebbling import format_moves, parse_moves, validate_pebbling
 from .resolution import check_refutation, format_trace, parse_trace
 from .search import optimal_price, tradeoff_frontier
-from .strategies import StrategyParams, black_strategy, cs_tradeoff_strategy
+from .strategies import black_strategy, cs_tradeoff_strategy
 
 __all__ = ["main", "run_command"]
 
@@ -128,7 +128,7 @@ def _cmd_frontier(args) -> int:
 def _cmd_strategy(args) -> int:
     spec = _spec_from_args(args)
     if spec.kind == "carlson_savage" and args.budget is not None:
-        moves = cs_tradeoff_strategy(*spec.params, StrategyParams(args.budget))
+        moves = cs_tradeoff_strategy(*spec.params, args.budget)
     elif args.budget is not None:
         raise _Usage("--budget only applies to carlson_savage")
     else:
@@ -214,7 +214,7 @@ def _experiment_instances(cp: ConfigParser):
         names = _FAMILY_PARAMS[kind]
         try:
             ranges = [_parse_range(cp.get(section, name)) for name in names]
-        except Exception as e:
+        except (ValueError, ConfigError) as e:
             raise _Usage(f"bad parameter ranges in [{section}]: {e}") from None
         cap = cp.get(section, "space_cap", fallback="+2")
         for combo in product(*ranges):
@@ -237,7 +237,7 @@ def _instance_rows(spec: FamilySpec, cap_spec: str, game: str, bound: int | None
     for s, t in frontier.points:
         if spec.kind == "carlson_savage":
             try:
-                moves = cs_tradeoff_strategy(*spec.params, StrategyParams(s))
+                moves = cs_tradeoff_strategy(*spec.params, s)
                 st = str(validate_pebbling(g, moves, game="black").time)
             except BudgetTooSmall:
                 st = ""
@@ -249,7 +249,11 @@ def _instance_rows(spec: FamilySpec, cap_spec: str, game: str, bound: int | None
 
 def _read_spec(spec_path: str) -> ConfigParser:
     cp = ConfigParser()
-    if not cp.read(spec_path):
+    try:
+        found = cp.read(spec_path)
+    except ConfigError as e:
+        raise _Usage(f"bad spec {spec_path!r}: {str(e).splitlines()[0]}") from None
+    if not found:
         raise _Usage(f"cannot read spec {spec_path!r}")
     return cp
 
@@ -381,7 +385,9 @@ def run_command(argv) -> int:
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except PebbleBenchError as e:
+    except (PebbleBenchError, OSError, UnicodeDecodeError) as e:
+        # OSError and UnicodeDecodeError: a file that cannot be opened,
+        # read, decoded or written.
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -27,14 +27,17 @@ __all__ = [
 class Dag:
     """Immutable DAG with precomputed adjacency.
 
-    ``preds``/``succs`` are tuples of sorted vertex tuples, ``sources`` and
-    ``sinks`` are derived from degrees, and ``targets`` is a sorted tuple
-    (defaults to the sinks).  Construction is permissive about shape so that
-    ``validate_dag`` can report problems; only out-of-range vertex ids are
-    rejected outright.
+    ``preds``/``succs`` are tuples of sorted vertex tuples; ``pred_mask``/
+    ``succ_mask`` hold the same neighbourhoods as bitmask ints (bit u set
+    for neighbour u), the state vocabulary of the searches and measures.
+    ``sources`` and ``sinks`` are derived from degrees, and ``targets`` is
+    a sorted tuple (defaults to the sinks).  Construction is permissive
+    about shape so that ``validate_dag`` can report problems; only
+    out-of-range vertex ids are rejected outright.
     """
 
-    __slots__ = ("n", "edges", "preds", "succs", "sources", "sinks", "targets", "_desc")
+    __slots__ = ("n", "edges", "preds", "succs", "pred_mask", "succ_mask",
+                 "sources", "sinks", "targets", "_desc")
 
     def __init__(self, n: int, edges, targets=None):
         edges = tuple(sorted(set((int(u), int(v)) for u, v in edges)))
@@ -50,6 +53,8 @@ class Dag:
         self.edges = edges
         self.preds = tuple(tuple(sorted(p)) for p in pred_lists)
         self.succs = tuple(tuple(sorted(s)) for s in succ_lists)
+        self.pred_mask = tuple(sum(1 << u for u in p) for p in self.preds)
+        self.succ_mask = tuple(sum(1 << w for w in s) for s in self.succs)
         self.sources = tuple(v for v in range(n) if not self.preds[v])
         self.sinks = tuple(v for v in range(n) if not self.succs[v])
         if targets is None:

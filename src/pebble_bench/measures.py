@@ -69,31 +69,39 @@ class LayeredView:
         return max(self.levels) if self.levels else 0
 
 
+def _mask(g: Dag, vertices) -> int:
+    """Bitmask of a vertex set; GraphError for a vertex outside the graph."""
+    mask = 0
+    for v in frozenset(vertices):
+        if not (0 <= v < g.n):
+            raise GraphError(f"vertex {v} out of range")
+        mask |= 1 << v
+    return mask
+
+
+def _hull(g: Dag, mask: int, direction: str) -> int:
+    """Bitmask of the vertices the set ``mask`` hides (see hidden_vertices)."""
+    if direction == "below":
+        order, nbrs = range(g.n), g.pred_mask
+    elif direction == "above":
+        order, nbrs = range(g.n - 1, -1, -1), g.succ_mask
+    else:
+        raise GraphError(f"unknown direction {direction!r}")
+    hidden = 0
+    for v in order:
+        if mask >> v & 1 or (nbrs[v] and not nbrs[v] & ~hidden):
+            hidden |= 1 << v
+    return hidden
+
+
 def hidden_vertices(g: Dag, U, direction: str = "below") -> frozenset[int]:
     """The hull of U: vertices v every source-to-v path meets U.
 
     With direction="above" paths run from v to the sinks instead.  Members
     of U hide themselves.
     """
-    U = frozenset(U)
-    for v in U:
-        if not (0 <= v < g.n):
-            raise GraphError(f"vertex {v} out of range")
-    hidden = [False] * g.n
-    if direction == "below":
-        order = range(g.n)
-        nbrs = g.preds
-    elif direction == "above":
-        order = range(g.n - 1, -1, -1)
-        nbrs = g.succs
-    else:
-        raise GraphError(f"unknown direction {direction!r}")
-    for v in order:
-        if v in U:
-            hidden[v] = True
-        elif nbrs[v] and all(hidden[u] for u in nbrs[v]):
-            hidden[v] = True
-    return frozenset(v for v in range(g.n) if hidden[v])
+    hull = _hull(g, _mask(g, U), direction)
+    return frozenset(v for v in range(g.n) if hull >> v & 1)
 
 
 @dataclass(frozen=True)
@@ -104,19 +112,27 @@ class MeasureValue:
     partials: tuple[int, ...]
 
 
+def _level_masks(view: LayeredView) -> list[int]:
+    """For each level j from 0 to the top, the vertices at level >= j."""
+    return [
+        sum(1 << v for v in range(view.g.n) if view.levels[v] >= j)
+        for j in range(view.max_level + 1)
+    ]
+
+
+def _partials(level_masks: list[int], mask: int) -> list[int]:
+    """m^j = j + |U at level >= j|, or 0 when U has nothing at level >= j."""
+    partials = []
+    for j, at_or_above in enumerate(level_masks):
+        above = (mask & at_or_above).bit_count()
+        partials.append(j + above if above else 0)
+    return partials
+
+
 def klawe_measure(view: LayeredView, U) -> MeasureValue:
     """max over levels j of (j + |vertices of U at level >= j|), empty -> 0."""
-    U = frozenset(U)
-    for v in U:
-        if not (0 <= v < view.g.n):
-            raise GraphError(f"vertex {v} out of range")
-    top = view.max_level
-    partials = []
-    for j in range(top + 1):
-        above = sum(1 for v in U if view.levels[v] >= j)
-        partials.append(0 if above == 0 else j + above)
-    value = max(partials) if partials else 0
-    return MeasureValue(value=value, partials=tuple(partials))
+    partials = _partials(_level_masks(view), _mask(view.g, U))
+    return MeasureValue(value=max(partials, default=0), partials=tuple(partials))
 
 
 def potential(
@@ -133,22 +149,13 @@ def potential(
     if g.n > bound:
         raise SizeBoundExceeded(f"{g.n} vertices exceeds potential bound {bound}")
     if isinstance(config, PebbleConfig):
-        pebbled = config.occupied
-    else:
-        pebbled = frozenset(config)
+        config = config.occupied
+    pebbled = _mask(g, config)
     if not pebbled:
         return 0
-    view = LayeredView.from_dag(g)
-    best = None
-    for mask in range(1 << g.n):
-        U = frozenset(v for v in range(g.n) if mask >> v & 1)
-        if not pebbled <= hidden_vertices(g, U, direction):
-            continue
-        m = klawe_measure(view, U).value
-        if best is None or m < best:
-            best = m
-    assert best is not None  # U = all vertices always hides everything
-    return best
+    hull, meas = _hulls_and_measures(g, direction)
+    # The set of all vertices hides everything, so the minimum exists.
+    return min(meas[m] for m in range(1 << g.n) if hull[m] & pebbled == pebbled)
 
 
 # ---------------------------------------------------------------------------
@@ -172,34 +179,55 @@ class LhcResult:
     witness: LhcWitness | None
 
 
-def _hulls_and_measures(g: Dag, direction: str):
+def _hulls_and_measures(g: Dag, direction: str) -> tuple[list[int], list[int]]:
     """Hull and measure for every vertex subset, as bitmask tables."""
-    view = LayeredView.from_dag(g)
-    n = g.n
-    hull = [0] * (1 << n)
-    meas = [0] * (1 << n)
-    for mask in range(1 << n):
-        U = frozenset(v for v in range(n) if mask >> v & 1)
-        h = hidden_vertices(g, U, direction)
-        hull[mask] = sum(1 << v for v in h)
-        meas[mask] = klawe_measure(view, U).value
+    level_masks = _level_masks(LayeredView.from_dag(g))
+    subsets = range(1 << g.n)
+    hull = [_hull(g, mask, direction) for mask in subsets]
+    meas = [max(_partials(level_masks, mask), default=0) for mask in subsets]
     return hull, meas
 
 
 def _connected(g: Dag, mask: int) -> bool:
     """Connectivity of the induced subgraph, edges taken undirected."""
-    verts = [v for v in range(g.n) if mask >> v & 1]
-    if not verts:
-        return True
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for u in g.preds[v] + g.succs[v]:
-            if mask >> u & 1 and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(verts)
+    seen = frontier = mask & -mask
+    while frontier:
+        grow = 0
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            grow |= g.pred_mask[v] | g.succ_mask[v]
+        frontier = grow & mask & ~seen
+        seen |= frontier
+    return seen == mask
+
+
+def _tight(mask: int, hull: list[int]) -> bool:
+    m = mask
+    while m:
+        bit = m & -m
+        if hull[mask ^ bit] & bit:
+            return False
+        m ^= bit
+    return True
+
+
+def _in_scope_hiders(g: Dag, direction: str, max_n: int):
+    """Yield (set, measure, smallest hider size) for each set in check_lhc's
+    scope, in increasing bitmask order.  A set hides itself, so its
+    smallest hider always exists.
+    """
+    if g.n > max_n:
+        raise SizeBoundExceeded(f"{g.n} vertices exceeds hider-check bound {max_n}")
+    hull, meas = _hulls_and_measures(g, direction)
+    by_size = sorted(range(1 << g.n), key=int.bit_count)
+    for mask in range(1, 1 << g.n):
+        if not _tight(mask, hull) or not _connected(g, hull[mask]):
+            continue
+        smallest = next(
+            c for c in by_size if hull[c] & mask == mask and meas[c] <= meas[mask]
+        )
+        yield mask, meas[mask], smallest.bit_count()
 
 
 def check_lhc(
@@ -215,71 +243,20 @@ def check_lhc(
     hider U* must satisfy U within hull(U*) and measure(U*) <= measure(U).
     Returns the first violating set as a witness.
     """
-    if g.n > max_n:
-        raise SizeBoundExceeded(f"{g.n} vertices exceeds hider-check bound {max_n}")
-    hull, meas = _hulls_and_measures(g, direction)
-    n = g.n
-    by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        by_size[bin(mask).count("1")].append(mask)
-    small = [m for k in range(min(bound, n) + 1) for m in by_size[k]]
-    for mask in range(1, 1 << n):
-        if not _tight(mask, hull):
-            continue
-        if not _connected(g, hull[mask]):
-            continue
-        ok = any(
-            hull[cand] & mask == mask and meas[cand] <= meas[mask] for cand in small
-        )
-        if not ok:
-            needed = _smallest_hider(mask, hull, meas, by_size)
-            return LhcResult(
-                holds=False,
-                bound=bound,
-                witness=LhcWitness(
-                    vertices=tuple(v for v in range(n) if mask >> v & 1),
-                    measure=meas[mask],
-                    smallest_hider=needed,
-                ),
+    for mask, measure, needed in _in_scope_hiders(g, direction, max_n):
+        if needed > bound:
+            witness = LhcWitness(
+                vertices=tuple(v for v in range(g.n) if mask >> v & 1),
+                measure=measure,
+                smallest_hider=needed,
             )
+            return LhcResult(holds=False, bound=bound, witness=witness)
     return LhcResult(holds=True, bound=bound, witness=None)
-
-
-def _tight(mask: int, hull: list[int]) -> bool:
-    m = mask
-    while m:
-        bit = m & -m
-        if hull[mask ^ bit] & bit:
-            return False
-        m ^= bit
-    return True
-
-
-def _smallest_hider(mask, hull, meas, by_size) -> int | None:
-    for k, masks in enumerate(by_size):
-        for cand in masks:
-            if hull[cand] & mask == mask and meas[cand] <= meas[mask]:
-                return k
-    return None
 
 
 def min_lhc_bound(g: Dag, direction: str = "below", max_n: int = LHC_BOUND) -> int:
     """Smallest bound for which check_lhc holds (worst case over in-scope sets)."""
-    if g.n > max_n:
-        raise SizeBoundExceeded(f"{g.n} vertices exceeds hider-check bound {max_n}")
-    hull, meas = _hulls_and_measures(g, direction)
-    n = g.n
-    by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        by_size[bin(mask).count("1")].append(mask)
-    worst = 0
-    for mask in range(1, 1 << n):
-        if not _tight(mask, hull) or not _connected(g, hull[mask]):
-            continue
-        needed = _smallest_hider(mask, hull, meas, by_size)
-        assert needed is not None  # the set itself always qualifies
-        worst = max(worst, needed)
-    return worst
+    return max((needed for _, _, needed in _in_scope_hiders(g, direction, max_n)), default=0)
 
 
 @dataclass(frozen=True)

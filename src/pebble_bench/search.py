@@ -14,12 +14,11 @@ size bound rather than run forever.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from dataclasses import dataclass, field
 
-from .blob import BlobSubconfig, chargeable_vertices, check_strict_shape, introduce, merge
+from .blob import BlobSubconfig, check_strict_shape
 from .dag import Dag
-from .errors import IllegalMove, SizeBoundExceeded
+from .errors import SizeBoundExceeded
 from .pebbling import Move
 
 __all__ = [
@@ -48,14 +47,10 @@ def _check_bound(g: Dag, game: str, bound: int | None) -> None:
         )
 
 
-def _masks(g: Dag) -> tuple[list[int], dict[int, int], int]:
-    preds_mask = [0] * g.n
-    for v in range(g.n):
-        for p in g.preds[v]:
-            preds_mask[v] |= 1 << p
+def _target_bits(g: Dag) -> tuple[dict[int, int], int]:
+    """Visited-target bookkeeping: target -> its bit, and all those bits."""
     tgt_bit = {t: 1 << i for i, t in enumerate(g.targets)}
-    all_tgts = (1 << len(g.targets)) - 1
-    return preds_mask, tgt_bit, all_tgts
+    return tgt_bit, (1 << len(g.targets)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +72,8 @@ def _black_search(g: Dag, s: int, parents: dict | None = None):
     chain are exactly those of the test-on-pop search.
     """
     n = g.n
-    preds_mask, tgt_bit, all_tgts = _masks(g)
+    preds_mask = g.pred_mask
+    tgt_bit, all_tgts = _target_bits(g)
     if not all_tgts:
         return 0, 0
     dist = {0: 0}
@@ -156,7 +152,8 @@ def _bw_search(g: Dag, s: int, parents: dict | None = None):
     target visited.  Placements cost 1, removals 0 (0-1 BFS).
     """
     n = g.n
-    preds_mask, tgt_bit, all_tgts = _masks(g)
+    preds_mask = g.pred_mask
+    tgt_bit, all_tgts = _target_bits(g)
     goal = all_tgts << (2 * n)
     start = 0
     dist = {start: 0}
@@ -295,7 +292,6 @@ def tradeoff_frontier(
         raise ValueError("give space_cap or above_price, not both")
     _check_bound(g, game, bound)
     search = _black_search if game == "black" else _bw_search
-    preds_mask, _, _ = _masks(g)
     anc = 0
     for t in g.targets:
         anc |= 1 << t
@@ -303,7 +299,7 @@ def tradeoff_frontier(
     # ancestors, which only lowers the floor and keeps it a lower bound.
     for v in range(g.n - 1, -1, -1):
         if anc >> v & 1:
-            anc |= preds_mask[v]
+            anc |= g.pred_mask[v]
     floor = bin(anc).count("1")
     cap = space_cap if above_price is None else g.n + above_price
     raw: list[tuple[int, int]] = []
@@ -343,94 +339,110 @@ def optimal_blob_price(g: Dag, bound: int = DEFAULT_BLOB_BOUND, strict: bool = F
     """
     if g.n > bound:
         raise SizeBoundExceeded(f"{g.n} vertices exceeds blob search bound {bound}")
-    goal = frozenset(BlobSubconfig(frozenset({t})) for t in g.targets)
     for cap in range(1, g.n + 1):
-        if _blob_reachable(g, goal, cap, strict):
+        if _blob_reachable(g, cap, strict):
             return cap
     raise SizeBoundExceeded("no complete blob pebbling found (unreachable for valid DAGs)")
 
 
-def _dominates(a: BlobSubconfig, b: BlobSubconfig) -> bool:
-    """a renders b redundant: b is a componentwise weakening of a."""
-    return a != b and a.blob <= b.blob and a.whites <= b.whites
+def _with_sub(cfg: frozenset, new: tuple[int, int]) -> frozenset:
+    """The canonical configuration of ``cfg`` plus ``new``.
 
-
-def _canon(subs: set[BlobSubconfig]) -> frozenset[BlobSubconfig]:
-    """Erase every subconfiguration dominated by another one.
-
+    A configuration is kept an antichain: no subconfiguration in it is
+    dominated by another, where (b, w) dominates (b2, w2) when b <= b2 and
+    w <= w2 as vertex sets, so (b2, w2) is a componentwise weakening.
     Keeping a weakening of a live subconfiguration never helps: any move
     using the weaker one works at least as well from the stronger one, and
     erasing it can only shrink the chargeable union.  Searching over these
-    canonical antichain configurations is therefore exact.
+    canonical configurations is therefore exact.  ``cfg`` is an antichain,
+    so ``new`` is either dominated by a live subconfiguration (nothing
+    changes) or it is added and the ones it dominates are dropped.
     """
-    return frozenset(s for s in subs if not any(_dominates(t, s) for t in subs))
+    nb, nw = new
+    kept = [new]
+    for b, w in cfg:
+        if not (b & ~nb or w & ~nw):
+            return cfg
+        if nb & ~b or nw & ~w:
+            kept.append((b, w))
+    return frozenset(kept)
 
 
-def _blob_reachable(g, goal, cap: int, strict: bool) -> bool:
+def _blob_reachable(g: Dag, cap: int, strict: bool) -> bool:
     """BFS over canonical configurations with peak chargeable cost <= cap.
 
-    Moves: introduce, merge on a genuine pivot, erase, and "fatten" - an
-    inflation that only adds blob vertices below the current bottom, fused
-    with erasing its source.  General inflations are redundant: adding
-    whites or blob vertices at/above the bottom only grows the chargeable
-    set and yields a subconfiguration dominated by its source, and a merge
-    pivoting on an inflation-added vertex produces a weakening of the
-    source, so only the bottom-lowering inflations can ever pay off.  The
-    cost check uses the transient configuration (new subconfiguration next
-    to its operands/source) to mirror per-move accounting in the validator.
+    A subconfiguration is a (blob_mask, white_mask) pair; its bottom vertex
+    is the lowest set bit of the blob, because ids are topological.  Moves:
+    introduce, merge on a genuine pivot, erase, and "fatten" - an inflation
+    that only adds blob vertices below the current bottom, fused with
+    erasing its source.  General inflations are redundant: adding whites or
+    blob vertices at/above the bottom only grows the chargeable set and
+    yields a subconfiguration dominated by its source, and a merge pivoting
+    on an inflation-added vertex produces a weakening of the source, so
+    only the bottom-lowering inflations can ever pay off.  The cost check
+    uses the transient configuration (new subconfiguration next to its
+    operands/source) to mirror per-move accounting in the validator.
     """
-    charge_memo: dict[BlobSubconfig, frozenset[int]] = {}
+    n = g.n
+    # below[v]: the vertices strictly below v, those with a path to v.
+    below = [sum(1 << u for u in range(n) if u != v and g.reaches(u, v)) for v in range(n)]
 
-    def charge(s: BlobSubconfig) -> frozenset[int]:
-        got = charge_memo.get(s)
-        if got is None:
-            got = charge_memo[s] = chargeable_vertices(g, s)
-        return got
+    def charge(blob: int, whites: int) -> int:
+        """Blob vertices plus whites strictly below the bottom vertex."""
+        return blob | (whites & below[(blob & -blob).bit_length() - 1])
 
-    def cost(subs) -> int:
-        u: set[int] = set()
-        for s in subs:
-            u |= charge(s)
-        return len(u)
+    shape_ok: dict[tuple[int, int], bool] = {}
 
-    intros = [introduce(g, v) for v in range(g.n)]
-    start: frozenset[BlobSubconfig] = frozenset()
+    def strict_ok(s: tuple[int, int]) -> bool:
+        ok = shape_ok.get(s)
+        if ok is None:
+            blob, whites = (frozenset(v for v in range(n) if m >> v & 1) for m in s)
+            ok = shape_ok[s] = check_strict_shape(g, BlobSubconfig(blob, whites)) is None
+        return ok
+
+    intros = [(1 << v, g.pred_mask[v]) for v in range(n)]
+    goal = frozenset((1 << t, 0) for t in g.targets)
+    start: frozenset[tuple[int, int]] = frozenset()
     seen = {start}
     queue = deque([start])
 
-    def push(subs: set[BlobSubconfig]):
-        ncfg = _canon(subs)
-        if ncfg not in seen:
-            seen.add(ncfg)
-            queue.append(ncfg)
+    def push(cfg: frozenset):
+        if cfg not in seen:
+            seen.add(cfg)
+            queue.append(cfg)
 
     while queue:
         cfg = queue.popleft()
         if goal <= cfg:
             return True
+        charged = 0
+        for blob, whites in cfg:
+            charged |= charge(blob, whites)
         for s in intros:
-            if s not in cfg and cost(cfg | {s}) <= cap:
-                push(set(cfg) | {s})
-        for s1 in cfg:
-            for s2 in cfg:
-                for pivot in s1.blob & s2.whites:
-                    try:
-                        m = merge(s1, s2, pivot)
-                    except IllegalMove:
+            if s not in cfg and (charged | charge(*s)).bit_count() <= cap:
+                push(_with_sub(cfg, s))
+        for b1, w1 in cfg:
+            for b2, w2 in cfg:
+                pivots = b1 & w2
+                while pivots:
+                    p = pivots & -pivots
+                    pivots ^= p
+                    m = ((b1 & ~p) | b2, w1 | (w2 & ~p))
+                    if m[0] & m[1] or (strict and not strict_ok(m)):
                         continue
-                    if strict and check_strict_shape(g, m) is not None:
-                        continue
-                    if m not in cfg and cost(cfg | {m}) <= cap:
-                        push(set(cfg) | {m})
+                    if m not in cfg and (charged | charge(*m)).bit_count() <= cap:
+                        push(_with_sub(cfg, m))
         for s in cfg:
-            bot = min(s.blob)
-            room = [v for v in range(bot) if v not in s.whites]
-            for k in range(1, len(room) + 1):
-                for extra in combinations(room, k):
-                    fat = BlobSubconfig(s.blob | frozenset(extra), s.whites)
-                    if strict and check_strict_shape(g, fat) is not None:
-                        continue
-                    if cost(cfg | {fat}) <= cap:
-                        push((set(cfg) - {s}) | {fat})
-            push(set(cfg) - {s})
+            blob, whites = s
+            rest = cfg - {s}
+            room = ((blob & -blob) - 1) & ~whites
+            extra = room
+            while extra:
+                fat = (blob | extra, whites)
+                extra = (extra - 1) & room
+                if strict and not strict_ok(fat):
+                    continue
+                if (charged | charge(*fat)).bit_count() <= cap:
+                    push(_with_sub(rest, fat))
+            push(rest)
     return False

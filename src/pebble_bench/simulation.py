@@ -32,7 +32,7 @@ from .blob import (
 )
 from .cnf import Clause, canon_clause, pebbling_contradiction, var_id
 from .dag import Dag
-from .errors import SizeBoundExceeded, UnsupportedOperation
+from .errors import IllegalMove, SizeBoundExceeded, UnsupportedOperation
 from .pebbling import PebblingTrace
 from .resolution import (
     Axiom,
@@ -78,11 +78,8 @@ class ImplicationOracle:
         self.num_vars = num_vars
         self.clauses = tuple(tuple(cl) for cl in clauses)
 
-    def satisfiable(self, extra=()) -> bool:
-        return _dpll(list(self.clauses) + [tuple(cl) for cl in extra])
-
     def implies(self, clause) -> bool:
-        return not self.satisfiable([(-l,) for l in clause])
+        return not _dpll(list(self.clauses) + [(-l,) for l in clause])
 
 
 def _dpll(clauses: list[tuple[int, ...]]) -> bool:
@@ -467,7 +464,7 @@ def explain_transition(g: Dag, builder: BlobScriptBuilder, new: BlobConfig) -> N
                     for pivot in a.blob & b.whites:
                         try:
                             m = merge(a, b, pivot)
-                        except Exception:
+                        except IllegalMove:
                             continue
                         if m not in parent:
                             parent[m] = ("merge", a, b, pivot)

@@ -10,7 +10,6 @@ apex and the previous level's sinks), so time falls as the budget grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .dag import CsLayout, Dag, FamilySpec, build_family, carlson_savage_layout
@@ -18,19 +17,11 @@ from .errors import BudgetTooSmall, UnsupportedFamily
 from .pebbling import Move
 
 __all__ = [
-    "StrategyParams",
     "black_strategy",
     "cs_tradeoff_strategy",
     "cs_min_budget",
     "cs_predicted_time",
 ]
-
-
-@dataclass(frozen=True)
-class StrategyParams:
-    """Knobs for strategy generation."""
-
-    space_budget: int
 
 
 def black_strategy(spec: FamilySpec) -> list[Move]:
@@ -40,7 +31,7 @@ def black_strategy(spec: FamilySpec) -> list[Move]:
         return _recursive_strategy(g)
     if spec.kind == "carlson_savage":
         c, r = spec.params
-        return cs_tradeoff_strategy(c, r, StrategyParams(cs_min_budget(c, r)))
+        return cs_tradeoff_strategy(c, r, cs_min_budget(c, r))
     raise UnsupportedFamily(f"no strategy for family {spec.kind!r}")
 
 
@@ -221,20 +212,20 @@ class _CsEmitter:
         return self.moves
 
 
-def cs_tradeoff_strategy(c: int, r: int, params: StrategyParams) -> list[Move]:
+def cs_tradeoff_strategy(c: int, r: int, budget: int) -> list[Move]:
     """Budgeted complete black pebbling of carlson_savage(c, r).
 
     Raises BudgetTooSmall (carrying the minimum) below the schedule's
     minimum budget.  Time is non-increasing in the budget.
     """
     minimum = cs_min_budget(c, r)
-    if params.space_budget < minimum:
-        raise BudgetTooSmall(params.space_budget, minimum)
+    if budget < minimum:
+        raise BudgetTooSmall(budget, minimum)
     _, layout = carlson_savage_layout(c, r)
-    return _CsEmitter(c, r, params.space_budget, layout).run()
+    return _CsEmitter(c, r, budget, layout).run()
 
 
 def cs_predicted_time(c: int, r: int, budget: int) -> int:
     """Placement count of the schedule at this budget (emits and counts)."""
-    moves = cs_tradeoff_strategy(c, r, StrategyParams(budget))
+    moves = cs_tradeoff_strategy(c, r, budget)
     return sum(1 for m in moves if m.is_placement)

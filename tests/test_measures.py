@@ -19,6 +19,7 @@ from pebble_bench import (
     min_lhc_bound,
     potential,
 )
+from pebble_bench.measures import _hulls_and_measures
 
 SEED = 777
 
@@ -128,6 +129,11 @@ def test_potential_never_exceeds_own_measure():
         assert potential(g, cfg) <= klawe_measure(view, cfg).value
 
 
+def test_potential_rejects_out_of_range_vertex():
+    with pytest.raises(GraphError):
+        potential(pyramid2(), {99})
+
+
 def test_potential_size_guard():
     g = build_family(FamilySpec.pyramid(4))  # 15 vertices
     with pytest.raises(SizeBoundExceeded):
@@ -204,3 +210,29 @@ def test_fuzz_hull_and_measure_laws():
         if n <= 8:
             assert potential(g, ()) == 0
             assert potential(g, small) <= m_small
+
+
+def test_hull_and_measure_tables_match_set_functions():
+    specs = [FamilySpec.chain(n) for n in (1, 5, 10)]
+    specs += [FamilySpec.pyramid(h) for h in (1, 2, 3)]
+    specs += [FamilySpec.binary_tree(h) for h in (1, 2)]
+    specs += [FamilySpec.carlson_savage(c, 0) for c in (2, 3, 4)]
+    graphs = [build_family(spec) for spec in specs]
+    rng = random.Random(SEED)
+    for _ in range(12):
+        n = rng.randint(1, 9)
+        edges = []
+        for v in range(1, n):
+            k = rng.randint(0, min(2, v))
+            edges.extend((u, v) for u in rng.sample(range(v), k))
+        graphs.append(Dag(n, edges))
+    for g in graphs:
+        view = LayeredView.from_dag(g)
+        for direction in ("below", "above"):
+            hull, meas = _hulls_and_measures(g, direction)
+            assert len(hull) == len(meas) == 1 << g.n
+            for mask in range(1 << g.n):
+                U = [v for v in range(g.n) if mask >> v & 1]
+                want = hidden_vertices(g, U, direction)
+                assert hull[mask] == sum(1 << v for v in want), (g, direction, U)
+                assert meas[mask] == klawe_measure(view, U).value, (g, U)

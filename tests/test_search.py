@@ -278,3 +278,33 @@ def test_blob_price_bound_guard():
     with pytest.raises(SizeBoundExceeded):
         optimal_blob_price(build_family(FamilySpec.pyramid(3)))  # 10 > 8
     assert optimal_blob_price(g, bound=6) >= 1
+
+
+# Prices from the frozenset-configuration search that the bitmask search
+# replaced, an independent implementation of the same game.  Plain and
+# strict prices agree on every graph here.
+FAMILY_BLOB_PRICES = {
+    **{FamilySpec.chain(n): 1 if n == 1 else 2 for n in range(1, 9)},
+    FamilySpec.pyramid(1): 3,
+    FamilySpec.pyramid(2): 4,
+    FamilySpec.binary_tree(1): 3,
+    FamilySpec.binary_tree(2): 4,
+    FamilySpec.carlson_savage(2, 0): 2,
+    FamilySpec.carlson_savage(3, 0): 3,
+}
+RANDOM_BLOB_PRICES = [4, 4, 3, 2, 4, 4, 3, 3, 2, 3, 3, 6, 4, 3, 3, 3, 3, 3, 4, 3]
+
+
+def test_blob_price_pinned():
+    graphs = [(build_family(spec), p) for spec, p in FAMILY_BLOB_PRICES.items()]
+    rng = random.Random(2024)
+    for price in RANDOM_BLOB_PRICES:
+        n = rng.randint(2, 6)
+        edges = []
+        for v in range(1, n):
+            k = rng.randint(0, min(2, v))
+            edges.extend((u, v) for u in rng.sample(range(v), k))
+        graphs.append((Dag(n, edges), price))
+    for g, price in graphs:
+        assert optimal_blob_price(g) == price, g
+        assert optimal_blob_price(g, strict=True) == price, g

@@ -5,7 +5,6 @@ import pytest
 from pebble_bench import (
     BudgetTooSmall,
     FamilySpec,
-    StrategyParams,
     black_strategy,
     build_family,
     cs_min_budget,
@@ -58,7 +57,7 @@ def test_cs_min_budget_matches_exact_price():
 
 def test_cs_budget_too_small():
     with pytest.raises(BudgetTooSmall) as exc:
-        cs_tradeoff_strategy(2, 1, StrategyParams(2))
+        cs_tradeoff_strategy(2, 1, 2)
     assert exc.value.minimum == 3
 
 
@@ -68,7 +67,7 @@ def test_cs_tradeoff_goldens_small():
     for budget, t in expected.items():
         trace = run(
             FamilySpec.carlson_savage(2, 1),
-            cs_tradeoff_strategy(2, 1, StrategyParams(budget)),
+            cs_tradeoff_strategy(2, 1, budget),
         )
         assert trace.time == t
         assert trace.space <= budget
@@ -79,7 +78,7 @@ def test_cs_tradeoff_goldens_two_levels():
     for budget, t in expected.items():
         trace = run(
             FamilySpec.carlson_savage(2, 2),
-            cs_tradeoff_strategy(2, 2, StrategyParams(budget)),
+            cs_tradeoff_strategy(2, 2, budget),
         )
         assert trace.time == t
         assert trace.space <= budget
@@ -92,7 +91,7 @@ def test_cs_time_monotone_in_budget():
         for budget in range(lo, lo + 5):
             trace = run(
                 FamilySpec.carlson_savage(c, r),
-                cs_tradeoff_strategy(c, r, StrategyParams(budget)),
+                cs_tradeoff_strategy(c, r, budget),
             )
             times.append(trace.time)
             assert trace.space <= budget
@@ -106,7 +105,7 @@ def test_cs_predicted_time_agrees_with_replay():
             predicted = cs_predicted_time(c, r, budget)
             trace = run(
                 FamilySpec.carlson_savage(c, r),
-                cs_tradeoff_strategy(c, r, StrategyParams(budget)),
+                cs_tradeoff_strategy(c, r, budget),
             )
             assert predicted == trace.time
 
@@ -126,6 +125,6 @@ def test_strategy_near_optimal_on_frontier():
     for s, t_opt in fr.points:
         trace = run(
             FamilySpec.carlson_savage(2, 1),
-            cs_tradeoff_strategy(2, 1, StrategyParams(s)),
+            cs_tradeoff_strategy(2, 1, s),
         )
         assert trace.time <= 2 * t_opt
