@@ -19,7 +19,7 @@ from . import blob as blobmod
 from . import simulation
 from .cnf import pebbling_contradiction, read_dimacs, write_dimacs
 from .dag import Dag, FamilySpec, build_family, read_graph, write_graph
-from .errors import BudgetTooSmall, PebbleBenchError, SizeBoundExceeded
+from .errors import BudgetTooSmall, ParseError, PebbleBenchError, SizeBoundExceeded
 from .measures import MeasureReport, hidden_vertices, klawe_measure, potential, LayeredView
 from .pebbling import format_moves, parse_moves, validate_pebbling
 from .resolution import check_refutation, format_trace, parse_trace
@@ -66,12 +66,21 @@ def _spec_from_args(args) -> FamilySpec:
     return FamilySpec(args.family, tuple(vals))
 
 
+def _read_text(path: str) -> str:
+    """The text of a file argument; a file that does not decode is a
+    ParseError naming the path (OSError messages already name it)."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: {e}") from None
+
+
 def _graph_from_args(args) -> Dag:
     if getattr(args, "graph", None):
         if args.family:
             raise _Usage("give either --family or --graph, not both")
-        with open(args.graph) as fh:
-            return read_graph(fh.read())
+        return read_graph(_read_text(args.graph))
     return build_family(_spec_from_args(args))
 
 
@@ -143,8 +152,7 @@ def _cmd_strategy(args) -> int:
 
 def _cmd_compile(args) -> int:
     g = _graph_from_args(args)
-    with open(args.moves) as fh:
-        text = fh.read()
+    text = _read_text(args.moves)
     if args.blob:
         trace = blobmod.validate_blob_pebbling(g, blobmod.parse_blob_moves(text))
     else:
@@ -155,10 +163,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    with open(args.cnf) as fh:
-        f = read_dimacs(fh.read())
-    with open(args.proof) as fh:
-        trace = parse_trace(fh.read())
+    f = read_dimacs(_read_text(args.cnf))
+    trace = parse_trace(_read_text(args.proof))
     metrics = check_refutation(f, trace)
     sys.stdout.write(json.dumps(metrics.report()) + "\n")
     return 0
@@ -203,7 +209,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _experiment_instances(cp: ConfigParser):
-    """Yield (spec, space_cap_spec) in file order, params in cross-product order."""
+    """(spec, cap) pairs in file order, params in cross-product order; cap is
+    the space-cap keyword for ``tradeoff_frontier`` (``+k``: above_price)."""
     out = []
     for section in cp.sections():
         if not section.startswith("family:"):
@@ -217,18 +224,20 @@ def _experiment_instances(cp: ConfigParser):
         except (ValueError, ConfigError) as e:
             raise _Usage(f"bad parameter ranges in [{section}]: {e}") from None
         cap = cp.get(section, "space_cap", fallback="+2")
+        key = "above_price" if cap.startswith("+") else "space_cap"
+        try:
+            cap_kw = {key: int(cap.removeprefix("+"))}
+        except ValueError:
+            raise _Usage(f"bad space_cap {cap!r} in [{section}]") from None
         for combo in product(*ranges):
-            out.append((FamilySpec(kind, combo), cap))
+            out.append((FamilySpec(kind, combo), cap_kw))
     return out
 
 
-def _instance_rows(spec: FamilySpec, cap_spec: str, game: str, bound: int | None):
+def _instance_rows(spec: FamilySpec, cap_kw: dict[str, int], game: str, bound: int | None):
     """Frontier and strategy comparison rows for one instance."""
     g = build_family(spec)
-    if cap_spec.startswith("+"):
-        frontier = tradeoff_frontier(g, game=game, bound=bound, above_price=int(cap_spec[1:]))
-    else:
-        frontier = tradeoff_frontier(g, game=game, space_cap=int(cap_spec), bound=bound)
+    frontier = tradeoff_frontier(g, game=game, bound=bound, **cap_kw)
     base_moves = None
     if spec.kind != "carlson_savage":
         moves = black_strategy(spec)
@@ -248,13 +257,15 @@ def _instance_rows(spec: FamilySpec, cap_spec: str, game: str, bound: int | None
 
 
 def _read_spec(spec_path: str) -> ConfigParser:
+    try:
+        text = _read_text(spec_path)
+    except OSError:
+        raise _Usage(f"cannot read spec {spec_path!r}") from None
     cp = ConfigParser()
     try:
-        found = cp.read(spec_path)
+        cp.read_string(text, source=spec_path)
     except ConfigError as e:
         raise _Usage(f"bad spec {spec_path!r}: {str(e).splitlines()[0]}") from None
-    if not found:
-        raise _Usage(f"cannot read spec {spec_path!r}")
     return cp
 
 
@@ -262,7 +273,10 @@ def _run_spec(cp: ConfigParser) -> tuple[str, dict[str, str], list[str]]:
     game = cp.get("experiment", "game", fallback="black")
     if game not in ("black", "bw"):
         raise _Usage(f"unknown game {game!r}")
-    bound = cp.getint("experiment", "bound", fallback=None)
+    try:
+        bound = cp.getint("experiment", "bound", fallback=None)
+    except ValueError:
+        raise _Usage(f"bad bound {cp.get('experiment', 'bound')!r} in [experiment]") from None
     instances = _experiment_instances(cp)
     if not instances:
         raise _Usage("empty family range: no instances to run")
@@ -270,9 +284,9 @@ def _run_spec(cp: ConfigParser) -> tuple[str, dict[str, str], list[str]]:
     lines = ["family,params,game,space,min_time,strategy_time"]
     plots: dict[str, str] = {}
     warnings: list[str] = []
-    for spec, cap_spec in instances:
+    for spec, cap_kw in instances:
         try:
-            rows, frontier = _instance_rows(spec, cap_spec, game, bound)
+            rows, frontier = _instance_rows(spec, cap_kw, game, bound)
         except SizeBoundExceeded as e:
             warnings.append(f"skipped {spec.label()}: {e}")
             continue
@@ -385,9 +399,8 @@ def run_command(argv) -> int:
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (PebbleBenchError, OSError, UnicodeDecodeError) as e:
-        # OSError and UnicodeDecodeError: a file that cannot be opened,
-        # read, decoded or written.
+    except (PebbleBenchError, OSError) as e:
+        # OSError: a file that cannot be opened, read or written.
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -2,9 +2,11 @@
 configurations back out of clause sets.
 
 A black pebbling of G compiles into a refutation of the degree-d pebbling
-contradiction: placing v turns into a ladder of resolution steps deriving
-"v has some true variable" from the same clauses held for v's predecessors,
-and removing v erases that clause.  A blob pebbling at d = 1 compiles
+contradiction.  One recursive elimination step does all the work: placing v
+resolves the positive clauses held for v's predecessors, one predecessor at
+a time and for any fan-in, against v's propagation axioms to derive "v has
+some true variable"; removing v erases that clause; and the same step
+against a target's unit axioms derives the empty clause.  A blob pebbling at d = 1 compiles
 move-for-move (introduction = axiom download, merger = resolution, inflation
 and erasure are bookkeeping), with subsumption tracked so inflated blobs
 reuse the stronger clause.
@@ -17,7 +19,7 @@ decided exactly by a small DPLL oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import count
 
 from .blob import (
     BlobConfig,
@@ -32,7 +34,7 @@ from .blob import (
 )
 from .cnf import Clause, canon_clause, pebbling_contradiction, var_id
 from .dag import Dag
-from .errors import IllegalMove, SizeBoundExceeded, UnsupportedOperation
+from .errors import GraphError, IllegalMove, SizeBoundExceeded, UnsupportedOperation
 from .pebbling import PebblingTrace
 from .resolution import (
     Axiom,
@@ -125,38 +127,46 @@ def subconfig_clause(s: BlobSubconfig, d: int = 1) -> Clause:
 
 
 class _Emitter:
+    """Appends trace events and owns the clause of every live id."""
+
     def __init__(self):
         self.events: list = []
+        self.clauses: dict[int, Clause] = {}
         self.next_id = 1
 
-    def axiom(self, cl: Clause) -> int:
-        self.events.append(Axiom(cl))
+    def _add(self, event, cl: Clause) -> int:
+        self.events.append(event)
         cid = self.next_id
         self.next_id += 1
+        self.clauses[cid] = cl
         return cid
 
-    def infer(self, left: int, right: int, pivot: int, cl: Clause) -> int:
-        self.events.append(Infer(left, right, pivot, cl))
-        cid = self.next_id
-        self.next_id += 1
-        return cid
+    def axiom(self, cl: Clause) -> int:
+        return self._add(Axiom(cl), cl)
+
+    def infer(self, left: int, right: int, pivot: int) -> int:
+        cl = resolve(self.clauses[left], self.clauses[right], pivot)
+        return self._add(Infer(left, right, pivot, cl), cl)
 
     def erase(self, cid: int) -> None:
         self.events.append(Erase(cid))
+        del self.clauses[cid]
 
 
 def compile_pebbling(g: Dag, d: int, trace, starred: bool = False) -> ResolutionTrace:
     """Translate a pebbling into a resolution trace over the degree-d
     pebbling contradiction of g.
 
-    Accepts a black ``PebblingTrace`` (any d) or a ``BlobTrace`` (d = 1
-    only).  By default the result refutes the full contradiction: the empty
-    clause is derived as soon as the first target is pebbled and later moves
-    are dropped.  With ``starred`` the result is a derivation over the
-    variant without target axioms: it stops once every target's positive
-    clause is derived and keeps those clauses live (skipping the erasures
-    that mirror removing a target pebble).
+    Accepts a black ``PebblingTrace`` (any d >= 1, any fan-in) or a
+    ``BlobTrace`` (d = 1 only).  By default the result refutes the full
+    contradiction: the empty clause is derived as soon as the first target
+    is pebbled and later moves are dropped.  With ``starred`` the result is
+    a derivation over the variant without target axioms: it stops once every
+    target's positive clause is derived and keeps those clauses live
+    (skipping the erasures that mirror removing a target pebble).
     """
+    if d < 1:
+        raise GraphError("d must be >= 1")
     if isinstance(trace, PebblingTrace):
         if trace.game != "black":
             raise UnsupportedOperation("only black traces compile to resolution")
@@ -168,8 +178,29 @@ def compile_pebbling(g: Dag, d: int, trace, starred: bool = False) -> Resolution
     raise UnsupportedOperation(f"cannot compile {type(trace).__name__}")
 
 
-def _all_clause(v: int, d: int) -> Clause:
-    return canon_clause(var_id(v, i, d) for i in range(1, d + 1))
+def _derive(em: _Emitter, held: dict[int, int], d: int, ps, head: Clause, negs=()) -> int:
+    """The one elimination step: derive ``negs ∨ head`` and return its id.
+
+    With ``ps`` empty that clause is an axiom.  Otherwise, for each variable
+    x of u = ps[0], the clause ``negs ∨ ¬x ∨ head`` (derived recursively
+    over ps[1:]) is resolved on x against the running clause, which starts
+    as u's held positive clause; once all d variables are gone the running
+    clause is ``negs ∨ head``.  Side clauses and intermediates that are not
+    held are erased as soon as they are used.
+    """
+    if not ps:
+        return em.axiom(canon_clause(negs + head))
+    u, rest = ps[0], ps[1:]
+    cur = held[u]
+    for j in range(1, d + 1):
+        x = var_id(u, j, d)
+        side = _derive(em, held, d, rest, head, negs + (-x,))
+        nxt = em.infer(cur, side, x)
+        em.erase(side)
+        if cur != held[u]:
+            em.erase(cur)
+        cur = nxt
+    return cur
 
 
 def _compile_black(g: Dag, d: int, trace: PebblingTrace, starred: bool) -> ResolutionTrace:
@@ -177,139 +208,66 @@ def _compile_black(g: Dag, d: int, trace: PebblingTrace, starred: bool) -> Resol
     held: dict[int, int] = {}
     targets = set(g.targets)
     derived: set[int] = set()
-    done = False
-
-    def ladder(v: int) -> int:
-        """Derive the positive clause of v from its predecessors' clauses."""
-        head = _all_clause(v, d)
-        ps = g.preds[v]
-        if len(ps) == 1:
-            (u,) = ps
-            cur_id, cur_cl = held[u], _all_clause(u, d)
-            for j in range(1, d + 1):
-                ax_cl = canon_clause((-var_id(u, j, d),) + head)
-                ax_id = em.axiom(ax_cl)
-                n_cl = resolve(cur_cl, ax_cl, var_id(u, j, d))
-                n_id = em.infer(cur_id, ax_id, var_id(u, j, d), n_cl)
-                em.erase(ax_id)
-                if cur_id != held[u]:
-                    em.erase(cur_id)
-                cur_id, cur_cl = n_id, n_cl
-            return cur_id
-        u1, u2 = ps
-        d_id, d_cl = held[u1], _all_clause(u1, d)
-        for j1 in range(1, d + 1):
-            # inner ladder removes u2's variables from the (j1, *) axioms
-            cur_id, cur_cl = held[u2], _all_clause(u2, d)
-            for j2 in range(1, d + 1):
-                ax_cl = canon_clause(
-                    (-var_id(u1, j1, d), -var_id(u2, j2, d)) + head
-                )
-                ax_id = em.axiom(ax_cl)
-                n_cl = resolve(cur_cl, ax_cl, var_id(u2, j2, d))
-                n_id = em.infer(cur_id, ax_id, var_id(u2, j2, d), n_cl)
-                em.erase(ax_id)
-                if cur_id != held[u2]:
-                    em.erase(cur_id)
-                cur_id, cur_cl = n_id, n_cl
-            n_cl = resolve(d_cl, cur_cl, var_id(u1, j1, d))
-            n_id = em.infer(d_id, cur_id, var_id(u1, j1, d), n_cl)
-            em.erase(cur_id)
-            if d_id != held[u1]:
-                em.erase(d_id)
-            d_id, d_cl = n_id, n_cl
-        return d_id
-
     for mv in trace.moves:
-        if done:
-            break
         v = mv.v
         if mv.kind == "PB":
-            held[v] = em.axiom(_all_clause(v, d)) if not g.preds[v] else ladder(v)
+            head = canon_clause(var_id(v, i, d) for i in range(1, d + 1))
+            held[v] = _derive(em, held, d, g.preds[v], head)
             if v in targets:
-                if starred:
-                    derived.add(v)
-                    done = derived == targets
-                else:
-                    cur_id, cur_cl = held[v], _all_clause(v, d)
-                    for i in range(1, d + 1):
-                        ax_id = em.axiom((-var_id(v, i, d),))
-                        n_cl = resolve(cur_cl, (-var_id(v, i, d),), var_id(v, i, d))
-                        n_id = em.infer(cur_id, ax_id, var_id(v, i, d), n_cl)
-                        em.erase(ax_id)
-                        if cur_id != held[v]:
-                            em.erase(cur_id)
-                        cur_id, cur_cl = n_id, n_cl
-                    done = True
-        else:  # RB; validated black traces contain no white moves
-            if starred and v in targets:
-                held.pop(v)  # keep derived target clauses live
-            else:
-                em.erase(held.pop(v))
+                if not starred:
+                    _derive(em, held, d, (v,), ())
+                    break
+                derived.add(v)
+                if derived == targets:
+                    break
+        elif starred and v in targets:  # RB; validated black traces have no whites
+            held.pop(v)  # keep derived target clauses live
+        else:
+            em.erase(held.pop(v))
     return ResolutionTrace(tuple(em.events))
 
 
 def _compile_blob(g: Dag, trace: BlobTrace, starred: bool) -> ResolutionTrace:
     em = _Emitter()
-    clause_of: dict[int, Clause] = {}
+    bound: dict[int, tuple[int, BlobSubconfig]] = {}  # blob id -> (clause id, sub)
     refs: dict[int, int] = {}
-    bid_cid: dict[int, int] = {}
-    bid_sub: dict[int, BlobSubconfig] = {}
-    nbid = 0
-    bottom: int | None = None
+    bids = count()
 
-    def bind(bid: int, cid: int, s: BlobSubconfig):
-        bid_cid[bid] = cid
-        bid_sub[bid] = s
+    def bind(cid: int, s: BlobSubconfig):
+        bound[next(bids)] = (cid, s)
         refs[cid] = refs.get(cid, 0) + 1
 
     for mv in trace.moves:
-        if bottom is not None:
-            break
         if isinstance(mv, IntroduceMove):
             s = introduce(g, mv.v)
-            cl = subconfig_clause(s)
-            bind(nbid, em.axiom(cl), s)
-            clause_of[bid_cid[nbid]] = cl
-            nbid += 1
+            bind(em.axiom(subconfig_clause(s)), s)
         elif isinstance(mv, MergeMove):
-            s = merge(bid_sub[mv.i], bid_sub[mv.j], mv.pivot)
-            c1id, c2id = bid_cid[mv.i], bid_cid[mv.j]
-            c1, c2 = clause_of[c1id], clause_of[c2id]
+            (c1, s1), (c2, s2) = bound[mv.i], bound[mv.j]
+            s = merge(s1, s2, mv.pivot)
             pv = var_id(mv.pivot, 1, 1)
-            if pv not in c1:
+            if pv not in em.clauses[c1]:
                 # the tracked clause already subsumes the merge result
-                bind(nbid, c1id, s)
-            elif -pv not in c2:
-                bind(nbid, c2id, s)
+                bind(c1, s)
+            elif -pv not in em.clauses[c2]:
+                bind(c2, s)
             else:
-                res = resolve(c1, c2, pv)
-                cid = em.infer(c1id, c2id, pv, res)
-                clause_of[cid] = res
-                bind(nbid, cid, s)
-                if res == ():
-                    bottom = cid
-            nbid += 1
+                cid = em.infer(c1, c2, pv)
+                if not em.clauses[cid]:
+                    return ResolutionTrace(tuple(em.events))
+                bind(cid, s)
         elif isinstance(mv, InflateMove):
-            bind(nbid, bid_cid[mv.i], BlobSubconfig(mv.blob, mv.whites))
-            nbid += 1
+            bind(bound[mv.i][0], BlobSubconfig(mv.blob, mv.whites))
         elif isinstance(mv, EraseMove):
-            cid = bid_cid.pop(mv.i)
-            bid_sub.pop(mv.i)
+            cid, _ = bound.pop(mv.i)
             refs[cid] -= 1
-            if refs[cid] == 0 and clause_of[cid] != ():
+            if refs[cid] == 0:
                 em.erase(cid)
 
-    if bottom is None and not starred:
+    if not starred:
         t = g.targets[0]
         want = BlobSubconfig(frozenset({t}))
-        cid = next(bid_cid[b] for b, s in bid_sub.items() if s == want)
-        cl = clause_of[cid]
-        if cl != ():
-            pv = var_id(t, 1, 1)
-            ax_id = em.axiom((-pv,))
-            em.infer(cid, ax_id, pv, ())
-            em.erase(ax_id)
+        cid = next(c for c, s in bound.values() if s == want)
+        _derive(em, {t: cid}, 1, (t,), ())
     return ResolutionTrace(tuple(em.events))
 
 

@@ -48,6 +48,7 @@ from pebble_bench import (
     validate_pebbling,
 )
 from pebble_bench.cli import tradeoff_report
+from pebble_bench.simulation import _colourings
 
 SEED = 20240911
 QUALITY_FACTOR = 2.0  # worst measured strategy/optimal time ratio is 44/23
@@ -264,20 +265,9 @@ def test_criterion_5_tradeoff_frontier(verdict):
 # --- criterion 6: merging mirrors resolution exactly ------------------------------
 
 
-def _colourings(n):
-    out = [(frozenset(), frozenset())]
-    for v in range(n):
-        out = [
-            (b | extra_b, w | extra_w)
-            for b, w in out
-            for extra_b, extra_w in ((frozenset(), frozenset()), ({v}, frozenset()), (frozenset(), {v}))
-        ]
-    return [(b, w) for b, w in out if b]
-
-
 def test_criterion_6_merge_is_resolution(verdict):
     n = 5
-    subs = [BlobSubconfig(frozenset(b), frozenset(w)) for b, w in _colourings(n)]
+    subs = [BlobSubconfig(b, w) for b, w in _colourings(n) if b]
     checked = 0
     bad = []
     for s1, s2 in product(subs, repeat=2):

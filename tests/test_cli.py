@@ -188,6 +188,15 @@ def test_compile_blob_moves(tmp_path, capsys):
     assert check_refutation(f, parse_trace(out)).length == 5
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_compile_rejects_d_below_1(tmp_path, capsys, d):
+    moves = tmp_path / "moves.txt"
+    moves.write_text("PB 0\nPB 1\nRB 0\nRB 1\n")
+    argv = ["compile", "--family", "chain", "--n", "2", "--d", d, "--moves", str(moves)]
+    assert run(capsys, *argv) == (1, "", "error: d must be >= 1\n")
+    assert run(capsys, "gen-cnf", "--family", "chain", "--n", "2", "--d", d)[0] == 1
+
+
 def test_check_rejects_corrupt_proof(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     proof = tmp_path / "proof.txt"
@@ -254,6 +263,9 @@ def test_unusable_file_exits_1(tmp_path, capsys, argv):
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # the first file argument is the one read (or written) first
+    bad = next(a.format(**paths) for a in argv if "{" in a)
+    assert bad in err
 
 
 # --- tradeoff-report -----------------------------------------------------------
@@ -306,6 +318,14 @@ def test_report_usage_errors(tmp_path, capsys):
     assert run(capsys, "tradeoff-report", "--spec", spec)[0] == 2
     spec = write_spec(tmp_path, "no section header\n")
     assert run(capsys, "tradeoff-report", "--spec", spec)[0] == 2
+    for body in (
+        "[experiment]\nbound = x\n[family:chain]\nn = 2\n",
+        "[family:chain]\nn = 2\nspace_cap = +x\n",
+        "[family:chain]\nn = 2\nspace_cap = x\n",
+    ):
+        code, out, err = run(capsys, "tradeoff-report", "--spec", write_spec(tmp_path, body))
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_report_deterministic_across_threads(tmp_path):

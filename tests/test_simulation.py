@@ -8,6 +8,7 @@ from pebble_bench import (
     BlobScriptBuilder,
     Dag,
     FamilySpec,
+    Move,
     ResolutionTrace,
     UnsupportedOperation,
     VerificationError,
@@ -24,7 +25,7 @@ from pebble_bench import (
     validate_blob_pebbling,
     validate_pebbling,
 )
-from pebble_bench.resolution import Axiom, Erase, Infer
+from pebble_bench.resolution import Axiom, Erase, Infer, format_trace
 from pebble_bench.simulation import ImplicationOracle, subconfig_clause
 from pebble_bench.strategies import black_strategy
 
@@ -64,6 +65,86 @@ def test_edge_graph_compile_golden():
     metrics = check_refutation(f, rtrace)
     assert metrics.length == 5
     assert metrics.width == 2
+
+
+PYRAMID1_D2 = """\
+a 1 2 0
+a 3 4 0
+a -1 -3 5 6 0
+r 2 3 3 -1 4 5 6 0
+e 3
+a -1 -4 5 6 0
+r 4 5 4 -1 5 6 0
+e 5
+e 4
+r 1 6 1 2 5 6 0
+e 6
+a -2 -3 5 6 0
+r 2 8 3 -2 4 5 6 0
+e 8
+a -2 -4 5 6 0
+r 9 10 4 -2 5 6 0
+e 10
+e 9
+r 7 11 2 5 6 0
+e 11
+e 7
+"""
+
+
+def test_pyramid1_compile_golden():
+    # pins the event order of the nested two-predecessor ladder; the
+    # refutation then resolves the apex clause against its unit axioms
+    g, trace = black_trace(FamilySpec.pyramid(1))
+    refutation = "a -5 0\nr 12 13 5 6 0\ne 13\na -6 0\nr 14 15 6 0\ne 15\ne 14\n"
+    assert format_trace(compile_pebbling(g, 2, trace)) == PYRAMID1_D2 + refutation
+    assert format_trace(compile_pebbling(g, 2, trace, starred=True)) == PYRAMID1_D2
+
+
+def _random_dag(rng, n, max_fanin):
+    edges = []
+    for v in range(1, n):
+        edges += [(u, v) for u in rng.sample(range(v), rng.randint(0, min(max_fanin, v)))]
+    return Dag(n, edges)
+
+
+def _topological_pebbling(g):
+    """Place in vertex order, removing each vertex once its last successor
+    is placed; targets stay until the end."""
+    last_use = {u: v for v in range(g.n) for u in g.preds[v]}
+    moves, removed = [], set()
+    for v in range(g.n):
+        moves.append(Move("PB", v))
+        for u in g.preds[v]:
+            if last_use[u] == v and u not in g.targets:
+                moves.append(Move("RB", u))
+                removed.add(u)
+    return moves + [Move("RB", v) for v in range(g.n) if v not in removed]
+
+
+def test_random_dags_any_fanin_compile_and_check():
+    rng = random.Random(SEED)
+    fanins = set()
+    for _ in range(40):
+        g = _random_dag(rng, rng.randint(1, 8), 3)
+        fanins.update(len(p) for p in g.preds)
+        trace = validate_pebbling(g, _topological_pebbling(g), game="black")
+        for d in (1, 2, 3):
+            check_refutation(pebbling_contradiction(g, d), compile_pebbling(g, d, trace))
+            starred = compile_pebbling(g, d, trace, starred=True)
+            # every step checks; only the empty clause is missing
+            with pytest.raises(VerificationError, match="lacks the empty clause"):
+                check_refutation(pebbling_contradiction(g, d, starred=True), starred)
+            live, nid = {}, 0
+            for ev in starred.events:
+                if isinstance(ev, Erase):
+                    del live[ev.id]
+                else:
+                    nid += 1
+                    live[nid] = ev.clause
+            for t in g.targets:
+                assert tuple(range(d * t + 1, d * t + d + 1)) in live.values()
+    assert fanins == {0, 1, 2, 3}
 
 
 def test_compile_starred_keeps_target_clauses():
