@@ -9,6 +9,7 @@ deterministic byte-for-byte for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -76,11 +77,21 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path}: {e}") from None
 
 
+def _parse_file(path: str, parse):
+    """``parse`` applied to a file argument's text; a ParseError names the
+    path, as a decode error does."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
+
+
 def _graph_from_args(args) -> Dag:
     if getattr(args, "graph", None):
         if args.family:
             raise _Usage("give either --family or --graph, not both")
-        return read_graph(_read_text(args.graph))
+        return _parse_file(args.graph, read_graph)
     return build_family(_spec_from_args(args))
 
 
@@ -152,19 +163,19 @@ def _cmd_strategy(args) -> int:
 
 def _cmd_compile(args) -> int:
     g = _graph_from_args(args)
-    text = _read_text(args.moves)
     if args.blob:
-        trace = blobmod.validate_blob_pebbling(g, blobmod.parse_blob_moves(text))
+        moves = _parse_file(args.moves, blobmod.parse_blob_moves)
+        trace = blobmod.validate_blob_pebbling(g, moves)
     else:
-        trace = validate_pebbling(g, parse_moves(text), game="black")
+        trace = validate_pebbling(g, _parse_file(args.moves, parse_moves), game="black")
     rtrace = simulation.compile_pebbling(g, args.d, trace, starred=args.starred)
     _write_out(args, format_trace(rtrace))
     return 0
 
 
 def _cmd_check(args) -> int:
-    f = read_dimacs(_read_text(args.cnf))
-    trace = parse_trace(_read_text(args.proof))
+    f = _parse_file(args.cnf, read_dimacs)
+    trace = _parse_file(args.proof, parse_trace)
     metrics = check_refutation(f, trace)
     sys.stdout.write(json.dumps(metrics.report()) + "\n")
     return 0
@@ -227,6 +238,8 @@ def _experiment_instances(cp: ConfigParser):
         key = "above_price" if cap.startswith("+") else "space_cap"
         try:
             cap_kw = {key: int(cap.removeprefix("+"))}
+            if cap_kw[key] < 0:
+                raise ValueError
         except ValueError:
             raise _Usage(f"bad space_cap {cap!r} in [{section}]") from None
         for combo in product(*ranges):
@@ -324,7 +337,11 @@ def _cmd_tradeoff_report(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: in-process callers of run_command run many
+    # commands, and each discarded parser is a reference cycle that lingers
+    # until a full garbage collection.
     top = argparse.ArgumentParser(prog="pebble-bench")
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import neg
 
 from .dag import Dag
-from .errors import GraphError, ParseError
+from .errors import GraphError, ParseError, SizeBoundExceeded
 
 __all__ = [
     "Clause",
@@ -21,6 +22,8 @@ __all__ = [
     "is_tautology",
     "var_id",
     "var_vertex",
+    "MAX_CLAUSES",
+    "check_clause_count",
     "pebbling_contradiction",
     "write_dimacs",
     "read_dimacs",
@@ -28,15 +31,23 @@ __all__ = [
 
 Clause = tuple[int, ...]
 
+# Largest pebbling contradiction built or compiled against: twelve times the
+# biggest benchmark instance, binary_tree(7) at d = 8 (8,128 clauses).
+MAX_CLAUSES = 100_000
+
 
 def canon_clause(lits) -> Clause:
-    """Canonical clause form: duplicates merged, sorted by variable then sign."""
-    return tuple(sorted(set(lits), key=lambda l: (abs(l), l < 0)))
+    """Canonical clause form: duplicates merged, sorted by variable then sign.
+
+    The descending sort puts x before -x; the stable sort on ``abs`` keeps
+    that order within a variable.
+    """
+    return tuple(sorted(sorted(set(lits), reverse=True), key=abs))
 
 
 def is_tautology(lits) -> bool:
     s = set(lits)
-    return any(-l in s for l in s)
+    return not s.isdisjoint(map(neg, s))
 
 
 @dataclass(frozen=True)
@@ -47,10 +58,11 @@ class Cnf:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
+        n = self.num_vars
         for cl in self.clauses:
-            for l in cl:
-                if l == 0 or abs(l) > self.num_vars:
-                    raise GraphError(f"literal {l} out of range in clause {cl}")
+            if 0 in cl or max(map(abs, cl), default=n) > n:
+                bad = next(l for l in cl if l == 0 or abs(l) > n)
+                raise GraphError(f"literal {bad} out of range in clause {cl}")
             if is_tautology(cl):
                 raise GraphError(f"tautological clause {cl}")
 
@@ -72,6 +84,22 @@ def _all_true(v: int, d: int) -> list[int]:
     return [var_id(v, i, d) for i in range(1, d + 1)]
 
 
+def check_clause_count(g: Dag, d: int, starred: bool = False) -> int:
+    """The clause count of ``pebbling_contradiction(g, d, starred)``,
+    predicted from the graph: #sources + sum of d^indeg over non-sources +
+    d * #targets (no target term when starred).  Raises SizeBoundExceeded
+    above MAX_CLAUSES, before anything is built."""
+    count = len(g.sources) + sum(d ** len(ps) for ps in g.preds if ps)
+    if not starred:
+        count += d * len(g.targets)
+    if count > MAX_CLAUSES:
+        raise SizeBoundExceeded(
+            f"degree-{d} pebbling contradiction has {count} clauses, "
+            f"above the bound {MAX_CLAUSES}"
+        )
+    return count
+
+
 def pebbling_contradiction(g: Dag, d: int, starred: bool = False) -> Cnf:
     """The d-th degree pebbling contradiction over g.
 
@@ -79,10 +107,12 @@ def pebbling_contradiction(g: Dag, d: int, starred: bool = False) -> Cnf:
     non-source v and every assignment (j_1..j_k) of copies to its k
     predecessors the propagation clause, then d unit target clauses per
     target.  ``starred`` drops the target clauses, leaving a satisfiable
-    formula whose target clauses are derivable instead of given.
+    formula whose target clauses are derivable instead of given.  Raises
+    SizeBoundExceeded, before building anything, above ``MAX_CLAUSES``.
     """
     if d < 1:
         raise GraphError("d must be >= 1")
+    check_clause_count(g, d, starred)
     clauses: list[Clause] = []
     for s in g.sources:
         clauses.append(canon_clause(_all_true(s, d)))
@@ -107,7 +137,7 @@ def pebbling_contradiction(g: Dag, d: int, starred: bool = False) -> Cnf:
 def write_dimacs(f: Cnf) -> str:
     lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
     for cl in f.clauses:
-        lines.append(" ".join(str(l) for l in cl + (0,)))
+        lines.append(" ".join(map(str, cl + (0,))))
     return "\n".join(lines) + "\n"
 
 
@@ -133,13 +163,13 @@ def read_dimacs(text: str) -> Cnf:
         if num_vars is None:
             raise ParseError("clause before p line", lineno)
         try:
-            lits = [int(t) for t in line.split()]
+            lits = list(map(int, line.split()))
         except ValueError:
             raise ParseError(f"bad clause line {line!r}", lineno) from None
         if not lits or lits[-1] != 0:
             raise ParseError("clause line missing trailing 0", lineno)
         lits = lits[:-1]
-        if any(l == 0 for l in lits):
+        if 0 in lits:
             raise ParseError("literal 0 inside clause", lineno)
         clauses.append(canon_clause(lits))
     if num_vars is None:

@@ -10,8 +10,9 @@ space (peak number of simultaneously live clauses).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
-from .cnf import Clause, Cnf, canon_clause, is_tautology
+from .cnf import Clause, Cnf, canon_clause
 from .errors import BadPivot, ParseError, TautologicalResolvent, VerificationError
 
 __all__ = [
@@ -40,10 +41,16 @@ def resolve(c1: Clause, c2: Clause, pivot: int) -> Clause:
         raise BadPivot(f"pivot {pivot} not positive in first clause")
     if -pivot not in c2:
         raise BadPivot(f"pivot {pivot} not negative in second clause")
-    lits = [l for l in c1 if l != pivot] + [l for l in c2 if l != -pivot]
-    if is_tautology(lits):
+    # c1 without pivot, joined with c2 without -pivot.
+    lits = {*c1, *c2}
+    if pivot not in c2:
+        lits.discard(pivot)
+    if -pivot not in c1:
+        lits.discard(-pivot)
+    if not lits.isdisjoint(map(neg, lits)):
         raise TautologicalResolvent(f"resolvent on {pivot} is tautological")
-    return canon_clause(lits)
+    # With no complementary pair, the variable alone orders the literals.
+    return tuple(sorted(lits, key=abs))
 
 
 @dataclass(frozen=True)
@@ -96,8 +103,14 @@ def check_refutation(f: Cnf, trace: ResolutionTrace) -> ProofMetrics:
     resolves two live clauses on the stated pivot into exactly the stated
     clause, erased ids are live, and the final live set contains the empty
     clause.  Raises VerificationError carrying the 0-based event index.
+
+    Clauses are compared in canonical form.  Traces from ``parse_trace`` and
+    the compiler are canonical already, so each axiom and stated clause is
+    first compared as given and canonicalised only on a miss.  The axiom set
+    holds the clauses of ``f`` that are canonical: only those can equal a
+    canonical clause.
     """
-    axioms = set(f.clauses)
+    axioms = {cl for cl in f.clauses if canon_clause(cl) == cl}
     live: dict[int, Clause] = {}
     next_id = 1
     length = 0
@@ -105,9 +118,11 @@ def check_refutation(f: Cnf, trace: ResolutionTrace) -> ProofMetrics:
     space = 0
     for idx, ev in enumerate(trace.events):
         if isinstance(ev, Axiom):
-            cl = canon_clause(ev.clause)
-            if cl not in axioms:
-                raise VerificationError(f"axiom {cl} not in formula", index=idx)
+            cl = ev.clause
+            if not (type(cl) is tuple and cl in axioms):  # lists do not hash
+                cl = canon_clause(cl)
+                if cl not in axioms:
+                    raise VerificationError(f"axiom {cl} not in formula", index=idx)
             live[next_id] = cl
             next_id += 1
             length += 1
@@ -120,11 +135,12 @@ def check_refutation(f: Cnf, trace: ResolutionTrace) -> ProofMetrics:
                 res = resolve(live[ev.left], live[ev.right], ev.pivot)
             except (BadPivot, TautologicalResolvent) as e:
                 raise VerificationError(str(e), index=idx) from None
-            stated = canon_clause(ev.clause)
-            if res != stated:
-                raise VerificationError(
-                    f"stated clause {stated} differs from resolvent {res}", index=idx
-                )
+            if res != ev.clause:
+                stated = canon_clause(ev.clause)
+                if res != stated:
+                    raise VerificationError(
+                        f"stated clause {stated} differs from resolvent {res}", index=idx
+                    )
             live[next_id] = res
             next_id += 1
             length += 1
@@ -154,9 +170,9 @@ def format_trace(trace: ResolutionTrace) -> str:
     lines = []
     for ev in trace.events:
         if isinstance(ev, Axiom):
-            lines.append("a " + " ".join(str(l) for l in ev.clause + (0,)))
+            lines.append("a " + " ".join(map(str, ev.clause + (0,))))
         elif isinstance(ev, Infer):
-            lits = " ".join(str(l) for l in ev.clause + (0,))
+            lits = " ".join(map(str, ev.clause + (0,)))
             lines.append(f"r {ev.left} {ev.right} {ev.pivot} {lits}")
         else:
             lines.append(f"e {ev.id}")
@@ -172,12 +188,12 @@ def parse_trace(text: str) -> ResolutionTrace:
         parts = line.split()
         try:
             if parts[0] == "a":
-                lits = [int(t) for t in parts[1:]]
+                lits = list(map(int, parts[1:]))
                 if not lits or lits[-1] != 0:
                     raise ParseError("axiom line missing trailing 0", lineno)
                 events.append(Axiom(canon_clause(lits[:-1])))
             elif parts[0] == "r":
-                nums = [int(t) for t in parts[1:]]
+                nums = list(map(int, parts[1:]))
                 if len(nums) < 4 or nums[-1] != 0:
                     raise ParseError("bad inference line", lineno)
                 left, right, pivot = nums[0], nums[1], nums[2]

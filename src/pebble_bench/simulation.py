@@ -32,7 +32,7 @@ from .blob import (
     introduce,
     merge,
 )
-from .cnf import Clause, canon_clause, pebbling_contradiction, var_id
+from .cnf import Clause, canon_clause, check_clause_count, pebbling_contradiction, var_id
 from .dag import Dag
 from .errors import GraphError, IllegalMove, SizeBoundExceeded, UnsupportedOperation
 from .pebbling import PebblingTrace
@@ -69,7 +69,10 @@ class ImplicationOracle:
     """Exact entailment checks for clause sets over at most 24 variables.
 
     ``implies(clause)`` decides CNF |= clause by refuting CNF plus the
-    negated clause with a unit-propagating DPLL search.
+    negated clause with a unit-propagating DPLL search on bitmasks: bit x
+    stands for variable x, a clause is a ``(pos_mask, neg_mask)`` pair and
+    an assignment a ``(true_mask, false_mask)`` pair.  The base clauses are
+    converted to masks once, here.
     """
 
     def __init__(self, clauses, num_vars: int):
@@ -78,34 +81,69 @@ class ImplicationOracle:
                 f"{num_vars} variables exceeds oracle bound {MAX_ORACLE_VARS}"
             )
         self.num_vars = num_vars
-        self.clauses = tuple(tuple(cl) for cl in clauses)
+        masks = []
+        for cl in clauses:
+            pos, neg = _masks(cl)
+            if not pos & neg:  # a tautology holds under every assignment
+                masks.append((pos, neg))
+        self.masks = tuple(masks)
 
     def implies(self, clause) -> bool:
-        return not _dpll(list(self.clauses) + [(-l,) for l in clause])
+        # The negated clause is the assignment making every literal false.
+        false, true = _masks(clause)
+        return self.refutes(true, false)
+
+    def refutes(self, true: int, false: int) -> bool:
+        """Whether no model makes the variables in ``true`` true and those
+        in ``false`` false."""
+        return bool(true & false) or not _satisfiable(self.masks, true, false)
 
 
-def _dpll(clauses: list[tuple[int, ...]]) -> bool:
-    assigned: set[int] = set()
+def _masks(lits) -> tuple[int, int]:
+    """The (positive, negative) variable masks of a literal collection."""
+    pos = neg = 0
+    for l in lits:
+        if l > 0:
+            pos |= 1 << l
+        else:
+            neg |= 1 << -l
+    return pos, neg
+
+
+def _satisfiable(clauses, true: int, false: int) -> bool:
+    """Whether some extension of the assignment satisfies every
+    ``(pos, neg)`` clause; no clause may hold a variable in both masks.
+
+    Unit propagation runs to a fixpoint, dropping satisfied clauses and
+    false literals; then the search branches on the lowest variable of the
+    first open clause.
+    """
     while True:
-        unit = None
-        simplified: list[tuple[int, ...]] = []
-        for cl in clauses:
-            if any(l in assigned for l in cl):
+        open_clauses = []
+        propagated = False
+        for pos, neg in clauses:
+            if pos & true or neg & false:
                 continue
-            reduced = tuple(l for l in cl if -l not in assigned)
-            if not reduced:
+            pos &= ~false
+            neg &= ~true
+            lits = pos | neg
+            if not lits:
                 return False
-            if len(reduced) == 1:
-                unit = reduced[0]
-            simplified.append(reduced)
-        clauses = simplified
-        if unit is None:
+            if lits & (lits - 1):
+                open_clauses.append((pos, neg))
+            else:  # a unit: make its literal true
+                true |= pos
+                false |= neg
+                propagated = True
+        clauses = open_clauses
+        if not propagated:
             break
-        assigned.add(unit)
     if not clauses:
         return True
-    branch = clauses[0][0]
-    return _dpll(clauses + [(branch,)]) or _dpll(clauses + [(-branch,)])
+    pos, neg = clauses[0]
+    lits = pos | neg
+    x = lits & -lits
+    return _satisfiable(clauses, true | x, false) or _satisfiable(clauses, true, false | x)
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +201,12 @@ def compile_pebbling(g: Dag, d: int, trace, starred: bool = False) -> Resolution
     is pebbled and later moves are dropped.  With ``starred`` the result is
     a derivation over the variant without target axioms: it stops once every
     target's positive clause is derived and keeps those clauses live
-    (skipping the erasures that mirror removing a target pebble).
+    (skipping the erasures that mirror removing a target pebble).  Raises
+    SizeBoundExceeded when that formula would exceed ``MAX_CLAUSES``.
     """
     if d < 1:
         raise GraphError("d must be >= 1")
+    check_clause_count(g, d, starred)
     if isinstance(trace, PebblingTrace):
         if trace.game != "black":
             raise UnsupportedOperation("only black traces compile to resolution")
@@ -309,46 +349,61 @@ def induce_configuration(g: Dag, d: int, live_clauses) -> BlobConfig:
     implication is precise: dropping any single blob or white vertex breaks
     it.  Exhaustive over all (blob, white) pairs, so meant for small graphs.
     """
-    oracle = ImplicationOracle(tuple(live_clauses), d * g.n)
+    oracle = ImplicationOracle(live_clauses, d * g.n)
     if oracle.implies(()):
         # An unsatisfiable live set asserts nothing conditionally; it matches
         # the finished game, whose configuration is empty.
         return BlobConfig(frozenset())
-    cache: dict[tuple[frozenset[int], frozenset[int]], bool] = {}
+    own = [((1 << d) - 1) << (d * v + 1) for v in range(g.n)]  # v's variables
 
-    def implied(b: frozenset[int], w: frozenset[int]) -> bool:
+    def variables(m: int) -> int:
+        return sum(own[x.bit_length() - 1] for x in _bits(m))
+
+    cache: dict[tuple[int, int], bool] = {}
+
+    def implied(b: int, w: int) -> bool:
+        # [b]<w>'s clause is implied iff no model makes b's variables all
+        # false and w's all true.
         key = (b, w)
         if key not in cache:
-            cache[key] = oracle.implies(subconfig_clause(BlobSubconfig(b, w), d))
+            cache[key] = oracle.refutes(variables(w), variables(b))
         return cache[key]
 
     out = []
     for b, w in _colourings(g.n):
         if not b or not implied(b, w):
             continue
-        if any(implied(b - {v}, w) for v in b if len(b) > 1):
+        if b & (b - 1) and any(implied(b & ~x, w) for x in _bits(b)):
             continue
-        if any(implied(b, w - {v}) for v in w):
+        if any(implied(b, w & ~x) for x in _bits(w)):
             continue
-        out.append(BlobSubconfig(b, w))
+        out.append(BlobSubconfig(_vertices(b), _vertices(w)))
     return BlobConfig(frozenset(out))
 
 
 def _colourings(n: int):
-    """All (blob, whites) pairs of disjoint subsets of range(n)."""
-    def rec(i: int, b: list[int], w: list[int]):
-        if i == n:
-            yield frozenset(b), frozenset(w)
-            return
-        yield from rec(i + 1, b, w)
-        b.append(i)
-        yield from rec(i + 1, b, w)
-        b.pop()
-        w.append(i)
-        yield from rec(i + 1, b, w)
-        w.pop()
+    """All (blob, whites) pairs of disjoint vertex masks below 1 << n."""
+    full = (1 << n) - 1
+    for b in range(1 << n):
+        rest = full & ~b
+        w = rest
+        while True:
+            yield b, w
+            if not w:
+                break
+            w = (w - 1) & rest
 
-    yield from rec(0, [], [])
+
+def _bits(m: int):
+    """The one-bit masks of m."""
+    while m:
+        x = m & -m
+        yield x
+        m ^= x
+
+
+def _vertices(m: int) -> frozenset[int]:
+    return frozenset(x.bit_length() - 1 for x in _bits(m))
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,11 @@ def test_criterion_5_tradeoff_frontier(verdict):
 
 def test_criterion_6_merge_is_resolution(verdict):
     n = 5
-    subs = [BlobSubconfig(b, w) for b, w in _colourings(n) if b]
+    subs = [
+        BlobSubconfig(*(frozenset(v for v in range(n) if m >> v & 1) for m in (b, w)))
+        for b, w in _colourings(n)
+        if b
+    ]
     checked = 0
     bad = []
     for s1, s2 in product(subs, repeat=2):

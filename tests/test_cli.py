@@ -2,20 +2,27 @@
 
 import json
 import os
+import random
 
 import pytest
 
 from pebble_bench import (
     FamilySpec,
+    black_strategy,
     build_family,
     check_refutation,
+    compile_pebbling,
+    format_moves,
+    format_trace,
     parse_trace,
     pebbling_contradiction,
     read_dimacs,
     validate_pebbling,
     parse_moves,
+    write_dimacs,
     write_graph,
 )
+from pebble_bench.cnf import MAX_CLAUSES
 from pebble_bench.cli import run_command, tradeoff_report
 
 
@@ -197,6 +204,21 @@ def test_compile_rejects_d_below_1(tmp_path, capsys, d):
     assert run(capsys, "gen-cnf", "--family", "chain", "--n", "2", "--d", d)[0] == 1
 
 
+def test_oversized_formula_exits_1(tmp_path, capsys):
+    # pyramid(2) at d has 3 + 3d^2 + d clauses
+    d = next(d for d in range(1, 1000) if 3 + 3 * d * d + d > MAX_CLAUSES)
+    moves = tmp_path / "moves.txt"
+    moves.write_text(format_moves(black_strategy(FamilySpec.pyramid(2))))
+    graph = ["--family", "pyramid", "--h", "2", "--d", str(d)]
+    for argv in (["gen-cnf", *graph], ["compile", *graph, "--moves", str(moves)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: degree-{d} pebbling contradiction has {3 + 3 * d * d + d} clauses, "
+            f"above the bound {MAX_CLAUSES}\n"
+        )
+
+
 def test_check_rejects_corrupt_proof(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     proof = tmp_path / "proof.txt"
@@ -268,6 +290,122 @@ def test_unusable_file_exits_1(tmp_path, capsys, argv):
     assert bad in err
 
 
+@pytest.mark.parametrize(
+    "argv, bad, text, message",
+    [
+        (
+            ["check", "--cnf", "{bad}", "--proof", "{proof}"],
+            "f.cnf",
+            "p cnf 2 1\n1 x 0\n",
+            "line 2: bad clause line '1 x 0'",
+        ),
+        (
+            ["check", "--cnf", "{cnf}", "--proof", "{bad}"],
+            "p.proof",
+            "a 1\n",
+            "line 1: axiom line missing trailing 0",
+        ),
+        (
+            ["gen-cnf", "--graph", "{bad}"],
+            "g.graph",
+            "p dag 2\ne 0 x\n",
+            "line 2: expected integer, got 'x'",
+        ),
+        (
+            ["compile", "--family", "chain", "--n", "2", "--moves", "{bad}"],
+            "m.moves",
+            "PB 0\nPB\n",
+            "line 2: bad move line 'PB'",
+        ),
+        (
+            ["compile", "--family", "chain", "--n", "2", "--blob", "--moves", "{bad}"],
+            "b.moves",
+            "I 1\nM 1\n",
+            "line 2: ",
+        ),
+    ],
+)
+def test_parse_error_names_file(tmp_path, capsys, argv, bad, text, message):
+    cnf, proof = tmp_path / "ok.cnf", tmp_path / "ok.proof"
+    assert run_command(["gen-cnf", "--family", "chain", "--n", "2", "-o", str(cnf)]) == 0
+    proof.write_text("a 1 0\n")
+    path = tmp_path / bad
+    path.write_text(text)
+    argv = [a.format(bad=path, cnf=cnf, proof=proof) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+
+# --- seeded fuzz of the proof-path file inputs ----------------------------------
+
+
+def mutate(rng, text):
+    """One random corruption: a dropped token, a non-integer, a 0 inside a
+    line, an out-of-range id, or truncation."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    kind = rng.choice(("drop", "word", "zero", "range", "truncate"))
+    if kind == "truncate":
+        return text[: rng.randrange(len(text))]
+    j = rng.randrange(len(tokens))
+    if kind == "drop":
+        del tokens[j]
+    elif kind == "word":
+        tokens[j] = rng.choice(("x", "1.5", "", "--"))
+    elif kind == "zero":
+        tokens.insert(j, "0")
+    else:
+        tokens[j] = str(rng.choice((-1, -7, 7, 99, 10**6)))
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzz_proof_inputs(tmp_path, capsys):
+    """Mutated DIMACS, trace, graph and moves files fed to gen-cnf, compile
+    and check exit 0, 1 or 2; no other exception escapes run_command."""
+    rng = random.Random(20261018)
+    spec, d = FamilySpec.pyramid(2), 2
+    g = build_family(spec)
+    ptrace = validate_pebbling(g, black_strategy(spec), game="black")
+    good = {
+        "graph": write_graph(g),
+        "moves": format_moves(black_strategy(spec)),
+        "blob": "I 0\nI 1\nI 2\nI 3\nM 0 3 0\nM 1 4 1\n"
+        "I 4\nM 1 6 1\nM 2 7 2\nI 5\nM 5 9 3\nM 8 10 4\n",
+        "cnf": write_dimacs(pebbling_contradiction(g, d)),
+        "proof": format_trace(compile_pebbling(g, d, ptrace)),
+    }
+    commands = {
+        "graph": [["gen-cnf", "--graph", "{graph}", "--d", "2"]],
+        "moves": [["compile", "--graph", "{graph}", "--d", "2", "--moves", "{moves}"]],
+        "blob": [["compile", "--graph", "{graph}", "--blob", "--moves", "{blob}"]],
+        "cnf": [["check", "--cnf", "{cnf}", "--proof", "{proof}"]],
+        "proof": [["check", "--cnf", "{cnf}", "--proof", "{proof}"]],
+    }
+    commands["graph"] += commands["moves"] + commands["blob"]
+    paths = {key: tmp_path / key for key in good}
+
+    def write(mutated=None):
+        for key, text in good.items():
+            paths[key].write_text(mutate(rng, text) if key == mutated else text)
+
+    write()
+    for argvs in commands.values():  # the unmutated files all go through
+        assert run(capsys, *(a.format(**paths) for a in argvs[0]))[0] == 0
+    codes = []
+    for _ in range(60):
+        for name, argvs in commands.items():
+            write(name)
+            for argv in argvs:
+                code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+                assert code in (0, 1, 2), (name, argv, err)
+                assert code == 0 or err.count("\n") == 1, err
+                codes.append(code)
+    assert codes.count(0) > 0 and codes.count(1) > len(codes) // 2
+
+
 # --- tradeoff-report -----------------------------------------------------------
 
 
@@ -322,6 +460,8 @@ def test_report_usage_errors(tmp_path, capsys):
         "[experiment]\nbound = x\n[family:chain]\nn = 2\n",
         "[family:chain]\nn = 2\nspace_cap = +x\n",
         "[family:chain]\nn = 2\nspace_cap = x\n",
+        "[family:chain]\nn = 2\nspace_cap = -1\n",
+        "[family:chain]\nn = 2\nspace_cap = +-1\n",
     ):
         code, out, err = run(capsys, "tradeoff-report", "--spec", write_spec(tmp_path, body))
         assert code == 2 and out == ""

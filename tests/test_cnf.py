@@ -8,15 +8,20 @@ from pebble_bench import (
     Cnf,
     Dag,
     FamilySpec,
+    GraphError,
     ParseError,
+    SizeBoundExceeded,
     build_family,
+    compile_pebbling,
     pebbling_contradiction,
     read_dimacs,
     var_id,
     var_vertex,
+    validate_pebbling,
     write_dimacs,
 )
-from pebble_bench.cnf import canon_clause, is_tautology
+from pebble_bench.cnf import MAX_CLAUSES, canon_clause, check_clause_count, is_tautology
+from pebble_bench.strategies import black_strategy
 
 SEED = 271828
 
@@ -31,6 +36,58 @@ def test_canon_clause_sorts_and_dedups():
 def test_is_tautology():
     assert is_tautology((-2, 2))
     assert not is_tautology((1, 2, -3))
+
+
+# Reference copies of the first implementations, kept to pin the faster ones.
+
+
+def ref_canon_clause(lits):
+    return tuple(sorted(set(lits), key=lambda l: (abs(l), l < 0)))
+
+
+def ref_is_tautology(lits):
+    s = set(lits)
+    return any(-l in s for l in s)
+
+
+def ref_first_bad_literal(num_vars, cl):
+    for l in cl:
+        if l == 0 or abs(l) > num_vars:
+            return l
+    return None
+
+
+def random_lits(rng, zero=False):
+    """A short literal list over few variables, so duplicates and
+    complementary pairs are common; the empty list included."""
+    lo = 0 if zero else 1
+    return [rng.choice((1, -1)) * rng.randint(lo, 6) for _ in range(rng.randint(0, 9))]
+
+
+def test_canon_and_tautology_match_reference():
+    rng = random.Random(SEED)
+    cases = [[], [3, 3], [2, -2], [-2, 2], [-5, 5, -5, 1, -1]]
+    cases += [random_lits(rng) for _ in range(3000)]
+    for lits in cases:
+        assert canon_clause(lits) == ref_canon_clause(lits), lits
+        assert canon_clause(iter(lits)) == ref_canon_clause(lits), lits
+        assert is_tautology(lits) == ref_is_tautology(lits), lits
+
+
+def test_cnf_names_first_bad_literal():
+    rng = random.Random(SEED)
+    for _ in range(2000):
+        num_vars = rng.randint(0, 6)
+        cl = tuple(random_lits(rng, zero=True))
+        bad = ref_first_bad_literal(num_vars, cl)
+        if bad is not None:
+            with pytest.raises(GraphError, match=rf"^literal {bad} out of range in clause "):
+                Cnf(num_vars, ((1,) if num_vars else (), cl))
+        elif ref_is_tautology(cl):
+            with pytest.raises(GraphError, match="^tautological clause "):
+                Cnf(num_vars, (cl,))
+        else:
+            assert Cnf(num_vars, (cl,)).clauses == (cl,)
 
 
 def test_cnf_rejects_bad_clauses():
@@ -100,6 +157,24 @@ def test_clause_count_formula():
             )
             assert len(f.clauses) == expected
             assert f.num_vars == d * g.n
+            assert check_clause_count(g, d) == expected
+            starred = pebbling_contradiction(g, d, starred=True)
+            assert check_clause_count(g, d, starred=True) == len(starred.clauses)
+
+
+def test_clause_count_guard():
+    spec = FamilySpec.pyramid(2)
+    g = build_family(spec)
+    trace = validate_pebbling(g, black_strategy(spec), game="black")
+    # pyramid(2): 3 sources, 3 vertices of fan-in 2, one target.
+    d = next(d for d in range(1, 1000) if 3 + 3 * d * d + d > MAX_CLAUSES)
+    assert check_clause_count(g, d - 1) <= MAX_CLAUSES
+    assert check_clause_count(g, d - 1, starred=True) <= MAX_CLAUSES
+    for starred in (False, True):
+        with pytest.raises(SizeBoundExceeded, match=f"above the bound {MAX_CLAUSES}"):
+            pebbling_contradiction(g, d + 1, starred=starred)
+        with pytest.raises(SizeBoundExceeded):
+            compile_pebbling(g, d + 1, trace, starred=starred)
 
 
 def test_d_must_be_positive():

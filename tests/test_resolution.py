@@ -13,6 +13,7 @@ from pebble_bench import (
     FamilySpec,
     Infer,
     ParseError,
+    ProofMetrics,
     ResolutionTrace,
     TautologicalResolvent,
     VerificationError,
@@ -223,3 +224,145 @@ def test_fuzz_mutated_traces_rejected():
             rejected += 1
     assert trials == 200
     assert rejected == trials  # no corruption slips through
+
+
+# --- equivalence with the first implementations ------------------------------
+#
+# Reference copies of resolve and check_refutation as first written (keyed
+# sort, canonicalise everything), kept to pin the faster ones: same results,
+# same exceptions, same messages and event indices.
+
+
+def ref_canon(lits):
+    return tuple(sorted(set(lits), key=lambda l: (abs(l), l < 0)))
+
+
+def ref_resolve(c1, c2, pivot):
+    if pivot <= 0:
+        raise BadPivot(f"pivot must be a positive variable, got {pivot}")
+    if pivot not in c1:
+        raise BadPivot(f"pivot {pivot} not positive in first clause")
+    if -pivot not in c2:
+        raise BadPivot(f"pivot {pivot} not negative in second clause")
+    lits = [l for l in c1 if l != pivot] + [l for l in c2 if l != -pivot]
+    if any(-l in set(lits) for l in lits):
+        raise TautologicalResolvent(f"resolvent on {pivot} is tautological")
+    return ref_canon(lits)
+
+
+def ref_check_refutation(f, trace):
+    axioms = set(f.clauses)
+    live = {}
+    next_id = 1
+    length = width = space = 0
+    for idx, ev in enumerate(trace.events):
+        if isinstance(ev, Axiom):
+            cl = ref_canon(ev.clause)
+            if cl not in axioms:
+                raise VerificationError(f"axiom {cl} not in formula", index=idx)
+            live[next_id] = cl
+            next_id += 1
+            length += 1
+            width = max(width, len(cl))
+        elif isinstance(ev, Infer):
+            for ref in (ev.left, ev.right):
+                if ref not in live:
+                    raise VerificationError(f"premise {ref} not live", index=idx)
+            try:
+                res = ref_resolve(live[ev.left], live[ev.right], ev.pivot)
+            except (BadPivot, TautologicalResolvent) as e:
+                raise VerificationError(str(e), index=idx) from None
+            stated = ref_canon(ev.clause)
+            if res != stated:
+                raise VerificationError(
+                    f"stated clause {stated} differs from resolvent {res}", index=idx
+                )
+            live[next_id] = res
+            next_id += 1
+            length += 1
+            width = max(width, len(res))
+        else:
+            if ev.id not in live:
+                raise VerificationError(f"erased id {ev.id} not live", index=idx)
+            del live[ev.id]
+        space = max(space, len(live))
+    if () not in live.values():
+        raise VerificationError("final live set lacks the empty clause")
+    return ProofMetrics(length=length, width=width, clause_space=space)
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type, message and index it raised."""
+    try:
+        return fn(*args)
+    except (BadPivot, TautologicalResolvent, VerificationError) as e:
+        return "raised", type(e), str(e), getattr(e, "index", None)
+
+
+def test_resolve_matches_reference():
+    rng = random.Random(SEED)
+    raised = 0
+    for _ in range(4000):
+        c1 = [rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(rng.randint(0, 6))]
+        c2 = [rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(rng.randint(0, 6))]
+        pivot = rng.randint(-1, 6)
+        if rng.random() < 0.7 and pivot > 0:  # mostly well-formed steps
+            c1.insert(rng.randint(0, len(c1)), pivot)
+            c2.insert(rng.randint(0, len(c2)), -pivot)
+        c1, c2 = tuple(c1), tuple(c2)
+        got = outcome(resolve, c1, c2, pivot)
+        assert got == outcome(ref_resolve, c1, c2, pivot), (c1, c2, pivot)
+        raised += got[:1] == ("raised",)
+    assert 500 < raised < 3500  # both branches are exercised
+
+
+def scramble(rng, clause):
+    """The same literal set, possibly out of order or with a duplicate."""
+    lits = list(clause)
+    rng.shuffle(lits)
+    if lits and rng.random() < 0.3:
+        lits.append(rng.choice(lits))
+    return tuple(lits)
+
+
+def test_check_refutation_matches_reference():
+    rng = random.Random(SEED)
+    bases = []
+    for spec in (FamilySpec.chain(3), FamilySpec.pyramid(1), FamilySpec.pyramid(2)):
+        g = build_family(spec)
+        ptrace = validate_pebbling(g, black_strategy(spec), game="black")
+        for d in (1, 2):
+            bases.append((pebbling_contradiction(g, d), compile_pebbling(g, d, ptrace)))
+    verdicts = set()
+    for _ in range(400):
+        f, rtrace = rng.choice(bases)
+        if rng.random() < 0.3:  # a formula holding non-canonical clauses
+            f = Cnf(f.num_vars, tuple(c[::-1] if rng.random() < 0.2 else c for c in f.clauses))
+        events = []
+        for ev in rtrace.events:
+            if isinstance(ev, Axiom) and rng.random() < 0.2:
+                ev = Axiom(scramble(rng, ev.clause))
+            elif isinstance(ev, Infer) and rng.random() < 0.2:
+                ev = Infer(ev.left, ev.right, ev.pivot, scramble(rng, ev.clause))
+            events.append(ev)
+        if rng.random() < 0.5:
+            i = rng.randrange(len(events))
+            ev = events[i]
+            if isinstance(ev, Axiom):
+                events[i] = Axiom(tuple(l + 1 for l in ev.clause))
+            elif isinstance(ev, Infer):
+                events[i] = rng.choice(
+                    (
+                        Infer(ev.left, ev.right, ev.pivot, ev.clause[:-1]),
+                        Infer(ev.left, ev.right, ev.pivot + 1, ev.clause),
+                        Infer(ev.right, ev.left, ev.pivot, ev.clause),
+                    )
+                )
+            else:
+                events[i] = Erase(ev.id + 1)
+        trace = ResolutionTrace(tuple(events))
+        got = outcome(check_refutation, f, trace)
+        assert got == outcome(ref_check_refutation, f, trace)
+        # "ok", or the first word of the reason: axiom, stated, premise, ...
+        verdicts.add(got[2].split(": ")[-1].split()[0] if isinstance(got, tuple) else "ok")
+    assert {"ok", "axiom", "stated", "final"} <= verdicts

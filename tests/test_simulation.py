@@ -5,7 +5,9 @@ import random
 import pytest
 
 from pebble_bench import (
+    BlobConfig,
     BlobScriptBuilder,
+    BlobSubconfig,
     Dag,
     FamilySpec,
     Move,
@@ -240,6 +242,45 @@ def test_oracle_basic():
     assert not oracle.implies(())
 
 
+def truth_table_implies(clauses, n, clause):
+    """Brute force: every assignment of 1..n that satisfies the clauses
+    satisfies ``clause``."""
+
+    def masks(cl):
+        pos = sum({1 << (l - 1) for l in cl if l > 0})
+        neg = sum({1 << (-l - 1) for l in cl if l < 0})
+        return pos, neg
+
+    cnf = [masks(cl) for cl in clauses]
+    pos, neg = masks(clause)
+    full = (1 << n) - 1
+    for a in range(1 << n):  # bit i - 1 set: variable i true
+        if all(p & a or q & ~a & full for p, q in cnf) and not (pos & a or neg & ~a & full):
+            return False
+    return True
+
+
+def test_oracle_matches_truth_table():
+    rng = random.Random(SEED)
+
+    def clause(n):
+        return tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 4)))
+
+    # Tautologies and duplicate literals must not pass for units.
+    cases = [(1, [(1, -1), (1,), (-1,)]), (2, [(2, 1, -1), (-2,), (-1, 2, 2)])]
+    for _ in range(120):
+        n = rng.randint(1, 10)
+        cases.append((n, [c for c in (clause(n) for _ in range(rng.randint(0, 2 * n))) if c]))
+    verdicts = []
+    for n, clauses in cases:
+        oracle = ImplicationOracle(clauses, n)
+        for q in [()] + [clause(n) for _ in range(6)]:
+            got = oracle.implies(q)
+            assert got == truth_table_implies(clauses, n, q), (clauses, q)
+            verdicts.append(got)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
 def test_subconfig_clause():
     s = sub([2], [0, 1])
     assert subconfig_clause(s) == (-1, -2, 3)
@@ -268,6 +309,110 @@ def test_induce_drops_redundant_weakenings():
 def test_induce_empty_for_contradiction():
     g = build_family(FamilySpec.chain(2))
     assert induce_configuration(g, 1, [()]).subs == frozenset()
+
+
+# Reference copy of the first oracle and induction (a tuple/set DPLL over
+# clause tuples, frozenset colourings), kept to pin the bitmask versions.
+
+
+def ref_dpll(clauses):
+    assigned = set()
+    while True:
+        unit = None
+        simplified = []
+        for cl in clauses:
+            if any(l in assigned for l in cl):
+                continue
+            reduced = tuple(l for l in cl if -l not in assigned)
+            if not reduced:
+                return False
+            if len(reduced) == 1:
+                unit = reduced[0]
+            simplified.append(reduced)
+        clauses = simplified
+        if unit is None:
+            break
+        assigned.add(unit)
+    if not clauses:
+        return True
+    branch = clauses[0][0]
+    return ref_dpll(clauses + [(branch,)]) or ref_dpll(clauses + [(-branch,)])
+
+
+def ref_colourings(n):
+    if n == 0:
+        yield frozenset(), frozenset()
+        return
+    for b, w in ref_colourings(n - 1):
+        yield b, w
+        yield b | {n - 1}, w
+        yield b, w | {n - 1}
+
+
+def ref_induce(g, d, live_clauses):
+    clauses = [tuple(cl) for cl in live_clauses]
+
+    def implies(clause):
+        return not ref_dpll(clauses + [(-l,) for l in clause])
+
+    if implies(()):
+        return BlobConfig(frozenset())
+    cache = {}
+
+    def implied(b, w):
+        if (b, w) not in cache:
+            cache[b, w] = implies(subconfig_clause(BlobSubconfig(b, w), d))
+        return cache[b, w]
+
+    out = []
+    for b, w in ref_colourings(g.n):
+        if not b or not implied(b, w):
+            continue
+        if any(implied(b - {v}, w) for v in b if len(b) > 1):
+            continue
+        if any(implied(b, w - {v}) for v in w):
+            continue
+        out.append(BlobSubconfig(b, w))
+    return BlobConfig(frozenset(out))
+
+
+def random_dag(rng, n):
+    """Fan-in at most 2, edges forward, the last vertex the only target."""
+    edges = set()
+    for v in range(1, n):
+        for u in rng.sample(range(v), min(v, rng.randint(0, 2))):
+            edges.add((u, v))
+    return Dag(n, sorted(edges), targets=[n - 1])
+
+
+def place_all(g):
+    """Place every vertex in id order, then remove them all."""
+    moves = [Move("PB", v) for v in range(g.n)] + [Move("RB", v) for v in range(g.n)]
+    return validate_pebbling(g, moves, game="black")
+
+
+def test_induce_matches_reference():
+    rng = random.Random(SEED)
+    graphs = [black_trace(FamilySpec.chain(n)) for n in (1, 2, 3, 4)]
+    graphs += [black_trace(FamilySpec.pyramid(h)) for h in (1, 2)]
+    graphs += [(g, place_all(g)) for g in (random_dag(rng, n) for n in (3, 4, 5, 5))]
+    induced = 0
+    for g, trace in graphs:
+        for d in (1, 2):
+            for starred in (False, True):
+                live, sets, nid = {}, [], 0
+                for ev in compile_pebbling(g, d, trace, starred=starred).events:
+                    if isinstance(ev, Erase):
+                        del live[ev.id]
+                    else:
+                        nid += 1
+                        live[nid] = ev.clause
+                    sets.append(list(live.values()))
+                for clauses in sets[:: max(1, len(sets) // 5)] + sets[-1:]:
+                    got = induce_configuration(g, d, clauses)
+                    assert got == ref_induce(g, d, clauses), (g.n, d, clauses)
+                    induced += len(got.subs)
+    assert induced > 100
 
 
 def replay_induced(g, rtrace):
