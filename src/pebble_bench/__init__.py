@@ -48,7 +48,9 @@ from .blob import (
     validate_blob_pebbling,
 )
 from .search import (
+    BudgetStats,
     ParetoFrontier,
+    SearchStats,
     optimal_blob_price,
     optimal_price,
     tradeoff_frontier,

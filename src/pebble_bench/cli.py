@@ -34,6 +34,14 @@ class _Usage(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``usage error:`` line (exit 2)
+    instead of printing the usage block and raising SystemExit."""
+
+    def error(self, message):
+        raise _Usage(message)
+
+
 # --- shared helpers ---------------------------------------------------------
 
 _FAMILY_PARAMS = {
@@ -342,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: in-process callers of run_command run many
     # commands, and each discarded parser is a reference cycle that lingers
     # until a full garbage collection.
-    top = argparse.ArgumentParser(prog="pebble-bench")
+    top = _Parser(prog="pebble-bench")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-graph", help="write a family instance as graph text")
@@ -409,9 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv) -> int:
     """Parse and run one command; returns the exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)

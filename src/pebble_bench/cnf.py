@@ -23,7 +23,9 @@ __all__ = [
     "var_id",
     "var_vertex",
     "MAX_CLAUSES",
+    "MAX_LITERALS",
     "check_clause_count",
+    "check_literal_count",
     "pebbling_contradiction",
     "write_dimacs",
     "read_dimacs",
@@ -32,8 +34,11 @@ __all__ = [
 Clause = tuple[int, ...]
 
 # Largest pebbling contradiction built or compiled against: twelve times the
-# biggest benchmark instance, binary_tree(7) at d = 8 (8,128 clauses).
+# biggest benchmark instance, binary_tree(7) at d = 8 (8,128 clauses and
+# 82,312 literals).  Both bounds are needed: wide clauses at a large d reach
+# millions of literals well inside the clause bound.
 MAX_CLAUSES = 100_000
+MAX_LITERALS = 1_000_000
 
 
 def canon_clause(lits) -> Clause:
@@ -100,6 +105,22 @@ def check_clause_count(g: Dag, d: int, starred: bool = False) -> int:
     return count
 
 
+def check_literal_count(g: Dag, d: int, starred: bool = False) -> int:
+    """The literal count of ``pebbling_contradiction(g, d, starred)``,
+    predicted from the graph: d per source, indeg + d in each of the d^indeg
+    clauses of a non-source, d per target (none when starred).  Raises
+    SizeBoundExceeded above MAX_LITERALS, before anything is built."""
+    count = d * len(g.sources) + sum(d ** len(ps) * (len(ps) + d) for ps in g.preds if ps)
+    if not starred:
+        count += d * len(g.targets)
+    if count > MAX_LITERALS:
+        raise SizeBoundExceeded(
+            f"degree-{d} pebbling contradiction has {count} literals, "
+            f"above the bound {MAX_LITERALS}"
+        )
+    return count
+
+
 def pebbling_contradiction(g: Dag, d: int, starred: bool = False) -> Cnf:
     """The d-th degree pebbling contradiction over g.
 
@@ -108,11 +129,13 @@ def pebbling_contradiction(g: Dag, d: int, starred: bool = False) -> Cnf:
     predecessors the propagation clause, then d unit target clauses per
     target.  ``starred`` drops the target clauses, leaving a satisfiable
     formula whose target clauses are derivable instead of given.  Raises
-    SizeBoundExceeded, before building anything, above ``MAX_CLAUSES``.
+    SizeBoundExceeded, before building anything, above ``MAX_CLAUSES`` or
+    ``MAX_LITERALS``.
     """
     if d < 1:
         raise GraphError("d must be >= 1")
     check_clause_count(g, d, starred)
+    check_literal_count(g, d, starred)
     clauses: list[Clause] = []
     for s in g.sources:
         clauses.append(canon_clause(_all_true(s, d)))

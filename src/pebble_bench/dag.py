@@ -31,13 +31,13 @@ class Dag:
     ``succ_mask`` hold the same neighbourhoods as bitmask ints (bit u set
     for neighbour u), the state vocabulary of the searches and measures.
     ``sources`` and ``sinks`` are derived from degrees, and ``targets`` is
-    a sorted tuple (defaults to the sinks).  Construction is permissive
-    about shape so that ``validate_dag`` can report problems; only
-    out-of-range vertex ids are rejected outright.
+    a sorted tuple (defaults to the sinks), also kept as ``target_mask``.
+    Construction is permissive about shape so that ``validate_dag`` can
+    report problems; only out-of-range vertex ids are rejected outright.
     """
 
     __slots__ = ("n", "edges", "preds", "succs", "pred_mask", "succ_mask",
-                 "sources", "sinks", "targets", "_desc")
+                 "sources", "sinks", "targets", "target_mask", "_desc")
 
     def __init__(self, n: int, edges, targets=None):
         edges = tuple(sorted(set((int(u), int(v)) for u, v in edges)))
@@ -64,6 +64,7 @@ class Dag:
             for t in self.targets:
                 if not (0 <= t < n):
                     raise GraphError(f"target {t} out of range for {n} vertices")
+        self.target_mask = sum(1 << t for t in self.targets)
         self._desc = None
 
     def descendants(self, v: int) -> frozenset[int]:

@@ -5,7 +5,9 @@ States are bitmask integers.  For the black game the search walks
 first.  Removals are free and can always be deferred, so this collapsed
 model reaches the same (space, placements) optima as the move-level game
 while visiting far fewer states.  The black-white game is searched at move
-level with a 0-1 BFS (placements cost 1, removals 0).
+level (placements cost 1, removals 0).  Both games run on one best-first
+loop, ``_search`` (A*), guided by the ancestor-closure bound of
+``_closure``.
 
 These oracles are meant for desk-size instances; they refuse graphs above a
 size bound rather than run forever.
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from time import perf_counter
+from typing import NamedTuple
 
 from .blob import BlobSubconfig, check_strict_shape
 from .dag import Dag
@@ -23,6 +27,8 @@ from .pebbling import Move
 
 __all__ = [
     "ParetoFrontier",
+    "SearchStats",
+    "BudgetStats",
     "optimal_price",
     "tradeoff_frontier",
     "optimal_blob_price",
@@ -47,175 +53,225 @@ def _check_bound(g: Dag, game: str, bound: int | None) -> None:
         )
 
 
-def _target_bits(g: Dag) -> tuple[dict[int, int], int]:
-    """Visited-target bookkeeping: target -> its bit, and all those bits."""
-    tgt_bit = {t: 1 << i for i, t in enumerate(g.targets)}
-    return tgt_bit, (1 << len(g.targets)) - 1
-
-
 # ---------------------------------------------------------------------------
-# Black game: collapsed placement-step search
+# Work counters
 # ---------------------------------------------------------------------------
 
 
-def _black_search(g: Dag, s: int, parents: dict | None = None):
-    """(min placements, goal state) to pebble every target with space cap s.
+class BudgetStats(NamedTuple):
+    """The work of one search at one space budget.
 
-    Both are None when no pebbling fits.  State = board_mask |
-    visited_targets << n, always right after a placement.  When ``parents``
-    is a dict it is filled with state -> (prev_state, placed,
-    evicted_or_None).
-
-    The goal test runs when a state is generated, not when it is popped.
-    The queue is FIFO, so states are popped in the order they were pushed
-    and the first goal pushed is the first goal popped: distance and parent
-    chain are exactly those of the test-on-pop search.
+    ``generated`` counts the distinct states reached.  The distance table
+    holds each of them once and never shrinks, so it is also the table's
+    peak size.  ``expanded`` counts the states whose successors were
+    generated.
     """
-    n = g.n
-    preds_mask = g.pred_mask
-    tgt_bit, all_tgts = _target_bits(g)
-    if not all_tgts:
-        return 0, 0
-    dist = {0: 0}
-    queue = deque([0])
-    board_of = (1 << n) - 1
-    goal_vis = all_tgts << n
-    while queue:
-        state = queue.popleft()
-        d = dist[state] + 1
-        board = state & board_of
-        visited = state >> n
-        free = bin(board).count("1") < s
+
+    space: int
+    generated: int
+    expanded: int
+    seconds: float
+
+
+class SearchStats:
+    """Work counters of ``optimal_price`` and ``tradeoff_frontier``.
+
+    Filled only when passed as ``stats=``.  ``budgets`` gets one record per
+    space budget searched, in order; ``generated``, ``expanded`` and
+    ``seconds`` are their totals and ``table`` is the peak table size, the
+    largest ``generated`` of one budget.  ``stop`` is why the last call
+    stopped: ``goal`` (the price was found), ``floor`` (a budget reached
+    the time floor), ``cap`` (the space cap) or ``n`` (the vertex count).
+    """
+
+    def __init__(self) -> None:
+        self.budgets: list[BudgetStats] = []
+        self.stop: str | None = None
+        self.generated = self.expanded = self.table = 0
+        self.seconds = 0.0
+
+    def _add(self, b: BudgetStats) -> None:
+        self.budgets.append(b)
+        self.generated += b.generated
+        self.expanded += b.expanded
+        self.table = max(self.table, b.generated)
+        self.seconds += b.seconds
+
+
+# ---------------------------------------------------------------------------
+# Pebble games: one best-first core, one successor function per game
+# ---------------------------------------------------------------------------
+
+
+def _closure(pred_mask, x: int, new: int, occupied: int) -> int:
+    """``x`` (closed already) plus ``new`` and its ancestors reached through
+    unoccupied vertices: a worklist, run until nothing is added."""
+    while new:
+        x |= new
+        reach = 0
+        while new:
+            low = new & -new
+            reach |= pred_mask[low.bit_length() - 1]
+            new ^= low
+        new = reach & ~(occupied | x)
+    return x
+
+
+def _black_steps(g: Dag, s: int, dist: dict):
+    """Successors of a black state ``board | visited << n``, all of cost 1.
+
+    A step places a ready vertex v, first evicting some u outside preds(v)
+    when all s pebbles are down.  The placement takes just v out of the
+    closure; an eviction of u adds closure(u) when u feeds the closure.
+    Only steps that improve on ``dist`` are returned, so a closure is
+    computed only for an eviction that leads somewhere new.
+    """
+    n, pm = g.n, g.pred_mask
+    full = (1 << n) - 1
+    marks = [1 << v | (1 << v & g.target_mask) << n for v in range(n)]
+    feeds = {0: 0} | {1 << u: g.succ_mask[u] for u in range(n)}
+
+    def steps(state: int, x: int, d: int):
+        d += 1
+        board = state & full
+        ready = [v for v in range(n) if not (board >> v & 1 or pm[v] & ~board)]
+        # With room left a step evicts nothing (bit 0), else one pebble.
+        evictions = [0] if board.bit_count() < s else [1 << u for u in range(n) if board >> u & 1]
+        out = []
+        for ubit in evictions:
+            base = state ^ ubit
+            new = [v for v in ready if not pm[v] & ubit and dist.get(base | marks[v], d + 1) > d]
+            if new:
+                xu = _closure(pm, x, ubit, board ^ ubit) if feeds[ubit] & x else x
+                out += [(d, base | marks[v], xu & ~(1 << v)) for v in new]
+        return out
+
+    return steps
+
+
+def _bw_steps(g: Dag, s: int, dist: dict):
+    """Successors of a BW state ``black | white << n | visited << 2n``.
+
+    Placements cost 1 and removals 0.  A black placement of v takes just v
+    out of the closure.  A white one also adds the closure of v's
+    unoccupied predecessors, which must be on the board when v is removed.
+    A removal of v adds closure(v) when v feeds the closure or a white
+    pebble.  Only the moves that improve on ``dist`` are returned.
+    """
+    n, pm, sm = g.n, g.pred_mask, g.succ_mask
+    full = (1 << n) - 1
+    seen = [(1 << v & g.target_mask) << 2 * n for v in range(n)]
+
+    def steps(state: int, x: int, d: int):
+        black = state & full
+        white = state >> n & full
+        occupied = black | white
+        room = occupied.bit_count() < s
+        out = []
         for v in range(n):
             vbit = 1 << v
-            if board & vbit or (preds_mask[v] & ~board):
-                continue
-            nvis = (visited | tgt_bit.get(v, 0)) << n
-            if free:
-                nstate = board | vbit | nvis
-                if nstate not in dist:
-                    dist[nstate] = d
+            missing = pm[v] & ~occupied
+            if occupied & vbit:
+                if white & vbit and missing:
+                    continue
+                nstate = state ^ (vbit if black & vbit else vbit << n)
+                if dist.get(nstate, d + 1) > d:
+                    nx = _closure(pm, x, vbit, occupied ^ vbit) if sm[v] & (x | white) else x
+                    out.append((d, nstate, nx))
+            elif room:
+                nx = x & ~vbit
+                nstate = state | vbit | seen[v]
+                if not missing and dist.get(nstate, d + 2) > d + 1:
+                    out.append((d + 1, nstate, nx))
+                nstate = state | vbit << n | seen[v]
+                if dist.get(nstate, d + 2) > d + 1:
+                    out.append((d + 1, nstate, _closure(pm, nx, missing, occupied | vbit)))
+        return out
+
+    return steps
+
+
+def _search(g: Dag, game: str, s: int, parents=None, stats=None):
+    """(min placements, goal state) of a complete pebbling with space cap s.
+
+    Both are None when no pebbling fits.  A* with h(state) = |X|, X kept
+    with each state by the successor functions: the closure from the
+    unvisited targets through unoccupied vertices, in the BW game also from
+    the unoccupied predecessors of every white pebble.  h(start) is the
+    time floor.  The goal is X empty with no white pebble; the black
+    pebbles left come off for free.  ``parents``, when a dict, is filled
+    with state -> previous state.
+
+    Sound: every vertex in X must be placed again.  An unvisited target
+    must be; a placement of v, black at once or white by its removal,
+    needs preds(v) on the board, so an unoccupied one must be placed too.
+    Consistent: a placement removes at most v from X and a removal only
+    grows it, so f = g + h never falls along a move.  So the queue,
+    buckets indexed by f and popped LIFO, pops each state at its least
+    distance, the first goal popped is optimal, and the 0-cost removals
+    need no special order.  A bucket is a dict, state -> X; a state whose
+    distance improves moves to its new bucket, so each state is queued
+    once and every state popped but the goal is expanded.
+    """
+    dist = {0: 0}
+    steps = (_black_steps if game == "black" else _bw_steps)(g, s, dist)
+    whites = 0 if game == "black" else ((1 << g.n) - 1) << g.n
+    x = _closure(g.pred_mask, 0, g.target_mask, 0)
+    f = x.bit_count()
+    buckets = [{} for _ in range(f)] + [{0: x}]
+    goal = None
+    t0 = perf_counter()
+    try:
+        while f < len(buckets):
+            bucket = buckets[f]
+            while bucket:
+                state, x = bucket.popitem()
+                d = f - x.bit_count()
+                if not x and not state & whites:
+                    goal = state
+                    return d, goal
+                for nd, nstate, nx in steps(state, x, d):
+                    old = dist.get(nstate)
+                    dist[nstate] = nd
                     if parents is not None:
-                        parents[nstate] = (state, v, None)
-                    if nvis == goal_vis:
-                        # Trailing removals are free; this is the optimum.
-                        return d, nstate
-                    queue.append(nstate)
-            else:
-                evictable = board & ~preds_mask[v]
-                u = 0
-                while evictable:
-                    if evictable & 1:
-                        nstate = (board & ~(1 << u)) | vbit | nvis
-                        if nstate not in dist:
-                            dist[nstate] = d
-                            if parents is not None:
-                                parents[nstate] = (state, v, u)
-                            if nvis == goal_vis:
-                                return d, nstate
-                            queue.append(nstate)
-                    evictable >>= 1
-                    u += 1
-    return None, None
+                        parents[nstate] = state
+                    h = nx.bit_count()
+                    if old is not None:
+                        del buckets[old + h][nstate]
+                    if nd + h >= len(buckets):
+                        buckets += [{} for _ in range(nd + h + 1 - len(buckets))]
+                    buckets[nd + h][nstate] = nx
+            f += 1
+        return None, None
+    finally:
+        if stats is not None:
+            queued = sum(map(len, buckets)) + (goal is not None)
+            stats._add(BudgetStats(s, len(dist), len(dist) - queued, perf_counter() - t0))
 
 
-def _black_moves(parents: dict, goal: int) -> list[Move]:
+def _witness(g: Dag, game: str, parents: dict, goal: int) -> list[Move]:
+    """The moves along the parent links to ``goal``, then its free removals.
+
+    A step differs from the one before it by at most a removal and a
+    placement, in that order.
+    """
+    n = g.n
+    full = (1 << n) - 1
+
+    def colours(state):
+        return state & full, (state >> n & full if game == "bw" else 0)
+
     steps = []
     state = goal
     while state:
-        prev, v, evicted = parents[state]
-        steps.append((v, evicted))
+        prev = parents[state]
+        (pb, pw), (nb, nw) = colours(prev), colours(state)
+        kinds = (("RB", pb & ~nb), ("RW", pw & ~nw), ("PB", nb & ~pb), ("PW", nw & ~pw))
+        steps.append([Move(kind, bit.bit_length() - 1) for kind, bit in kinds if bit])
         state = prev
-    steps.reverse()
-    moves: list[Move] = []
-    board: set[int] = set()
-    for v, evicted in steps:
-        if evicted is not None:
-            moves.append(Move("RB", evicted))
-            board.discard(evicted)
-        moves.append(Move("PB", v))
-        board.add(v)
-    for v in sorted(board):
-        moves.append(Move("RB", v))
-    return moves
-
-
-# ---------------------------------------------------------------------------
-# Black-white game: move-level 0-1 BFS
-# ---------------------------------------------------------------------------
-
-
-def _bw_search(g: Dag, s: int, parents: dict | None = None):
-    """(min placements, goal state) of a complete BW pebbling with space cap s.
-
-    State = black | white << n | visited << 2n.  Goal: empty board, every
-    target visited.  Placements cost 1, removals 0 (0-1 BFS).
-    """
-    n = g.n
-    preds_mask = g.pred_mask
-    tgt_bit, all_tgts = _target_bits(g)
-    goal = all_tgts << (2 * n)
-    start = 0
-    dist = {start: 0}
-    queue = deque([(0, start)])
-    while queue:
-        d, state = queue.popleft()
-        if d > dist.get(state, 1 << 60):
-            continue
-        if state == goal:
-            return d, state
-        black = state & ((1 << n) - 1)
-        white = (state >> n) & ((1 << n) - 1)
-        visited = state >> (2 * n)
-        occupied = black | white
-        room = bin(occupied).count("1") < s
-        for v in range(n):
-            vbit = 1 << v
-            pm = preds_mask[v]
-            if occupied & vbit:
-                # removals
-                if black & vbit:
-                    nstate = (black & ~vbit) | (white << n) | (visited << (2 * n))
-                    cost, mv = 0, ("RB", v)
-                elif pm & ~occupied:
-                    continue
-                else:
-                    nstate = black | ((white & ~vbit) << n) | (visited << (2 * n))
-                    cost, mv = 0, ("RW", v)
-                nd = d + cost
-                if nd < dist.get(nstate, 1 << 60):
-                    dist[nstate] = nd
-                    if parents is not None:
-                        parents[nstate] = (state, mv)
-                    queue.appendleft((nd, nstate))
-            elif room:
-                # placements: black needs support, white is free
-                nvis = visited | tgt_bit.get(v, 0)
-                for colour, ok in (("PB", not (pm & ~occupied)), ("PW", True)):
-                    if not ok:
-                        continue
-                    if colour == "PB":
-                        nstate = (black | vbit) | (white << n) | (nvis << (2 * n))
-                    else:
-                        nstate = black | ((white | vbit) << n) | (nvis << (2 * n))
-                    nd = d + 1
-                    if nd < dist.get(nstate, 1 << 60):
-                        dist[nstate] = nd
-                        if parents is not None:
-                            parents[nstate] = (state, (colour, v))
-                        queue.append((nd, nstate))
-    return None, None
-
-
-def _bw_moves(parents: dict, goal: int) -> list[Move]:
-    moves: list[Move] = []
-    state = goal
-    while state:
-        prev, (kind, v) = parents[state]
-        moves.append(Move(kind, v))
-        state = prev
-    moves.reverse()
-    return moves
+    moves = [m for step in reversed(steps) for m in step]
+    board = goal & full
+    return moves + [Move("RB", v) for v in range(n) if board >> v & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +284,24 @@ def optimal_price(
     game: str = "black",
     bound: int | None = None,
     with_trace: bool = False,
+    *,
+    stats: SearchStats | None = None,
 ):
     """Exact pebbling price: least space admitting a complete pebbling.
 
     With ``with_trace`` also returns a witness move list (deterministic for
     a given graph), read off the parent links of the winning search.
     Raises SizeBoundExceeded above the per-game bound (black 20, bw 14 by
-    default).
+    default).  ``stats`` is filled with the work of each budget searched.
     """
     _check_bound(g, game, bound)
-    search = _black_search if game == "black" else _bw_search
-    moves_of = _black_moves if game == "black" else _bw_moves
     for s in range(1, g.n + 1):
         parents = {} if with_trace else None
-        d, goal = search(g, s, parents)
+        d, goal = _search(g, game, s, parents, stats)
         if d is not None:
-            return (s, moves_of(parents, goal)) if with_trace else s
+            if stats is not None:
+                stats.stop = "goal"
+            return (s, _witness(g, game, parents, goal)) if with_trace else s
     raise SizeBoundExceeded("no complete pebbling found (unreachable for valid DAGs)")
 
 
@@ -271,19 +329,18 @@ def tradeoff_frontier(
     bound: int | None = None,
     *,
     above_price: int | None = None,
+    stats: SearchStats | None = None,
 ) -> ParetoFrontier:
     """Minimum placements for every space budget from the price to the cap.
 
     The cap is ``space_cap``, or price + ``above_price`` when that is given
     (passing both is an error).  Returns the Pareto-filtered frontier; a cap
-    below the price yields an empty frontier.
+    below the price yields an empty frontier.  ``stats`` is filled with the
+    work of each budget searched and the reason the sweep stopped.
 
-    The sweep stops at the first budget whose time equals the time floor
-    F = |ancestors(targets)|.  This is exact.  In both games every ancestor
-    of a target is placed at least once: a black placement needs its
-    predecessors on the board, and a white pebble must be removed before
-    the board is empty, which also needs its predecessors on the board.  So
-    min time >= F at every budget.  Min time never rises as the budget
+    The sweep stops at the first budget whose time equals the time floor F,
+    the search's bound at the start: |ancestors(targets)|.  This is exact.
+    Every budget has min time >= F, min time never rises as the budget
     grows, so every budget above the stop also has time F.  Budgets above n
     allow the same pebblings as budget n, so the sweep searches at most n
     budgets.  ``raw`` is filled with the last time up to the cap.
@@ -291,32 +348,26 @@ def tradeoff_frontier(
     if above_price is not None and space_cap:
         raise ValueError("give space_cap or above_price, not both")
     _check_bound(g, game, bound)
-    search = _black_search if game == "black" else _bw_search
-    anc = 0
-    for t in g.targets:
-        anc |= 1 << t
-    # One pass down the ids; if some edge does not go forward it may miss
-    # ancestors, which only lowers the floor and keeps it a lower bound.
-    for v in range(g.n - 1, -1, -1):
-        if anc >> v & 1:
-            anc |= g.pred_mask[v]
-    floor = bin(anc).count("1")
+    floor = _closure(g.pred_mask, 0, g.target_mask, 0).bit_count()
     cap = space_cap if above_price is None else g.n + above_price
     raw: list[tuple[int, int]] = []
     points: list[tuple[int, int]] = []
     for s in range(1, min(cap, g.n) + 1):
-        t, _ = search(g, s)
+        t, _ = _search(g, game, s, stats=stats)
         if t is None:
             continue
         if above_price is not None and not raw:
             cap = s + above_price
-        if s > cap:
-            break
         raw.append((s, t))
         if not points or t < points[-1][1]:
             points.append((s, t))
         if t == floor or s == cap:
+            stop = "floor" if t == floor else "cap"
             break
+    else:
+        stop = "cap" if above_price is None and cap <= g.n else "n"
+    if stats is not None:
+        stats.stop = stop
     if raw:
         last_s, last_t = raw[-1]
         raw.extend((b, last_t) for b in range(last_s + 1, cap + 1))

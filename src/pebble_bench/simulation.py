@@ -32,7 +32,14 @@ from .blob import (
     introduce,
     merge,
 )
-from .cnf import Clause, canon_clause, check_clause_count, pebbling_contradiction, var_id
+from .cnf import (
+    Clause,
+    canon_clause,
+    check_clause_count,
+    check_literal_count,
+    pebbling_contradiction,
+    var_id,
+)
 from .dag import Dag
 from .errors import GraphError, IllegalMove, SizeBoundExceeded, UnsupportedOperation
 from .pebbling import PebblingTrace
@@ -202,11 +209,13 @@ def compile_pebbling(g: Dag, d: int, trace, starred: bool = False) -> Resolution
     a derivation over the variant without target axioms: it stops once every
     target's positive clause is derived and keeps those clauses live
     (skipping the erasures that mirror removing a target pebble).  Raises
-    SizeBoundExceeded when that formula would exceed ``MAX_CLAUSES``.
+    SizeBoundExceeded when that formula would exceed ``MAX_CLAUSES`` or
+    ``MAX_LITERALS``.
     """
     if d < 1:
         raise GraphError("d must be >= 1")
     check_clause_count(g, d, starred)
+    check_literal_count(g, d, starred)
     if isinstance(trace, PebblingTrace):
         if trace.game != "black":
             raise UnsupportedOperation("only black traces compile to resolution")

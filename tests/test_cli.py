@@ -22,7 +22,7 @@ from pebble_bench import (
     write_dimacs,
     write_graph,
 )
-from pebble_bench.cnf import MAX_CLAUSES
+from pebble_bench.cnf import MAX_CLAUSES, MAX_LITERALS
 from pebble_bench.cli import run_command, tradeoff_report
 
 
@@ -52,6 +52,18 @@ def test_gen_graph_missing_param(capsys):
     code, _, err = run(capsys, "gen-graph", "--family", "pyramid")
     assert code == 2
     assert "usage error" in err and "--h" in err
+
+
+def test_bad_command_line_is_one_usage_line(capsys):
+    for argv, message in (
+        (["price", "--family", "pyramid", "--h", "x"], "argument --h: invalid int value: 'x'"),
+        (
+            ["frontier", "--family", "chain", "--n", "3"],
+            "the following arguments are required: --space-cap",
+        ),
+        ([], "the following arguments are required: command"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"usage error: {message}\n"), argv
 
 
 def test_bad_family_value_exits_1(capsys):
@@ -217,6 +229,15 @@ def test_oversized_formula_exits_1(tmp_path, capsys):
             f"error: degree-{d} pebbling contradiction has {3 + 3 * d * d + d} clauses, "
             f"above the bound {MAX_CLAUSES}\n"
         )
+    # d = 180 is inside the clause bound but has 17,691,120 literals.
+    graph = ["--family", "pyramid", "--h", "2", "--d", "180"]
+    for argv in (["gen-cnf", *graph], ["compile", *graph, "--moves", str(moves)]):
+        assert run(capsys, *argv) == (
+            1,
+            "",
+            "error: degree-180 pebbling contradiction has 17691120 literals, "
+            f"above the bound {MAX_LITERALS}\n",
+        )
 
 
 def test_check_rejects_corrupt_proof(tmp_path, capsys):
@@ -337,7 +358,7 @@ def test_parse_error_names_file(tmp_path, capsys, argv, bad, text, message):
     assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
 
 
-# --- seeded fuzz of the proof-path file inputs ----------------------------------
+# --- seeded fuzz of the command line and its input files ----------------------
 
 
 def mutate(rng, text):
@@ -404,6 +425,104 @@ def test_fuzz_proof_inputs(tmp_path, capsys):
                 assert code == 0 or err.count("\n") == 1, err
                 codes.append(code)
     assert codes.count(0) > 0 and codes.count(1) > len(codes) // 2
+
+
+FUZZ_VALUES = ("x", "", "-1", "0", "1.5", "3", "5", "1,2", "2..3", "--", "bw", "pyramid")
+
+
+def mutate_argv(rng, argv):
+    """One random corruption of a command line: a value replaced, a token
+    dropped, or a token repeated."""
+    argv = list(argv)
+    kind = rng.choice(("value", "value", "drop", "repeat"))
+    j = rng.randrange(1, len(argv))
+    if kind == "value":
+        argv[j] = rng.choice(FUZZ_VALUES)
+    elif kind == "drop":
+        del argv[j]
+    else:
+        argv.insert(j, argv[j])
+    return argv
+
+
+def mutate_spec(rng, text):
+    """One random corruption of an INI spec: a value replaced, a line
+    dropped, repeated or stripped of its '=', a section renamed, or
+    truncation."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    kind = rng.choice(("value", "value", "drop", "repeat", "no-eq", "section", "truncate"))
+    if kind == "truncate":
+        return text[: rng.randrange(len(text))]
+    if kind == "value" and "=" in lines[i]:
+        key = lines[i].split("=")[0]
+        lines[i] = f"{key}= {rng.choice(FUZZ_VALUES + ('+1', '+x', '+-1', '3..1', '1..', '1,,2'))}"
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    elif kind == "no-eq":
+        lines[i] = lines[i].replace("=", " ")
+    elif kind == "section":
+        lines[i] = rng.choice(("[family:nope]", "[experiment]", "[family:chain]", "[other]", "["))
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzz_search_inputs(tmp_path, capsys, monkeypatch):
+    """Mutated command lines of price, frontier, measure and strategy,
+    mutated graph files, and mutated tradeoff-report specs exit 0, 1 or 2
+    with a one-line error; no other exception escapes run_command."""
+    monkeypatch.chdir(tmp_path)  # specs write their (mutated) output paths here
+    rng = random.Random(20261019)
+    graph = tmp_path / "g.txt"
+    good_graph = write_graph(build_family(FamilySpec.pyramid(2)))
+    argvs = [
+        ["price", "--family", "pyramid", "--h", "2", "--game", "bw"],
+        ["price", "--family", "chain", "--n", "4", "--bound", "6"],
+        ["frontier", "--family", "carlson_savage", "--c", "2", "--r", "1", "--space-cap", "5"],
+        ["frontier", "--family", "binary_tree", "--h", "2", "--space-cap", "4", "--game", "bw"],
+        ["measure", "--family", "pyramid", "--h", "2", "--set", "3,4", "--black", "5"],
+        ["measure", "--family", "chain", "--n", "4", "--set", "1", "--white", "2",
+         "--direction", "above"],
+        ["strategy", "--family", "carlson_savage", "--c", "2", "--r", "1", "--budget", "4"],
+        ["strategy", "--family", "pyramid", "--h", "2"],
+    ]
+    graph_argvs = [
+        ["price", "--graph", str(graph)],
+        ["frontier", "--graph", str(graph), "--space-cap", "5", "--game", "bw"],
+        ["measure", "--graph", str(graph), "--set", "3", "--black", "4,5"],
+    ]
+    good_spec = (
+        "[experiment]\ngame = black\nbound = 12\nout_csv = report.csv\nplot_prefix = plot-\n\n"
+        "[family:chain]\nn = 2..4\nspace_cap = +1\n\n"
+        "[family:pyramid]\nh = 1..2\nspace_cap = 5\n\n"
+        "[family:carlson_savage]\nc = 2\nr = 1\nspace_cap = +0\n"
+    )
+    spec = tmp_path / "exp.ini"
+    spec.write_text(good_spec)
+    graph.write_text(good_graph)
+    for argv in argvs + graph_argvs + [["tradeoff-report", "--spec", str(spec)]]:
+        assert run(capsys, *argv)[::2] == (0, ""), argv  # the unmutated inputs go through
+
+    def runs():
+        for _ in range(60):
+            for argv in argvs + graph_argvs:
+                graph.write_text(good_graph)
+                yield mutate_argv(rng, argv)
+            for argv in graph_argvs:
+                graph.write_text(mutate(rng, good_graph))
+                yield argv
+            graph.write_text(good_graph)
+            spec.write_text(mutate_spec(rng, good_spec))
+            yield ["tradeoff-report", "--spec", str(spec)]
+
+    codes = []
+    for argv in runs():
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2), (argv, err)
+        assert code == 0 or err.count("\n") == 1, (argv, err)
+        codes.append(code)
+    assert set(codes) == {0, 1, 2}
 
 
 # --- tradeoff-report -----------------------------------------------------------

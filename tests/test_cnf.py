@@ -20,7 +20,14 @@ from pebble_bench import (
     validate_pebbling,
     write_dimacs,
 )
-from pebble_bench.cnf import MAX_CLAUSES, canon_clause, check_clause_count, is_tautology
+from pebble_bench.cnf import (
+    MAX_CLAUSES,
+    MAX_LITERALS,
+    canon_clause,
+    check_clause_count,
+    check_literal_count,
+    is_tautology,
+)
 from pebble_bench.strategies import black_strategy
 
 SEED = 271828
@@ -158,8 +165,10 @@ def test_clause_count_formula():
             assert len(f.clauses) == expected
             assert f.num_vars == d * g.n
             assert check_clause_count(g, d) == expected
+            assert check_literal_count(g, d) == sum(map(len, f.clauses))
             starred = pebbling_contradiction(g, d, starred=True)
             assert check_clause_count(g, d, starred=True) == len(starred.clauses)
+            assert check_literal_count(g, d, starred=True) == sum(map(len, starred.clauses))
 
 
 def test_clause_count_guard():
@@ -174,6 +183,22 @@ def test_clause_count_guard():
         with pytest.raises(SizeBoundExceeded, match=f"above the bound {MAX_CLAUSES}"):
             pebbling_contradiction(g, d + 1, starred=starred)
         with pytest.raises(SizeBoundExceeded):
+            compile_pebbling(g, d + 1, trace, starred=starred)
+
+
+def test_literal_count_guard():
+    spec = FamilySpec.pyramid(2)
+    g = build_family(spec)
+    trace = validate_pebbling(g, black_strategy(spec), game="black")
+    # pyramid(2): 3 sources of d literals, 3 vertices of fan-in 2 with d^2
+    # clauses of d + 2 literals, one target of d unit clauses.
+    d = next(d for d in range(1, 1000) if 4 * d + 3 * d * d * (d + 2) > MAX_LITERALS)
+    assert check_clause_count(g, d) <= MAX_CLAUSES  # only the literals are too many
+    assert check_literal_count(g, d - 1) <= MAX_LITERALS
+    for starred in (False, True):
+        with pytest.raises(SizeBoundExceeded, match=f"literals, above the bound {MAX_LITERALS}"):
+            pebbling_contradiction(g, d + 1, starred=starred)
+        with pytest.raises(SizeBoundExceeded, match="literals"):
             compile_pebbling(g, d + 1, trace, starred=starred)
 
 

@@ -1,12 +1,14 @@
 """Tests for exhaustive price search, frontiers, and the blob price search."""
 
 import random
+from collections import deque
 
 import pytest
 
 from pebble_bench import (
     Dag,
     FamilySpec,
+    SearchStats,
     SizeBoundExceeded,
     build_family,
     optimal_blob_price,
@@ -176,12 +178,147 @@ def test_black_price_matches_brute_force_small():
         assert optimal_price(g, "black") == brute_black_price(g)
 
 
+# --- reference searches ------------------------------------------------------
+# The breadth-first searches the best-first core replaced, kept verbatim as an
+# independent oracle for every budget.
+
+
+def _target_bits(g: Dag) -> tuple[dict[int, int], int]:
+    """Visited-target bookkeeping: target -> its bit, and all those bits."""
+    tgt_bit = {t: 1 << i for i, t in enumerate(g.targets)}
+    return tgt_bit, (1 << len(g.targets)) - 1
+
+
+
+def _black_search(g: Dag, s: int, parents: dict | None = None):
+    """(min placements, goal state) to pebble every target with space cap s.
+
+    Both are None when no pebbling fits.  State = board_mask |
+    visited_targets << n, always right after a placement.  When ``parents``
+    is a dict it is filled with state -> (prev_state, placed,
+    evicted_or_None).
+
+    The goal test runs when a state is generated, not when it is popped.
+    The queue is FIFO, so states are popped in the order they were pushed
+    and the first goal pushed is the first goal popped: distance and parent
+    chain are exactly those of the test-on-pop search.
+    """
+    n = g.n
+    preds_mask = g.pred_mask
+    tgt_bit, all_tgts = _target_bits(g)
+    if not all_tgts:
+        return 0, 0
+    dist = {0: 0}
+    queue = deque([0])
+    board_of = (1 << n) - 1
+    goal_vis = all_tgts << n
+    while queue:
+        state = queue.popleft()
+        d = dist[state] + 1
+        board = state & board_of
+        visited = state >> n
+        free = bin(board).count("1") < s
+        for v in range(n):
+            vbit = 1 << v
+            if board & vbit or (preds_mask[v] & ~board):
+                continue
+            nvis = (visited | tgt_bit.get(v, 0)) << n
+            if free:
+                nstate = board | vbit | nvis
+                if nstate not in dist:
+                    dist[nstate] = d
+                    if parents is not None:
+                        parents[nstate] = (state, v, None)
+                    if nvis == goal_vis:
+                        # Trailing removals are free; this is the optimum.
+                        return d, nstate
+                    queue.append(nstate)
+            else:
+                evictable = board & ~preds_mask[v]
+                u = 0
+                while evictable:
+                    if evictable & 1:
+                        nstate = (board & ~(1 << u)) | vbit | nvis
+                        if nstate not in dist:
+                            dist[nstate] = d
+                            if parents is not None:
+                                parents[nstate] = (state, v, u)
+                            if nvis == goal_vis:
+                                return d, nstate
+                            queue.append(nstate)
+                    evictable >>= 1
+                    u += 1
+    return None, None
+
+
+def _bw_search(g: Dag, s: int, parents: dict | None = None):
+    """(min placements, goal state) of a complete BW pebbling with space cap s.
+
+    State = black | white << n | visited << 2n.  Goal: empty board, every
+    target visited.  Placements cost 1, removals 0 (0-1 BFS).
+    """
+    n = g.n
+    preds_mask = g.pred_mask
+    tgt_bit, all_tgts = _target_bits(g)
+    goal = all_tgts << (2 * n)
+    start = 0
+    dist = {start: 0}
+    queue = deque([(0, start)])
+    while queue:
+        d, state = queue.popleft()
+        if d > dist.get(state, 1 << 60):
+            continue
+        if state == goal:
+            return d, state
+        black = state & ((1 << n) - 1)
+        white = (state >> n) & ((1 << n) - 1)
+        visited = state >> (2 * n)
+        occupied = black | white
+        room = bin(occupied).count("1") < s
+        for v in range(n):
+            vbit = 1 << v
+            pm = preds_mask[v]
+            if occupied & vbit:
+                # removals
+                if black & vbit:
+                    nstate = (black & ~vbit) | (white << n) | (visited << (2 * n))
+                    cost, mv = 0, ("RB", v)
+                elif pm & ~occupied:
+                    continue
+                else:
+                    nstate = black | ((white & ~vbit) << n) | (visited << (2 * n))
+                    cost, mv = 0, ("RW", v)
+                nd = d + cost
+                if nd < dist.get(nstate, 1 << 60):
+                    dist[nstate] = nd
+                    if parents is not None:
+                        parents[nstate] = (state, mv)
+                    queue.appendleft((nd, nstate))
+            elif room:
+                # placements: black needs support, white is free
+                nvis = visited | tgt_bit.get(v, 0)
+                for colour, ok in (("PB", not (pm & ~occupied)), ("PW", True)):
+                    if not ok:
+                        continue
+                    if colour == "PB":
+                        nstate = (black | vbit) | (white << n) | (nvis << (2 * n))
+                    else:
+                        nstate = black | ((white | vbit) << n) | (nvis << (2 * n))
+                    nd = d + 1
+                    if nd < dist.get(nstate, 1 << 60):
+                        dist[nstate] = nd
+                        if parents is not None:
+                            parents[nstate] = (state, (colour, v))
+                        queue.append((nd, nstate))
+    return None, None
+
+
 # --- frontier pruning against a naive sweep -----------------------------------
 
 
 def naive_raw(g, game, cap):
     """Reference series: search every budget from 1 to the cap, no stop."""
-    oracle = search._black_search if game == "black" else search._bw_search
+    oracle = _black_search if game == "black" else _bw_search
     raw = []
     for s in range(1, cap + 1):
         t, _ = oracle(g, s)
@@ -233,20 +370,146 @@ def test_pruned_frontier_matches_naive_sweep(game):
             assert (got.points, got.raw) == want, (g, game, k)
 
 
-def test_frontier_stops_at_time_floor(monkeypatch):
-    budgets = []
-    real = search._black_search
-
-    def counting(g, s, parents=None):
-        budgets.append(s)
-        return real(g, s, parents)
-
-    monkeypatch.setattr(search, "_black_search", counting)
+def test_frontier_stops_at_time_floor():
     g = build_family(FamilySpec.carlson_savage(2, 1))  # 11 vertices, floor 11
-    fr = tradeoff_frontier(g, "black", space_cap=8)
-    assert budgets == [1, 2, 3, 4]  # budget 4 already reaches time 11
+    stats = SearchStats()
+    fr = tradeoff_frontier(g, "black", space_cap=8, stats=stats)
+    assert [b.space for b in stats.budgets] == [1, 2, 3, 4]  # 4 reaches time 11
+    assert stats.stop == "floor"
     assert fr.points == ((3, 16), (4, 11))
     assert fr.raw == ((3, 16), (4, 11), (5, 11), (6, 11), (7, 11), (8, 11))
+
+
+# --- the best-first core against the reference, budget by budget --------------
+
+
+def random_dags(count, max_n, seed):
+    """Seeded DAGs of fan-in at most 3; most have random, often non-sink, targets."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        edges = []
+        for v in range(1, n):
+            k = rng.randint(0, min(3, v))
+            edges.extend((u, v) for u in rng.sample(range(v), k))
+        targets = rng.sample(range(n), rng.randint(1, n)) if rng.random() < 0.8 else None
+        yield Dag(n, edges, targets=targets)
+
+
+def every_budget_graphs(game):
+    specs = [
+        FamilySpec.chain(5),
+        FamilySpec.pyramid(2),
+        FamilySpec.binary_tree(2),
+        FamilySpec.carlson_savage(2, 0),
+    ]
+    if game == "black":
+        specs += [FamilySpec.pyramid(3), FamilySpec.binary_tree(3), FamilySpec.carlson_savage(2, 1)]
+    families = [build_family(spec) for spec in specs]
+    return families + list(random_dags(160, 10 if game == "black" else 7, SEED + 1))
+
+
+@pytest.mark.parametrize("game", ["black", "bw"])
+def test_search_matches_reference_every_budget(game):
+    oracle = _black_search if game == "black" else _bw_search
+    for g in every_budget_graphs(game):
+        for s in range(1, g.n + 1):
+            want, _ = oracle(g, s)
+            parents = {}
+            got, goal = search._search(g, game, s, parents)
+            assert got == want, (g, game, s)
+            if got is not None:
+                moves = search._witness(g, game, parents, goal)
+                trace = validate_pebbling(g, moves, game=game)
+                assert trace.space <= s and trace.time == got, (g, game, s)
+
+
+def closure_from_scratch(g, game, state):
+    """X of a state, recomputed: everything that must still be placed."""
+    n = g.n
+    full = (1 << n) - 1
+    black = state & full
+    white = state >> n & full if game == "bw" else 0
+    visited = state >> (n if game == "black" else 2 * n)
+    occupied = black | white
+    x = g.target_mask & ~visited
+    for w in range(n):
+        if white >> w & 1:
+            x |= g.pred_mask[w] & ~occupied
+    while True:
+        grown = x
+        for v in range(n):
+            if x >> v & 1:
+                grown |= g.pred_mask[v] & ~occupied
+        if grown == x:
+            return x
+        x = grown
+
+
+@pytest.mark.parametrize("game", ["black", "bw"])
+def test_closure_kept_per_state_matches_recomputation(game):
+    graphs = [build_family(FamilySpec.pyramid(2)), build_family(FamilySpec.carlson_savage(2, 1))]
+    graphs += random_dags(40, 7, SEED + 2)
+    for g in graphs:
+        for s in range(1, min(g.n, 4) + 1):
+            # An empty distance table makes every move a successor.
+            steps = (search._black_steps if game == "black" else search._bw_steps)(g, s, {})
+            start = (0, closure_from_scratch(g, game, 0))
+            seen = {start}
+            todo = [start]
+            while todo and len(seen) < 3000:
+                state, x = todo.pop()
+                assert x == closure_from_scratch(g, game, state), (g, game, s, state)
+                for _, nstate, nx in steps(state, x, 0):
+                    if (nstate, nx) not in seen:
+                        seen.add((nstate, nx))
+                        todo.append((nstate, nx))
+
+
+# --- work counters -------------------------------------------------------------
+
+
+def counts(stats):
+    return [(b.space, b.generated, b.expanded) for b in stats.budgets], stats.stop
+
+
+@pytest.mark.parametrize("game", ["black", "bw"])
+def test_search_stats_deterministic_and_additive(game):
+    for spec in [FamilySpec.pyramid(2), FamilySpec.binary_tree(2), FamilySpec.carlson_savage(2, 1)]:
+        g = build_family(spec)
+        runs = []
+        for _ in range(2):
+            stats = SearchStats()
+            tradeoff_frontier(g, game, above_price=2, stats=stats)
+            runs.append(counts(stats))
+            assert stats.generated == sum(b.generated for b in stats.budgets)
+            assert stats.expanded == sum(b.expanded for b in stats.budgets)
+            assert stats.table == max(b.generated for b in stats.budgets)
+            assert stats.seconds == pytest.approx(sum(b.seconds for b in stats.budgets))
+            for b in stats.budgets:
+                assert 0 <= b.expanded <= b.generated
+        assert runs[0] == runs[1]
+        stats = SearchStats()
+        price = optimal_price(g, game, stats=stats)
+        assert [b.space for b in stats.budgets] == list(range(1, price + 1))
+        assert stats.stop == "goal"
+
+
+def test_search_stats_stop_reasons():
+    g = build_family(FamilySpec.carlson_savage(2, 1))  # price 3, floor at 4
+    stats = SearchStats()
+    assert tradeoff_frontier(g, "black", space_cap=2, stats=stats).points == ()
+    assert ([b.space for b in stats.budgets], stats.stop) == ([1, 2], "cap")
+    stats = SearchStats()
+    tradeoff_frontier(g, "black", above_price=0, stats=stats)
+    assert ([b.space for b in stats.budgets], stats.stop) == ([1, 2, 3], "cap")
+    cycle = Dag(2, [(0, 1), (1, 0)], targets=[1])  # no budget can pebble it
+    stats = SearchStats()
+    assert tradeoff_frontier(cycle, "black", space_cap=5, stats=stats).points == ()
+    assert ([b.space for b in stats.budgets], stats.stop) == ([1, 2], "n")
+    # A stats object does not change the answer.
+    plain = tradeoff_frontier(g, "black", space_cap=8)
+    assert plain == tradeoff_frontier(g, "black", space_cap=8, stats=SearchStats())
 
 
 def test_frontier_rejects_two_caps():
