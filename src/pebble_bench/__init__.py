@@ -64,6 +64,7 @@ from .resolution import (
     ProofMetrics,
     ResolutionTrace,
     check_refutation,
+    check_trace_text,
     format_trace,
     parse_trace,
     resolve,

@@ -23,7 +23,7 @@ from .dag import Dag, FamilySpec, build_family, read_graph, write_graph
 from .errors import BudgetTooSmall, ParseError, PebbleBenchError, SizeBoundExceeded
 from .measures import MeasureReport, hidden_vertices, klawe_measure, potential, LayeredView
 from .pebbling import format_moves, parse_moves, validate_pebbling
-from .resolution import check_refutation, format_trace, parse_trace
+from .resolution import check_trace_text, format_trace
 from .search import optimal_price, tradeoff_frontier
 from .strategies import black_strategy, cs_tradeoff_strategy
 
@@ -183,8 +183,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_check(args) -> int:
     f = _parse_file(args.cnf, read_dimacs)
-    trace = _parse_file(args.proof, parse_trace)
-    metrics = check_refutation(f, trace)
+    metrics = _parse_file(args.proof, functools.partial(check_trace_text, f))
     sys.stdout.write(json.dumps(metrics.report()) + "\n")
     return 0
 

@@ -34,7 +34,7 @@ __all__ = [
 Clause = tuple[int, ...]
 
 # Largest pebbling contradiction built or compiled against: twelve times the
-# biggest benchmark instance, binary_tree(7) at d = 8 (8,128 clauses and
+# biggest benchmark instance, binary_tree(7) at d = 8 (8,264 clauses and
 # 82,312 literals).  Both bounds are needed: wide clauses at a large d reach
 # millions of literals well inside the clause bound.
 MAX_CLAUSES = 100_000

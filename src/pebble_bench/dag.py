@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import GraphError, ParseError, UnsupportedFamily
+from .errors import GraphError, ParseError, SizeBoundExceeded, UnsupportedFamily
 
 __all__ = [
+    "MAX_VERTICES",
     "Dag",
     "FamilySpec",
     "CsLayout",
@@ -23,6 +24,12 @@ __all__ = [
     "write_graph",
 ]
 
+# Largest graph built: 64 times the biggest benchmark instance, binary_tree(7)
+# with 255 vertices.  pred_mask/succ_mask take O(n^2) bits: binary_tree(13),
+# 16,383 vertices, builds in about 0.13 s and 60 MiB, binary_tree(16) would
+# take 5 s and 2.3 GiB.
+MAX_VERTICES = 16_384
+
 
 class Dag:
     """Immutable DAG with precomputed adjacency.
@@ -33,13 +40,16 @@ class Dag:
     ``sources`` and ``sinks`` are derived from degrees, and ``targets`` is
     a sorted tuple (defaults to the sinks), also kept as ``target_mask``.
     Construction is permissive about shape so that ``validate_dag`` can
-    report problems; only out-of-range vertex ids are rejected outright.
+    report problems; only out-of-range vertex ids and more than
+    ``MAX_VERTICES`` vertices are rejected outright.
     """
 
     __slots__ = ("n", "edges", "preds", "succs", "pred_mask", "succ_mask",
                  "sources", "sinks", "targets", "target_mask", "_desc")
 
     def __init__(self, n: int, edges, targets=None):
+        if n > MAX_VERTICES:
+            raise SizeBoundExceeded(f"graph has {n} vertices, above the bound {MAX_VERTICES}")
         edges = tuple(sorted(set((int(u), int(v)) for u, v in edges)))
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -166,23 +176,28 @@ class FamilySpec:
 
 
 def build_family(spec: FamilySpec) -> Dag:
-    """Construct a family instance.  Raises UnsupportedFamily / GraphError."""
+    """Construct a family instance.  Raises UnsupportedFamily / GraphError,
+    or SizeBoundExceeded, from the parameters alone, above ``MAX_VERTICES``."""
     kind, params = spec.kind, spec.params
     if kind == "chain":
         (n,) = params
         if n < 1:
             raise GraphError("chain needs n >= 1")
+        _check_size(spec, n)
         return Dag(n, [(i, i + 1) for i in range(n - 1)])
     if kind == "pyramid":
         (h,) = params
         if h < 1:
             raise GraphError("pyramid needs h >= 1")
+        _check_size(spec, (h + 1) * (h + 2) // 2)
         rows, edges, n = _pyramid_rows(h, 0)
         return Dag(n, edges)
     if kind == "binary_tree":
         (h,) = params
         if h < 1:
             raise GraphError("binary_tree needs h >= 1")
+        # 2^(h+1) - 1 vertices; h is capped so that no huge power is formed
+        _check_size(spec, 2 ** (min(h, MAX_VERTICES.bit_length()) + 1) - 1)
         # Leaves first, then each higher level; the root is the sink.
         level_ids = []
         nxt = 0
@@ -200,6 +215,11 @@ def build_family(spec: FamilySpec) -> Dag:
         dag, _ = carlson_savage_layout(*params)
         return dag
     raise UnsupportedFamily(f"unknown family kind {kind!r}")
+
+
+def _check_size(spec: FamilySpec, n: int) -> None:
+    if n > MAX_VERTICES:
+        raise SizeBoundExceeded(f"{spec.label()} has more than {MAX_VERTICES} vertices")
 
 
 def _pyramid_rows(h: int, start: int) -> tuple[list[list[int]], list[tuple[int, int]], int]:
@@ -260,6 +280,10 @@ def carlson_savage_layout(c: int, r: int) -> tuple[Dag, CsLayout]:
         raise GraphError("carlson_savage needs c >= 2")
     if r < 0:
         raise GraphError("carlson_savage needs r >= 0")
+    # c base vertices, then per level k a pyramid of (k+1)(k+2)/2 vertices
+    # and c spines of 2c - 1 vertices.
+    n = c + (r + 1) * (r + 2) * (r + 3) // 6 - 1 + r * c * (2 * c - 1)
+    _check_size(FamilySpec.carlson_savage(c, r), n)
     edges: list[tuple[int, int]] = []
     base = list(range(c))
     nxt = c

@@ -23,6 +23,7 @@ __all__ = [
     "ProofMetrics",
     "resolve",
     "check_refutation",
+    "check_trace_text",
     "format_trace",
     "parse_trace",
 ]
@@ -103,58 +104,78 @@ def check_refutation(f: Cnf, trace: ResolutionTrace) -> ProofMetrics:
     resolves two live clauses on the stated pivot into exactly the stated
     clause, erased ids are live, and the final live set contains the empty
     clause.  Raises VerificationError carrying the 0-based event index.
-
-    Clauses are compared in canonical form.  Traces from ``parse_trace`` and
-    the compiler are canonical already, so each axiom and stated clause is
-    first compared as given and canonicalised only on a miss.  The axiom set
-    holds the clauses of ``f`` that are canonical: only those can equal a
-    canonical clause.
     """
+    return _verify(f, map(_event_record, trace.events))
+
+
+def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
+    """``check_refutation(f, parse_trace(text))`` in one pass, building no
+    events.  As there, a malformed line is reported ahead of a verification
+    failure at an earlier event."""
+    records = _records(text)
+    try:
+        return _verify(f, records)
+    except VerificationError as e:
+        err = e
+    for _ in records:  # raises the ParseError of a later line, if any
+        pass
+    raise err
+
+
+def _event_record(ev: Event):
+    if isinstance(ev, Axiom):
+        return "a", tuple(ev.clause)
+    if isinstance(ev, Infer):
+        return "r", (ev.left, ev.right, ev.pivot, *ev.clause)
+    return ("e", (ev.id,)) if isinstance(ev, Erase) else (None, ev)
+
+
+def _verify(f: Cnf, records) -> ProofMetrics:
+    """The checker, over ``(kind, ints)`` records.  Clauses are compared in
+    canonical form: as given first, since traces from ``parse_trace`` and
+    the compiler are canonical already, and canonicalised only on a miss.
+    The axiom set holds the canonical clauses of ``f``, the only ones a
+    canonical clause can equal."""
     axioms = {cl for cl in f.clauses if canon_clause(cl) == cl}
     live: dict[int, Clause] = {}
     next_id = 1
-    length = 0
-    width = 0
-    space = 0
-    for idx, ev in enumerate(trace.events):
-        if isinstance(ev, Axiom):
-            cl = ev.clause
-            if not (type(cl) is tuple and cl in axioms):  # lists do not hash
+    width = space = 0
+    for idx, (kind, ints) in enumerate(records):
+        if kind == "a":
+            cl = ints
+            if cl not in axioms:
                 cl = canon_clause(cl)
                 if cl not in axioms:
                     raise VerificationError(f"axiom {cl} not in formula", index=idx)
-            live[next_id] = cl
-            next_id += 1
-            length += 1
-            width = max(width, len(cl))
-        elif isinstance(ev, Infer):
-            for ref in (ev.left, ev.right):
-                if ref not in live:
-                    raise VerificationError(f"premise {ref} not live", index=idx)
+        elif kind == "r":
             try:
-                res = resolve(live[ev.left], live[ev.right], ev.pivot)
+                cl = resolve(live[ints[0]], live[ints[1]], ints[2])
+            except KeyError as e:  # the left premise is looked up first
+                raise VerificationError(f"premise {e.args[0]} not live", index=idx) from None
             except (BadPivot, TautologicalResolvent) as e:
                 raise VerificationError(str(e), index=idx) from None
-            if res != ev.clause:
-                stated = canon_clause(ev.clause)
-                if res != stated:
+            if cl != ints[3:]:
+                stated = canon_clause(ints[3:])
+                if cl != stated:
                     raise VerificationError(
-                        f"stated clause {stated} differs from resolvent {res}", index=idx
+                        f"stated clause {stated} differs from resolvent {cl}", index=idx
                     )
-            live[next_id] = res
-            next_id += 1
-            length += 1
-            width = max(width, len(res))
-        elif isinstance(ev, Erase):
-            if ev.id not in live:
-                raise VerificationError(f"erased id {ev.id} not live", index=idx)
-            del live[ev.id]
+        elif kind == "e":
+            if ints[0] not in live:
+                raise VerificationError(f"erased id {ints[0]} not live", index=idx)
+            del live[ints[0]]
+            continue  # an erasure cannot raise the peak
         else:  # pragma: no cover - event union is closed
-            raise VerificationError(f"unknown event {ev!r}", index=idx)
-        space = max(space, len(live))
+            raise VerificationError(f"unknown event {ints!r}", index=idx)
+        live[next_id] = cl
+        next_id += 1
+        if len(cl) > width:
+            width = len(cl)
+        if len(live) > space:
+            space = len(live)
     if () not in live.values():
         raise VerificationError("final live set lacks the empty clause")
-    return ProofMetrics(length=length, width=width, clause_space=space)
+    return ProofMetrics(length=next_id - 1, width=width, clause_space=space)
 
 
 # --- text format ------------------------------------------------------------
@@ -179,31 +200,38 @@ def format_trace(trace: ResolutionTrace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_EVENTS = {
+    "a": lambda ints: Axiom(canon_clause(ints)),
+    "r": lambda ints: Infer(ints[0], ints[1], ints[2], canon_clause(ints[3:])),
+    "e": lambda ints: Erase(ints[0]),
+}
+
+
 def parse_trace(text: str) -> ResolutionTrace:
-    events: list[Event] = []
+    return ResolutionTrace(tuple(_EVENTS[kind](ints) for kind, ints in _records(text)))
+
+
+def _records(text: str):
+    """Yield ``(kind, ints)`` per event line: the line type and its integers
+    without the trailing 0.  Raises ParseError at the first malformed line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "c":
             continue
-        parts = line.split()
+        kind = parts[0]
+        if kind == "e" and len(parts) != 2:
+            raise ParseError("bad erase line", lineno)
+        if kind not in _EVENTS:
+            raise ParseError(f"unknown line type {kind!r}", lineno)
         try:
-            if parts[0] == "a":
-                lits = list(map(int, parts[1:]))
-                if not lits or lits[-1] != 0:
-                    raise ParseError("axiom line missing trailing 0", lineno)
-                events.append(Axiom(canon_clause(lits[:-1])))
-            elif parts[0] == "r":
-                nums = list(map(int, parts[1:]))
-                if len(nums) < 4 or nums[-1] != 0:
-                    raise ParseError("bad inference line", lineno)
-                left, right, pivot = nums[0], nums[1], nums[2]
-                events.append(Infer(left, right, pivot, canon_clause(nums[3:-1])))
-            elif parts[0] == "e":
-                if len(parts) != 2:
-                    raise ParseError("bad erase line", lineno)
-                events.append(Erase(int(parts[1])))
-            else:
-                raise ParseError(f"unknown line type {parts[0]!r}", lineno)
+            ints = tuple(map(int, parts[1:]))
         except ValueError:
-            raise ParseError(f"bad integer in {line!r}", lineno) from None
-    return ResolutionTrace(tuple(events))
+            raise ParseError(f"bad integer in {raw.strip()!r}", lineno) from None
+        if kind == "e":
+            yield kind, ints
+        elif kind == "a" and ints[-1:] != (0,):
+            raise ParseError("axiom line missing trailing 0", lineno)
+        elif kind == "r" and (len(ints) < 4 or ints[-1] != 0):
+            raise ParseError("bad inference line", lineno)
+        else:
+            yield kind, ints[:-1]

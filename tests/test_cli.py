@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -46,6 +47,23 @@ def test_gen_graph_to_file(tmp_path, capsys):
     code, out, _ = run(capsys, "gen-graph", "--family", "pyramid", "--h", "2", "-o", str(path))
     assert code == 0 and out == ""
     assert path.read_text() == write_graph(build_family(FamilySpec.pyramid(2)))
+
+
+def test_oversized_graph_exits_1_at_once(tmp_path, capsys):
+    """The vertex bound is checked before the graph is built: binary_tree(16)
+    would take 5 s and 2.3 GiB, and a huge p line would allocate n lists."""
+    big = tmp_path / "big.graph"
+    big.write_text("p dag 1000000000\n")
+    for argv, message in (
+        (["gen-graph", "--family", "binary_tree", "--h", "16"], "binary_tree(16) has more"),
+        (["gen-graph", "--family", "binary_tree", "--h", "40"], "binary_tree(40) has more"),
+        (["price", "--graph", str(big)], "graph has 1000000000 vertices"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 def test_gen_graph_missing_param(capsys):
@@ -248,6 +266,30 @@ def test_check_rejects_corrupt_proof(tmp_path, capsys):
     capsys.readouterr()
     code, _, err = run(capsys, "check", "--cnf", str(cnf), "--proof", str(proof))
     assert code == 1 and "error:" in err
+
+
+def test_check_reports_malformed_line_before_earlier_failure(tmp_path, capsys):
+    """check reads and verifies a trace in one pass, yet a malformed line is
+    still reported ahead of a verification failure at an earlier event, as
+    when the whole trace was parsed before it was checked."""
+    spec, d = FamilySpec.pyramid(2), 2
+    g = build_family(spec)
+    cnf, proof = tmp_path / "f.cnf", tmp_path / "proof.txt"
+    cnf.write_text(write_dimacs(pebbling_contradiction(g, d)))
+    ptrace = validate_pebbling(g, black_strategy(spec), game="black")
+    lines = format_trace(compile_pebbling(g, d, ptrace)).splitlines()
+    assert len(lines) > 40 and lines[1].startswith("a ")
+    lines[1] = "a 99 0"  # event 2: not an axiom of the formula
+    proof.write_text("\n".join(lines) + "\n")
+    wrong = run(capsys, "check", "--cnf", str(cnf), "--proof", str(proof))
+    assert wrong == (1, "", "error: event 2: axiom (99,) not in formula\n")
+    lines[39] = "r 1 x 0"
+    proof.write_text("\n".join(lines) + "\n")
+    assert run(capsys, "check", "--cnf", str(cnf), "--proof", str(proof)) == (
+        1,
+        "",
+        f"error: {proof}: line 40: bad integer in 'r 1 x 0'\n",
+    )
 
 
 # --- measure -------------------------------------------------------------------

@@ -9,12 +9,14 @@ from pebble_bench import (
     FamilySpec,
     GraphError,
     ParseError,
+    SizeBoundExceeded,
     build_family,
     read_graph,
     validate_dag,
     write_graph,
 )
-from pebble_bench.dag import carlson_savage_layout
+from pebble_bench import dag
+from pebble_bench.dag import MAX_VERTICES, carlson_savage_layout
 
 SEED = 1234
 
@@ -176,6 +178,45 @@ def test_bad_family_parameters():
         build_family(FamilySpec.pyramid(0))
     with pytest.raises(GraphError):
         build_family(FamilySpec.carlson_savage(1, 1))
+
+
+def test_vertex_bound():
+    """The bound is checked from the parameters, before any edge list exists,
+    so far-out instances are refused at once; a graph of exactly the bound
+    builds."""
+    assert build_family(FamilySpec.chain(MAX_VERTICES)).n == MAX_VERTICES
+    for spec in (
+        FamilySpec.chain(MAX_VERTICES + 1),
+        FamilySpec.pyramid(180),  # 16,471 vertices; pyramid(179) has 16,290
+        FamilySpec.binary_tree(14),  # 32,767; binary_tree(13) has 16,383
+        FamilySpec.binary_tree(10**9),
+        FamilySpec.pyramid(10**9),
+        FamilySpec.carlson_savage(91, 1),  # 16,565; (90, 1) has 16,203
+        FamilySpec.carlson_savage(2, 10**6),
+    ):
+        with pytest.raises(SizeBoundExceeded) as exc:
+            build_family(spec)
+        assert str(exc.value) == f"{spec.label()} has more than {MAX_VERTICES} vertices"
+    with pytest.raises(SizeBoundExceeded):
+        carlson_savage_layout(2, 10**6)
+    for text in (f"p dag {MAX_VERTICES + 1}\n", "p dag 1000000000\ne 0 1\n"):
+        with pytest.raises(SizeBoundExceeded) as exc:
+            read_graph(text)
+        assert str(exc.value).startswith("graph has ")
+    with pytest.raises(SizeBoundExceeded):
+        Dag(MAX_VERTICES + 1, [])
+
+
+def test_family_sizes_predicted_exactly(monkeypatch):
+    """The counts the bound is checked on are the built vertex counts."""
+    seen = []
+    monkeypatch.setattr(dag, "_check_size", lambda spec, n: seen.append((spec, n)))
+    specs = [FamilySpec.chain(n) for n in (1, 5)]
+    specs += [FamilySpec.pyramid(h) for h in (1, 2, 7)]
+    specs += [FamilySpec.binary_tree(h) for h in (1, 2, 7)]
+    specs += [FamilySpec.carlson_savage(c, r) for c in (2, 3, 4) for r in (0, 1, 2, 3)]
+    built = [build_family(spec).n for spec in specs]
+    assert seen == list(zip(specs, built))
 
 
 # --- text format ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the resolution rule, trace checking, metrics, and the trace format."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -19,6 +20,7 @@ from pebble_bench import (
     VerificationError,
     build_family,
     check_refutation,
+    check_trace_text,
     compile_pebbling,
     format_trace,
     parse_trace,
@@ -26,6 +28,8 @@ from pebble_bench import (
     resolve,
     validate_pebbling,
 )
+from pebble_bench.cnf import Clause, canon_clause
+from pebble_bench.resolution import Event
 from pebble_bench.strategies import black_strategy
 
 SEED = 1618
@@ -366,3 +370,207 @@ def test_check_refutation_matches_reference():
         # "ok", or the first word of the reason: axiom, stated, premise, ...
         verdicts.add(got[2].split(": ")[-1].split()[0] if isinstance(got, tuple) else "ok")
     assert {"ok", "axiom", "stated", "final"} <= verdicts
+
+
+# --- the one-pass text checker against parse-then-check ----------------------
+#
+# Verbatim copies of parse_trace and check_refutation as they were before the
+# text checker existed (events first, then a second walk that canonicalises
+# only on a miss), kept to pin check_trace_text: same metrics, or the same
+# exception type, message, line and event index.
+
+
+def ref_check_refutation_on_miss(f: Cnf, trace: ResolutionTrace) -> ProofMetrics:
+    axioms = {cl for cl in f.clauses if canon_clause(cl) == cl}
+    live: dict[int, Clause] = {}
+    next_id = 1
+    length = 0
+    width = 0
+    space = 0
+    for idx, ev in enumerate(trace.events):
+        if isinstance(ev, Axiom):
+            cl = ev.clause
+            if not (type(cl) is tuple and cl in axioms):  # lists do not hash
+                cl = canon_clause(cl)
+                if cl not in axioms:
+                    raise VerificationError(f"axiom {cl} not in formula", index=idx)
+            live[next_id] = cl
+            next_id += 1
+            length += 1
+            width = max(width, len(cl))
+        elif isinstance(ev, Infer):
+            for ref in (ev.left, ev.right):
+                if ref not in live:
+                    raise VerificationError(f"premise {ref} not live", index=idx)
+            try:
+                res = resolve(live[ev.left], live[ev.right], ev.pivot)
+            except (BadPivot, TautologicalResolvent) as e:
+                raise VerificationError(str(e), index=idx) from None
+            if res != ev.clause:
+                stated = canon_clause(ev.clause)
+                if res != stated:
+                    raise VerificationError(
+                        f"stated clause {stated} differs from resolvent {res}", index=idx
+                    )
+            live[next_id] = res
+            next_id += 1
+            length += 1
+            width = max(width, len(res))
+        elif isinstance(ev, Erase):
+            if ev.id not in live:
+                raise VerificationError(f"erased id {ev.id} not live", index=idx)
+            del live[ev.id]
+        else:  # pragma: no cover - event union is closed
+            raise VerificationError(f"unknown event {ev!r}", index=idx)
+        space = max(space, len(live))
+    if () not in live.values():
+        raise VerificationError("final live set lacks the empty clause")
+    return ProofMetrics(length=length, width=width, clause_space=space)
+
+
+def ref_parse_trace(text: str) -> ResolutionTrace:
+    events: list[Event] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "a":
+                lits = list(map(int, parts[1:]))
+                if not lits or lits[-1] != 0:
+                    raise ParseError("axiom line missing trailing 0", lineno)
+                events.append(Axiom(canon_clause(lits[:-1])))
+            elif parts[0] == "r":
+                nums = list(map(int, parts[1:]))
+                if len(nums) < 4 or nums[-1] != 0:
+                    raise ParseError("bad inference line", lineno)
+                left, right, pivot = nums[0], nums[1], nums[2]
+                events.append(Infer(left, right, pivot, canon_clause(nums[3:-1])))
+            elif parts[0] == "e":
+                if len(parts) != 2:
+                    raise ParseError("bad erase line", lineno)
+                events.append(Erase(int(parts[1])))
+            else:
+                raise ParseError(f"unknown line type {parts[0]!r}", lineno)
+        except ValueError:
+            raise ParseError(f"bad integer in {line!r}", lineno) from None
+    return ResolutionTrace(tuple(events))
+
+
+def text_outcome(fn, *args):
+    """The metrics of a call, or the type, message, line and event index of
+    the domain error it raised."""
+    try:
+        return fn(*args)
+    except (ParseError, VerificationError) as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "index", None)
+
+
+def mutate_trace(rng, text):
+    """One random corruption of a trace text."""
+    lines = text.splitlines()
+    heads = {"a": 1, "r": 4, "e": 2}  # tokens before the literals
+    wellformed = [
+        i
+        for i, toks in enumerate(line.split() for line in lines)
+        if toks and toks[0] in heads and all(t.lstrip("-").isdigit() for t in toks[1:])
+    ]
+    if not wellformed:
+        return text
+    i = rng.choice(wellformed)
+    toks = lines[i].split()
+    head = heads[toks[0]]
+    lits = toks[head:-1]
+    kind = rng.choice(
+        (
+            "drop", "duplicate", "swap", "literal", "pivot", "id", "rewire", "word",
+            "no-zero", "extra", "type", "comment", "blank", "reorder", "repeat-literal",
+            "truncate",
+        )
+    )
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = min(i + rng.randint(1, 3), len(lines) - 1)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "literal" and lits:
+        j = head + rng.randrange(len(lits))
+        toks[j] = str(rng.choice((-int(toks[j]), int(toks[j]) + 1)))
+    elif kind == "pivot" and toks[0] == "r":
+        toks[3] = str(int(toks[3]) + rng.choice((-1, 1, 3)))
+    elif kind == "id" and toks[0] != "a":
+        toks[1] = str(int(toks[1]) + rng.choice((-1, 1, 1000)))
+    elif kind == "rewire" and toks[0] == "r":  # other premises, same pivot
+        toks[1:3] = (str(rng.randint(1, int(toks[1]) + 2)) for _ in range(2))
+    elif kind == "word":
+        toks[rng.randrange(1, len(toks))] = rng.choice(("x", "1.5", "--", "0x1"))
+    elif kind == "no-zero" and toks[0] != "e":
+        del toks[-1]
+    elif kind == "extra":
+        toks.append(rng.choice(("0", "1", "-2")))
+    elif kind == "type":
+        toks[0] = rng.choice(("x", "#", "A", "ax", "ee"))
+    elif kind == "comment":
+        lines.insert(i, rng.choice(("c", "c a 1 0", "  comment")))
+    elif kind == "blank":
+        lines.insert(i, rng.choice(("", "   ", "\t")))
+    elif kind == "reorder" and lits:
+        rng.shuffle(lits)
+        toks[head:-1] = lits
+    elif kind == "repeat-literal" and lits:
+        lits.insert(rng.randrange(len(lits) + 1), rng.choice(lits))
+        toks[head:-1] = lits
+    elif kind == "truncate":
+        return text[: rng.randrange(len(text))]
+    if kind not in ("drop", "duplicate", "swap", "comment", "blank"):
+        pads = ("", "", " ", "\t")
+        lines[i] = rng.choice(pads) + " ".join(toks) + rng.choice(pads)
+    return "\n".join(lines) + "\n"
+
+
+def test_check_trace_text_matches_parse_then_check():
+    rng = random.Random(SEED)
+    bases = []
+    for spec, d in (
+        (FamilySpec.chain(3), 1),
+        (FamilySpec.pyramid(1), 2),
+        (FamilySpec.pyramid(2), 2),
+        (FamilySpec.binary_tree(2), 2),
+        (FamilySpec.carlson_savage(2, 1), 1),
+    ):
+        g = build_family(spec)
+        ptrace = validate_pebbling(g, black_strategy(spec), game="black")
+        text = format_trace(compile_pebbling(g, d, ptrace))
+        bases.append((pebbling_contradiction(g, d), text))
+    cases = []
+    for trial in range(1500):
+        f, text = rng.choice(bases)
+        if trial % 10:  # one text in ten is left as compiled
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                text = mutate_trace(rng, text)
+        cases.append((f, text))
+    # All four clauses over two variables, with the last inference rewired in
+    # every way: some rewirings resolve into a tautology.
+    full = Cnf(2, ((1, 2), (-1, 2), (1, -2), (-1, -2)))
+    head = "a 1 2 0\na -1 2 0\nr 1 2 1 2 0\na 1 -2 0\na -1 -2 0\nr 4 5 1 -2 0\n"
+    for left, right, pivot in product(range(1, 7), range(1, 7), (1, 2)):
+        cases.append((full, head + f"r {left} {right} {pivot} 0\n"))
+    verdicts = set()
+    for f, text in cases:
+        got = text_outcome(check_trace_text, f, text)
+        want = text_outcome(lambda: ref_check_refutation_on_miss(f, ref_parse_trace(text)))
+        assert got == want, text
+        assert got == text_outcome(lambda: ref_check_refutation(f, ref_parse_trace(text)))
+        assert got == text_outcome(lambda: check_refutation(f, parse_trace(text)))
+        if isinstance(got, ProofMetrics):
+            verdicts.add("ok")
+        elif got[0] is ParseError:
+            verdicts.add("parse")
+        else:  # the first word of the reason: axiom, stated, premise, ...
+            verdicts.add(got[1].split(": ")[-1].split()[0])
+    assert verdicts == {
+        "ok", "parse", "axiom", "premise", "pivot", "resolvent", "stated", "erased", "final"
+    }
