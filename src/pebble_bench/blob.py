@@ -171,10 +171,34 @@ def legal_pebble_positions(g: Dag, blob: frozenset[int]) -> frozenset[int]:
 
 def check_strict_shape(g: Dag, s: BlobSubconfig) -> str | None:
     """Strict-variant side conditions; returns a problem string or None."""
-    if not is_chain(g, s.blob):
+
+    def mask(vs) -> int:  # bit n stands for every vertex outside the graph
+        return sum(1 << v for v in {v if 0 <= v < g.n else g.n for v in vs})
+
+    return _shape_problem(g, mask(s.blob), mask(s.whites))
+
+
+def _shape_problem(g: Dag, blob: int, whites: int) -> str | None:
+    """``check_strict_shape`` on a nonempty blob and its whites as bitmasks.
+
+    The blob must be a chain (``is_chain``), and each white must lie in
+    ``legal_pebble_positions``: in the graph, outside the blob, and strictly
+    below the bottom vertex or on a path between two consecutive blob
+    vertices.  No vertex reaches or is reached from one outside the graph.
+    """
+    vs = [v for v in range(blob.bit_length()) if blob >> v & 1]
+    pairs = list(zip(vs, vs[1:]))
+    if not all(g.reaches(a, b) for a, b in pairs):
         return "blob not a chain"
-    if not s.whites <= legal_pebble_positions(g, s.blob):
+    if whites & blob or whites >> g.n:
         return "white pebble outside legal positions"
+    while whites:
+        w = (whites & -whites).bit_length() - 1
+        whites &= whites - 1
+        if not (
+            g.reaches(w, vs[0]) or any(g.reaches(a, w) and g.reaches(w, b) for a, b in pairs)
+        ):
+            return "white pebble outside legal positions"
     return None
 
 

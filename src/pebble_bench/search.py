@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from time import perf_counter
 from typing import NamedTuple
 
-from .blob import BlobSubconfig, check_strict_shape
+from .blob import _shape_problem
 from .dag import Dag
 from .errors import SizeBoundExceeded
 from .pebbling import Move
@@ -64,7 +65,8 @@ class BudgetStats(NamedTuple):
     ``generated`` counts the distinct states reached.  The distance table
     holds each of them once and never shrinks, so it is also the table's
     peak size.  ``expanded`` counts the states whose successors were
-    generated.
+    generated.  The blob search stores every configuration it reaches but
+    the goal, and stops there.
     """
 
     space: int
@@ -74,14 +76,16 @@ class BudgetStats(NamedTuple):
 
 
 class SearchStats:
-    """Work counters of ``optimal_price`` and ``tradeoff_frontier``.
+    """Work counters of ``optimal_price``, ``tradeoff_frontier`` and
+    ``optimal_blob_price``.
 
     Filled only when passed as ``stats=``.  ``budgets`` gets one record per
-    space budget searched, in order; ``generated``, ``expanded`` and
-    ``seconds`` are their totals and ``table`` is the peak table size, the
-    largest ``generated`` of one budget.  ``stop`` is why the last call
-    stopped: ``goal`` (the price was found), ``floor`` (a budget reached
-    the time floor), ``cap`` (the space cap) or ``n`` (the vertex count).
+    space budget (for blob prices, cost cap) searched, in order;
+    ``generated``, ``expanded`` and ``seconds`` are their totals and
+    ``table`` is the peak table size, the largest ``generated`` of one
+    budget.  ``stop`` is why the last call stopped: ``goal`` (the price
+    was found), ``floor`` (a budget reached the time floor), ``cap`` (the
+    space cap) or ``n`` (the vertex count).
     """
 
     def __init__(self) -> None:
@@ -379,19 +383,32 @@ def tradeoff_frontier(
 # ---------------------------------------------------------------------------
 
 
-def optimal_blob_price(g: Dag, bound: int = DEFAULT_BLOB_BOUND, strict: bool = False) -> int:
+def optimal_blob_price(
+    g: Dag,
+    bound: int = DEFAULT_BLOB_BOUND,
+    strict: bool = False,
+    *,
+    stats: SearchStats | None = None,
+) -> int:
     """Exact blob pebbling price (max chargeable cost, minimized).
 
     Iterative deepening on the cost cap; within a cap, breadth-first search
     over configurations (sets of subconfigurations) under all four move
     types.  The state space is enormous, so this refuses graphs with more
     than ``bound`` vertices and is really only comfortable a little below
-    that.
+    that.  ``stats`` is filled with the work of each cap searched, its
+    ``space`` being the cap.
     """
     if g.n > bound:
         raise SizeBoundExceeded(f"{g.n} vertices exceeds blob search bound {bound}")
     for cap in range(1, g.n + 1):
-        if _blob_reachable(g, cap, strict):
+        t0 = perf_counter()
+        found, generated, expanded = _blob_reachable(g, cap, strict)
+        if stats is not None:
+            stats._add(BudgetStats(cap, generated, expanded, perf_counter() - t0))
+            if found:
+                stats.stop = "goal"
+        if found:
             return cap
     raise SizeBoundExceeded("no complete blob pebbling found (unreachable for valid DAGs)")
 
@@ -419,8 +436,11 @@ def _with_sub(cfg: frozenset, new: tuple[int, int]) -> frozenset:
     return frozenset(kept)
 
 
-def _blob_reachable(g: Dag, cap: int, strict: bool) -> bool:
+def _blob_reachable(g: Dag, cap: int, strict: bool) -> tuple[bool, int, int]:
     """BFS over canonical configurations with peak chargeable cost <= cap.
+
+    Returns whether a configuration holding [t]<> for every target is
+    reachable, with the number of configurations stored and expanded.
 
     A subconfiguration is a (blob_mask, white_mask) pair; its bottom vertex
     is the lowest set bit of the blob, because ids are topological.  Moves:
@@ -433,6 +453,11 @@ def _blob_reachable(g: Dag, cap: int, strict: bool) -> bool:
     only the bottom-lowering inflations can ever pay off.  The cost check
     uses the transient configuration (new subconfiguration next to its
     operands/source) to mirror per-move accounting in the validator.
+
+    The goal is tested when a configuration is generated, not when it is
+    popped.  Only reachability within the cap is asked, and every generated
+    configuration is reachable within it, so the verdict is the same; the
+    rest of the frontier level is just never stored.
     """
     n = g.n
     # below[v]: the vertices strictly below v, those with a path to v.
@@ -442,36 +467,17 @@ def _blob_reachable(g: Dag, cap: int, strict: bool) -> bool:
         """Blob vertices plus whites strictly below the bottom vertex."""
         return blob | (whites & below[(blob & -blob).bit_length() - 1])
 
-    shape_ok: dict[tuple[int, int], bool] = {}
-
+    @cache
     def strict_ok(s: tuple[int, int]) -> bool:
-        ok = shape_ok.get(s)
-        if ok is None:
-            blob, whites = (frozenset(v for v in range(n) if m >> v & 1) for m in s)
-            ok = shape_ok[s] = check_strict_shape(g, BlobSubconfig(blob, whites)) is None
-        return ok
+        return _shape_problem(g, *s) is None
 
-    intros = [(1 << v, g.pred_mask[v]) for v in range(n)]
-    goal = frozenset((1 << t, 0) for t in g.targets)
-    start: frozenset[tuple[int, int]] = frozenset()
-    seen = {start}
-    queue = deque([start])
-
-    def push(cfg: frozenset):
-        if cfg not in seen:
-            seen.add(cfg)
-            queue.append(cfg)
-
-    while queue:
-        cfg = queue.popleft()
-        if goal <= cfg:
-            return True
+    def successors(cfg: frozenset):
         charged = 0
         for blob, whites in cfg:
             charged |= charge(blob, whites)
         for s in intros:
             if s not in cfg and (charged | charge(*s)).bit_count() <= cap:
-                push(_with_sub(cfg, s))
+                yield _with_sub(cfg, s)
         for b1, w1 in cfg:
             for b2, w2 in cfg:
                 pivots = b1 & w2
@@ -482,7 +488,7 @@ def _blob_reachable(g: Dag, cap: int, strict: bool) -> bool:
                     if m[0] & m[1] or (strict and not strict_ok(m)):
                         continue
                     if m not in cfg and (charged | charge(*m)).bit_count() <= cap:
-                        push(_with_sub(cfg, m))
+                        yield _with_sub(cfg, m)
         for s in cfg:
             blob, whites = s
             rest = cfg - {s}
@@ -494,6 +500,21 @@ def _blob_reachable(g: Dag, cap: int, strict: bool) -> bool:
                 if strict and not strict_ok(fat):
                     continue
                 if (charged | charge(*fat)).bit_count() <= cap:
-                    push(_with_sub(rest, fat))
-            push(rest)
-    return False
+                    yield _with_sub(rest, fat)
+            yield rest
+
+    intros = [(1 << v, g.pred_mask[v]) for v in range(n)]
+    goal = frozenset((1 << t, 0) for t in g.targets)
+    start: frozenset[tuple[int, int]] = frozenset()
+    seen = {start}
+    if goal <= start:
+        return True, 1, 0
+    queue = deque([start])
+    while queue:
+        for nxt in successors(queue.popleft()):
+            if nxt not in seen:
+                if goal <= nxt:
+                    return True, len(seen), len(seen) - len(queue)
+                seen.add(nxt)
+                queue.append(nxt)
+    return False, len(seen), len(seen)

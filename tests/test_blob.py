@@ -25,7 +25,9 @@ from pebble_bench import (
 from pebble_bench.blob import (
     BlobConfig,
     chargeable_vertices,
+    _shape_problem,
     check_strict_shape,
+    is_chain,
     legal_pebble_positions,
 )
 
@@ -115,6 +117,50 @@ def test_strict_inflation_shape():
     assert check_strict_shape(g, sub([1, 2], [])) == "blob not a chain"
     with pytest.raises(BadInflation):
         inflate(sub([1], []), sub([1, 2], []), g, strict=True)
+
+
+def test_strict_shape_matches_set_definitions():
+    """The bitmask test against is_chain and legal_pebble_positions on
+    every disjoint (blob, whites) pair of some small graphs."""
+    graphs = [diamond(), edge_graph(), build_family(FamilySpec.chain(4))]
+    graphs += [build_family(FamilySpec.pyramid(1)), build_family(FamilySpec.binary_tree(1))]
+    rng = random.Random(SEED)
+    for _ in range(20):
+        n = rng.randint(3, 6)
+        edges = []
+        for v in range(1, n):
+            k = rng.randint(0, min(2, v))
+            edges.extend((u, v) for u in rng.sample(range(v), k))
+        graphs.append(Dag(n, edges))
+    for g in graphs:
+        full = (1 << g.n) - 1
+        for blob_mask in range(1, full + 1):
+            rest = full & ~blob_mask
+            whites_mask = rest
+            while True:
+                blob = frozenset(v for v in range(g.n) if blob_mask >> v & 1)
+                whites = frozenset(v for v in range(g.n) if whites_mask >> v & 1)
+                if not is_chain(g, blob):
+                    want = "blob not a chain"
+                elif not whites <= legal_pebble_positions(g, blob):
+                    want = "white pebble outside legal positions"
+                else:
+                    want = None
+                assert check_strict_shape(g, sub(blob, whites)) == want, (g, blob, whites)
+                assert _shape_problem(g, blob_mask, whites_mask) == want, (g, blob, whites)
+                if not whites_mask:
+                    break
+                whites_mask = (whites_mask - 1) & rest
+
+
+def test_strict_shape_outside_the_graph():
+    g = build_family(FamilySpec.chain(3))
+    # No vertex outside the graph is on a chain or a legal position; -3 is
+    # not vertex 0.
+    for blob in ([0, 99], [-1, 0], [-3, 2]):
+        assert check_strict_shape(g, sub(blob, [])) == "blob not a chain"
+    for whites in ([99], [-1], [0, 3]):
+        assert check_strict_shape(g, sub([2], whites)) == "white pebble outside legal positions"
 
 
 def test_legal_pebble_positions():

@@ -19,7 +19,8 @@ from pebble_bench import (
     min_lhc_bound,
     potential,
 )
-from pebble_bench.measures import _hulls_and_measures
+from pebble_bench import measures
+from pebble_bench.measures import LhcResult, LhcWitness, _hulls_and_measures
 
 SEED = 777
 
@@ -236,3 +237,109 @@ def test_hull_and_measure_tables_match_set_functions():
                 want = hidden_vertices(g, U, direction)
                 assert hull[mask] == sum(1 << v for v in want), (g, direction, U)
                 assert meas[mask] == klawe_measure(view, U).value, (g, U)
+
+
+# --- one table per graph ---------------------------------------------------------
+
+
+def random_dag(rng, n):
+    edges = []
+    for v in range(1, n):
+        k = rng.randint(0, min(2, v))
+        edges.extend((u, v) for u in rng.sample(range(v), k))
+    return Dag(n, edges)
+
+
+def table_from_scratch(g, direction):
+    view = LayeredView.from_dag(g)
+    hull, meas = [], []
+    for mask in range(1 << g.n):
+        U = [v for v in range(g.n) if mask >> v & 1]
+        hull.append(sum(1 << v for v in hidden_vertices(g, U, direction)))
+        meas.append(klawe_measure(view, U).value)
+    return tuple(hull), tuple(meas)
+
+
+def test_shared_tables_match_recomputation_across_evictions():
+    rng = random.Random(SEED + 1)
+    # Same n, different edges: a table keyed on the size alone would mix them.
+    graphs = [Dag(4, [(0, 1), (1, 2), (2, 3)]), Dag(4, [(0, 2), (1, 2), (2, 3)])]
+    graphs += [random_dag(rng, rng.randint(1, 7)) for _ in range(10)]
+    calls = [(g, d) for g in graphs for d in ("below", "above")] * 3
+    rng.shuffle(calls)
+    assert len(set(calls)) > measures._hulls_and_measures.cache_info().maxsize
+    want = {key: table_from_scratch(*key) for key in set(calls)}
+    for key in calls:
+        hull, meas = _hulls_and_measures(*key)
+        assert type(hull) is tuple and type(meas) is tuple
+        assert (hull, meas) == want[key], key
+    # Graphs equal as Dags share one table.
+    twin = Dag(graphs[0].n, graphs[0].edges)
+    assert _hulls_and_measures(twin, "below") is _hulls_and_measures(graphs[0], "below")
+
+
+def reference_hulls_and_measures(g, direction):
+    """The table builder before it was shared, verbatim."""
+    level_masks = measures._level_masks(LayeredView.from_dag(g))
+    subsets = range(1 << g.n)
+    hull = [measures._hull(g, mask, direction) for mask in subsets]
+    meas = [max(measures._partials(level_masks, mask), default=0) for mask in subsets]
+    return hull, meas
+
+
+def reference_potential(g, config, direction="below", bound=measures.POTENTIAL_BOUND):
+    if g.n > bound:
+        raise SizeBoundExceeded(f"{g.n} vertices exceeds potential bound {bound}")
+    if isinstance(config, PebbleConfig):
+        config = config.occupied
+    pebbled = measures._mask(g, config)
+    if not pebbled:
+        return 0
+    hull, meas = reference_hulls_and_measures(g, direction)
+    # The set of all vertices hides everything, so the minimum exists.
+    return min(meas[m] for m in range(1 << g.n) if hull[m] & pebbled == pebbled)
+
+
+def reference_in_scope_hiders(g, direction, max_n):
+    if g.n > max_n:
+        raise SizeBoundExceeded(f"{g.n} vertices exceeds hider-check bound {max_n}")
+    hull, meas = reference_hulls_and_measures(g, direction)
+    by_size = sorted(range(1 << g.n), key=int.bit_count)
+    for mask in range(1, 1 << g.n):
+        if not measures._tight(mask, hull) or not measures._connected(g, hull[mask]):
+            continue
+        smallest = next(
+            c for c in by_size if hull[c] & mask == mask and meas[c] <= meas[mask]
+        )
+        yield mask, meas[mask], smallest.bit_count()
+
+
+def reference_check_lhc(g, bound, direction="below", max_n=measures.LHC_BOUND):
+    for mask, measure, needed in reference_in_scope_hiders(g, direction, max_n):
+        if needed > bound:
+            witness = LhcWitness(
+                vertices=tuple(v for v in range(g.n) if mask >> v & 1),
+                measure=measure,
+                smallest_hider=needed,
+            )
+            return LhcResult(holds=False, bound=bound, witness=witness)
+    return LhcResult(holds=True, bound=bound, witness=None)
+
+
+def reference_min_lhc_bound(g, direction="below", max_n=measures.LHC_BOUND):
+    return max((needed for _, _, needed in reference_in_scope_hiders(g, direction, max_n)), default=0)
+
+
+def test_measure_sweeps_match_reference():
+    rng = random.Random(SEED + 2)
+    for _ in range(40):
+        g = random_dag(rng, rng.randint(1, 10))
+        for direction in ("below", "above"):
+            for _ in range(3):
+                config = [v for v in range(g.n) if rng.random() < 0.3]
+                assert potential(g, config, direction) == reference_potential(g, config, direction)
+            need = min_lhc_bound(g, direction)
+            assert need == reference_min_lhc_bound(g, direction), (g, direction)
+            for bound in (need - 1, need):
+                got = check_lhc(g, bound, direction)
+                assert got == reference_check_lhc(g, bound, direction), (g, direction, bound)

@@ -17,6 +17,7 @@ from pebble_bench import (
     validate_pebbling,
 )
 from pebble_bench import search
+from pebble_bench.blob import BlobSubconfig, check_strict_shape
 
 SEED = 6502
 
@@ -571,3 +572,129 @@ def test_blob_price_pinned():
     for g, price in graphs:
         assert optimal_blob_price(g) == price, g
         assert optimal_blob_price(g, strict=True) == price, g
+
+
+def reference_blob_reachable(g, cap, strict):
+    """The blob search before the goal was tested on generation, verbatim
+    but for its returns, which add the number of configurations stored."""
+    n = g.n
+    # below[v]: the vertices strictly below v, those with a path to v.
+    below = [sum(1 << u for u in range(n) if u != v and g.reaches(u, v)) for v in range(n)]
+
+    def charge(blob: int, whites: int) -> int:
+        """Blob vertices plus whites strictly below the bottom vertex."""
+        return blob | (whites & below[(blob & -blob).bit_length() - 1])
+
+    shape_ok: dict[tuple[int, int], bool] = {}
+
+    def strict_ok(s: tuple[int, int]) -> bool:
+        ok = shape_ok.get(s)
+        if ok is None:
+            blob, whites = (frozenset(v for v in range(n) if m >> v & 1) for m in s)
+            ok = shape_ok[s] = check_strict_shape(g, BlobSubconfig(blob, whites)) is None
+        return ok
+
+    intros = [(1 << v, g.pred_mask[v]) for v in range(n)]
+    goal = frozenset((1 << t, 0) for t in g.targets)
+    start: frozenset[tuple[int, int]] = frozenset()
+    seen = {start}
+    queue = deque([start])
+
+    def push(cfg: frozenset):
+        if cfg not in seen:
+            seen.add(cfg)
+            queue.append(cfg)
+
+    while queue:
+        cfg = queue.popleft()
+        if goal <= cfg:
+            return True, len(seen)
+        charged = 0
+        for blob, whites in cfg:
+            charged |= charge(blob, whites)
+        for s in intros:
+            if s not in cfg and (charged | charge(*s)).bit_count() <= cap:
+                push(search._with_sub(cfg, s))
+        for b1, w1 in cfg:
+            for b2, w2 in cfg:
+                pivots = b1 & w2
+                while pivots:
+                    p = pivots & -pivots
+                    pivots ^= p
+                    m = ((b1 & ~p) | b2, w1 | (w2 & ~p))
+                    if m[0] & m[1] or (strict and not strict_ok(m)):
+                        continue
+                    if m not in cfg and (charged | charge(*m)).bit_count() <= cap:
+                        push(search._with_sub(cfg, m))
+        for s in cfg:
+            blob, whites = s
+            rest = cfg - {s}
+            room = ((blob & -blob) - 1) & ~whites
+            extra = room
+            while extra:
+                fat = (blob | extra, whites)
+                extra = (extra - 1) & room
+                if strict and not strict_ok(fat):
+                    continue
+                if (charged | charge(*fat)).bit_count() <= cap:
+                    push(search._with_sub(rest, fat))
+            push(rest)
+    return False, len(seen)
+
+
+def blob_check_graphs():
+    specs = [FamilySpec.chain(n) for n in range(1, 7)]
+    specs += [FamilySpec.pyramid(1), FamilySpec.pyramid(2), FamilySpec.binary_tree(1)]
+    specs += [FamilySpec.carlson_savage(2, 0), FamilySpec.carlson_savage(3, 0)]
+    graphs = [build_family(spec) for spec in specs]
+    graphs.append(Dag(3, [(0, 2), (1, 2)], targets=[]))
+    rng = random.Random(SEED + 3)
+    for i in range(150):
+        # Mostly small: one 6-vertex graph can take a second to search.
+        n = min(rng.randint(1, 6), rng.randint(1, 6))
+        edges = []
+        for v in range(1, n):
+            k = rng.randint(0, min(2, v))
+            edges.extend((u, v) for u in rng.sample(range(v), k))
+        # One or two targets: with more non-sink targets a single search
+        # below the price can store half a million configurations.
+        targets = rng.sample(range(n), rng.randint(1, min(2, n))) if i % 3 == 0 else None
+        graphs.append(Dag(n, edges, targets=targets))
+    return graphs
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_blob_goal_on_generation_matches_reference(strict):
+    """The same verdict as the reference at every cap, and never more
+    configurations stored.  Below the price both searches exhaust the same
+    space.  Above it both say yes, as a play within a cap is within every
+    larger one; that is checked on graphs of up to 4 vertices only, as
+    larger caps reach far larger spaces (chain(6) at cap 5 stores about a
+    million configurations)."""
+    for g in blob_check_graphs():
+        stats = SearchStats()
+        price = optimal_blob_price(g, strict=strict, stats=stats)
+        assert [b.space for b in stats.budgets] == list(range(1, price + 1)), g
+        assert stats.stop == "goal"
+        for b in stats.budgets:
+            want, stored = reference_blob_reachable(g, b.space, strict)
+            assert want == (b.space == price), (g, b.space)
+            assert b.generated == stored if not want else b.generated <= stored, (g, b.space)
+            assert 0 <= b.expanded <= b.generated
+        for cap in range(price + 1, g.n + 1 if g.n <= 4 else 0):
+            want, stored = reference_blob_reachable(g, cap, strict)
+            got, generated, _ = search._blob_reachable(g, cap, strict)
+            assert got and want and generated <= stored, (g, cap)
+
+
+def test_blob_price_stats():
+    g = build_family(FamilySpec.pyramid(2))
+    stats = SearchStats()
+    assert optimal_blob_price(g, stats=stats) == 4
+    # At cap 4 the search before the goal test on generation stored 19,314.
+    assert counts(stats) == (
+        [(1, 4, 4), (2, 10, 10), (3, 532, 532), (4, 12_813, 8_169)],
+        "goal",
+    )
+    assert stats.generated == sum(b.generated for b in stats.budgets)
+    assert stats.table == 12_813
