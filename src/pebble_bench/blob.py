@@ -121,8 +121,13 @@ def inflate(
 
     With ``strict`` (needs g) the inflated subconfiguration must also keep
     its blob a chain and its whites inside the blob's legal pebble
-    positions; see ``check_strict_shape``.
+    positions; see ``check_strict_shape``.  Given g, every vertex of
+    target must be in it.
     """
+    if g is not None:
+        for v in sorted(target.blob | target.whites):
+            if not 0 <= v < g.n:
+                raise BadInflation(f"vertex {v} out of range")
     if not s.blob <= target.blob:
         raise BadInflation("blob not superset")
     if not s.whites <= target.whites:

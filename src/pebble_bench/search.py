@@ -15,9 +15,9 @@ size bound rather than run forever.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cache
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import NamedTuple
 
@@ -392,12 +392,14 @@ def optimal_blob_price(
 ) -> int:
     """Exact blob pebbling price (max chargeable cost, minimized).
 
-    Iterative deepening on the cost cap; within a cap, breadth-first search
+    Iterative deepening on the cost cap; within a cap, best-first search
     over configurations (sets of subconfigurations) under all four move
-    types.  The state space is enormous, so this refuses graphs with more
-    than ``bound`` vertices and is really only comfortable a little below
-    that.  ``stats`` is filled with the work of each cap searched, its
-    ``space`` being the cap.
+    types, nearest the target blobs first (``_blob_reachable``).  The first
+    cap with a reachable goal is the price.  The caps below it are searched
+    to exhaustion, and their state spaces are enormous, so this refuses
+    graphs with more than ``bound`` vertices and is really only comfortable
+    a little below that.  ``stats`` is filled with the work of each cap
+    searched, its ``space`` being the cap.
     """
     if g.n > bound:
         raise SizeBoundExceeded(f"{g.n} vertices exceeds blob search bound {bound}")
@@ -437,7 +439,8 @@ def _with_sub(cfg: frozenset, new: tuple[int, int]) -> frozenset:
 
 
 def _blob_reachable(g: Dag, cap: int, strict: bool) -> tuple[bool, int, int]:
-    """BFS over canonical configurations with peak chargeable cost <= cap.
+    """Best-first search over canonical configurations with peak chargeable
+    cost <= cap.
 
     Returns whether a configuration holding [t]<> for every target is
     reachable, with the number of configurations stored and expanded.
@@ -454,10 +457,18 @@ def _blob_reachable(g: Dag, cap: int, strict: bool) -> tuple[bool, int, int]:
     uses the transient configuration (new subconfiguration next to its
     operands/source) to mirror per-move accounting in the validator.
 
-    The goal is tested when a configuration is generated, not when it is
-    popped.  Only reachability within the cap is asked, and every generated
-    configuration is reachable within it, so the verdict is the same; the
-    rest of the frontier level is just never stored.
+    The queue pops first the configuration nearest the goal: per target,
+    the fewest literals (|B| - 1 + |W|) left in a subconfiguration whose
+    blob holds it, n when none does, summed; ties go to the fewest literals
+    in all, then to the earliest generated, so the counts are
+    deterministic.  The order is sound because only reachability within
+    the cap is asked, not a shortest play.  Every configuration is queued
+    once and expanded once whatever the order, so the search either
+    generates the goal or expands every configuration reachable within the
+    cap; the order decides only which reachable configurations are met
+    first, never whether the goal is among them.  The goal is tested when
+    a configuration is generated, not when it is popped; every generated
+    configuration is reachable within the cap, so the verdict is the same.
     """
     n = g.n
     # below[v]: the vertices strictly below v, those with a path to v.
@@ -504,17 +515,26 @@ def _blob_reachable(g: Dag, cap: int, strict: bool) -> tuple[bool, int, int]:
             yield rest
 
     intros = [(1 << v, g.pred_mask[v]) for v in range(n)]
-    goal = frozenset((1 << t, 0) for t in g.targets)
+    targets = [1 << t for t in g.targets]
+
+    def key(cfg: frozenset) -> tuple[int, int]:
+        left = sum(
+            min((b.bit_count() - 1 + w.bit_count() for b, w in cfg if b & t), default=n)
+            for t in targets
+        )
+        return left, sum(b.bit_count() + w.bit_count() for b, w in cfg)
+
+    goal = frozenset((t, 0) for t in targets)
     start: frozenset[tuple[int, int]] = frozenset()
     seen = {start}
     if goal <= start:
         return True, 1, 0
-    queue = deque([start])
+    queue = [(key(start), 0, start)]
     while queue:
-        for nxt in successors(queue.popleft()):
+        for nxt in successors(heappop(queue)[2]):
             if nxt not in seen:
                 if goal <= nxt:
                     return True, len(seen), len(seen) - len(queue)
                 seen.add(nxt)
-                queue.append(nxt)
+                heappush(queue, (key(nxt), len(seen), nxt))
     return False, len(seen), len(seen)

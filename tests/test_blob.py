@@ -210,6 +210,18 @@ def test_validate_blob_trace_errors():
     assert "target 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("target, v", [("0,5|", 5), ("0|99", 99), ("0|-3", -3)])
+def test_inflation_target_outside_the_graph(target, v):
+    # A blob vertex >= n, a white >= n and a negative white, which list
+    # indexing would read as vertex n - 3.
+    g = build_family(FamilySpec.chain(3))
+    for strict in (False, True):
+        with pytest.raises(BadInflation) as exc:
+            validate_blob_pebbling(g, parse_blob_moves(f"I 0\nF 0 {target}"), strict=strict)
+        assert exc.value.index == 1
+        assert str(exc.value) == f"move 2: vertex {v} out of range"
+
+
 def test_completion_needs_unconditional_target():
     g = edge_graph()
     # [1]<0> still has a white pebble: not an unconditional claim on the target

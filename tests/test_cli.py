@@ -225,6 +225,13 @@ def test_compile_blob_moves(tmp_path, capsys):
     assert check_refutation(f, parse_trace(out)).length == 5
 
 
+def test_compile_blob_inflation_outside_the_graph(tmp_path, capsys):
+    moves = tmp_path / "blob.txt"
+    moves.write_text("I 0\nF 0 0|99\n")
+    argv = ["compile", "--family", "chain", "--n", "3", "--blob", "--moves", str(moves)]
+    assert run(capsys, *argv) == (1, "", "error: move 2: vertex 99 out of range\n")
+
+
 @pytest.mark.parametrize("d", ["0", "-1"])
 def test_compile_rejects_d_below_1(tmp_path, capsys, d):
     moves = tmp_path / "moves.txt"

@@ -691,10 +691,22 @@ def test_blob_price_stats():
     g = build_family(FamilySpec.pyramid(2))
     stats = SearchStats()
     assert optimal_blob_price(g, stats=stats) == 4
-    # At cap 4 the search before the goal test on generation stored 19,314.
+    # Caps 1-3 are searched to exhaustion, so only cap 4 depends on the
+    # search order.
     assert counts(stats) == (
-        [(1, 4, 4), (2, 10, 10), (3, 532, 532), (4, 12_813, 8_169)],
+        [(1, 4, 4), (2, 10, 10), (3, 532, 532), (4, 236, 68)],
         "goal",
     )
     assert stats.generated == sum(b.generated for b in stats.budgets)
-    assert stats.table == 12_813
+    assert stats.table == 532
+
+
+def test_strict_pyramid3_blob_price():
+    """The caps below the price are searched to exhaustion, so they store
+    what the reference stores."""
+    g = build_family(FamilySpec.pyramid(3))
+    stats = SearchStats()
+    assert optimal_blob_price(g, bound=10, strict=True, stats=stats) == 4
+    below = [b.generated for b in stats.budgets[:-1]]
+    assert below == [reference_blob_reachable(g, cap, True)[1] for cap in (1, 2, 3)]
+    assert below[-1] == 243
