@@ -75,6 +75,17 @@ def _spec_from_args(args) -> FamilySpec:
     return FamilySpec(args.family, tuple(vals))
 
 
+def _limit(text: str) -> int:
+    """argparse type of --bound and --space-cap: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"bad bound {text!r}")
+    return value
+
+
 def _read_text(path: str) -> str:
     """The text of a file argument; a file that does not decode is a
     ParseError naming the path (OSError messages already name it)."""
@@ -295,6 +306,8 @@ def _run_spec(cp: ConfigParser) -> tuple[str, dict[str, str], list[str]]:
         raise _Usage(f"unknown game {game!r}")
     try:
         bound = cp.getint("experiment", "bound", fallback=None)
+        if bound is not None and bound < 0:
+            raise ValueError
     except ValueError:
         raise _Usage(f"bad bound {cp.get('experiment', 'bound')!r} in [experiment]") from None
     instances = _experiment_instances(cp)
@@ -318,7 +331,12 @@ def _run_spec(cp: ConfigParser) -> tuple[str, dict[str, str], list[str]]:
 
 
 def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
-    """Run the experiment file; returns (csv text, plot files, warnings)."""
+    """Run the experiment file; returns (csv text, plot files, warnings).
+
+    The CLI runs the same steps itself, but this stays public:
+    ``perfbench/tracing.py`` wraps it by name, and its tracer raises
+    LookupError for a missing name, so every ``--trace 1`` run needs it.
+    """
     return _run_spec(_read_spec(spec_path))
 
 
@@ -367,15 +385,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("price", help="exact pebbling price")
     _add_graph_args(p)
     p.add_argument("--game", choices=("black", "bw"), default="black")
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=_limit)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_price)
 
     p = sub.add_parser("frontier", help="time-space Pareto frontier as CSV")
     _add_graph_args(p)
     p.add_argument("--game", choices=("black", "bw"), default="black")
-    p.add_argument("--space-cap", type=int, required=True)
-    p.add_argument("--bound", type=int)
+    p.add_argument("--space-cap", type=_limit, required=True)
+    p.add_argument("--bound", type=_limit)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_frontier)
 

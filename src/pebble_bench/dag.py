@@ -149,8 +149,6 @@ class FamilySpec:
     kind: str
     params: tuple[int, ...]
 
-    KINDS = ("chain", "pyramid", "binary_tree", "carlson_savage")
-
     @classmethod
     def chain(cls, n: int) -> "FamilySpec":
         return cls("chain", (n,))
@@ -247,7 +245,6 @@ def _pyramid_rows(h: int, start: int) -> tuple[list[list[int]], list[tuple[int, 
 class CsLevel:
     """One recursion level of the trade-off family."""
 
-    pyramid_rows: tuple[tuple[int, ...], ...]
     apex: int
     prev_sinks: tuple[int, ...]
     aux_seq: tuple[int, ...]
@@ -309,7 +306,6 @@ def carlson_savage_layout(c: int, r: int) -> tuple[Dag, CsLayout]:
         sinks = tuple(s[-1] for s in spines)
         levels.append(
             CsLevel(
-                pyramid_rows=tuple(tuple(row) for row in rows),
                 apex=apex,
                 prev_sinks=tuple(prev_sinks),
                 aux_seq=tuple(aux),

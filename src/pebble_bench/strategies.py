@@ -1,69 +1,96 @@
-"""Explicit pebbling strategies: optimal-space recursions and budgeted
-trade-off schedules for the recursive spine family.
+"""Explicit pebbling strategies: depth-first pebblings of the standard
+families and budgeted trade-off schedules for the recursive spine family.
 
-``black_strategy`` emits a complete black pebbling whose space matches the
-family's standard bound.  ``cs_tradeoff_strategy`` emits a pebbling of
-carlson_savage(c, r) under a space budget: spare pebbles beyond the minimum
-are spent caching the most expensive reusable vertices (the level pyramid
-apex and the previous level's sinks), so time falls as the budget grows.
+Every strategy is emitted through one ``_Emitter``: one placement/removal
+pair and one depth-first ``pebble(v)``.  ``black_strategy`` emits a
+complete black pebbling whose space matches the family's standard bound.
+``cs_tradeoff_strategy`` emits a pebbling of carlson_savage(c, r) under a
+space budget: spare pebbles beyond the minimum are spent caching the most
+expensive reusable vertices (the level pyramid apex and the previous
+level's sinks), so time falls as the budget grows.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .dag import CsLayout, Dag, FamilySpec, build_family, carlson_savage_layout
-from .errors import BudgetTooSmall, UnsupportedFamily
+from .errors import BudgetTooSmall, SizeBoundExceeded, UnsupportedFamily
 from .pebbling import Move
 
 __all__ = [
+    "MAX_MOVES",
     "black_strategy",
     "cs_tradeoff_strategy",
     "cs_min_budget",
-    "cs_predicted_time",
 ]
+
+# Longest move list emitted: 128 times pyramid(9)'s 2,046 moves, the longest
+# strategy any test or benchmark emits, and 8 times the 32,768 moves of
+# chain(16,384).  Depth-first pebbling re-pebbles shared vertices, so the
+# length grows exponentially in the height: pyramid(30) builds in
+# milliseconds but would never finish emitting.
+MAX_MOVES = 1 << 18
 
 
 def black_strategy(spec: FamilySpec) -> list[Move]:
-    """A complete black pebbling at the family's standard space bound."""
+    """A complete black pebbling at the family's standard space bound.
+
+    Chains, pyramids and binary trees are pebbled depth-first: space is 2
+    on chains and h+2 on pyramids and trees.
+    """
     if spec.kind in ("chain", "pyramid", "binary_tree"):
         g = build_family(spec)
-        return _recursive_strategy(g)
+        e = _Emitter(g, g.n)
+        for t in g.targets:
+            e.pebble(t)
+            e.remove(t)
+        return e.moves
     if spec.kind == "carlson_savage":
         c, r = spec.params
         return cs_tradeoff_strategy(c, r, cs_min_budget(c, r))
     raise UnsupportedFamily(f"no strategy for family {spec.kind!r}")
 
 
-def _recursive_strategy(g: Dag) -> list[Move]:
-    """Depth-first pebbling: build predecessors (needier first), place,
-    discard supports.  Space is 2 on chains and h+2 on pyramids and trees."""
+class _Emitter:
+    """A move list under construction and the black pebbles on the board.
 
-    @lru_cache(maxsize=None)
-    def need(v: int) -> int:
-        ps = g.preds[v]
-        if not ps:
-            return 1
-        ordered = sorted(ps, key=lambda p: (-need(p), p))
-        peak = len(ps) + 1
-        for held, p in enumerate(ordered):
-            peak = max(peak, held + need(p))
-        return peak
+    Raises SizeBoundExceeded at a placement past move ``MAX_MOVES``, so an
+    exponential emission stops early.
+    """
 
-    moves: list[Move] = []
+    def __init__(self, g: Dag, budget: int):
+        self.preds = g.preds
+        self.budget = budget
+        self.moves: list[Move] = []
+        self.board: set[int] = set()
 
-    def pebble(v: int) -> None:
-        ps = sorted(g.preds[v], key=lambda p: (-need(p), p))
-        for p in ps:
-            pebble(p)
-        moves.append(Move("PB", v))
-        for p in ps:
-            moves.append(Move("RB", p))
+    def place(self, v: int) -> None:
+        if len(self.moves) >= MAX_MOVES:
+            raise SizeBoundExceeded(f"strategy has more than {MAX_MOVES} moves")
+        self.moves.append(Move("PB", v))
+        self.board.add(v)
+        if len(self.board) > self.budget:  # pragma: no cover - generator bug
+            raise AssertionError(f"schedule exceeded budget at vertex {v}")
 
-    for t in g.targets:
-        pebble(t)
-        moves.append(Move("RB", t))
-    return moves
+    def remove(self, v: int) -> None:
+        self.moves.append(Move("RB", v))
+        self.board.discard(v)
+
+    def pebble(self, v: int) -> None:
+        """Pebble each predecessor of v in id order, place v, then remove
+        the predecessors; a vertex shared by two predecessors is pebbled
+        again for each.  The explicit stack (``~u`` marks u's placement)
+        keeps a chain's length free of the recursion limit."""
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            if u < 0:
+                u = ~u
+                self.place(u)
+                for p in self.preds[u]:
+                    self.remove(p)
+            else:
+                stack.append(~u)
+                stack.extend(reversed(self.preds[u]))
 
 
 # ---------------------------------------------------------------------------
@@ -71,25 +98,16 @@ def _recursive_strategy(g: Dag) -> list[Move]:
 # ---------------------------------------------------------------------------
 
 
-def _pyramid_space(level: int) -> int:
-    return level + 2
-
-
-def _need(c: int, level: int) -> int:
-    """Peak pebbles for one uncached spine-sink build at this level."""
-    if level == 0:
-        return 1
-    below = _need(c, level - 1)
-    if c == 2:
-        return max(_pyramid_space(level), 1 + below, 3)
-    return max(_pyramid_space(level), 2 + below, 4)
-
-
 def cs_min_budget(c: int, r: int) -> int:
-    """Smallest space budget the schedule generator accepts."""
-    if r == 0:
-        return 1
-    return _need(c, r)
+    """Smallest space budget the schedule generator accepts: the peak
+    pebbles of one uncached spine-sink build at level r."""
+    need = 1
+    for level in range(1, r + 1):
+        if c == 2:
+            need = max(level + 2, 1 + need, 3)
+        else:
+            need = max(level + 2, 2 + need, 4)
+    return need
 
 
 def _pyramid_time(level: int) -> int:
@@ -103,60 +121,29 @@ def _walk_time(c: int, level: int) -> int:
     return _pyramid_time(level) + c * _walk_time(c, level - 1) + 2 * c - 1
 
 
-class _CsEmitter:
+class _CsEmitter(_Emitter):
     """Move emitter for carlson_savage(c, r) under a space budget."""
 
-    def __init__(self, c: int, r: int, budget: int, layout: CsLayout):
-        self.c = c
-        self.r = r
-        self.budget = budget
+    def __init__(self, g: Dag, layout: CsLayout, budget: int):
+        super().__init__(g, budget)
         self.layout = layout
-        self.moves: list[Move] = []
-        self.board: set[int] = set()
         self.keep: set[int] = set()
-
-    def place(self, v: int) -> None:
-        self.moves.append(Move("PB", v))
-        self.board.add(v)
-        if len(self.board) > self.budget:  # pragma: no cover - generator bug
-            raise AssertionError(f"schedule exceeded budget at vertex {v}")
-
-    def remove(self, v: int) -> None:
-        self.moves.append(Move("RB", v))
-        self.board.discard(v)
 
     def release(self, v: int) -> None:
         if v not in self.keep and v in self.board:
             self.remove(v)
 
-    def pyramid(self, level: int) -> None:
-        """Recursively pebble the level's pyramid apex (left support first)."""
-        rows = self.layout.levels[level - 1].pyramid_rows
-        slot = {v: (l, i) for l, row in enumerate(rows) for i, v in enumerate(row)}
-
-        def pebble(v: int) -> None:
-            l, i = slot[v]
-            if l == 0:
-                self.place(v)
-                return
-            left, right = rows[l - 1][i], rows[l - 1][i + 1]
-            pebble(left)
-            pebble(right)
-            self.place(v)
-            self.remove(left)
-            self.remove(right)
-
-        pebble(rows[-1][0])
-
     def ensure(self, v: int, level: int) -> None:
-        """Get a pebble onto aux vertex v of the given level's spines."""
+        """Get a pebble onto aux vertex v of the given level's spines.
+
+        The level's pyramid apex and the level-1 base vertices are pebbled
+        depth-first (pyramid vertices have predecessors only inside their
+        pyramid); a previous level's sink is rebuilt by its spine walk.
+        """
         if v in self.board:
             return
-        lv = self.layout.levels[level - 1]
-        if v == lv.apex:
-            self.pyramid(level)
-        elif level - 1 == 0:
-            self.place(v)
+        if level == 1 or v == self.layout.levels[level - 1].apex:
+            self.pebble(v)
         else:
             k = self.layout.levels[level - 2].sinks.index(v)
             self.walk(level - 1, k)
@@ -185,7 +172,7 @@ class _CsEmitter:
                 self.release(a)
 
     def run(self) -> list[Move]:
-        c, r = self.c, self.r
+        c, r = self.layout.c, self.layout.r
         if r == 0:
             for t in self.layout.base:
                 self.place(t)
@@ -221,11 +208,5 @@ def cs_tradeoff_strategy(c: int, r: int, budget: int) -> list[Move]:
     minimum = cs_min_budget(c, r)
     if budget < minimum:
         raise BudgetTooSmall(budget, minimum)
-    _, layout = carlson_savage_layout(c, r)
-    return _CsEmitter(c, r, budget, layout).run()
-
-
-def cs_predicted_time(c: int, r: int, budget: int) -> int:
-    """Placement count of the schedule at this budget (emits and counts)."""
-    moves = cs_tradeoff_strategy(c, r, budget)
-    return sum(1 for m in moves if m.is_placement)
+    g, layout = carlson_savage_layout(c, r)
+    return _CsEmitter(g, layout, budget).run()

@@ -23,6 +23,7 @@ from pebble_bench import (
     write_dimacs,
     write_graph,
 )
+from pebble_bench import strategies
 from pebble_bench.cnf import MAX_CLAUSES, MAX_LITERALS
 from pebble_bench.cli import run_command, tradeoff_report
 
@@ -80,6 +81,18 @@ def test_bad_command_line_is_one_usage_line(capsys):
             "the following arguments are required: --space-cap",
         ),
         ([], "the following arguments are required: command"),
+        (
+            ["frontier", "--family", "chain", "--n", "3", "--space-cap", "-1"],
+            "argument --space-cap: bad bound '-1'",
+        ),
+        (
+            ["frontier", "--family", "chain", "--n", "3", "--space-cap", "3", "--bound", "-1"],
+            "argument --bound: bad bound '-1'",
+        ),
+        (
+            ["price", "--family", "chain", "--n", "3", "--bound", "-2"],
+            "argument --bound: bad bound '-2'",
+        ),
     ):
         assert run(capsys, *argv) == (2, "", f"usage error: {message}\n"), argv
 
@@ -187,6 +200,37 @@ def test_strategy_budget_misuse(capsys):
         "--budget", "2",
     )
     assert code == 1 and "error:" in err
+
+
+def test_strategy_longest_chain(tmp_path, capsys):
+    """A chain of MAX_VERTICES vertices is pebbled without recursion."""
+    path = tmp_path / "moves.txt"
+    code, out, err = run(
+        capsys, "strategy", "--family", "chain", "--n", "16384", "-o", str(path)
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"time": 16384, "space": 2, "moves_total": 32768}
+    g = build_family(FamilySpec.chain(16384))
+    trace = validate_pebbling(g, parse_moves(path.read_text()), game="black")
+    assert (trace.time, trace.space) == (16384, 2)
+
+
+def test_strategy_errors_exit_1_at_once(capsys):
+    """Emission stops past strategies.MAX_MOVES moves (pyramid(30) and
+    carlson_savage(2, 30) build in milliseconds but emit exponentially many),
+    and a carlson_savage level count out of range is refused, not recursed on."""
+    too_long = "strategy has more than 262144 moves"
+    for argv, message in (
+        (["--family", "pyramid", "--h", "30"], too_long),
+        (["--family", "carlson_savage", "--c", "2", "--r", "30"], too_long),
+        (["--family", "carlson_savage", "--c", "2", "--r", "-1"], "carlson_savage needs r >= 0"),
+        (["--family", "carlson_savage", "--c", "2", "--r", "2000"], "carlson_savage(2,2000) has"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "strategy", *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 # --- compile / check --------------------------------------------------------------
@@ -626,6 +670,7 @@ def test_report_usage_errors(tmp_path, capsys):
     assert run(capsys, "tradeoff-report", "--spec", spec)[0] == 2
     for body in (
         "[experiment]\nbound = x\n[family:chain]\nn = 2\n",
+        "[experiment]\nbound = -1\n[family:chain]\nn = 2\n",
         "[family:chain]\nn = 2\nspace_cap = +x\n",
         "[family:chain]\nn = 2\nspace_cap = x\n",
         "[family:chain]\nn = 2\nspace_cap = -1\n",
@@ -634,6 +679,15 @@ def test_report_usage_errors(tmp_path, capsys):
         code, out, err = run(capsys, "tradeoff-report", "--spec", write_spec(tmp_path, body))
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_report_skips_overlong_strategy(tmp_path, monkeypatch):
+    monkeypatch.setattr(strategies, "MAX_MOVES", 10)  # pyramid(1) has 6 moves, pyramid(2) 14
+    spec = write_spec(tmp_path, "[experiment]\ngame = black\n[family:pyramid]\nh = 1..2\n")
+    csv_text, plots, warnings = tradeoff_report(spec)
+    assert warnings == ["skipped pyramid(2): strategy has more than 10 moves"]
+    assert list(plots) == ["pyramid-1.csv"]
+    assert {line.split(",")[1] for line in csv_text.splitlines()[1:]} == {"1"}
 
 
 def test_report_deterministic_across_threads(tmp_path):
