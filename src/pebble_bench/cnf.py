@@ -24,8 +24,7 @@ __all__ = [
     "var_vertex",
     "MAX_CLAUSES",
     "MAX_LITERALS",
-    "check_clause_count",
-    "check_literal_count",
+    "check_formula_size",
     "pebbling_contradiction",
     "write_dimacs",
     "read_dimacs",
@@ -57,19 +56,26 @@ def is_tautology(lits) -> bool:
 
 @dataclass(frozen=True)
 class Cnf:
-    """A CNF formula: a clause list (multiset) over variables 1..num_vars."""
+    """A CNF formula: a clause list (multiset) over variables 1..num_vars,
+    each clause stored in canonical form.  A clause holding literal 0, a
+    literal beyond num_vars or a complementary pair is refused; the error
+    names the clause as given."""
 
     num_vars: int
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
         n = self.num_vars
+        clauses = []
         for cl in self.clauses:
-            if 0 in cl or max(map(abs, cl), default=n) > n:
+            c = canon_clause(cl)
+            if c and (c[0] == 0 or abs(c[-1]) > n):  # sorted by variable
                 bad = next(l for l in cl if l == 0 or abs(l) > n)
                 raise GraphError(f"literal {bad} out of range in clause {cl}")
-            if is_tautology(cl):
+            if is_tautology(c):
                 raise GraphError(f"tautological clause {cl}")
+            clauses.append(c)
+        object.__setattr__(self, "clauses", tuple(clauses))
 
     def __len__(self):
         return len(self.clauses)
@@ -89,36 +95,33 @@ def _all_true(v: int, d: int) -> list[int]:
     return [var_id(v, i, d) for i in range(1, d + 1)]
 
 
-def check_clause_count(g: Dag, d: int, starred: bool = False) -> int:
-    """The clause count of ``pebbling_contradiction(g, d, starred)``,
-    predicted from the graph: #sources + sum of d^indeg over non-sources +
-    d * #targets (no target term when starred).  Raises SizeBoundExceeded
-    above MAX_CLAUSES, before anything is built."""
-    count = len(g.sources) + sum(d ** len(ps) for ps in g.preds if ps)
+def check_formula_size(g: Dag, d: int, starred: bool = False) -> tuple[int, int]:
+    """The clause and literal counts of ``pebbling_contradiction(g, d,
+    starred)``, predicted from the graph.  A source has one clause of d
+    literals; a non-source has d^indeg clauses of indeg + d literals; a
+    target has d unit clauses (none when starred).  Raises SizeBoundExceeded
+    above MAX_CLAUSES, then above MAX_LITERALS, before anything is built."""
+    clauses = len(g.sources)
+    literals = d * clauses
+    for ps in g.preds:
+        if ps:
+            k = d ** len(ps)
+            clauses += k
+            literals += k * (len(ps) + d)
     if not starred:
-        count += d * len(g.targets)
-    if count > MAX_CLAUSES:
+        clauses += d * len(g.targets)
+        literals += d * len(g.targets)
+    if clauses > MAX_CLAUSES:
         raise SizeBoundExceeded(
-            f"degree-{d} pebbling contradiction has {count} clauses, "
+            f"degree-{d} pebbling contradiction has {clauses} clauses, "
             f"above the bound {MAX_CLAUSES}"
         )
-    return count
-
-
-def check_literal_count(g: Dag, d: int, starred: bool = False) -> int:
-    """The literal count of ``pebbling_contradiction(g, d, starred)``,
-    predicted from the graph: d per source, indeg + d in each of the d^indeg
-    clauses of a non-source, d per target (none when starred).  Raises
-    SizeBoundExceeded above MAX_LITERALS, before anything is built."""
-    count = d * len(g.sources) + sum(d ** len(ps) * (len(ps) + d) for ps in g.preds if ps)
-    if not starred:
-        count += d * len(g.targets)
-    if count > MAX_LITERALS:
+    if literals > MAX_LITERALS:
         raise SizeBoundExceeded(
-            f"degree-{d} pebbling contradiction has {count} literals, "
+            f"degree-{d} pebbling contradiction has {literals} literals, "
             f"above the bound {MAX_LITERALS}"
         )
-    return count
+    return clauses, literals
 
 
 def pebbling_contradiction(g: Dag, d: int, starred: bool = False) -> Cnf:
@@ -134,11 +137,10 @@ def pebbling_contradiction(g: Dag, d: int, starred: bool = False) -> Cnf:
     """
     if d < 1:
         raise GraphError("d must be >= 1")
-    check_clause_count(g, d, starred)
-    check_literal_count(g, d, starred)
-    clauses: list[Clause] = []
+    check_formula_size(g, d, starred)
+    clauses = []
     for s in g.sources:
-        clauses.append(canon_clause(_all_true(s, d)))
+        clauses.append(_all_true(s, d))
     for v in range(g.n):
         ps = g.preds[v]
         if not ps:
@@ -146,12 +148,12 @@ def pebbling_contradiction(g: Dag, d: int, starred: bool = False) -> Cnf:
         head = _all_true(v, d)
         for js in product(range(1, d + 1), repeat=len(ps)):
             body = [-var_id(u, j, d) for u, j in zip(ps, js)]
-            clauses.append(canon_clause(body + head))
+            clauses.append(body + head)
     if not starred:
         for t in g.targets:
             for i in range(1, d + 1):
                 clauses.append((-var_id(t, i, d),))
-    return Cnf(num_vars=d * g.n, clauses=tuple(clauses))
+    return Cnf(num_vars=d * g.n, clauses=clauses)
 
 
 # --- DIMACS -----------------------------------------------------------------
@@ -186,20 +188,20 @@ def read_dimacs(text: str) -> Cnf:
         if num_vars is None:
             raise ParseError("clause before p line", lineno)
         try:
-            lits = list(map(int, line.split()))
+            lits = tuple(map(int, line.split()))
         except ValueError:
             raise ParseError(f"bad clause line {line!r}", lineno) from None
-        if not lits or lits[-1] != 0:
+        if lits[-1:] != (0,):
             raise ParseError("clause line missing trailing 0", lineno)
         lits = lits[:-1]
         if 0 in lits:
             raise ParseError("literal 0 inside clause", lineno)
-        clauses.append(canon_clause(lits))
+        clauses.append(lits)
     if num_vars is None:
         raise ParseError("no p line")
     if declared != len(clauses):
         raise ParseError(f"declared {declared} clauses, found {len(clauses)}")
     try:
-        return Cnf(num_vars=num_vars, clauses=tuple(clauses))
+        return Cnf(num_vars=num_vars, clauses=clauses)
     except GraphError as e:
         raise ParseError(str(e)) from None

@@ -1,16 +1,21 @@
-"""Resolution steps, configurational refutation traces, and the checker.
+"""Resolution steps, refutation traces, and the checker.
 
-A trace is a sequence of events: axiom download, inference, and erasure.
-Axiom and inference events get sequential 1-based ids; erasure frees a live
-clause.  The checker is a single pass that verifies every event and measures
-length (axioms + inferences), width (largest clause appearing), and clause
-space (peak number of simultaneously live clauses).
+A trace is a sequence of events, each a named tuple: ``Axiom`` downloads a
+clause of the formula, ``Infer`` resolves two live clauses, and ``Erase``
+frees a live clause.  Axiom and inference events get sequential 1-based ids.
+The compiler emits these events, ``parse_trace`` reads them from text with
+canonical clauses, and ``check_trace_text`` checks them as it reads them,
+with the clauses as written.  The checker is a single pass that verifies
+every event and measures length (axioms + inferences), width (largest
+clause appearing), and clause space (peak number of simultaneously live
+clauses).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import neg
+from typing import NamedTuple
 
 from .cnf import Clause, Cnf, canon_clause
 from .errors import BadPivot, ParseError, TautologicalResolvent, VerificationError
@@ -54,21 +59,18 @@ def resolve(c1: Clause, c2: Clause, pivot: int) -> Clause:
     return tuple(sorted(lits, key=abs))
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(NamedTuple):
     clause: Clause
 
 
-@dataclass(frozen=True)
-class Infer:
+class Infer(NamedTuple):
     left: int
     right: int
     pivot: int
     clause: Clause
 
 
-@dataclass(frozen=True)
-class Erase:
+class Erase(NamedTuple):
     id: int
 
 
@@ -105,68 +107,59 @@ def check_refutation(f: Cnf, trace: ResolutionTrace) -> ProofMetrics:
     clause, erased ids are live, and the final live set contains the empty
     clause.  Raises VerificationError carrying the 0-based event index.
     """
-    return _verify(f, map(_event_record, trace.events))
+    return _verify(f, trace.events)
 
 
 def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
-    """``check_refutation(f, parse_trace(text))`` in one pass, building no
-    events.  As there, a malformed line is reported ahead of a verification
-    failure at an earlier event."""
-    records = _records(text)
+    """``check_refutation(f, parse_trace(text))`` in one pass over the text,
+    keeping no trace.  As there, a malformed line is reported ahead of a
+    verification failure at an earlier event."""
+    events = _records(text)
     try:
-        return _verify(f, records)
+        return _verify(f, events)
     except VerificationError as e:
         err = e
-    for _ in records:  # raises the ParseError of a later line, if any
+    for _ in events:  # raises the ParseError of a later line, if any
         pass
     raise err
 
 
-def _event_record(ev: Event):
-    if isinstance(ev, Axiom):
-        return "a", tuple(ev.clause)
-    if isinstance(ev, Infer):
-        return "r", (ev.left, ev.right, ev.pivot, *ev.clause)
-    return ("e", (ev.id,)) if isinstance(ev, Erase) else (None, ev)
-
-
-def _verify(f: Cnf, records) -> ProofMetrics:
-    """The checker, over ``(kind, ints)`` records.  Clauses are compared in
-    canonical form: as given first, since traces from ``parse_trace`` and
-    the compiler are canonical already, and canonicalised only on a miss.
-    The axiom set holds the canonical clauses of ``f``, the only ones a
-    canonical clause can equal."""
-    axioms = {cl for cl in f.clauses if canon_clause(cl) == cl}
+def _verify(f: Cnf, events) -> ProofMetrics:
+    """The checker.  Clauses are compared in canonical form: as given first,
+    since ``f`` and the traces from ``parse_trace`` and the compiler are
+    canonical already, and canonicalised only on a miss."""
+    axioms = set(f.clauses)
     live: dict[int, Clause] = {}
     next_id = 1
     width = space = 0
-    for idx, (kind, ints) in enumerate(records):
-        if kind == "a":
-            cl = ints
-            if cl not in axioms:
+    for idx, ev in enumerate(events):
+        kind = type(ev)
+        if kind is Axiom:
+            cl = ev.clause
+            if type(cl) is not tuple or cl not in axioms:  # a list does not hash
                 cl = canon_clause(cl)
                 if cl not in axioms:
                     raise VerificationError(f"axiom {cl} not in formula", index=idx)
-        elif kind == "r":
+        elif kind is Infer:
             try:
-                cl = resolve(live[ints[0]], live[ints[1]], ints[2])
+                cl = resolve(live[ev.left], live[ev.right], ev.pivot)
             except KeyError as e:  # the left premise is looked up first
                 raise VerificationError(f"premise {e.args[0]} not live", index=idx) from None
             except (BadPivot, TautologicalResolvent) as e:
                 raise VerificationError(str(e), index=idx) from None
-            if cl != ints[3:]:
-                stated = canon_clause(ints[3:])
+            if cl != ev.clause:
+                stated = canon_clause(ev.clause)
                 if cl != stated:
                     raise VerificationError(
                         f"stated clause {stated} differs from resolvent {cl}", index=idx
                     )
-        elif kind == "e":
-            if ints[0] not in live:
-                raise VerificationError(f"erased id {ints[0]} not live", index=idx)
-            del live[ints[0]]
+        elif kind is Erase:
+            if ev.id not in live:
+                raise VerificationError(f"erased id {ev.id} not live", index=idx)
+            del live[ev.id]
             continue  # an erasure cannot raise the peak
         else:  # pragma: no cover - event union is closed
-            raise VerificationError(f"unknown event {ints!r}", index=idx)
+            raise VerificationError(f"unknown event {ev!r}", index=idx)
         live[next_id] = cl
         next_id += 1
         if len(cl) > width:
@@ -200,20 +193,13 @@ def format_trace(trace: ResolutionTrace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-_EVENTS = {
-    "a": lambda ints: Axiom(canon_clause(ints)),
-    "r": lambda ints: Infer(ints[0], ints[1], ints[2], canon_clause(ints[3:])),
-    "e": lambda ints: Erase(ints[0]),
-}
-
-
 def parse_trace(text: str) -> ResolutionTrace:
-    return ResolutionTrace(tuple(_EVENTS[kind](ints) for kind, ints in _records(text)))
+    return ResolutionTrace(tuple(_records(text, canon_clause)))
 
 
-def _records(text: str):
-    """Yield ``(kind, ints)`` per event line: the line type and its integers
-    without the trailing 0.  Raises ParseError at the first malformed line."""
+def _records(text: str, clause=tuple):
+    """Yield the event of each line, its clause passed through ``clause``:
+    as written by default.  Raises ParseError at the first malformed line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "c":
@@ -221,17 +207,19 @@ def _records(text: str):
         kind = parts[0]
         if kind == "e" and len(parts) != 2:
             raise ParseError("bad erase line", lineno)
-        if kind not in _EVENTS:
+        if kind not in ("a", "r", "e"):
             raise ParseError(f"unknown line type {kind!r}", lineno)
         try:
             ints = tuple(map(int, parts[1:]))
         except ValueError:
             raise ParseError(f"bad integer in {raw.strip()!r}", lineno) from None
         if kind == "e":
-            yield kind, ints
-        elif kind == "a" and ints[-1:] != (0,):
-            raise ParseError("axiom line missing trailing 0", lineno)
-        elif kind == "r" and (len(ints) < 4 or ints[-1] != 0):
+            yield Erase(ints[0])
+        elif kind == "a":
+            if ints[-1:] != (0,):
+                raise ParseError("axiom line missing trailing 0", lineno)
+            yield Axiom(clause(ints[:-1]))
+        elif len(ints) < 4 or ints[-1] != 0:
             raise ParseError("bad inference line", lineno)
         else:
-            yield kind, ints[:-1]
+            yield Infer(ints[0], ints[1], ints[2], clause(ints[3:-1]))

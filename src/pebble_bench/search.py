@@ -15,7 +15,7 @@ size bound rather than run forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
 from time import perf_counter
@@ -311,13 +311,9 @@ def optimal_price(
 
 @dataclass(frozen=True)
 class ParetoFrontier:
-    """Undominated (space, min_time) points, space increasing, time decreasing.
-
-    ``raw`` keeps the full per-space series from the price up to the cap.
-    """
+    """Undominated (space, min_time) points, space increasing, time decreasing."""
 
     points: tuple[tuple[int, int], ...]
-    raw: tuple[tuple[int, int], ...] = field(default=(), repr=False)
 
     def __iter__(self):
         return iter(self.points)
@@ -347,22 +343,20 @@ def tradeoff_frontier(
     Every budget has min time >= F, min time never rises as the budget
     grows, so every budget above the stop also has time F.  Budgets above n
     allow the same pebblings as budget n, so the sweep searches at most n
-    budgets.  ``raw`` is filled with the last time up to the cap.
+    budgets.
     """
     if above_price is not None and space_cap:
         raise ValueError("give space_cap or above_price, not both")
     _check_bound(g, game, bound)
     floor = _closure(g.pred_mask, 0, g.target_mask, 0).bit_count()
     cap = space_cap if above_price is None else g.n + above_price
-    raw: list[tuple[int, int]] = []
     points: list[tuple[int, int]] = []
     for s in range(1, min(cap, g.n) + 1):
         t, _ = _search(g, game, s, stats=stats)
         if t is None:
             continue
-        if above_price is not None and not raw:
+        if above_price is not None and not points:
             cap = s + above_price
-        raw.append((s, t))
         if not points or t < points[-1][1]:
             points.append((s, t))
         if t == floor or s == cap:
@@ -372,10 +366,7 @@ def tradeoff_frontier(
         stop = "cap" if above_price is None and cap <= g.n else "n"
     if stats is not None:
         stats.stop = stop
-    if raw:
-        last_s, last_t = raw[-1]
-        raw.extend((b, last_t) for b in range(last_s + 1, cap + 1))
-    return ParetoFrontier(points=tuple(points), raw=tuple(raw))
+    return ParetoFrontier(points=tuple(points))
 
 
 # ---------------------------------------------------------------------------

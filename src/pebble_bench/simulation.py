@@ -35,8 +35,7 @@ from .blob import (
 from .cnf import (
     Clause,
     canon_clause,
-    check_clause_count,
-    check_literal_count,
+    check_formula_size,
     pebbling_contradiction,
     var_id,
 )
@@ -214,8 +213,7 @@ def compile_pebbling(g: Dag, d: int, trace, starred: bool = False) -> Resolution
     """
     if d < 1:
         raise GraphError("d must be >= 1")
-    check_clause_count(g, d, starred)
-    check_literal_count(g, d, starred)
+    check_formula_size(g, d, starred)
     if isinstance(trace, PebblingTrace):
         if trace.game != "black":
             raise UnsupportedOperation("only black traces compile to resolution")

@@ -24,8 +24,7 @@ from pebble_bench.cnf import (
     MAX_CLAUSES,
     MAX_LITERALS,
     canon_clause,
-    check_clause_count,
-    check_literal_count,
+    check_formula_size,
     is_tautology,
 )
 from pebble_bench.strategies import black_strategy
@@ -94,7 +93,7 @@ def test_cnf_names_first_bad_literal():
             with pytest.raises(GraphError, match="^tautological clause "):
                 Cnf(num_vars, (cl,))
         else:
-            assert Cnf(num_vars, (cl,)).clauses == (cl,)
+            assert Cnf(num_vars, (cl,)).clauses == (canon_clause(cl),)
 
 
 def test_cnf_rejects_bad_clauses():
@@ -164,11 +163,12 @@ def test_clause_count_formula():
             )
             assert len(f.clauses) == expected
             assert f.num_vars == d * g.n
-            assert check_clause_count(g, d) == expected
-            assert check_literal_count(g, d) == sum(map(len, f.clauses))
+            assert check_formula_size(g, d) == (expected, sum(map(len, f.clauses)))
             starred = pebbling_contradiction(g, d, starred=True)
-            assert check_clause_count(g, d, starred=True) == len(starred.clauses)
-            assert check_literal_count(g, d, starred=True) == sum(map(len, starred.clauses))
+            assert check_formula_size(g, d, starred=True) == (
+                len(starred.clauses),
+                sum(map(len, starred.clauses)),
+            )
 
 
 def test_clause_count_guard():
@@ -177,12 +177,14 @@ def test_clause_count_guard():
     trace = validate_pebbling(g, black_strategy(spec), game="black")
     # pyramid(2): 3 sources, 3 vertices of fan-in 2, one target.
     d = next(d for d in range(1, 1000) if 3 + 3 * d * d + d > MAX_CLAUSES)
-    assert check_clause_count(g, d - 1) <= MAX_CLAUSES
-    assert check_clause_count(g, d - 1, starred=True) <= MAX_CLAUSES
     for starred in (False, True):
-        with pytest.raises(SizeBoundExceeded, match=f"above the bound {MAX_CLAUSES}"):
+        # The clause bound is tested first, so a literal error at d - 1 means
+        # the clauses are within their bound; d + 1 is above both bounds.
+        with pytest.raises(SizeBoundExceeded, match="literals"):
+            check_formula_size(g, d - 1, starred=starred)
+        with pytest.raises(SizeBoundExceeded, match=f"clauses, above the bound {MAX_CLAUSES}$"):
             pebbling_contradiction(g, d + 1, starred=starred)
-        with pytest.raises(SizeBoundExceeded):
+        with pytest.raises(SizeBoundExceeded, match=f"clauses, above the bound {MAX_CLAUSES}$"):
             compile_pebbling(g, d + 1, trace, starred=starred)
 
 
@@ -193,8 +195,9 @@ def test_literal_count_guard():
     # pyramid(2): 3 sources of d literals, 3 vertices of fan-in 2 with d^2
     # clauses of d + 2 literals, one target of d unit clauses.
     d = next(d for d in range(1, 1000) if 4 * d + 3 * d * d * (d + 2) > MAX_LITERALS)
-    assert check_clause_count(g, d) <= MAX_CLAUSES  # only the literals are too many
-    assert check_literal_count(g, d - 1) <= MAX_LITERALS
+    with pytest.raises(SizeBoundExceeded, match="literals"):  # only the literals are too many
+        check_formula_size(g, d)
+    assert check_formula_size(g, d - 1)[1] <= MAX_LITERALS
     for starred in (False, True):
         with pytest.raises(SizeBoundExceeded, match=f"literals, above the bound {MAX_LITERALS}"):
             pebbling_contradiction(g, d + 1, starred=starred)
@@ -227,6 +230,16 @@ def test_dimacs_parse_errors():
         read_dimacs("p cnf 2 2\n1 0\n")  # count mismatch
     with pytest.raises(ParseError):
         read_dimacs("p cnf 1 1\n5 0\n")  # literal out of range
+
+
+def test_dimacs_names_clause_as_written():
+    with pytest.raises(ParseError) as exc:
+        read_dimacs("p cnf 2 1\n3 -1 0\n")
+    assert str(exc.value) == "literal 3 out of range in clause (3, -1)"
+    with pytest.raises(ParseError) as exc:
+        read_dimacs("p cnf 2 1\n2 -1 1 0\n")
+    assert str(exc.value) == "tautological clause (2, -1, 1)"
+    assert read_dimacs("p cnf 2 1\n2 -1 2 0\n").clauses == ((-1, 2),)
 
 
 def test_dimacs_accepts_comments():

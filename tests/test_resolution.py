@@ -83,6 +83,23 @@ def test_check_simple_refutation():
     }
 
 
+def test_formula_clause_given_out_of_order():
+    # Cnf stores (2, 1) as (1, 2), so the axiom matches it in either order.
+    f = Cnf(2, ((2, 1), (-1,), (-2,)))
+    for written in ((1, 2), (2, 1)):
+        trace = ResolutionTrace(
+            (Axiom(written), Axiom((-1,)), Infer(1, 2, 1, (2,)), Axiom((-2,)), Infer(3, 4, 2, ()))
+        )
+        want = ProofMetrics(length=5, width=2, clause_space=5)
+        assert check_refutation(f, trace) == want
+        assert check_trace_text(f, format_trace(trace)) == want
+    # clauses given as lists are checked like tuples
+    listed = ResolutionTrace(
+        (Axiom([2, 1]), Axiom([-1]), Infer(1, 2, 1, [2]), Axiom([-2]), Infer(3, 4, 2, []))
+    )
+    assert check_refutation(f, listed) == want
+
+
 def test_check_rejects_foreign_axiom():
     f, _ = simple_refutation()
     trace = ResolutionTrace((Axiom((2,)),))

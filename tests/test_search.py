@@ -78,20 +78,21 @@ def test_frontier_monotone_and_pareto():
     assert fr.min_time() == times[-1]
 
 
-def test_frontier_raw_series_is_total():
+def test_frontier_chain_is_one_point():
     g = build_family(FamilySpec.chain(4))
-    fr = tradeoff_frontier(g, "black", space_cap=4)
-    raw = dict(fr.raw)
-    assert raw[2] == 4  # price space: one placement per vertex
-    assert raw[3] == 4 and raw[4] == 4  # extra space cannot help a chain
+    stats = SearchStats()
+    fr = tradeoff_frontier(g, "black", space_cap=4, stats=stats)
+    # price space: one placement per vertex, the time floor, so extra space
+    # cannot help a chain and the sweep stops at the price
     assert fr.points == ((2, 4),)
+    assert stats.stop == "floor"
+    assert [b.space for b in stats.budgets] == [1, 2]
 
 
 def test_frontier_below_price_is_empty_prefix():
     g = build_family(FamilySpec.pyramid(2))
     fr = tradeoff_frontier(g, "black", space_cap=3)
     assert fr.points == ()  # price is 4: nothing achievable at cap 3
-    assert fr.raw == ()
 
 
 def test_frontier_pyramid_is_flat():
@@ -363,12 +364,11 @@ def test_pruned_frontier_matches_naive_sweep(game):
         price = optimal_price(g, game, bound=g.n)
         full = naive_raw(g, game, price + 3)
         for k in range(4):
-            raw = tuple(p for p in full if p[0] <= price + k)
-            want = (pareto(raw), raw)
+            want = pareto(p for p in full if p[0] <= price + k)
             got = tradeoff_frontier(g, game, space_cap=price + k, bound=g.n)
-            assert (got.points, got.raw) == want, (g, game, price + k)
+            assert got.points == want, (g, game, price + k)
             got = tradeoff_frontier(g, game, bound=g.n, above_price=k)
-            assert (got.points, got.raw) == want, (g, game, k)
+            assert got.points == want, (g, game, k)
 
 
 def test_frontier_stops_at_time_floor():
@@ -378,7 +378,6 @@ def test_frontier_stops_at_time_floor():
     assert [b.space for b in stats.budgets] == [1, 2, 3, 4]  # 4 reaches time 11
     assert stats.stop == "floor"
     assert fr.points == ((3, 16), (4, 11))
-    assert fr.raw == ((3, 16), (4, 11), (5, 11), (6, 11), (7, 11), (8, 11))
 
 
 # --- the best-first core against the reference, budget by budget --------------
