@@ -81,7 +81,6 @@ from .simulation import (
 from .measures import (
     LayeredView,
     LhcResult,
-    MeasureReport,
     MeasureValue,
     check_lhc,
     hidden_vertices,

@@ -9,7 +9,9 @@ starts from nothing and ends with [t]<> for every target t.
 Cost has two flavours.  Naive cost charges every blob and white vertex in
 play.  Chargeable cost charges blob vertices plus only those whites lying
 strictly below the bottom vertex of their own blob; whites sitting beside or
-above the blob ride for free.
+above the blob ride for free.  One rule, ``_charge``, decides it on bitmasks
+against the graph's reachability table ``Dag.below``, for the validator and
+for the blob price search alike.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .dag import Dag
 from .errors import (
     BadInflation,
     BadMerge,
+    GraphError,
     IllegalMove,
     IncompletePebbling,
     ParseError,
@@ -37,7 +40,6 @@ __all__ = [
     "introduce",
     "merge",
     "inflate",
-    "bottom_vertex",
     "is_chain",
     "legal_pebble_positions",
     "chargeable_vertices",
@@ -143,11 +145,6 @@ def inflate(
     return target
 
 
-def bottom_vertex(blob: frozenset[int]) -> int:
-    """Lowest blob vertex.  Ids are topological, so min(id) is the bottom."""
-    return min(blob)
-
-
 def is_chain(g: Dag, blob: frozenset[int]) -> bool:
     """True iff the blob is totally ordered by reachability."""
     vs = sorted(blob)
@@ -212,26 +209,37 @@ def _shape_problem(g: Dag, blob: int, whites: int) -> str | None:
 # ---------------------------------------------------------------------------
 
 
+def _charge(below: tuple[int, ...], blob: int, whites: int) -> int:
+    """Blob vertices plus whites strictly below the bottom vertex, as a
+    bitmask, given ``Dag.below``.  Ids are topological, so the bottom vertex
+    is the lowest set bit of the (nonempty) blob."""
+    return blob | (whites & below[(blob & -blob).bit_length() - 1])
+
+
+def _masks(g: Dag, s: BlobSubconfig) -> tuple[int, int]:
+    """The blob and whites of s as bitmasks; GraphError for a vertex
+    outside the graph."""
+    for v in sorted(s.blob | s.whites):
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} out of range")
+    return sum(1 << v for v in s.blob), sum(1 << v for v in s.whites)
+
+
 def chargeable_vertices(g: Dag, s: BlobSubconfig) -> frozenset[int]:
     """Blob vertices plus whites strictly below the blob's bottom vertex."""
-    bot = bottom_vertex(s.blob)
-    charged = set(s.blob)
-    for w in s.whites:
-        if w != bot and g.reaches(w, bot):
-            charged.add(w)
-    return frozenset(charged)
+    charged = _charge(g.below, *_masks(g, s))
+    return frozenset(v for v in s.blob | s.whites if charged >> v & 1)
 
 
 def blob_cost(g: Dag, cfg: BlobConfig) -> dict:
     """Naive and chargeable cost of a configuration."""
-    blobs: set[int] = set()
-    whites: set[int] = set()
-    charged: set[int] = set()
+    blobs = whites = charged = 0
     for s in cfg.subs:
-        blobs |= s.blob
-        whites |= s.whites
-        charged |= chargeable_vertices(g, s)
-    return {"naive": len(blobs) + len(whites), "chargeable": len(charged)}
+        blob, white = _masks(g, s)
+        blobs |= blob
+        whites |= white
+        charged |= _charge(g.below, blob, white)
+    return {"naive": blobs.bit_count() + whites.bit_count(), "chargeable": charged.bit_count()}
 
 
 # ---------------------------------------------------------------------------

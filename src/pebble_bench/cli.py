@@ -21,7 +21,7 @@ from . import simulation
 from .cnf import pebbling_contradiction, read_dimacs, write_dimacs
 from .dag import Dag, FamilySpec, build_family, read_graph, write_graph
 from .errors import BudgetTooSmall, ParseError, PebbleBenchError, SizeBoundExceeded
-from .measures import MeasureReport, hidden_vertices, klawe_measure, potential, LayeredView
+from .measures import hidden_vertices, klawe_measure, potential, LayeredView
 from .pebbling import format_moves, parse_moves, validate_pebbling
 from .resolution import check_trace_text, format_trace
 from .search import optimal_price, tradeoff_frontier
@@ -213,14 +213,11 @@ def _cmd_measure(args) -> int:
     U = _parse_vertex_set(args.set)
     hull = hidden_vertices(g, U, direction=args.direction)
     mv = klawe_measure(LayeredView.from_dag(g), U)
-    pot = None
+    report = {"hidden": sorted(hull), "measure": mv.value, "partials": list(mv.partials)}
     config = _parse_vertex_set(args.black) | _parse_vertex_set(args.white)
     if config:
-        pot = potential(g, config, direction=args.direction)
-    report = MeasureReport(
-        hidden=tuple(sorted(hull)), measure=mv.value, partials=mv.partials, potential=pot
-    )
-    sys.stdout.write(json.dumps(report.to_json()) + "\n")
+        report["potential"] = potential(g, config, direction=args.direction)
+    sys.stdout.write(json.dumps(report) + "\n")
     return 0
 
 

@@ -27,7 +27,8 @@ __all__ = [
 # Largest graph built: 64 times the biggest benchmark instance, binary_tree(7)
 # with 255 vertices.  pred_mask/succ_mask take O(n^2) bits: binary_tree(13),
 # 16,383 vertices, builds in about 0.13 s and 60 MiB, binary_tree(16) would
-# take 5 s and 2.3 GiB.
+# take 5 s and 2.3 GiB.  The reachability table ``below``, built on first
+# use, also takes O(n^2) bits: at most about 18 MiB, on chain(16384).
 MAX_VERTICES = 16_384
 
 
@@ -39,13 +40,16 @@ class Dag:
     for neighbour u), the state vocabulary of the searches and measures.
     ``sources`` and ``sinks`` are derived from degrees, and ``targets`` is
     a sorted tuple (defaults to the sinks), also kept as ``target_mask``.
+    ``below`` holds each vertex's strict ancestors as a bitmask; it is the
+    graph's one reachability table, built on first use in O(n^2) bits, and
+    ``reaches``/``descendants`` read it.
     Construction is permissive about shape so that ``validate_dag`` can
     report problems; only out-of-range vertex ids and more than
     ``MAX_VERTICES`` vertices are rejected outright.
     """
 
     __slots__ = ("n", "edges", "preds", "succs", "pred_mask", "succ_mask",
-                 "sources", "sinks", "targets", "target_mask", "_desc")
+                 "sources", "sinks", "targets", "target_mask", "_below")
 
     def __init__(self, n: int, edges, targets=None):
         if n > MAX_VERTICES:
@@ -75,24 +79,35 @@ class Dag:
                 if not (0 <= t < n):
                     raise GraphError(f"target {t} out of range for {n} vertices")
         self.target_mask = sum(1 << t for t in self.targets)
-        self._desc = None
+        self._below = None
+
+    @property
+    def below(self) -> tuple[int, ...]:
+        """``below[v]``: bitmask of the vertices strictly below v, those with
+        a forward path to v.  Non-forward edges of malformed graphs are
+        ignored.  Built on first use; it takes O(n^2) bits."""
+        if self._below is None:
+            below = [0] * self.n
+            # Edges are sorted by source and every edge into u starts below
+            # u, so below[u] is complete before any edge leaves u.
+            for u, v in self.edges:
+                if u < v:
+                    below[v] |= below[u] | 1 << u
+            self._below = tuple(below)
+        return self._below
 
     def descendants(self, v: int) -> frozenset[int]:
-        """All vertices reachable from v along forward edges, including v."""
-        if self._desc is None:
-            desc: list[frozenset[int]] = [frozenset()] * self.n
-            for u in range(self.n - 1, -1, -1):
-                acc = {u}
-                for w in self.succs[u]:
-                    if w > u:  # ignore non-forward edges on malformed graphs
-                        acc |= desc[w]
-                desc[u] = frozenset(acc)
-            self._desc = tuple(desc)
-        return self._desc[v]
+        """All vertices reachable from v along forward edges, including v;
+        empty when v is outside the graph."""
+        if not 0 <= v < self.n:
+            return frozenset()
+        below = self.below
+        return frozenset([v, *(w for w in range(v + 1, self.n) if below[w] >> v & 1)])
 
     def reaches(self, u: int, v: int) -> bool:
-        """True iff there is a (possibly empty) path from u to v."""
-        return v in self.descendants(u)
+        """True iff there is a (possibly empty) forward path from u to v;
+        False when u or v is outside the graph."""
+        return 0 <= v < self.n and (u == v or (0 <= u and self.below[v] >> u & 1 == 1))
 
     def __eq__(self, other):
         return (

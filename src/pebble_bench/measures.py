@@ -26,7 +26,6 @@ from .pebbling import PebbleConfig
 __all__ = [
     "LayeredView",
     "MeasureValue",
-    "MeasureReport",
     "LhcResult",
     "LhcWitness",
     "hidden_vertices",
@@ -267,23 +266,3 @@ def check_lhc(
 def min_lhc_bound(g: Dag, direction: str = "below", max_n: int = LHC_BOUND) -> int:
     """Smallest bound for which check_lhc holds (worst case over in-scope sets)."""
     return max((needed for _, _, needed in _in_scope_hiders(g, direction, max_n)), default=0)
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """Bundle returned by the measure CLI: hull, measure, and potential."""
-
-    hidden: tuple[int, ...]
-    measure: int
-    partials: tuple[int, ...]
-    potential: int | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "hidden": list(self.hidden),
-            "measure": self.measure,
-            "partials": list(self.partials),
-        }
-        if self.potential is not None:
-            out["potential"] = self.potential
-        return out

@@ -184,9 +184,9 @@ def format_trace(trace: ResolutionTrace) -> str:
     lines = []
     for ev in trace.events:
         if isinstance(ev, Axiom):
-            lines.append("a " + " ".join(map(str, ev.clause + (0,))))
+            lines.append("a " + " ".join(map(str, (*ev.clause, 0))))
         elif isinstance(ev, Infer):
-            lits = " ".join(map(str, ev.clause + (0,)))
+            lits = " ".join(map(str, (*ev.clause, 0)))
             lines.append(f"r {ev.left} {ev.right} {ev.pivot} {lits}")
         else:
             lines.append(f"e {ev.id}")

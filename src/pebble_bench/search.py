@@ -16,12 +16,12 @@ size bound rather than run forever.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from heapq import heappop, heappush
 from time import perf_counter
 from typing import NamedTuple
 
-from .blob import _shape_problem
+from .blob import _charge, _shape_problem
 from .dag import Dag
 from .errors import SizeBoundExceeded
 from .pebbling import Move
@@ -446,7 +446,9 @@ def _blob_reachable(g: Dag, cap: int, strict: bool) -> tuple[bool, int, int]:
     on an inflation-added vertex produces a weakening of the source, so
     only the bottom-lowering inflations can ever pay off.  The cost check
     uses the transient configuration (new subconfiguration next to its
-    operands/source) to mirror per-move accounting in the validator.
+    operands/source) to mirror per-move accounting in the validator, and
+    the validator's own rule, ``blob._charge`` on ``Dag.below``, to charge
+    each subconfiguration.
 
     The queue pops first the configuration nearest the goal: per target,
     the fewest literals (|B| - 1 + |W|) left in a subconfiguration whose
@@ -462,12 +464,7 @@ def _blob_reachable(g: Dag, cap: int, strict: bool) -> tuple[bool, int, int]:
     configuration is reachable within the cap, so the verdict is the same.
     """
     n = g.n
-    # below[v]: the vertices strictly below v, those with a path to v.
-    below = [sum(1 << u for u in range(n) if u != v and g.reaches(u, v)) for v in range(n)]
-
-    def charge(blob: int, whites: int) -> int:
-        """Blob vertices plus whites strictly below the bottom vertex."""
-        return blob | (whites & below[(blob & -blob).bit_length() - 1])
+    charge = partial(_charge, g.below)
 
     @cache
     def strict_ok(s: tuple[int, int]) -> bool:

@@ -1,6 +1,7 @@
 """Tests for blob subconfigurations, moves, costs, and trace validation."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,9 +10,13 @@ from pebble_bench import (
     BadMerge,
     BlobSubconfig,
     Dag,
+    EraseMove,
     FamilySpec,
+    GraphError,
     IllegalMove,
     IncompletePebbling,
+    IntroduceMove,
+    MergeMove,
     blob_cost,
     build_family,
     format_blob_moves,
@@ -176,6 +181,11 @@ def test_chargeable_only_below_bottom():
     assert chargeable_vertices(g, s) == frozenset({0, 1, 2})
     costs = blob_cost(g, BlobConfig(frozenset({s})))
     assert costs == {"naive": 4, "chargeable": 3}
+    for outside in (sub([2], [-1]), sub([4], [0])):
+        with pytest.raises(GraphError):
+            chargeable_vertices(g, outside)
+        with pytest.raises(GraphError):
+            blob_cost(g, BlobConfig(frozenset({outside})))
 
 
 def test_inflation_can_reduce_chargeable_cost():
@@ -196,6 +206,27 @@ def test_validate_blob_trace_on_edge():
     assert trace.naive_cost == 3
     assert [str(m) for m in trace.moves] == ["I 1", "I 0", "M 1 0 0", "E 0", "E 1"]
     assert trace.report() == {"cost": 2, "naive_cost": 3, "moves_total": 5}
+
+
+def test_validate_chain_play_in_small_memory():
+    """Blob costs read the graph's reachability table, O(n^2) bits, not a
+    vertex set per vertex."""
+    n = 1000
+    g = build_family(FamilySpec.chain(n))
+    # introduce 0; for each v introduce v, merge on v - 1, erase both operands
+    moves = [IntroduceMove(0)]
+    for v in range(1, n):
+        done, intro = 2 * v - 2, 2 * v - 1
+        moves += [IntroduceMove(v), MergeMove(done, intro, v - 1)]
+        moves += [EraseMove(done), EraseMove(intro)]
+    tracemalloc.start()
+    try:
+        trace = validate_blob_pebbling(g, moves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (trace.cost, trace.naive_cost) == (2, 3)
+    assert peak < 2 * 2**20, peak
 
 
 def test_validate_blob_trace_errors():

@@ -78,6 +78,50 @@ def test_reaches_and_descendants():
     assert g.descendants(5) == frozenset({5})
 
 
+def forward_reach(g, u):
+    """The vertices reachable from u along forward edges, by depth-first
+    search."""
+    seen, stack = {u}, [u]
+    while stack:
+        x = stack.pop()
+        for w in g.succs[x]:
+            if w > x and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def random_pairs_dag(rng):
+    """A Dag on arbitrary vertex pairs: backward edges and self-loops too."""
+    n = rng.randint(1, 12)
+    return Dag(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))])
+
+
+def test_below_matches_depth_first_search():
+    rng = random.Random(SEED)
+    for _ in range(200):
+        g = random_pairs_dag(rng)
+        n = g.n
+        reach = [forward_reach(g, u) for u in range(n)]
+        want = tuple(sum(1 << u for u in range(n) if u != v and v in reach[u]) for v in range(n))
+        assert g.below == want, g
+        for u in range(n):
+            assert g.descendants(u) == reach[u]
+            for v in range(n):
+                assert g.reaches(u, v) == (v in reach[u])
+
+
+def test_reaches_nothing_outside_the_graph():
+    rng = random.Random(SEED)
+    graphs = [build_family(FamilySpec.pyramid(2))] + [random_pairs_dag(rng) for _ in range(20)]
+    for g in graphs:
+        for out in (-1, g.n):
+            assert g.descendants(out) == frozenset()
+            for v in range(-1, g.n + 1):
+                assert not g.reaches(out, v)
+                assert not g.reaches(v, out)
+
+
 # --- families ----------------------------------------------------------------
 
 

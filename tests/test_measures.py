@@ -9,7 +9,6 @@ from pebble_bench import (
     FamilySpec,
     GraphError,
     LayeredView,
-    MeasureReport,
     PebbleConfig,
     SizeBoundExceeded,
     build_family,
@@ -167,16 +166,6 @@ def test_lhc_size_guard():
         check_lhc(g, 2)
     with pytest.raises(SizeBoundExceeded):
         min_lhc_bound(g)
-
-
-# --- report -------------------------------------------------------------------
-
-
-def test_report_json_round():
-    rep = MeasureReport(hidden=(3, 4, 5), measure=3, partials=(2, 3, 0))
-    assert rep.to_json() == {"hidden": [3, 4, 5], "measure": 3, "partials": [2, 3, 0]}
-    rep = MeasureReport(hidden=(), measure=0, partials=(0,), potential=0)
-    assert rep.to_json()["potential"] == 0
 
 
 # --- fuzz ----------------------------------------------------------------------

@@ -98,6 +98,8 @@ def test_formula_clause_given_out_of_order():
         (Axiom([2, 1]), Axiom([-1]), Infer(1, 2, 1, [2]), Axiom([-2]), Infer(3, 4, 2, []))
     )
     assert check_refutation(f, listed) == want
+    # and formatted like their tuple twin, the trace written (2, 1) above
+    assert format_trace(listed) == format_trace(trace)
 
 
 def test_check_rejects_foreign_axiom():
