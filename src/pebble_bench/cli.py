@@ -25,7 +25,7 @@ from .measures import hidden_vertices, klawe_measure, potential, LayeredView
 from .pebbling import format_moves, parse_moves, validate_pebbling
 from .resolution import check_trace_text, format_trace
 from .search import optimal_price, tradeoff_frontier
-from .strategies import black_strategy, cs_tradeoff_strategy
+from .strategies import _strategy, black_strategy, cs_tradeoff_strategy
 
 __all__ = ["main", "run_command"]
 
@@ -166,13 +166,9 @@ def _cmd_frontier(args) -> int:
 
 def _cmd_strategy(args) -> int:
     spec = _spec_from_args(args)
-    if spec.kind == "carlson_savage" and args.budget is not None:
-        moves = cs_tradeoff_strategy(*spec.params, args.budget)
-    elif args.budget is not None:
+    if spec.kind != "carlson_savage" and args.budget is not None:
         raise _Usage("--budget only applies to carlson_savage")
-    else:
-        moves = black_strategy(spec)
-    g = build_family(spec)
+    g, moves = _strategy(spec, args.budget)
     trace = validate_pebbling(g, moves, game="black")
     _write_out(args, format_moves(moves))
     if args.output:
@@ -440,6 +436,9 @@ def run_command(argv) -> int:
     except (PebbleBenchError, OSError) as e:
         # OSError: a file that cannot be opened, read or written.
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

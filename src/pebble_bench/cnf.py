@@ -59,7 +59,13 @@ class Cnf:
     """A CNF formula: a clause list (multiset) over variables 1..num_vars,
     each clause stored in canonical form.  A clause holding literal 0, a
     literal beyond num_vars or a complementary pair is refused; the error
-    names the clause as given."""
+    names the clause as given.
+
+    A tuple or list clause with no repeated variable, as every generated
+    clause is, takes a fast path: sorted by variable it is canonical
+    already, and it cannot hold a complementary pair, so neither
+    ``canon_clause`` nor ``is_tautology`` runs.  A literal 0 sorts first
+    and is caught by the range check, as on the other path."""
 
     num_vars: int
     clauses: tuple[Clause, ...]
@@ -68,11 +74,12 @@ class Cnf:
         n = self.num_vars
         clauses = []
         for cl in self.clauses:
-            c = canon_clause(cl)
+            plain = type(cl) in (tuple, list) and len({*map(abs, cl)}) == len(cl)
+            c = tuple(sorted(cl, key=abs)) if plain else canon_clause(cl)
             if c and (c[0] == 0 or abs(c[-1]) > n):  # sorted by variable
                 bad = next(l for l in cl if l == 0 or abs(l) > n)
                 raise GraphError(f"literal {bad} out of range in clause {cl}")
-            if is_tautology(c):
+            if not plain and is_tautology(c):
                 raise GraphError(f"tautological clause {cl}")
             clauses.append(c)
         object.__setattr__(self, "clauses", tuple(clauses))

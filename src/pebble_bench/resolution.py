@@ -8,7 +8,8 @@ canonical clauses, and ``check_trace_text`` checks them as it reads them,
 with the clauses as written.  The checker is a single pass that verifies
 every event and measures length (axioms + inferences), width (largest
 clause appearing), and clause space (peak number of simultaneously live
-clauses).
+clauses).  No live clause is tautological, so the checker resolves on sets
+and accepts a stated clause of the resolvent's length and set (``_verify``).
 """
 
 from __future__ import annotations
@@ -125,15 +126,30 @@ def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
 
 
 def _verify(f: Cnf, events) -> ProofMetrics:
-    """The checker.  Clauses are compared in canonical form: as given first,
-    since ``f`` and the traces from ``parse_trace`` and the compiler are
-    canonical already, and canonicalised only on a miss."""
+    """The checker.
+
+    No live clause is tautological: an axiom is a clause of ``f``, which
+    ``Cnf`` refuses if tautological, and a resolvent goes live only after
+    the tautology check.  So a good pivot occurs with one sign in each
+    premise, and the resolvent is the set ``(C1 | C2) - {p, -p}``.  A
+    stated clause of the same length and the same set is that set in some
+    order; a length and superset test would let a repeated literal stand in
+    for a missing one.  Canonical forms are built only on a miss, where a
+    repeated literal may still agree; a failed pivot or tautology check is
+    reported by ``resolve``.  Axioms are canonicalised only when not found
+    as given.
+    """
     axioms = set(f.clauses)
     live: dict[int, Clause] = {}
     next_id = 1
     width = space = 0
     for idx, ev in enumerate(events):
         kind = type(ev)
+        if kind is Erase:
+            if ev.id not in live:
+                raise VerificationError(f"erased id {ev.id} not live", index=idx)
+            del live[ev.id]
+            continue  # an erasure cannot raise the peak
         if kind is Axiom:
             cl = ev.clause
             if type(cl) is not tuple or cl not in axioms:  # a list does not hash
@@ -141,23 +157,29 @@ def _verify(f: Cnf, events) -> ProofMetrics:
                 if cl not in axioms:
                     raise VerificationError(f"axiom {cl} not in formula", index=idx)
         elif kind is Infer:
+            left, right, pivot, cl = ev
             try:
-                cl = resolve(live[ev.left], live[ev.right], ev.pivot)
+                c1 = live[left]
+                c2 = live[right]
             except KeyError as e:  # the left premise is looked up first
                 raise VerificationError(f"premise {e.args[0]} not live", index=idx) from None
-            except (BadPivot, TautologicalResolvent) as e:
-                raise VerificationError(str(e), index=idx) from None
-            if cl != ev.clause:
-                stated = canon_clause(ev.clause)
+            lits = {*c1, *c2}
+            lits.discard(pivot)
+            lits.discard(-pivot)
+            good = pivot > 0 and pivot in c1 and -pivot in c2
+            if not good or not lits.isdisjoint(map(neg, lits)):
+                try:
+                    resolve(c1, c2, pivot)  # raises, naming the failed check
+                except (BadPivot, TautologicalResolvent) as e:
+                    raise VerificationError(str(e), index=idx) from None
+            if type(cl) is not tuple:  # live clauses are tuples: () must match
+                cl = tuple(cl)
+            if len(cl) != len(lits) or lits != set(cl):
+                stated, cl = canon_clause(cl), tuple(sorted(lits, key=abs))
                 if cl != stated:
                     raise VerificationError(
                         f"stated clause {stated} differs from resolvent {cl}", index=idx
                     )
-        elif kind is Erase:
-            if ev.id not in live:
-                raise VerificationError(f"erased id {ev.id} not live", index=idx)
-            del live[ev.id]
-            continue  # an erasure cannot raise the peak
         else:  # pragma: no cover - event union is closed
             raise VerificationError(f"unknown event {ev!r}", index=idx)
         live[next_id] = cl
@@ -199,27 +221,38 @@ def parse_trace(text: str) -> ResolutionTrace:
 
 def _records(text: str, clause=tuple):
     """Yield the event of each line, its clause passed through ``clause``:
-    as written by default.  Raises ParseError at the first malformed line."""
+    as written by default.  Raises ParseError at the first malformed line.
+    Events are built by ``tuple.__new__``, the named tuples' own
+    constructor without the Python-level ``__new__`` in front of it; erase
+    lines, half of a compiled trace, are read first."""
+    new = tuple.__new__
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
-        if not parts or parts[0][0] == "c":
+        if not parts:
             continue
         kind = parts[0]
-        if kind == "e" and len(parts) != 2:
-            raise ParseError("bad erase line", lineno)
-        if kind not in ("a", "r", "e"):
+        if kind == "e":
+            if len(parts) != 2:
+                raise ParseError("bad erase line", lineno)
+            try:
+                cid = int(parts[1])
+            except ValueError:
+                raise ParseError(f"bad integer in {raw.strip()!r}", lineno) from None
+            yield new(Erase, (cid,))
+            continue
+        if kind[0] == "c":
+            continue
+        if kind != "a" and kind != "r":
             raise ParseError(f"unknown line type {kind!r}", lineno)
         try:
             ints = tuple(map(int, parts[1:]))
         except ValueError:
             raise ParseError(f"bad integer in {raw.strip()!r}", lineno) from None
-        if kind == "e":
-            yield Erase(ints[0])
-        elif kind == "a":
-            if ints[-1:] != (0,):
+        if kind == "a":
+            if not ints or ints[-1]:
                 raise ParseError("axiom line missing trailing 0", lineno)
-            yield Axiom(clause(ints[:-1]))
-        elif len(ints) < 4 or ints[-1] != 0:
+            yield new(Axiom, (clause(ints[:-1]),))
+        elif len(ints) < 4 or ints[-1]:
             raise ParseError("bad inference line", lineno)
         else:
-            yield Infer(ints[0], ints[1], ints[2], clause(ints[3:-1]))
+            yield new(Infer, (ints[0], ints[1], ints[2], clause(ints[3:-1])))

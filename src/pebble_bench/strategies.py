@@ -37,16 +37,28 @@ def black_strategy(spec: FamilySpec) -> list[Move]:
     Chains, pyramids and binary trees are pebbled depth-first: space is 2
     on chains and h+2 on pyramids and trees.
     """
+    return _strategy(spec)[1]
+
+
+def _strategy(spec: FamilySpec, budget: int | None = None) -> tuple[Dag, list[Move]]:
+    """The graph of ``spec``, built once, and its black pebbling: the
+    carlson_savage schedule under ``budget`` (its minimum if None), or the
+    depth-first pebbling of the other families."""
     if spec.kind in ("chain", "pyramid", "binary_tree"):
         g = build_family(spec)
         e = _Emitter(g, g.n)
         for t in g.targets:
             e.pebble(t)
             e.remove(t)
-        return e.moves
+        return g, e.moves
     if spec.kind == "carlson_savage":
         c, r = spec.params
-        return cs_tradeoff_strategy(c, r, cs_min_budget(c, r))
+        minimum = cs_min_budget(c, r)
+        budget = minimum if budget is None else budget
+        if budget < minimum:
+            raise BudgetTooSmall(budget, minimum)
+        g, layout = carlson_savage_layout(c, r)
+        return g, _CsEmitter(g, layout, budget).run()
     raise UnsupportedFamily(f"no strategy for family {spec.kind!r}")
 
 
@@ -205,8 +217,4 @@ def cs_tradeoff_strategy(c: int, r: int, budget: int) -> list[Move]:
     Raises BudgetTooSmall (carrying the minimum) below the schedule's
     minimum budget.  Time is non-increasing in the budget.
     """
-    minimum = cs_min_budget(c, r)
-    if budget < minimum:
-        raise BudgetTooSmall(budget, minimum)
-    g, layout = carlson_savage_layout(c, r)
-    return _CsEmitter(g, layout, budget).run()
+    return _strategy(FamilySpec.carlson_savage(c, r), budget)[1]

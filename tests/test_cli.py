@@ -23,7 +23,7 @@ from pebble_bench import (
     write_dimacs,
     write_graph,
 )
-from pebble_bench import strategies
+from pebble_bench import cli, strategies
 from pebble_bench.cnf import MAX_CLAUSES, MAX_LITERALS
 from pebble_bench.cli import run_command, tradeoff_report
 
@@ -402,6 +402,21 @@ def test_unusable_file_exits_1(tmp_path, capsys, argv):
     # the first file argument is the one read (or written) first
     bad = next(a.format(**paths) for a in argv if "{" in a)
     assert bad in err
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("pebbling_contradiction", ["gen-cnf", "--family", "chain", "--n", "2"]),
+        ("build_family", ["gen-graph", "--family", "chain", "--n", "2"]),
+    ],
+)
+def test_out_of_memory_is_one_line(capsys, monkeypatch, name, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, name, exhausted)
+    assert run(capsys, *argv) == (1, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize(

@@ -80,20 +80,47 @@ def test_canon_and_tautology_match_reference():
         assert is_tautology(lits) == ref_is_tautology(lits), lits
 
 
+def distinct_lits(rng, zero=False):
+    """A literal list over distinct variables (0 counts as one), so the
+    clause takes Cnf's fast path."""
+    lo = 0 if zero else 1
+    k = rng.randint(0, 6)
+    return [rng.choice((1, -1)) * v for v in rng.sample(range(lo, 7), k)]
+
+
 def test_cnf_names_first_bad_literal():
+    """Every outcome, from both the fast path (no repeated variable) and the
+    canonicalising one, for tuple and list clauses; an error names the
+    clause as given."""
     rng = random.Random(SEED)
-    for _ in range(2000):
+    seen = set()
+    for trial in range(4000):
         num_vars = rng.randint(0, 6)
-        cl = tuple(random_lits(rng, zero=True))
+        lits = (random_lits if trial % 2 else distinct_lits)(rng, zero=True)
+        cl = rng.choice((tuple, list))(lits)
         bad = ref_first_bad_literal(num_vars, cl)
+        repeated = len({abs(l) for l in cl}) < len(cl)
         if bad is not None:
-            with pytest.raises(GraphError, match=rf"^literal {bad} out of range in clause "):
+            with pytest.raises(GraphError) as e:
                 Cnf(num_vars, ((1,) if num_vars else (), cl))
+            assert str(e.value) == f"literal {bad} out of range in clause {cl}"
+            seen.add(("range", repeated, type(cl)))
         elif ref_is_tautology(cl):
-            with pytest.raises(GraphError, match="^tautological clause "):
+            with pytest.raises(GraphError) as e:
                 Cnf(num_vars, (cl,))
+            assert str(e.value) == f"tautological clause {cl}"
+            seen.add(("tautology", repeated, type(cl)))
         else:
-            assert Cnf(num_vars, (cl,)).clauses == (canon_clause(cl),)
+            assert Cnf(num_vars, (cl,)).clauses == (ref_canon_clause(cl),)
+            seen.add(("ok", repeated, type(cl)))
+    # a tautology repeats a variable; every other outcome meets both paths
+    assert seen == {
+        (outcome, repeated, kind)
+        for outcome in ("range", "tautology", "ok")
+        for repeated in (False, True)
+        for kind in (tuple, list)
+        if repeated or outcome != "tautology"
+    }
 
 
 def test_cnf_rejects_bad_clauses():

@@ -1,0 +1,65 @@
+"""Golden bytes of the proof path on the benchmark's three family graphs.
+
+A change to the proof path counts as faster only if its outputs are
+byte-identical.  These digests were taken before the DIMACS reader, the
+trace reader and the checker were last optimised: the DIMACS text of the
+pebbling contradiction, the trace text compiled from the family's black
+strategy, and the metrics the checker reports for that trace.
+"""
+
+import hashlib
+
+import pytest
+
+from pebble_bench import (
+    FamilySpec,
+    build_family,
+    check_trace_text,
+    compile_pebbling,
+    format_trace,
+    pebbling_contradiction,
+    validate_pebbling,
+    write_dimacs,
+)
+from pebble_bench.strategies import black_strategy
+
+GOLDEN = [
+    (
+        FamilySpec.pyramid(9),
+        4,
+        "d10c0706f16f45086c0aed9b438b2bf1de710681aa8a59eaced9d15bd5452cd0",
+        "b285843382691419ade6427d14f1c2aa291596741964dab41cddc0b4e3b9cc9a",
+        {"length": 18916, "width": 8, "clause_space": 14},
+    ),
+    (
+        FamilySpec.binary_tree(7),
+        8,
+        "b5d5e8072c776fa297404f26424547146d67a993a706d17077c9446fa16bf8ed",
+        "82872a3409348e6cd11a65da833805238a0a0471662ec64ac331edf000b46f20",
+        {"length": 17416, "width": 16, "clause_space": 12},
+    ),
+    (
+        FamilySpec.carlson_savage(2, 3),
+        4,
+        "70fe554332fa88125650f06d72cda4b499a111775d2ff252fac2aef9d4f1c4af",
+        "41558b0d77e996062578f58b9b90a7785c0ab95cf0d87d1d31d19b499c57e312",
+        {"length": 1408, "width": 8, "clause_space": 8},
+    ),
+]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec, d, cnf_sha, trace_sha, report", GOLDEN, ids=[s.label() for s, *_ in GOLDEN]
+)
+def test_proof_path_bytes(spec, d, cnf_sha, trace_sha, report):
+    g = build_family(spec)
+    f = pebbling_contradiction(g, d)
+    assert sha256(write_dimacs(f)) == cnf_sha
+    ptrace = validate_pebbling(g, black_strategy(spec), game="black")
+    trace = format_trace(compile_pebbling(g, d, ptrace))
+    assert sha256(trace) == trace_sha
+    assert check_trace_text(f, trace).report() == report

@@ -391,6 +391,51 @@ def test_check_refutation_matches_reference():
     assert {"ok", "axiom", "stated", "final"} <= verdicts
 
 
+def test_stated_clause_compared_as_a_set():
+    """The checker compares a stated clause with the resolvent as a set of
+    the same length.  A repeated literal standing in for a missing one is
+    rejected, and a permuted or list clause is accepted, exactly as by the
+    reference checker and by the text checker."""
+    f = Cnf(4, ((1, 2, 3), (-1, 4), (-2,), (-3,), (-4,)))
+    head = (Axiom((1, 2, 3)), Axiom((-1, 4)))
+    tail = (
+        Axiom((-2,)), Infer(3, 4, 2, (3, 4)), Axiom((-3,)), Infer(5, 6, 3, (4,)),
+        Axiom((-4,)), Infer(7, 8, 4, ()),
+    )
+    spec = FamilySpec.pyramid(2)
+    g = build_family(spec)
+    compiled = compile_pebbling(g, 2, validate_pebbling(g, black_strategy(spec), game="black"))
+    cases = [
+        (f, head + (Infer(1, 2, 1, (2, 3, 4)),) + tail),
+        (pebbling_contradiction(g, 2), compiled.events),
+    ]
+    for f, events in cases:
+        want = ref_check_refutation(f, ResolutionTrace(events))
+        infers = [i for i, ev in enumerate(events) if isinstance(ev, Infer)]
+        variants = []
+        for i in infers:
+            ev = events[i]
+            lits = ev.clause
+            for j, k in product(range(len(lits)), repeat=2):
+                if j != k:  # lits[j] replaced by a copy of lits[k]
+                    bad = lits[:j] + (lits[k],) + lits[j + 1 :]
+                    variants.append((i, Infer(ev.left, ev.right, ev.pivot, bad), "stated"))
+            for clause in (lits[::-1], lits[1:] + lits[:1], list(lits), list(lits[::-1])):
+                variants.append((i, Infer(ev.left, ev.right, ev.pivot, clause), "ok"))
+        assert {v for *_, v in variants} == {"stated", "ok"}
+        for i, ev, verdict in variants:
+            trace = ResolutionTrace(events[:i] + (ev,) + events[i + 1 :])
+            got = outcome(check_refutation, f, trace)
+            if verdict == "ok":
+                assert got == want
+            else:
+                assert got[:2] == ("raised", VerificationError) and got[3] == i
+                assert got[2].startswith(f"event {i + 1}: stated clause "), got
+                assert " differs from resolvent " in got[2]
+            assert got == outcome(ref_check_refutation, f, trace)
+            assert got == outcome(check_trace_text, f, format_trace(trace))
+
+
 # --- the one-pass text checker against parse-then-check ----------------------
 #
 # Verbatim copies of parse_trace and check_refutation as they were before the
