@@ -134,8 +134,6 @@ def inflate(
         raise BadInflation("blob not superset")
     if not s.whites <= target.whites:
         raise BadInflation("whites not superset")
-    if target.blob & target.whites:
-        raise BadInflation("inflated subconfiguration not disjoint")
     if strict:
         if g is None:
             raise BadInflation("strict inflation needs the graph")

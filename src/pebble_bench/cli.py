@@ -114,9 +114,10 @@ def _graph_from_args(args) -> Dag:
     return build_family(_spec_from_args(args))
 
 
-def _write_out(args, text: str):
-    if getattr(args, "output", None):
-        with open(args.output, "w", newline="\n") as fh:
+def _write_out(path: str | None, text: str):
+    """Write ``text`` to the file ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -127,21 +128,21 @@ def _write_out(args, text: str):
 
 def _cmd_gen_graph(args) -> int:
     g = build_family(_spec_from_args(args))
-    _write_out(args, write_graph(g))
+    _write_out(args.output, write_graph(g))
     return 0
 
 
 def _cmd_gen_cnf(args) -> int:
     g = _graph_from_args(args)
     f = pebbling_contradiction(g, args.d, starred=args.starred)
-    _write_out(args, write_dimacs(f))
+    _write_out(args.output, write_dimacs(f))
     return 0
 
 
 def _cmd_price(args) -> int:
     g = _graph_from_args(args)
     price = optimal_price(g, game=args.game, bound=args.bound)
-    _write_out(args, f"{price}\n")
+    _write_out(args.output, f"{price}\n")
     return 0
 
 
@@ -160,7 +161,7 @@ def _cmd_frontier(args) -> int:
         fam, par = spec.kind, spec.params_label()
     else:
         fam, par = "file", os.path.basename(args.graph)
-    _write_out(args, _frontier_rows(fam, par, args.game, fr))
+    _write_out(args.output, _frontier_rows(fam, par, args.game, fr))
     return 0
 
 
@@ -170,7 +171,7 @@ def _cmd_strategy(args) -> int:
         raise _Usage("--budget only applies to carlson_savage")
     g, moves = _strategy(spec, args.budget)
     trace = validate_pebbling(g, moves, game="black")
-    _write_out(args, format_moves(moves))
+    _write_out(args.output, format_moves(moves))
     if args.output:
         sys.stdout.write(json.dumps(trace.report()) + "\n")
     return 0
@@ -184,7 +185,7 @@ def _cmd_compile(args) -> int:
     else:
         trace = validate_pebbling(g, _parse_file(args.moves, parse_moves), game="black")
     rtrace = simulation.compile_pebbling(g, args.d, trace, starred=args.starred)
-    _write_out(args, format_trace(rtrace))
+    _write_out(args.output, format_trace(rtrace))
     return 0
 
 
@@ -262,21 +263,21 @@ def _instance_rows(spec: FamilySpec, cap_kw: dict[str, int], game: str, bound: i
     """Frontier and strategy comparison rows for one instance."""
     g = build_family(spec)
     frontier = tradeoff_frontier(g, game=game, bound=bound, **cap_kw)
-    base_moves = None
-    if spec.kind != "carlson_savage":
-        moves = black_strategy(spec)
-        base_moves = validate_pebbling(g, moves, game="black")
-    rows = []
-    for s, t in frontier.points:
-        if spec.kind == "carlson_savage":
+    if spec.kind == "carlson_savage":
+
+        def strategy_time(s):
             try:
-                moves = cs_tradeoff_strategy(*spec.params, s)
-                st = str(validate_pebbling(g, moves, game="black").time)
+                return validate_pebbling(g, cs_tradeoff_strategy(*spec.params, s), game="black").time
             except BudgetTooSmall:
-                st = ""
-        else:
-            st = str(base_moves.time) if base_moves.space <= s else ""
-        rows.append((spec.kind, spec.params_label(), game, s, t, st))
+                return ""
+
+    else:
+        base = validate_pebbling(g, black_strategy(spec), game="black")
+
+        def strategy_time(s):
+            return base.time if base.space <= s else ""
+
+    rows = [(spec.kind, spec.params_label(), game, s, t, strategy_time(s)) for s, t in frontier.points]
     return rows, frontier
 
 
@@ -293,7 +294,14 @@ def _read_spec(spec_path: str) -> ConfigParser:
     return cp
 
 
-def _run_spec(cp: ConfigParser) -> tuple[str, dict[str, str], list[str]]:
+def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
+    """Run the experiment file; returns (csv text, plot files, warnings).
+
+    This is what the ``tradeoff-report`` command runs; the command then
+    writes the csv and plot files where the spec's ``out_csv`` and
+    ``plot_prefix`` say.
+    """
+    cp = _read_spec(spec_path)
     game = cp.get("experiment", "game", fallback="black")
     if game not in ("black", "bw"):
         raise _Usage(f"unknown game {game!r}")
@@ -323,32 +331,16 @@ def _run_spec(cp: ConfigParser) -> tuple[str, dict[str, str], list[str]]:
     return "\n".join(lines) + "\n", plots, warnings
 
 
-def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
-    """Run the experiment file; returns (csv text, plot files, warnings).
-
-    The CLI runs the same steps itself, but this stays public:
-    ``perfbench/tracing.py`` wraps it by name, and its tracer raises
-    LookupError for a missing name, so every ``--trace 1`` run needs it.
-    """
-    return _run_spec(_read_spec(spec_path))
-
-
 def _cmd_tradeoff_report(args) -> int:
-    cp = _read_spec(args.spec)
-    csv_text, plots, warnings = _run_spec(cp)
+    csv_text, plots, warnings = tradeoff_report(args.spec)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    out_csv = cp.get("experiment", "out_csv", fallback=None)
-    if out_csv:
-        with open(out_csv, "w", newline="\n") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    cp = _read_spec(args.spec)
+    _write_out(cp.get("experiment", "out_csv", fallback=None), csv_text)
     prefix = cp.get("experiment", "plot_prefix", fallback=None)
     if prefix:
         for name, text in plots.items():
-            with open(prefix + name, "w", newline="\n") as fh:
-                fh.write(text)
+            _write_out(prefix + name, text)
     return 0
 
 
@@ -446,5 +438,5 @@ def main() -> None:  # pragma: no cover - console entry point
     sys.exit(run_command(sys.argv[1:]))
 
 
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":  # pragma: no cover - run as a script
     main()

@@ -38,21 +38,21 @@ class ParseError(PebbleBenchError):
         super().__init__(message)
 
 
-class IllegalMove(PebbleBenchError):
-    """A pebbling or blob move that violates the game rules.
-
-    ``index`` is the 0-based position of the offending move when the error
-    comes out of a trace validator, or ``None`` for single-step checks.  The
-    message renders it 1-based to match line numbering in move files.
-    """
+class _IndexedError(PebbleBenchError):
+    """An error at the 0-based position ``index`` of a trace, or ``None`` for
+    a single-step check.  The message renders it 1-based after the ``_item``
+    word, to match line numbering in the trace's file."""
 
     def __init__(self, reason: str, index: int | None = None):
         self.reason = reason
         self.index = index
-        if index is not None:
-            super().__init__(f"move {index + 1}: {reason}")
-        else:
-            super().__init__(reason)
+        super().__init__(reason if index is None else f"{self._item} {index + 1}: {reason}")
+
+
+class IllegalMove(_IndexedError):
+    """A pebbling or blob move that violates the game rules."""
+
+    _item = "move"
 
 
 class IncompletePebbling(PebbleBenchError):
@@ -75,20 +75,10 @@ class TautologicalResolvent(PebbleBenchError):
     """Resolution step that would produce a clause with x and not-x."""
 
 
-class VerificationError(PebbleBenchError):
-    """Refutation checking failure.
+class VerificationError(_IndexedError):
+    """Refutation checking failure at event ``index``."""
 
-    ``index`` is the 0-based event index; the message renders it 1-based to
-    match line numbering in trace files.
-    """
-
-    def __init__(self, reason: str, index: int | None = None):
-        self.reason = reason
-        self.index = index
-        if index is not None:
-            super().__init__(f"event {index + 1}: {reason}")
-        else:
-            super().__init__(reason)
+    _item = "event"
 
 
 class SizeBoundExceeded(PebbleBenchError):

@@ -347,6 +347,8 @@ def tradeoff_frontier(
     """
     if above_price is not None and space_cap:
         raise ValueError("give space_cap or above_price, not both")
+    if above_price is not None and above_price < 0:
+        raise ValueError("above_price must be >= 0")
     _check_bound(g, game, bound)
     floor = _closure(g.pred_mask, 0, g.target_mask, 0).bit_count()
     cap = space_cap if above_price is None else g.n + above_price

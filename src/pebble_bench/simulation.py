@@ -298,10 +298,7 @@ def _compile_blob(g: Dag, trace: BlobTrace, starred: bool) -> ResolutionTrace:
             elif -pv not in em.clauses[c2]:
                 bind(c2, s)
             else:
-                cid = em.infer(c1, c2, pv)
-                if not em.clauses[cid]:
-                    return ResolutionTrace(tuple(em.events))
-                bind(cid, s)
+                bind(em.infer(c1, c2, pv), s)
         elif isinstance(mv, InflateMove):
             bind(bound[mv.i][0], BlobSubconfig(mv.blob, mv.whites))
         elif isinstance(mv, EraseMove):

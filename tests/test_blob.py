@@ -109,6 +109,19 @@ def test_inflate_superset_rules():
         inflate(sub([2, 3], []), sub([3], [0]), g)  # dropped a blob vertex
 
 
+def test_inflation_overlap_is_refused_by_the_target():
+    # the target subconfiguration refuses the overlap before inflate runs
+    g = build_family(FamilySpec.chain(3))
+    with pytest.raises(IllegalMove) as exc:
+        validate_blob_pebbling(g, parse_blob_moves("I 0\nF 0 0|0"))
+    assert str(exc.value) == "move 2: blob and whites overlap"
+
+
+def test_strict_inflation_needs_the_graph():
+    with pytest.raises(BadInflation, match="^strict inflation needs the graph$"):
+        inflate(sub([0]), sub([0, 1]), strict=True)
+
+
 def test_strict_inflation_shape():
     g = diamond()
     s = sub([3], [1])
@@ -283,6 +296,23 @@ def test_strict_validation_rejects_bad_whites():
         validate_blob_pebbling(g5, bad, strict=True)
 
 
+def test_strict_validation_rejects_a_merge_that_is_not_a_chain():
+    # [0,1]<> merged on 0 into [2]<0> gives the blob {1, 2}, two children of 0
+    g = Dag(3, [(0, 1), (0, 2)])
+    moves = parse_blob_moves("I 0\nF 0 0,1|\nI 2\nM 1 2 0")
+    with pytest.raises(IllegalMove) as exc:
+        validate_blob_pebbling(g, moves, strict=True)
+    assert type(exc.value) is IllegalMove
+    assert str(exc.value) == "move 4: blob not a chain: [1,2]<>"
+
+
+def test_unknown_move_object():
+    g = edge_graph()
+    with pytest.raises(IllegalMove) as exc:
+        validate_blob_pebbling(g, [IntroduceMove(0), "X"])
+    assert str(exc.value) == "move 2: unknown move 'X'"
+
+
 def test_duplicate_and_unknown_ids():
     g = edge_graph()
     with pytest.raises(IllegalMove):
@@ -317,6 +347,15 @@ def test_parse_rejects_junk():
         parse_blob_moves("Z 1 2")
     with pytest.raises(ParseError):
         parse_blob_moves("F 0 |1")  # empty blob
+    with pytest.raises(ParseError, match="^line 2: bad vertex list '0,x'$"):
+        parse_blob_moves("I 0\nF 0 0,x|")
+    with pytest.raises(ParseError, match=r"^line 1: inflation needs blob\|whites$"):
+        parse_blob_moves("F 0 0")
+    assert parse_blob_moves("c comment\nI 0\n") == [IntroduceMove(0)]
+
+
+def test_blob_config_str():
+    assert str(BlobConfig(frozenset({sub([1], [0]), sub([0])}))) == "{[0]<>, [1]<0>}"
 
 
 def test_fuzz_merge_properties():

@@ -694,6 +694,8 @@ def test_report_usage_errors(tmp_path, capsys):
         code, out, err = run(capsys, "tradeoff-report", "--spec", write_spec(tmp_path, body))
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
+    code, _, err = run(capsys, "tradeoff-report", "--spec", write_spec(tmp_path, "[experiment]\ngame = red\n[family:chain]\nn = 2\n"))
+    assert (code, err) == (2, "usage error: unknown game 'red'\n")
 
 
 def test_report_skips_overlong_strategy(tmp_path, monkeypatch):
@@ -727,3 +729,31 @@ def test_report_carlson_savage_strategy_column(tmp_path):
     assert lines[1] == "carlson_savage,2-1,black,3,16,16"
     assert lines[2] == "carlson_savage,2-1,black,4,11,13"
     assert plots["carlson_savage-2-1.csv"] == "space,time\n3,16\n4,11\n"
+
+
+def test_report_command_runs_tradeoff_report(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def traced(spec_path):
+        calls.append(spec_path)
+        return tradeoff_report(spec_path)
+
+    monkeypatch.setattr(cli, "tradeoff_report", traced)
+    spec = write_spec(tmp_path, "[experiment]\ngame = black\n[family:chain]\nn = 2\n")
+    code, out, _ = run(capsys, "tradeoff-report", "--spec", spec)
+    assert code == 0 and calls == [spec]
+    assert out == tradeoff_report(spec)[0]
+
+
+def test_report_strategy_column_below_schedule_minimum(tmp_path, monkeypatch):
+    """A budget the schedule refuses leaves strategy_time empty.  The real
+    case is carlson_savage(3,2), black price 5 and schedule minimum 6, whose
+    price search alone takes 34 s on one core of a 2-core machine; here the
+    minimum of (2,1) is raised from its price 3 to 4."""
+    monkeypatch.setattr(strategies, "cs_min_budget", lambda c, r: 4)
+    spec = write_spec(
+        tmp_path,
+        "[experiment]\ngame = black\n[family:carlson_savage]\nc = 2\nr = 1\nspace_cap = +1\n",
+    )
+    csv_text, _, _ = tradeoff_report(spec)
+    assert csv_text.splitlines()[1:] == ["carlson_savage,2-1,black,3,16,", "carlson_savage,2-1,black,4,11,16"]

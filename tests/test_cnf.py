@@ -243,7 +243,7 @@ def test_dimacs_round_trip():
     for d in (1, 2):
         f = pebbling_contradiction(g, d)
         text = write_dimacs(f)
-        assert text.splitlines()[0] == f"p cnf {f.num_vars} {len(f.clauses)}"
+        assert text.splitlines()[0] == f"p cnf {f.num_vars} {len(f)}"
         f2 = read_dimacs(text)
         assert f2 == f
 
@@ -257,6 +257,12 @@ def test_dimacs_parse_errors():
         read_dimacs("p cnf 2 2\n1 0\n")  # count mismatch
     with pytest.raises(ParseError):
         read_dimacs("p cnf 1 1\n5 0\n")  # literal out of range
+    with pytest.raises(ParseError, match="^line 2: duplicate p line$"):
+        read_dimacs("p cnf 1 1\np cnf 1 1\n1 0\n")
+    with pytest.raises(ParseError, match="^line 1: bad header 'p cnf x 1'$"):
+        read_dimacs("p cnf x 1\n1 0\n")
+    with pytest.raises(ParseError, match="^line 1: clause before p line$"):
+        read_dimacs("1 0\np cnf 1 1\n")
 
 
 def test_dimacs_names_clause_as_written():

@@ -10,6 +10,7 @@ from pebble_bench import (
     GraphError,
     ParseError,
     SizeBoundExceeded,
+    UnsupportedFamily,
     build_family,
     read_graph,
     validate_dag,
@@ -47,6 +48,17 @@ def test_out_of_range_vertex_rejected():
         Dag(2, [(0, 5)])
     with pytest.raises(GraphError):
         Dag(2, [(-1, 1)])
+    with pytest.raises(GraphError, match=r"^target 2 out of range for 2 vertices$"):
+        Dag(2, [(0, 1)], targets=[2])
+
+
+def test_repr():
+    assert repr(Dag(2, [(0, 1)])) == "Dag(n=2, edges=1, targets=(1,))"
+
+
+def test_validate_flags_empty_graph_and_targets():
+    assert validate_dag(Dag(0, [])) == ["no vertices"]
+    assert validate_dag(Dag(2, [(0, 1)], targets=[])) == ["bad targets: empty"]
 
 
 def test_validate_flags_backward_edge():
@@ -222,6 +234,12 @@ def test_bad_family_parameters():
         build_family(FamilySpec.pyramid(0))
     with pytest.raises(GraphError):
         build_family(FamilySpec.carlson_savage(1, 1))
+    with pytest.raises(GraphError, match="^binary_tree needs h >= 1$"):
+        build_family(FamilySpec.binary_tree(0))
+    with pytest.raises(GraphError, match="^carlson_savage needs r >= 0$"):
+        build_family(FamilySpec.carlson_savage(2, -1))
+    with pytest.raises(UnsupportedFamily, match="^unknown family kind 'moebius'$"):
+        build_family(FamilySpec("moebius", (2,)))
 
 
 def test_vertex_bound():
@@ -297,6 +315,12 @@ def test_read_rejects_garbage():
         read_graph("p dag 2\nq 0 1\n")
     with pytest.raises(ParseError):
         read_graph("p dag 2\np dag 3\n")
+    with pytest.raises(ParseError, match="^line 1: e line before p line$"):
+        read_graph("e 0 1\np dag 2\n")
+    with pytest.raises(ParseError, match="^line 1: t line before p line$"):
+        read_graph("t 0\np dag 2\n")
+    with pytest.raises(ParseError, match="^invalid graph: fan-in exceeds 2 at vertex 3$"):
+        read_graph("p dag 4\ne 0 3\ne 1 3\ne 2 3\n")
 
 
 def test_round_trip_fuzz():

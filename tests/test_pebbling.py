@@ -150,6 +150,7 @@ def test_format_round_trip():
     moves = parse_moves(text)
     assert format_moves(moves) == text
     assert str(moves[1]) == "PW 3"
+    assert parse_moves("c a comment\n" + text) == moves
 
 
 def test_parse_rejects_junk():
@@ -159,6 +160,16 @@ def test_parse_rejects_junk():
         parse_moves("PB x")
     with pytest.raises(ParseError):
         parse_moves("QQ 1")
+
+
+def test_unknown_move_kind_and_game():
+    from pebble_bench import Move
+
+    with pytest.raises(IllegalMove, match="^unknown move kind 'XB'$"):
+        Move("XB", 0)
+    g = build_family(FamilySpec.chain(2))
+    with pytest.raises(IllegalMove, match="^unknown game 'red'$"):
+        step(g, PebbleConfig(), pb(0), game="red")
 
 
 def random_complete_black_trace(g, rng):

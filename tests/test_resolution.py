@@ -190,6 +190,7 @@ def test_format_round_trip():
 def test_trace_text_shape():
     _, trace = simple_refutation()
     lines = format_trace(trace).splitlines()
+    assert len(lines) == len(trace)
     assert lines[0] == "a 1 0"
     assert lines[2] == "r 1 2 1 2 0"
     assert lines[4] == "r 3 4 2 0"

@@ -84,7 +84,7 @@ def test_frontier_chain_is_one_point():
     fr = tradeoff_frontier(g, "black", space_cap=4, stats=stats)
     # price space: one placement per vertex, the time floor, so extra space
     # cannot help a chain and the sweep stops at the price
-    assert fr.points == ((2, 4),)
+    assert fr.points == ((2, 4),) == tuple(fr)
     assert stats.stop == "floor"
     assert [b.space for b in stats.budgets] == [1, 2]
 
@@ -122,6 +122,15 @@ def test_unknown_game_rejected():
     g = build_family(FamilySpec.chain(2))
     with pytest.raises(Exception):
         optimal_price(g, game="red")
+
+
+def test_no_pebbling_of_a_cycle():
+    # validate_dag refuses this graph; the searches exhaust every budget
+    g = Dag(2, [(0, 1), (1, 0)], targets=[1])
+    with pytest.raises(SizeBoundExceeded, match=r"^no complete pebbling found \(unreachable for valid DAGs\)$"):
+        optimal_price(g)
+    with pytest.raises(SizeBoundExceeded, match=r"^no complete blob pebbling found \(unreachable for valid DAGs\)$"):
+        optimal_blob_price(g)
 
 
 # --- independent oracle ------------------------------------------------------
@@ -516,6 +525,14 @@ def test_frontier_rejects_two_caps():
     g = build_family(FamilySpec.chain(3))
     with pytest.raises(ValueError):
         tradeoff_frontier(g, "black", space_cap=4, above_price=1)
+
+
+def test_frontier_rejects_negative_above_price():
+    # a negative cap is refused, not read as no cap
+    g = build_family(FamilySpec.carlson_savage(2, 1))
+    with pytest.raises(ValueError, match="^above_price must be >= 0$"):
+        tradeoff_frontier(g, "black", above_price=-1)
+    assert tradeoff_frontier(g, "black", above_price=0).points == ((3, 16),)
 
 
 # --- blob price ---------------------------------------------------------------

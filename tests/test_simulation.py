@@ -12,12 +12,14 @@ from pebble_bench import (
     FamilySpec,
     Move,
     ResolutionTrace,
+    SizeBoundExceeded,
     UnsupportedOperation,
     VerificationError,
     build_family,
     check_refutation,
     compile_pebbling,
     explain_transition,
+    format_blob_moves,
     induce_configuration,
     metrics_vs_cost,
     parse_blob_moves,
@@ -169,6 +171,28 @@ def test_compile_starred_keeps_target_clauses():
     assert () not in live.values()
 
 
+def test_compile_starred_keeps_a_target_removed_early():
+    # target 1 is pebbled and removed before target 2 is derived: its clause
+    # (3, 4) must not be erased, and no axiom outside the starred formula
+    # is used
+    g = Dag(3, [(0, 2)], targets=[1, 2])
+    trace = validate_pebbling(g, parse_moves("PB 1\nRB 1\nPB 0\nPB 2\nRB 0\nRB 2"), game="black")
+    rtrace = compile_pebbling(g, 2, trace, starred=True)
+    assert rtrace.events == (
+        Axiom((3, 4)),
+        Axiom((1, 2)),
+        Axiom((-1, 5, 6)),
+        Infer(2, 3, 1, (2, 5, 6)),
+        Erase(3),
+        Axiom((-2, 5, 6)),
+        Infer(4, 5, 2, (5, 6)),
+        Erase(5),
+        Erase(4),
+    )
+    f = pebbling_contradiction(g, 2, starred=True)
+    assert {ev.clause for ev in rtrace.events if isinstance(ev, Axiom)} <= set(f.clauses)
+
+
 def test_compile_space_tracks_pebbling_space():
     for spec in [FamilySpec.chain(4), FamilySpec.pyramid(2)]:
         g, trace = black_trace(spec)
@@ -229,6 +253,25 @@ def test_blob_compile_with_inflation():
     check_refutation(f, compile_pebbling(g, 1, btrace))
 
 
+def test_blob_compile_merge_subsumed_by_second_clause():
+    # [1]<0> is an inflation of [1]<>, so its clause is the unit (2): the
+    # merge M 4 3 0 reuses it instead of resolving on vertex 0
+    g = build_family(FamilySpec.chain(3))
+    moves = parse_blob_moves("I 0\nI 1\nM 0 1 0\nE 1\nF 2 1|0\nE 2\nE 0\nI 0\nM 4 3 0\nI 2\nM 5 6 1")
+    rtrace = compile_pebbling(g, 1, validate_blob_pebbling(g, moves))
+    assert format_trace(rtrace) == (
+        "a 1 0\na -1 2 0\nr 1 2 1 2 0\ne 2\ne 1\na 1 0\na -2 3 0\nr 3 5 2 3 0\na -3 0\nr 6 7 3 0\ne 7\n"
+    )
+    metrics = check_refutation(pebbling_contradiction(g, 1), rtrace)
+    assert metrics.report() == {"length": 8, "width": 2, "clause_space": 6}
+
+
+def test_compile_rejects_unknown_trace_type():
+    g = build_family(FamilySpec.chain(3))
+    with pytest.raises(UnsupportedOperation, match="^cannot compile str$"):
+        compile_pebbling(g, 1, "PB 0")
+
+
 # --- implication oracle -------------------------------------------------------
 
 
@@ -240,6 +283,11 @@ def test_oracle_basic():
     assert oracle.implies((-1, 2))
     assert not oracle.implies((-1,))
     assert not oracle.implies(())
+
+
+def test_oracle_refuses_too_many_variables():
+    with pytest.raises(SizeBoundExceeded, match="^25 variables exceeds oracle bound 24$"):
+        ImplicationOracle([], 25)
 
 
 def truth_table_implies(clauses, n, clause):
@@ -456,6 +504,32 @@ def test_explained_script_round_trip_pyramid1():
     builder = replay_induced(g, rtrace)
     final = validate_blob_pebbling(g, builder.moves)
     assert sub([2], []) in final.final.subs
+
+
+def test_explain_inflates_what_no_merge_derives():
+    g = Dag(2, [])
+    builder = BlobScriptBuilder(g)
+    explain_transition(g, builder, BlobConfig(frozenset({sub([0, 1])})))
+    assert format_blob_moves(builder.moves) == "I 0\nF 0 0,1|\nE 0\n"
+
+
+def test_explain_skips_illegal_merges_of_live_subconfigurations():
+    # merging the live [1]<0> and [0]<1> on 1 leaves 0 black and white
+    g = Dag(2, [(0, 1)])
+    builder = BlobScriptBuilder(g)
+    explain_transition(g, builder, BlobConfig(frozenset({sub([1], [0]), sub([0], [1])})))
+    assert format_blob_moves(builder.moves) == "I 0\nF 0 0|1\nI 1\nE 0\n"
+    explain_transition(g, builder, BlobConfig(frozenset({sub([1])})))
+    assert format_blob_moves(builder.moves) == "I 0\nF 0 0|1\nI 1\nE 0\nI 0\nM 3 2 0\nE 1\nE 3\nE 2\n"
+    assert builder.live() == {sub([1])}
+
+
+def test_explain_refuses_what_nothing_derives():
+    # on a 2-cycle the introductions [0]<1> and [1]<0> do not merge, and
+    # neither lies inside [0]<>
+    g = Dag(2, [(0, 1), (1, 0)], targets=[0])
+    with pytest.raises(UnsupportedOperation, match=r"^cannot explain induced subconfiguration \[0\]<>$"):
+        explain_transition(g, BlobScriptBuilder(g), BlobConfig(frozenset({sub([0])})))
 
 
 def test_metrics_vs_cost_blob():

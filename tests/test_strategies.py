@@ -9,6 +9,7 @@ import pytest
 from pebble_bench import (
     BudgetTooSmall,
     FamilySpec,
+    UnsupportedFamily,
     black_strategy,
     build_family,
     cs_min_budget,
@@ -65,6 +66,11 @@ def test_cs_budget_too_small():
     with pytest.raises(BudgetTooSmall) as exc:
         cs_tradeoff_strategy(2, 1, 2)
     assert exc.value.minimum == 3
+
+
+def test_no_strategy_for_unknown_family():
+    with pytest.raises(UnsupportedFamily, match="^no strategy for family 'moebius'$"):
+        black_strategy(FamilySpec("moebius", (2,)))
 
 
 def test_cs_tradeoff_goldens_small():
