@@ -28,6 +28,7 @@ from .errors import (
     IncompletePebbling,
     ParseError,
 )
+from .pebbling import format_moves as format_blob_moves  # one move per line, as for pebbling
 
 __all__ = [
     "BlobSubconfig",
@@ -116,27 +117,24 @@ def merge(s1: BlobSubconfig, s2: BlobSubconfig, pivot: int) -> BlobSubconfig:
 def inflate(
     s: BlobSubconfig,
     target: BlobSubconfig,
-    g: Dag | None = None,
+    g: Dag,
     strict: bool = False,
 ) -> BlobSubconfig:
-    """Weaken s to target.  Both components may only grow, staying disjoint.
+    """Weaken s to target.  Both components may only grow, staying disjoint,
+    and every vertex of target must be in g.
 
-    With ``strict`` (needs g) the inflated subconfiguration must also keep
-    its blob a chain and its whites inside the blob's legal pebble
-    positions; see ``check_strict_shape``.  Given g, every vertex of
-    target must be in it.
+    With ``strict`` the inflated subconfiguration must also keep its blob a
+    chain and its whites inside the blob's legal pebble positions; see
+    ``check_strict_shape``.
     """
-    if g is not None:
-        for v in sorted(target.blob | target.whites):
-            if not 0 <= v < g.n:
-                raise BadInflation(f"vertex {v} out of range")
+    for v in sorted(target.blob | target.whites):
+        if not 0 <= v < g.n:
+            raise BadInflation(f"vertex {v} out of range")
     if not s.blob <= target.blob:
         raise BadInflation("blob not superset")
     if not s.whites <= target.whites:
         raise BadInflation("whites not superset")
     if strict:
-        if g is None:
-            raise BadInflation("strict inflation needs the graph")
         problem = check_strict_shape(g, target)
         if problem:
             raise BadInflation(problem)
@@ -311,6 +309,12 @@ class BlobTrace:
         }
 
 
+def _lookup(live: dict[int, BlobSubconfig], i: int) -> BlobSubconfig:
+    if i not in live:
+        raise IllegalMove(f"unknown subconfiguration {i}")
+    return live[i]
+
+
 def validate_blob_pebbling(
     g: Dag,
     moves,
@@ -326,47 +330,34 @@ def validate_blob_pebbling(
     """
     moves = tuple(moves)
     live: dict[int, BlobSubconfig] = {}
-    present: set[BlobSubconfig] = set()
     ids = count()
     cost = 0
     naive = 0
-
-    def add(s: BlobSubconfig, idx: int):
-        if s in present:
-            raise IllegalMove(f"duplicate subconfiguration {s}", index=idx)
-        if labelled_only and len(s.blob) != 1:
-            raise IllegalMove(f"blob not a singleton in labelled game: {s}", index=idx)
-        if strict:
-            problem = check_strict_shape(g, s)
-            if problem:
-                raise IllegalMove(f"{problem}: {s}", index=idx)
-        live[next(ids)] = s
-        present.add(s)
-
-    def get(i: int, idx: int) -> BlobSubconfig:
-        if i not in live:
-            raise IllegalMove(f"unknown subconfiguration {i}", index=idx)
-        return live[i]
-
     for idx, mv in enumerate(moves):
         try:
-            if isinstance(mv, IntroduceMove):
-                add(introduce(g, mv.v), idx)
-            elif isinstance(mv, MergeMove):
-                add(merge(get(mv.i, idx), get(mv.j, idx), mv.pivot), idx)
-            elif isinstance(mv, InflateMove):
-                target = BlobSubconfig(mv.blob, mv.whites)
-                add(inflate(get(mv.i, idx), target, g=g, strict=strict), idx)
-            elif isinstance(mv, EraseMove):
-                s = get(mv.i, idx)
+            if isinstance(mv, EraseMove):
+                _lookup(live, mv.i)
                 del live[mv.i]
-                present.discard(s)
             else:
-                raise IllegalMove(f"unknown move {mv!r}", index=idx)
+                if isinstance(mv, IntroduceMove):
+                    s = introduce(g, mv.v)
+                elif isinstance(mv, MergeMove):
+                    s = merge(_lookup(live, mv.i), _lookup(live, mv.j), mv.pivot)
+                elif isinstance(mv, InflateMove):
+                    target = BlobSubconfig(mv.blob, mv.whites)
+                    s = inflate(_lookup(live, mv.i), target, g, strict)
+                else:
+                    raise IllegalMove(f"unknown move {mv!r}")
+                if s in live.values():
+                    raise IllegalMove(f"duplicate subconfiguration {s}")
+                if labelled_only and len(s.blob) != 1:
+                    raise IllegalMove(f"blob not a singleton in labelled game: {s}")
+                problem = strict and check_strict_shape(g, s)
+                if problem:
+                    raise IllegalMove(f"{problem}: {s}")
+                live[next(ids)] = s
         except IllegalMove as e:
-            if e.index is None:
-                raise type(e)(e.reason, index=idx) from None
-            raise
+            raise type(e)(e.reason, index=idx) from None
         costs = blob_cost(g, BlobConfig(frozenset(live.values())))
         cost = max(cost, costs["chargeable"])
         naive = max(naive, costs["naive"])
@@ -379,10 +370,6 @@ def validate_blob_pebbling(
 
 
 # --- text format: "I v", "M i j p", "F i blob|whites", "E i" ----------------
-
-
-def format_blob_moves(moves) -> str:
-    return "\n".join(str(m) for m in moves) + ("\n" if moves else "")
 
 
 def _vertex_list(tok: str, lineno: int) -> frozenset[int]:

@@ -19,7 +19,7 @@ from itertools import product
 from . import blob as blobmod
 from . import simulation
 from .cnf import pebbling_contradiction, read_dimacs, write_dimacs
-from .dag import Dag, FamilySpec, build_family, read_graph, write_graph
+from .dag import _FAMILY_PARAMS, Dag, FamilySpec, build_family, read_graph, write_graph
 from .errors import BudgetTooSmall, ParseError, PebbleBenchError, SizeBoundExceeded
 from .measures import hidden_vertices, klawe_measure, potential, LayeredView
 from .pebbling import format_moves, parse_moves, validate_pebbling
@@ -43,14 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # --- shared helpers ---------------------------------------------------------
-
-_FAMILY_PARAMS = {
-    "chain": ("n",),
-    "pyramid": ("h",),
-    "binary_tree": ("h",),
-    "carlson_savage": ("c", "r"),
-}
-
 
 def _add_graph_args(p: argparse.ArgumentParser, family_only: bool = False):
     p.add_argument("--family", choices=sorted(_FAMILY_PARAMS))
@@ -297,9 +289,10 @@ def _read_spec(spec_path: str) -> ConfigParser:
 def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
     """Run the experiment file; returns (csv text, plot files, warnings).
 
-    This is what the ``tradeoff-report`` command runs; the command then
-    writes the csv and plot files where the spec's ``out_csv`` and
-    ``plot_prefix`` say.
+    This is what the ``tradeoff-report`` command runs.  It prints each
+    warning to stderr, then writes the csv and plot files where the spec's
+    ``out_csv`` (stdout without one) and ``plot_prefix`` say.  The spec is
+    read once, so a pipe such as ``--spec /dev/stdin`` works.
     """
     cp = _read_spec(spec_path)
     game = cp.get("experiment", "game", fallback="black")
@@ -328,19 +321,19 @@ def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
             lines.append(",".join(str(x) for x in row))
         plot = "space,time\n" + "".join(f"{s},{t}\n" for s, t in frontier.points)
         plots[f"{spec.kind}-{spec.params_label()}.csv"] = plot
-    return "\n".join(lines) + "\n", plots, warnings
-
-
-def _cmd_tradeoff_report(args) -> int:
-    csv_text, plots, warnings = tradeoff_report(args.spec)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    cp = _read_spec(args.spec)
+    csv_text = "\n".join(lines) + "\n"
     _write_out(cp.get("experiment", "out_csv", fallback=None), csv_text)
     prefix = cp.get("experiment", "plot_prefix", fallback=None)
     if prefix:
         for name, text in plots.items():
             _write_out(prefix + name, text)
+    return csv_text, plots, warnings
+
+
+def _cmd_tradeoff_report(args) -> int:
+    tradeoff_report(args.spec)
     return 0
 
 

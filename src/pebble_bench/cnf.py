@@ -106,8 +106,10 @@ def check_formula_size(g: Dag, d: int, starred: bool = False) -> tuple[int, int]
     """The clause and literal counts of ``pebbling_contradiction(g, d,
     starred)``, predicted from the graph.  A source has one clause of d
     literals; a non-source has d^indeg clauses of indeg + d literals; a
-    target has d unit clauses (none when starred).  Raises SizeBoundExceeded
-    above MAX_CLAUSES, then above MAX_LITERALS, before anything is built."""
+    target has d unit clauses (none when starred).  Raises GraphError below
+    d = 1, then SizeBoundExceeded above MAX_CLAUSES, then above MAX_LITERALS."""
+    if d < 1:
+        raise GraphError("d must be >= 1")
     clauses = len(g.sources)
     literals = d * clauses
     for ps in g.preds:
@@ -142,8 +144,6 @@ def pebbling_contradiction(g: Dag, d: int, starred: bool = False) -> Cnf:
     SizeBoundExceeded, before building anything, above ``MAX_CLAUSES`` or
     ``MAX_LITERALS``.
     """
-    if d < 1:
-        raise GraphError("d must be >= 1")
     check_formula_size(g, d, starred)
     clauses = []
     for s in g.sources:

@@ -149,12 +149,26 @@ def validate_dag(g: Dag) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+_FAMILY_PARAMS = {
+    "chain": ("n",),
+    "pyramid": ("h",),
+    "binary_tree": ("h",),
+    "carlson_savage": ("c", "r"),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A named graph family instance, e.g. pyramid(3) or carlson_savage(2,1)."""
 
     kind: str
     params: tuple[int, ...]
+
+    def __post_init__(self):
+        # A wrong parameter count is refused here; an unknown kind by build_family.
+        names, got = _FAMILY_PARAMS.get(self.kind, self.params), len(self.params)
+        if got != len(names):
+            raise GraphError(f"family {self.kind} takes parameters ({', '.join(names)}), got {got}")
 
     @classmethod
     def chain(cls, n: int) -> "FamilySpec":

@@ -135,19 +135,14 @@ def klawe_measure(view: LayeredView, U) -> MeasureValue:
     return MeasureValue(value=max(partials, default=0), partials=tuple(partials))
 
 
-def potential(
-    g: Dag,
-    config,
-    direction: str = "below",
-    bound: int = POTENTIAL_BOUND,
-) -> int:
+def potential(g: Dag, config, direction: str = "below") -> int:
     """Least measure of a set whose hull covers the whole configuration.
 
     ``config`` may be a PebbleConfig or any iterable of vertices.  Exhausts
-    all vertex subsets, so refuses graphs above ``bound`` vertices.
+    all vertex subsets, so refuses graphs above ``POTENTIAL_BOUND`` vertices.
     """
-    if g.n > bound:
-        raise SizeBoundExceeded(f"{g.n} vertices exceeds potential bound {bound}")
+    if g.n > POTENTIAL_BOUND:
+        raise SizeBoundExceeded(f"{g.n} vertices exceeds potential bound {POTENTIAL_BOUND}")
     if isinstance(config, PebbleConfig):
         config = config.occupied
     pebbled = _mask(g, config)
@@ -180,9 +175,9 @@ class LhcResult:
 
 
 # Hulls and levels depend only on n and the edges, so graphs equal as Dags
-# may share a table.  At POTENTIAL_BOUND = 14 vertices an entry holds 2^14
-# hull ints (each its own object) and 2^14 measures (small cached ints):
-# about 0.75 MiB (measured with tracemalloc), so 6 MiB for all 8 entries.
+# may share a table.  No graph above POTENTIAL_BOUND = 14 vertices gets one;
+# there an entry holds 2^14 hull ints (each its own object) and 2^14 measures
+# (small cached ints): about 0.75 MiB (tracemalloc), so 6 MiB for 8 entries.
 @lru_cache(maxsize=8)
 def _hulls_and_measures(g: Dag, direction: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Hull and measure for every vertex subset, as bitmask tables.
@@ -221,13 +216,13 @@ def _tight(mask: int, hull: tuple[int, ...]) -> bool:
     return True
 
 
-def _in_scope_hiders(g: Dag, direction: str, max_n: int):
+def _in_scope_hiders(g: Dag, direction: str):
     """Yield (set, measure, smallest hider size) for each set in check_lhc's
     scope, in increasing bitmask order.  A set hides itself, so its
     smallest hider always exists.
     """
-    if g.n > max_n:
-        raise SizeBoundExceeded(f"{g.n} vertices exceeds hider-check bound {max_n}")
+    if g.n > LHC_BOUND:
+        raise SizeBoundExceeded(f"{g.n} vertices exceeds hider-check bound {LHC_BOUND}")
     hull, meas = _hulls_and_measures(g, direction)
     by_size = sorted(range(1 << g.n), key=int.bit_count)
     for mask in range(1, 1 << g.n):
@@ -239,12 +234,7 @@ def _in_scope_hiders(g: Dag, direction: str, max_n: int):
         yield mask, meas[mask], smallest.bit_count()
 
 
-def check_lhc(
-    g: Dag,
-    bound: int,
-    direction: str = "below",
-    max_n: int = LHC_BOUND,
-) -> LhcResult:
+def check_lhc(g: Dag, bound: int, direction: str = "below") -> LhcResult:
     """Does every in-scope set admit a hider of at most ``bound`` vertices?
 
     In scope: nonempty, tight (no member hidden by the others), and
@@ -252,7 +242,7 @@ def check_lhc(
     hider U* must satisfy U within hull(U*) and measure(U*) <= measure(U).
     Returns the first violating set as a witness.
     """
-    for mask, measure, needed in _in_scope_hiders(g, direction, max_n):
+    for mask, measure, needed in _in_scope_hiders(g, direction):
         if needed > bound:
             witness = LhcWitness(
                 vertices=tuple(v for v in range(g.n) if mask >> v & 1),
@@ -263,6 +253,6 @@ def check_lhc(
     return LhcResult(holds=True, bound=bound, witness=None)
 
 
-def min_lhc_bound(g: Dag, direction: str = "below", max_n: int = LHC_BOUND) -> int:
+def min_lhc_bound(g: Dag, direction: str = "below") -> int:
     """Smallest bound for which check_lhc holds (worst case over in-scope sets)."""
-    return max((needed for _, _, needed in _in_scope_hiders(g, direction, max_n)), default=0)
+    return max((needed for _, _, needed in _in_scope_hiders(g, direction)), default=0)

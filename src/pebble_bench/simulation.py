@@ -40,7 +40,7 @@ from .cnf import (
     var_id,
 )
 from .dag import Dag
-from .errors import GraphError, IllegalMove, SizeBoundExceeded, UnsupportedOperation
+from .errors import IllegalMove, SizeBoundExceeded, UnsupportedOperation
 from .pebbling import PebblingTrace
 from .resolution import (
     Axiom,
@@ -61,9 +61,14 @@ __all__ = [
     "BlobScriptBuilder",
     "explain_transition",
     "MAX_ORACLE_VARS",
+    "MAX_INDUCE_VERTICES",
 ]
 
 MAX_ORACLE_VARS = 24
+# induce_configuration sweeps all 3^n (blob, whites) pairs: with one clause,
+# chain(8) takes 0.04 s and chain(12) 3.2 s, 9 times more per two vertices.
+# No test or benchmark induces on more than chain(6).
+MAX_INDUCE_VERTICES = 12
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +216,6 @@ def compile_pebbling(g: Dag, d: int, trace, starred: bool = False) -> Resolution
     SizeBoundExceeded when that formula would exceed ``MAX_CLAUSES`` or
     ``MAX_LITERALS``.
     """
-    if d < 1:
-        raise GraphError("d must be >= 1")
     check_formula_size(g, d, starred)
     if isinstance(trace, PebblingTrace):
         if trace.game != "black":
@@ -351,8 +354,11 @@ def induce_configuration(g: Dag, d: int, live_clauses) -> BlobConfig:
 
     A subconfiguration is induced when the set implies its clause and the
     implication is precise: dropping any single blob or white vertex breaks
-    it.  Exhaustive over all (blob, white) pairs, so meant for small graphs.
+    it.  Exhaustive over all (blob, white) pairs, so refuses graphs above
+    ``MAX_INDUCE_VERTICES`` vertices before any work.
     """
+    if g.n > MAX_INDUCE_VERTICES:
+        raise SizeBoundExceeded(f"{g.n} vertices exceeds induce bound {MAX_INDUCE_VERTICES}")
     oracle = ImplicationOracle(live_clauses, d * g.n)
     if oracle.implies(()):
         # An unsatisfiable live set asserts nothing conditionally; it matches

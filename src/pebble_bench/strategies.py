@@ -112,7 +112,10 @@ class _Emitter:
 
 def cs_min_budget(c: int, r: int) -> int:
     """Smallest space budget the schedule generator accepts: the peak
-    pebbles of one uncached spine-sink build at level r."""
+    pebbles of one uncached spine-sink build at level r.  It equals the
+    black price at (2, 1), (2, 2) and (3, 1), but not everywhere: at (3, 2)
+    it is 6 against a price of 5, so ``tradeoff-report`` leaves
+    ``strategy_time`` blank at space 5."""
     need = 1
     for level in range(1, r + 1):
         if c == 2:

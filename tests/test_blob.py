@@ -117,11 +117,6 @@ def test_inflation_overlap_is_refused_by_the_target():
     assert str(exc.value) == "move 2: blob and whites overlap"
 
 
-def test_strict_inflation_needs_the_graph():
-    with pytest.raises(BadInflation, match="^strict inflation needs the graph$"):
-        inflate(sub([0]), sub([0, 1]), strict=True)
-
-
 def test_strict_inflation_shape():
     g = diamond()
     s = sub([3], [1])

@@ -745,6 +745,22 @@ def test_report_command_runs_tradeoff_report(tmp_path, capsys, monkeypatch):
     assert out == tradeoff_report(spec)[0]
 
 
+def test_report_reads_its_spec_once(tmp_path, capsys, monkeypatch):
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return read_text(path)
+
+    read_text = cli._read_text
+    monkeypatch.setattr(cli, "_read_text", counted)
+    out_csv = tmp_path / "report.csv"
+    spec = write_spec(tmp_path, f"[experiment]\nout_csv = {out_csv}\n[family:chain]\nn = 2\n")
+    assert run(capsys, "tradeoff-report", "--spec", spec) == (0, "", "")
+    assert reads == [spec]
+    assert out_csv.read_text().splitlines()[1] == "chain,2,black,2,2,2"
+
+
 def test_report_strategy_column_below_schedule_minimum(tmp_path, monkeypatch):
     """A budget the schedule refuses leaves strategy_time empty.  The real
     case is carlson_savage(3,2), black price 5 and schedule minimum 6, whose

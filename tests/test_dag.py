@@ -1,6 +1,7 @@
 """Tests for graph construction, validation, families, and the text format."""
 
 import random
+import re
 
 import pytest
 
@@ -11,12 +12,13 @@ from pebble_bench import (
     ParseError,
     SizeBoundExceeded,
     UnsupportedFamily,
+    black_strategy,
     build_family,
     read_graph,
     validate_dag,
     write_graph,
 )
-from pebble_bench import dag
+from pebble_bench import cli, dag
 from pebble_bench.dag import MAX_VERTICES, carlson_savage_layout
 
 SEED = 1234
@@ -240,6 +242,19 @@ def test_bad_family_parameters():
         build_family(FamilySpec.carlson_savage(2, -1))
     with pytest.raises(UnsupportedFamily, match="^unknown family kind 'moebius'$"):
         build_family(FamilySpec("moebius", (2,)))
+    # a wrong parameter count is a domain error, not a failed unpacking
+    cases = [
+        ("chain", (1, 2), "(n), got 2"),
+        ("pyramid", (), "(h), got 0"),
+        ("carlson_savage", (2,), "(c, r), got 1"),
+    ]
+    for kind, params, tail in cases:
+        with pytest.raises(GraphError, match=f"^family {kind} takes parameters {re.escape(tail)}$"):
+            build_family(FamilySpec(kind, params))
+    with pytest.raises(GraphError, match="^family chain takes"):
+        black_strategy(FamilySpec("chain", (1, 2)))
+    # the command line reads the same family table
+    assert cli._FAMILY_PARAMS is dag._FAMILY_PARAMS
 
 
 def test_vertex_bound():

@@ -136,9 +136,9 @@ def test_potential_rejects_out_of_range_vertex():
 
 def test_potential_size_guard():
     g = build_family(FamilySpec.pyramid(4))  # 15 vertices
-    with pytest.raises(SizeBoundExceeded):
-        potential(g, {0}, bound=14)
-    assert potential(g, {0}, bound=15) == 1
+    with pytest.raises(SizeBoundExceeded, match="^15 vertices exceeds potential bound 14$"):
+        potential(g, {0})
+    assert potential(build_family(FamilySpec.chain(14)), {0}) == 1
 
 
 # --- bounded hiders --------------------------------------------------------------

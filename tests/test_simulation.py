@@ -359,6 +359,15 @@ def test_induce_empty_for_contradiction():
     assert induce_configuration(g, 1, [()]).subs == frozenset()
 
 
+def test_induce_size_guard():
+    # The refusal comes before any work, even where the oracle alone would
+    # answer at once; chain(13) at d = 1 is within the oracle's bound.
+    for clauses in ([()], [(1,)]):
+        with pytest.raises(SizeBoundExceeded, match="^13 vertices exceeds induce bound 12$"):
+            induce_configuration(build_family(FamilySpec.chain(13)), 1, clauses)
+    assert induce_configuration(build_family(FamilySpec.chain(12)), 1, [()]).subs == frozenset()
+
+
 # Reference copy of the first oracle and induction (a tuple/set DPLL over
 # clause tuples, frozenset colourings), kept to pin the bitmask versions.
 
