@@ -352,7 +352,8 @@ def validate_blob_pebbling(
                     raise IllegalMove(f"duplicate subconfiguration {s}")
                 if labelled_only and len(s.blob) != 1:
                     raise IllegalMove(f"blob not a singleton in labelled game: {s}")
-                problem = strict and check_strict_shape(g, s)
+                # inflate has tested an inflation's shape already.
+                problem = strict and not isinstance(mv, InflateMove) and check_strict_shape(g, s)
                 if problem:
                     raise IllegalMove(f"{problem}: {s}")
                 live[next(ids)] = s

@@ -25,7 +25,7 @@ from .measures import hidden_vertices, klawe_measure, potential, LayeredView
 from .pebbling import format_moves, parse_moves, validate_pebbling
 from .resolution import check_trace_text, format_trace
 from .search import optimal_price, tradeoff_frontier
-from .strategies import _strategy, black_strategy, cs_tradeoff_strategy
+from .strategies import _cs_schedules, _strategy, black_strategy
 
 __all__ = ["main", "run_command"]
 
@@ -252,14 +252,19 @@ def _experiment_instances(cp: ConfigParser):
 
 
 def _instance_rows(spec: FamilySpec, cap_kw: dict[str, int], game: str, bound: int | None):
-    """Frontier and strategy comparison rows for one instance."""
-    g = build_family(spec)
+    """Frontier and strategy comparison rows for one instance.  A
+    carlson_savage graph is built once with its layout, and every point's
+    schedule is emitted from that layout."""
+    if spec.kind == "carlson_savage":
+        g, schedule = _cs_schedules(*spec.params)
+    else:
+        g = build_family(spec)
     frontier = tradeoff_frontier(g, game=game, bound=bound, **cap_kw)
     if spec.kind == "carlson_savage":
 
         def strategy_time(s):
             try:
-                return validate_pebbling(g, cs_tradeoff_strategy(*spec.params, s), game="black").time
+                return validate_pebbling(g, schedule(s), game="black").time
             except BudgetTooSmall:
                 return ""
 

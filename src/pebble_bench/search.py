@@ -129,20 +129,43 @@ def _black_steps(g: Dag, s: int, dist: dict):
     closure; an eviction of u adds closure(u) when u feeds the closure.
     Only steps that improve on ``dist`` are returned, so a closure is
     computed only for an eviction that leads somewhere new.
+
+    The work per state grows with the board, not with the graph.  A ready
+    vertex, one off the board with all its predecessors on it, is a source
+    or a successor of a pebbled vertex, so the candidates are the sources
+    and the successors of the board's vertices, less the board; those with
+    a predecessor off the board are dropped.  The evictable pebbles are the
+    board's.  Both are visited in ascending order, the order of a scan of
+    every vertex, so the successors come in the same order.
     """
     n, pm = g.n, g.pred_mask
     full = (1 << n) - 1
+    sources = sum(1 << v for v in g.sources)
     marks = [1 << v | (1 << v & g.target_mask) << n for v in range(n)]
     feeds = {0: 0} | {1 << u: g.succ_mask[u] for u in range(n)}
 
     def steps(state: int, x: int, d: int):
         d += 1
         board = state & full
-        ready = [v for v in range(n) if not (board >> v & 1 or pm[v] & ~board)]
+        pebbles = []
+        reach = sources
+        rest = board
+        while rest:
+            low = rest & -rest
+            pebbles.append(low)
+            reach |= feeds[low]
+            rest ^= low
+        rest = reach & ~board
+        ready = []
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if not pm[v] & ~board:
+                ready.append(v)
+            rest ^= low
         # With room left a step evicts nothing (bit 0), else one pebble.
-        evictions = [0] if board.bit_count() < s else [1 << u for u in range(n) if board >> u & 1]
         out = []
-        for ubit in evictions:
+        for ubit in [0] if len(pebbles) < s else pebbles:
             base = state ^ ubit
             new = [v for v in ready if not pm[v] & ubit and dist.get(base | marks[v], d + 1) > d]
             if new:
@@ -161,6 +184,11 @@ def _bw_steps(g: Dag, s: int, dist: dict):
     unoccupied predecessors, which must be on the board when v is removed.
     A removal of v adds closure(v) when v feeds the closure or a white
     pebble.  Only the moves that improve on ``dist`` are returned.
+
+    On a full board only removals are legal, as a placement needs a free
+    pebble, so then only the occupied vertices are visited, in ascending
+    order, the order of a scan of every vertex; the successors come in the
+    same order.
     """
     n, pm, sm = g.n, g.pred_mask, g.succ_mask
     full = (1 << n) - 1
@@ -171,8 +199,17 @@ def _bw_steps(g: Dag, s: int, dist: dict):
         white = state >> n & full
         occupied = black | white
         room = occupied.bit_count() < s
+        if room:
+            vs = range(n)
+        else:
+            vs = []
+            rest = occupied
+            while rest:
+                low = rest & -rest
+                vs.append(low.bit_length() - 1)
+                rest ^= low
         out = []
-        for v in range(n):
+        for v in vs:
             vbit = 1 << v
             missing = pm[v] & ~occupied
             if occupied & vbit:

@@ -12,6 +12,8 @@ level's sinks), so time falls as the budget grows.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .dag import CsLayout, Dag, FamilySpec, build_family, carlson_savage_layout
 from .errors import BudgetTooSmall, SizeBoundExceeded, UnsupportedFamily
 from .pebbling import Move
@@ -52,14 +54,25 @@ def _strategy(spec: FamilySpec, budget: int | None = None) -> tuple[Dag, list[Mo
             e.remove(t)
         return g, e.moves
     if spec.kind == "carlson_savage":
-        c, r = spec.params
+        g, schedule = _cs_schedules(*spec.params)
+        return g, schedule(budget)
+    raise UnsupportedFamily(f"no strategy for family {spec.kind!r}")
+
+
+def _cs_schedules(c: int, r: int) -> tuple[Dag, Callable[[int | None], list[Move]]]:
+    """carlson_savage(c, r), built once with its layout, and a function
+    from a budget to the graph's schedule under it: None is the minimum,
+    and a budget below the minimum raises BudgetTooSmall."""
+    g, layout = carlson_savage_layout(c, r)
+
+    def schedule(budget: int | None) -> list[Move]:
         minimum = cs_min_budget(c, r)
         budget = minimum if budget is None else budget
         if budget < minimum:
             raise BudgetTooSmall(budget, minimum)
-        g, layout = carlson_savage_layout(c, r)
-        return g, _CsEmitter(g, layout, budget).run()
-    raise UnsupportedFamily(f"no strategy for family {spec.kind!r}")
+        return _CsEmitter(g, layout, budget).run()
+
+    return g, schedule
 
 
 class _Emitter:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from pebble_bench import blob as blobmod
 from pebble_bench import (
     BadInflation,
     BadMerge,
@@ -299,6 +300,22 @@ def test_strict_validation_rejects_a_merge_that_is_not_a_chain():
         validate_blob_pebbling(g, moves, strict=True)
     assert type(exc.value) is IllegalMove
     assert str(exc.value) == "move 4: blob not a chain: [1,2]<>"
+
+
+def test_strict_inflation_shape_tested_once(monkeypatch):
+    """An introduction's shape is tested by the validator, an inflation's by
+    inflate alone."""
+    tested = []
+
+    def counted(g, s):
+        tested.append(s)
+        return check_strict_shape(g, s)
+
+    monkeypatch.setattr(blobmod, "check_strict_shape", counted)
+    g = build_family(FamilySpec.chain(3))
+    with pytest.raises(IncompletePebbling):
+        validate_blob_pebbling(g, parse_blob_moves("I 2\nF 0 2|0,1"), strict=True)
+    assert tested == [sub([2], [1]), sub([2], [0, 1])]
 
 
 def test_unknown_move_object():

@@ -23,7 +23,7 @@ from pebble_bench import (
     write_dimacs,
     write_graph,
 )
-from pebble_bench import cli, strategies
+from pebble_bench import cli, dag, strategies
 from pebble_bench.cnf import MAX_CLAUSES, MAX_LITERALS
 from pebble_bench.cli import run_command, tradeoff_report
 
@@ -729,6 +729,30 @@ def test_report_carlson_savage_strategy_column(tmp_path):
     assert lines[1] == "carlson_savage,2-1,black,3,16,16"
     assert lines[2] == "carlson_savage,2-1,black,4,11,13"
     assert plots["carlson_savage-2-1.csv"] == "space,time\n3,16\n4,11\n"
+
+
+def test_report_builds_each_carlson_savage_layout_once(tmp_path, monkeypatch):
+    """One layout per instance, whatever the number of frontier points."""
+    built = []
+
+    def counted(c, r):
+        built.append((c, r))
+        return carlson_savage_layout(c, r)
+
+    carlson_savage_layout = dag.carlson_savage_layout
+    monkeypatch.setattr(dag, "carlson_savage_layout", counted)
+    monkeypatch.setattr(strategies, "carlson_savage_layout", counted)
+    spec = write_spec(
+        tmp_path,
+        "[experiment]\ngame = black\n[family:carlson_savage]\nc = 2\nr = 0..1\nspace_cap = +1\n",
+    )
+    csv_text, _, _ = tradeoff_report(spec)
+    assert csv_text.splitlines()[1:] == [
+        "carlson_savage,2-0,black,1,2,2",
+        "carlson_savage,2-1,black,3,16,16",
+        "carlson_savage,2-1,black,4,11,13",
+    ]
+    assert built == [(2, 0), (2, 1)]
 
 
 def test_report_command_runs_tradeoff_report(tmp_path, capsys, monkeypatch):

@@ -475,6 +475,183 @@ def test_closure_kept_per_state_matches_recomputation(game):
                         todo.append((nstate, nx))
 
 
+# --- successor lists against the vertex-scanning loops -------------------------
+# The successor functions as they were when they scanned every vertex, kept
+# as the reference: the search must see the same successors, in the same
+# order, so that it pops the same states and its counts stay the same.
+
+
+def reference_black_steps(g: Dag, s: int, dist: dict):
+    n, pm = g.n, g.pred_mask
+    full = (1 << n) - 1
+    marks = [1 << v | (1 << v & g.target_mask) << n for v in range(n)]
+    feeds = {0: 0} | {1 << u: g.succ_mask[u] for u in range(n)}
+
+    def steps(state: int, x: int, d: int):
+        d += 1
+        board = state & full
+        ready = [v for v in range(n) if not (board >> v & 1 or pm[v] & ~board)]
+        evictions = [0] if board.bit_count() < s else [1 << u for u in range(n) if board >> u & 1]
+        out = []
+        for ubit in evictions:
+            base = state ^ ubit
+            new = [v for v in ready if not pm[v] & ubit and dist.get(base | marks[v], d + 1) > d]
+            if new:
+                xu = search._closure(pm, x, ubit, board ^ ubit) if feeds[ubit] & x else x
+                out += [(d, base | marks[v], xu & ~(1 << v)) for v in new]
+        return out
+
+    return steps
+
+
+def reference_bw_steps(g: Dag, s: int, dist: dict):
+    n, pm, sm = g.n, g.pred_mask, g.succ_mask
+    full = (1 << n) - 1
+    seen = [(1 << v & g.target_mask) << 2 * n for v in range(n)]
+
+    def steps(state: int, x: int, d: int):
+        black = state & full
+        white = state >> n & full
+        occupied = black | white
+        room = occupied.bit_count() < s
+        out = []
+        for v in range(n):
+            vbit = 1 << v
+            missing = pm[v] & ~occupied
+            if occupied & vbit:
+                if white & vbit and missing:
+                    continue
+                nstate = state ^ (vbit if black & vbit else vbit << n)
+                if dist.get(nstate, d + 1) > d:
+                    nx = search._closure(pm, x, vbit, occupied ^ vbit) if sm[v] & (x | white) else x
+                    out.append((d, nstate, nx))
+            elif room:
+                nx = x & ~vbit
+                nstate = state | vbit | seen[v]
+                if not missing and dist.get(nstate, d + 2) > d + 1:
+                    out.append((d + 1, nstate, nx))
+                nstate = state | vbit << n | seen[v]
+                if dist.get(nstate, d + 2) > d + 1:
+                    out.append((d + 1, nstate, search._closure(pm, nx, missing, occupied | vbit)))
+        return out
+
+    return steps
+
+
+def successor_graphs():
+    """The four families, seeded random DAGs, and three graphs Dag accepts
+    but validate_dag refuses: a backward edge, a self-loop and a 2-cycle."""
+    specs = [
+        FamilySpec.chain(5),
+        FamilySpec.pyramid(3),
+        FamilySpec.binary_tree(2),
+        FamilySpec.carlson_savage(2, 1),
+    ]
+    odd = [
+        Dag(4, [(0, 1), (3, 1), (1, 2)], targets=[2]),
+        Dag(4, [(0, 1), (1, 1), (0, 2), (2, 3)], targets=[1, 3]),
+        Dag(4, [(0, 1), (1, 2), (2, 1), (0, 3)], targets=[2, 3]),
+    ]
+    return [build_family(spec) for spec in specs] + odd + list(random_dags(30, 9, SEED + 4))
+
+
+@pytest.mark.parametrize("game", ["black", "bw"])
+def test_successors_match_vertex_scan(game):
+    """At every state reached, up to about 3,000 per budget, the same
+    successor list as the reference, element for element.  The distance
+    table is filled as states are reached, so the lists are also filtered
+    by it, as in the search."""
+    steps, reference = {
+        "black": (search._black_steps, reference_black_steps),
+        "bw": (search._bw_steps, reference_bw_steps),
+    }[game]
+    for g in successor_graphs():
+        for s in range(1, 5):
+            dist = {0: 0}
+            got, want = steps(g, s, dist), reference(g, s, dist)
+            todo = deque([(0, search._closure(g.pred_mask, 0, g.target_mask, 0), 0)])
+            while todo and len(dist) < 3000:
+                state, x, d = todo.popleft()
+                out = want(state, x, d)
+                assert got(state, x, d) == out, (g, game, s, state)
+                for nd, nstate, nx in out:
+                    if nstate not in dist:
+                        dist[nstate] = nd
+                        todo.append((nstate, nx, nd))
+
+
+# (space, generated, expanded) per budget of tradeoff_frontier on every
+# instance of the two benchmark frontier specs, at their bounds and caps above
+# the price, as the vertex-scanning successor functions counted them.
+FRONTIER_WORK = {
+    "black": (
+        23,
+        {
+            (FamilySpec.chain(2), 3): [(1, 2, 2), (2, 3, 2)],
+            (FamilySpec.chain(3), 3): [(1, 2, 2), (2, 4, 3)],
+            (FamilySpec.chain(4), 3): [(1, 2, 2), (2, 6, 4)],
+            (FamilySpec.chain(5), 3): [(1, 2, 2), (2, 8, 5)],
+            (FamilySpec.chain(6), 3): [(1, 2, 2), (2, 10, 6)],
+            (FamilySpec.chain(7), 3): [(1, 2, 2), (2, 12, 7)],
+            (FamilySpec.chain(8), 3): [(1, 2, 2), (2, 14, 8)],
+            (FamilySpec.pyramid(1), 3): [(1, 3, 3), (2, 4, 4), (3, 5, 3)],
+            (FamilySpec.pyramid(2), 3): [(1, 4, 4), (2, 7, 7), (3, 14, 14), (4, 15, 6)],
+            (FamilySpec.pyramid(3), 3): [
+                (1, 5, 5), (2, 11, 11), (3, 33, 33), (4, 101, 101), (5, 56, 10),
+            ],
+            (FamilySpec.pyramid(4), 3): [
+                (1, 6, 6), (2, 16, 16), (3, 66, 66), (4, 300, 300), (5, 1351, 1351), (6, 159, 15),
+            ],
+            (FamilySpec.binary_tree(1), 3): [(1, 3, 3), (2, 4, 4), (3, 5, 3)],
+            (FamilySpec.binary_tree(2), 3): [(1, 5, 5), (2, 11, 11), (3, 27, 27), (4, 25, 7)],
+            (FamilySpec.binary_tree(3), 3): [
+                (1, 9, 9), (2, 37, 37), (3, 205, 205), (4, 911, 911), (5, 239, 15),
+            ],
+            (FamilySpec.carlson_savage(2, 1), 2): [
+                (1, 5, 5), (2, 11, 11), (3, 139, 102), (4, 89, 16),
+            ],
+            (FamilySpec.carlson_savage(2, 2), 2): [
+                (1, 8, 8), (2, 29, 29), (3, 311, 311), (4, 8223, 7474), (5, 531, 28),
+            ],
+        },
+    ),
+    "bw": (
+        15,
+        {
+            (FamilySpec.chain(2), 2): [(1, 4, 4), (2, 9, 4)],
+            (FamilySpec.chain(3), 2): [(1, 5, 5), (2, 15, 6)],
+            (FamilySpec.chain(4), 2): [(1, 6, 6), (2, 22, 8)],
+            (FamilySpec.chain(5), 2): [(1, 7, 7), (2, 30, 10)],
+            (FamilySpec.chain(6), 2): [(1, 8, 8), (2, 39, 12)],
+            (FamilySpec.chain(7), 2): [(1, 9, 9), (2, 49, 14)],
+            (FamilySpec.chain(8), 2): [(1, 10, 10), (2, 60, 16)],
+            (FamilySpec.pyramid(1), 2): [(1, 6, 6), (2, 14, 14), (3, 18, 6)],
+            (FamilySpec.pyramid(2), 2): [(1, 10, 10), (2, 43, 43), (3, 199, 161), (4, 73, 12)],
+            (FamilySpec.pyramid(3), 2): [
+                (1, 15, 15), (2, 102, 102), (3, 749, 749), (4, 2276, 1836), (5, 216, 20),
+            ],
+            (FamilySpec.binary_tree(1), 1): [(1, 6, 6), (2, 14, 14), (3, 18, 6)],
+            (FamilySpec.binary_tree(2), 1): [(1, 12, 12), (2, 63, 63), (3, 223, 151)],
+            (FamilySpec.binary_tree(3), 1): [
+                (1, 24, 24), (2, 269, 269), (3, 2968, 2968), (4, 1783, 1362),
+            ],
+            (FamilySpec.carlson_savage(2, 1), 2): [
+                (1, 16, 16), (2, 117, 117), (3, 1412, 1191), (4, 218, 45),
+            ],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("game", ["black", "bw"])
+def test_frontier_work_pinned(game):
+    bound, work = FRONTIER_WORK[game]
+    for (spec, above), want in work.items():
+        stats = SearchStats()
+        tradeoff_frontier(build_family(spec), game, bound=bound, above_price=above, stats=stats)
+        assert [(b.space, b.generated, b.expanded) for b in stats.budgets] == want, spec
+
+
 # --- work counters -------------------------------------------------------------
 
 
