@@ -9,7 +9,9 @@ deterministic byte-for-byte for identical inputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -68,7 +70,7 @@ def _spec_from_args(args) -> FamilySpec:
 
 
 def _limit(text: str) -> int:
-    """argparse type of --bound and --space-cap: an integer >= 0."""
+    """argparse type of --space-cap: an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -133,21 +135,23 @@ def _cmd_gen_cnf(args) -> int:
 
 def _cmd_price(args) -> int:
     g = _graph_from_args(args)
-    price = optimal_price(g, game=args.game, bound=args.bound)
+    price = optimal_price(g, game=args.game)
     _write_out(args.output, f"{price}\n")
     return 0
 
 
 def _frontier_rows(label_family: str, label_params: str, game: str, frontier) -> str:
-    lines = ["family,params,game,space,min_time"]
-    for s, t in frontier.points:
-        lines.append(f"{label_family},{label_params},{game},{s},{t}")
-    return "\n".join(lines) + "\n"
+    """The frontier as CSV, quoting a file name that holds a comma or newline."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["family", "params", "game", "space", "min_time"])
+    writer.writerows([label_family, label_params, game, s, t] for s, t in frontier.points)
+    return out.getvalue()
 
 
 def _cmd_frontier(args) -> int:
     g = _graph_from_args(args)
-    fr = tradeoff_frontier(g, game=args.game, space_cap=args.space_cap, bound=args.bound)
+    fr = tradeoff_frontier(g, game=args.game, space_cap=args.space_cap)
     if args.family:
         spec = _spec_from_args(args)
         fam, par = spec.kind, spec.params_label()
@@ -251,7 +255,7 @@ def _experiment_instances(cp: ConfigParser):
     return out
 
 
-def _instance_rows(spec: FamilySpec, cap_kw: dict[str, int], game: str, bound: int | None):
+def _instance_rows(spec: FamilySpec, cap_kw: dict[str, int], game: str):
     """Frontier and strategy comparison rows for one instance.  A
     carlson_savage graph is built once with its layout, and every point's
     schedule is emitted from that layout."""
@@ -259,7 +263,7 @@ def _instance_rows(spec: FamilySpec, cap_kw: dict[str, int], game: str, bound: i
         g, schedule = _cs_schedules(*spec.params)
     else:
         g = build_family(spec)
-    frontier = tradeoff_frontier(g, game=game, bound=bound, **cap_kw)
+    frontier = tradeoff_frontier(g, game=game, **cap_kw)
     if spec.kind == "carlson_savage":
 
         def strategy_time(s):
@@ -279,13 +283,19 @@ def _instance_rows(spec: FamilySpec, cap_kw: dict[str, int], game: str, bound: i
 
 
 def _read_spec(spec_path: str) -> ConfigParser:
+    """The parsed spec, every value of which interpolates; a spec that
+    cannot be read or parsed, or that holds a NUL byte, is a usage error."""
     try:
         text = _read_text(spec_path)
     except OSError:
         raise _Usage(f"cannot read spec {spec_path!r}") from None
+    if "\0" in text:
+        raise _Usage(f"bad spec {spec_path!r}: it holds a NUL byte")
     cp = ConfigParser()
     try:
         cp.read_string(text, source=spec_path)
+        for section in cp.sections():
+            cp.items(section)
     except ConfigError as e:
         raise _Usage(f"bad spec {spec_path!r}: {str(e).splitlines()[0]}") from None
     return cp
@@ -297,18 +307,14 @@ def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
     This is what the ``tradeoff-report`` command runs.  It prints each
     warning to stderr, then writes the csv and plot files where the spec's
     ``out_csv`` (stdout without one) and ``plot_prefix`` say.  The spec is
-    read once, so a pipe such as ``--spec /dev/stdin`` works.
+    read once, so a pipe such as ``--spec /dev/stdin`` works, and checked
+    whole before any search.  A ``bound`` key, which older specs set, is
+    ignored: the searches are bounded by what they store.
     """
     cp = _read_spec(spec_path)
     game = cp.get("experiment", "game", fallback="black")
     if game not in ("black", "bw"):
         raise _Usage(f"unknown game {game!r}")
-    try:
-        bound = cp.getint("experiment", "bound", fallback=None)
-        if bound is not None and bound < 0:
-            raise ValueError
-    except ValueError:
-        raise _Usage(f"bad bound {cp.get('experiment', 'bound')!r} in [experiment]") from None
     instances = _experiment_instances(cp)
     if not instances:
         raise _Usage("empty family range: no instances to run")
@@ -318,7 +324,7 @@ def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
     warnings: list[str] = []
     for spec, cap_kw in instances:
         try:
-            rows, frontier = _instance_rows(spec, cap_kw, game, bound)
+            rows, frontier = _instance_rows(spec, cap_kw, game)
         except SizeBoundExceeded as e:
             warnings.append(f"skipped {spec.label()}: {e}")
             continue
@@ -368,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("price", help="exact pebbling price")
     _add_graph_args(p)
     p.add_argument("--game", choices=("black", "bw"), default="black")
-    p.add_argument("--bound", type=_limit)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_price)
 
@@ -376,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--game", choices=("black", "bw"), default="black")
     p.add_argument("--space-cap", type=_limit, required=True)
-    p.add_argument("--bound", type=_limit)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_frontier)
 

@@ -9,8 +9,10 @@ level (placements cost 1, removals 0).  Both games run on one best-first
 loop, ``_search`` (A*), guided by the ancestor-closure bound of
 ``_closure``.
 
-These oracles are meant for desk-size instances; they refuse graphs above a
-size bound rather than run forever.
+These oracles are meant for desk-size instances.  A call stops with
+SizeBoundExceeded once the states it has stored, over all its space budgets
+or cost caps, would take more than ``MAX_STORED_BYTES``, rather than run
+until memory runs out.
 """
 
 from __future__ import annotations
@@ -33,25 +35,29 @@ __all__ = [
     "optimal_price",
     "tradeoff_frontier",
     "optimal_blob_price",
-    "DEFAULT_BLACK_BOUND",
-    "DEFAULT_BW_BOUND",
-    "DEFAULT_BLOB_BOUND",
+    "MAX_STORED_BYTES",
 ]
 
-DEFAULT_BLACK_BOUND = 20
-DEFAULT_BW_BOUND = 14
-DEFAULT_BLOB_BOUND = 8
+# What the states stored by one call may take.  A stored pebble-game state
+# took 105-150 B of RSS at n <= 55, and tracemalloc put it at 182 B at
+# n = 231 and 595 B at n = 2,000, so a state is reckoned at 128 B plus its
+# width (2n bits black, 3n BW).  A blob configuration took about 900 B of
+# RSS at cap 4 of pyramid(3) and is reckoned at 1 KiB.  This admits every
+# search in the tests, examples and benchmark, the largest being the
+# carlson_savage(2,3) black price (663,533 states of a 979,691 limit).
+MAX_STORED_BYTES = 128 << 20
 
 
-def _check_bound(g: Dag, game: str, bound: int | None) -> None:
+def _check_game(game: str) -> None:
     if game not in ("black", "bw"):
         raise ValueError(f"unknown game {game!r}; expected 'black' or 'bw'")
-    if bound is None:
-        bound = DEFAULT_BLACK_BOUND if game == "black" else DEFAULT_BW_BOUND
-    if g.n > bound:
-        raise SizeBoundExceeded(
-            f"{g.n} vertices exceeds {game} search bound {bound}; pass a larger bound"
-        )
+
+
+def _refused(stats, what: str, stored: int, limit: int) -> SizeBoundExceeded:
+    """The error of a call past its limit; ``stats.stop`` reads ``states``."""
+    if stats is not None:
+        stats.stop = "states"
+    return SizeBoundExceeded(f"{what} stored {stored} states, above the limit {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +91,9 @@ class SearchStats:
     ``table`` is the peak table size, the largest ``generated`` of one
     budget.  ``stop`` is why the last call stopped: ``goal`` (the price
     was found), ``floor`` (a budget reached the time floor), ``cap`` (the
-    space cap) or ``n`` (the vertex count).
+    space cap), ``n`` (the vertex count) or ``states`` (the call stored
+    more states than ``MAX_STORED_BYTES`` allows, and raised
+    SizeBoundExceeded; its last record is the budget it stopped in).
     """
 
     def __init__(self) -> None:
@@ -232,7 +240,7 @@ def _bw_steps(g: Dag, s: int, dist: dict):
     return steps
 
 
-def _search(g: Dag, game: str, s: int, parents=None, stats=None):
+def _search(g: Dag, game: str, s: int, parents=None, stats=None, stored: int = 0):
     """(min placements, goal state) of a complete pebbling with space cap s.
 
     Both are None when no pebbling fits.  A* with h(state) = |X|, X kept
@@ -241,7 +249,9 @@ def _search(g: Dag, game: str, s: int, parents=None, stats=None):
     the unoccupied predecessors of every white pebble.  h(start) is the
     time floor.  The goal is X empty with no white pebble; the black
     pebbles left come off for free.  ``parents``, when a dict, is filled
-    with state -> previous state.
+    with state -> previous state.  Raises SizeBoundExceeded when
+    ``stored``, the states stored at the call's earlier budgets, plus
+    those stored here pass the limit.
 
     Sound: every vertex in X must be placed again.  An unvisited target
     must be; a placement of v, black at once or white by its removal,
@@ -261,11 +271,16 @@ def _search(g: Dag, game: str, s: int, parents=None, stats=None):
     f = x.bit_count()
     buckets = [{} for _ in range(f)] + [{0: x}]
     goal = None
+    limit = MAX_STORED_BYTES // (128 + (2 if game == "black" else 3) * g.n // 8)
+    room = limit - stored
     t0 = perf_counter()
     try:
         while f < len(buckets):
             bucket = buckets[f]
             while bucket:
+                if len(dist) > room:
+                    what = f"{game} search at space budget {s}"
+                    raise _refused(stats, what, stored + len(dist), limit)
                 state, x = bucket.popitem()
                 d = f - x.bit_count()
                 if not x and not state & whites:
@@ -323,7 +338,6 @@ def _witness(g: Dag, game: str, parents: dict, goal: int) -> list[Move]:
 def optimal_price(
     g: Dag,
     game: str = "black",
-    bound: int | None = None,
     with_trace: bool = False,
     *,
     stats: SearchStats | None = None,
@@ -332,16 +346,18 @@ def optimal_price(
 
     With ``with_trace`` also returns a witness move list (deterministic for
     a given graph), read off the parent links of the winning search.
-    Raises SizeBoundExceeded above the per-game bound (black 20, bw 14 by
-    default).  ``stats`` is filled with the work of each budget searched.
+    Raises SizeBoundExceeded once the budgets searched have stored more
+    states than ``MAX_STORED_BYTES`` allows.  ``stats`` is filled with the
+    work of each budget searched.
     """
-    _check_bound(g, game, bound)
+    _check_game(game)
+    stats = SearchStats() if stats is None else stats
+    start = stats.generated
     for s in range(1, g.n + 1):
         parents = {} if with_trace else None
-        d, goal = _search(g, game, s, parents, stats)
+        d, goal = _search(g, game, s, parents, stats, stats.generated - start)
         if d is not None:
-            if stats is not None:
-                stats.stop = "goal"
+            stats.stop = "goal"
             return (s, _witness(g, game, parents, goal)) if with_trace else s
     raise SizeBoundExceeded("no complete pebbling found (unreachable for valid DAGs)")
 
@@ -363,7 +379,6 @@ def tradeoff_frontier(
     g: Dag,
     game: str = "black",
     space_cap: int = 0,
-    bound: int | None = None,
     *,
     above_price: int | None = None,
     stats: SearchStats | None = None,
@@ -373,7 +388,9 @@ def tradeoff_frontier(
     The cap is ``space_cap``, or price + ``above_price`` when that is given
     (passing both is an error).  Returns the Pareto-filtered frontier; a cap
     below the price yields an empty frontier.  ``stats`` is filled with the
-    work of each budget searched and the reason the sweep stopped.
+    work of each budget searched and the reason the sweep stopped.  Raises
+    SizeBoundExceeded once the budgets searched have stored more states
+    than ``MAX_STORED_BYTES`` allows.
 
     The sweep stops at the first budget whose time equals the time floor F,
     the search's bound at the start: |ancestors(targets)|.  This is exact.
@@ -386,12 +403,14 @@ def tradeoff_frontier(
         raise ValueError("give space_cap or above_price, not both")
     if above_price is not None and above_price < 0:
         raise ValueError("above_price must be >= 0")
-    _check_bound(g, game, bound)
+    _check_game(game)
+    stats = SearchStats() if stats is None else stats
+    start = stats.generated
     floor = _closure(g.pred_mask, 0, g.target_mask, 0).bit_count()
     cap = space_cap if above_price is None else g.n + above_price
     points: list[tuple[int, int]] = []
     for s in range(1, min(cap, g.n) + 1):
-        t, _ = _search(g, game, s, stats=stats)
+        t, _ = _search(g, game, s, stats=stats, stored=stats.generated - start)
         if t is None:
             continue
         if above_price is not None and not points:
@@ -399,12 +418,10 @@ def tradeoff_frontier(
         if not points or t < points[-1][1]:
             points.append((s, t))
         if t == floor or s == cap:
-            stop = "floor" if t == floor else "cap"
+            stats.stop = "floor" if t == floor else "cap"
             break
     else:
-        stop = "cap" if above_price is None and cap <= g.n else "n"
-    if stats is not None:
-        stats.stop = stop
+        stats.stop = "cap" if above_price is None and cap <= g.n else "n"
     return ParetoFrontier(points=tuple(points))
 
 
@@ -415,7 +432,6 @@ def tradeoff_frontier(
 
 def optimal_blob_price(
     g: Dag,
-    bound: int = DEFAULT_BLOB_BOUND,
     strict: bool = False,
     *,
     stats: SearchStats | None = None,
@@ -426,21 +442,16 @@ def optimal_blob_price(
     over configurations (sets of subconfigurations) under all four move
     types, nearest the target blobs first (``_blob_reachable``).  The first
     cap with a reachable goal is the price.  The caps below it are searched
-    to exhaustion, and their state spaces are enormous, so this refuses
-    graphs with more than ``bound`` vertices and is really only comfortable
-    a little below that.  ``stats`` is filled with the work of each cap
-    searched, its ``space`` being the cap.
+    to exhaustion, and their state spaces are enormous, so this raises
+    SizeBoundExceeded once the caps searched have stored more
+    configurations than ``MAX_STORED_BYTES`` allows.  ``stats`` is filled
+    with the work of each cap searched, its ``space`` being the cap.
     """
-    if g.n > bound:
-        raise SizeBoundExceeded(f"{g.n} vertices exceeds blob search bound {bound}")
+    stats = SearchStats() if stats is None else stats
+    start = stats.generated
     for cap in range(1, g.n + 1):
-        t0 = perf_counter()
-        found, generated, expanded = _blob_reachable(g, cap, strict)
-        if stats is not None:
-            stats._add(BudgetStats(cap, generated, expanded, perf_counter() - t0))
-            if found:
-                stats.stop = "goal"
-        if found:
+        if _blob_reachable(g, cap, strict, stats, stats.generated - start)[0]:
+            stats.stop = "goal"
             return cap
     raise SizeBoundExceeded("no complete blob pebbling found (unreachable for valid DAGs)")
 
@@ -468,12 +479,17 @@ def _with_sub(cfg: frozenset, new: tuple[int, int]) -> frozenset:
     return frozenset(kept)
 
 
-def _blob_reachable(g: Dag, cap: int, strict: bool) -> tuple[bool, int, int]:
+def _blob_reachable(
+    g: Dag, cap: int, strict: bool, stats=None, stored: int = 0
+) -> tuple[bool, int, int]:
     """Best-first search over canonical configurations with peak chargeable
     cost <= cap.
 
     Returns whether a configuration holding [t]<> for every target is
-    reachable, with the number of configurations stored and expanded.
+    reachable, with the number of configurations stored and expanded, and
+    adds them to ``stats``.  Raises SizeBoundExceeded when ``stored``, the
+    configurations the call stored at its lower caps, plus those stored
+    here pass the call's limit.
 
     A subconfiguration is a (blob_mask, white_mask) pair; its bottom vertex
     is the lowest set bit of the blob, because ids are topological.  Moves:
@@ -554,14 +570,23 @@ def _blob_reachable(g: Dag, cap: int, strict: bool) -> tuple[bool, int, int]:
     goal = frozenset((t, 0) for t in targets)
     start: frozenset[tuple[int, int]] = frozenset()
     seen = {start}
-    if goal <= start:
-        return True, 1, 0
     queue = [(key(start), 0, start)]
-    while queue:
-        for nxt in successors(heappop(queue)[2]):
-            if nxt not in seen:
-                if goal <= nxt:
-                    return True, len(seen), len(seen) - len(queue)
-                seen.add(nxt)
-                heappush(queue, (key(nxt), len(seen), nxt))
-    return False, len(seen), len(seen)
+    found = goal <= start
+    limit = MAX_STORED_BYTES // 1024
+    room = limit - stored
+    t0 = perf_counter()
+    try:
+        while queue and not found:
+            if len(seen) > room:
+                raise _refused(stats, f"blob search at cost cap {cap}", stored + len(seen), limit)
+            for nxt in successors(heappop(queue)[2]):
+                if nxt not in seen:
+                    if goal <= nxt:
+                        found = True
+                        break
+                    seen.add(nxt)
+                    heappush(queue, (key(nxt), len(seen), nxt))
+        return found, len(seen), len(seen) - len(queue)
+    finally:
+        if stats is not None:
+            stats._add(BudgetStats(cap, len(seen), len(seen) - len(queue), perf_counter() - t0))

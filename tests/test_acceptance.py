@@ -133,8 +133,8 @@ def test_criterion_2_bw_at_most_black(verdict):
     anchors = {}
     for spec in specs:
         g = build_family(spec)
-        black = optimal_price(g, game="black", bound=g.n)
-        bw = optimal_price(g, game="bw", bound=g.n)
+        black = optimal_price(g, game="black")
+        bw = optimal_price(g, game="bw")
         anchors[spec.label()] = (black, bw)
         if bw > black:
             bad.append(f"{spec.label()}: bw {bw} > black {black}")
@@ -233,8 +233,8 @@ def test_criterion_5_tradeoff_frontier(verdict):
     for c, r in ((2, 1), (2, 2)):
         spec = FamilySpec.carlson_savage(c, r)
         g = build_family(spec)
-        price = optimal_price(g, game="black", bound=g.n)
-        frontier = tradeoff_frontier(g, game="black", space_cap=price + 3, bound=g.n)
+        price = optimal_price(g, game="black")
+        frontier = tradeoff_frontier(g, game="black", space_cap=price + 3)
         pts = frontier.points
         if len(pts) < 2:
             bad.append(f"{spec.label()}: frontier {pts} has fewer than 2 points")

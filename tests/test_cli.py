@@ -1,5 +1,7 @@
 """End-to-end tests for the command line interface."""
 
+import csv
+import io
 import json
 import os
 import random
@@ -23,7 +25,7 @@ from pebble_bench import (
     write_dimacs,
     write_graph,
 )
-from pebble_bench import cli, dag, strategies
+from pebble_bench import cli, dag, search, strategies
 from pebble_bench.cnf import MAX_CLAUSES, MAX_LITERALS
 from pebble_bench.cli import run_command, tradeoff_report
 
@@ -86,12 +88,8 @@ def test_bad_command_line_is_one_usage_line(capsys):
             "argument --space-cap: bad bound '-1'",
         ),
         (
-            ["frontier", "--family", "chain", "--n", "3", "--space-cap", "3", "--bound", "-1"],
-            "argument --bound: bad bound '-1'",
-        ),
-        (
-            ["price", "--family", "chain", "--n", "3", "--bound", "-2"],
-            "argument --bound: bad bound '-2'",
+            ["price", "--family", "chain", "--n", "3", "--bound", "20"],
+            "unrecognized arguments: --bound 20",
         ),
     ):
         assert run(capsys, *argv) == (2, "", f"usage error: {message}\n"), argv
@@ -146,10 +144,15 @@ def test_price_black_and_bw(capsys):
     assert (code, out) == (0, "3\n")
 
 
-def test_price_bound_exceeded(capsys):
-    code, _, err = run(capsys, "price", "--family", "chain", "--n", "9", "--bound", "5")
-    assert code == 1
-    assert "error:" in err and "bound" in err
+def test_price_bound_exceeded(capsys, monkeypatch):
+    """A search past its limit is one error line naming the work."""
+    # pyramid(2) black stores 4, 7, 14 and 15 states at budgets 1-4, at
+    # 128 B plus 12 bits each.
+    monkeypatch.setattr(search, "MAX_STORED_BYTES", 20 * 129)
+    err = "error: black search at space budget 3 stored 21 states, above the limit 20\n"
+    assert run(capsys, "price", "--family", "pyramid", "--h", "2") == (1, "", err)
+    frontier = ["frontier", "--family", "pyramid", "--h", "2", "--space-cap", "6"]
+    assert run(capsys, *frontier) == (1, "", err)
 
 
 def test_frontier_csv(capsys):
@@ -166,6 +169,14 @@ def test_frontier_from_file_labels(tmp_path, capsys):
     code, out, _ = run(capsys, "frontier", "--graph", str(path), "--space-cap", "3")
     assert code == 0
     assert out.splitlines()[1] == "file,edge.txt,black,2,2"
+    # A file name holding a comma or a newline is quoted, one field.
+    for name in ("a,b.graph", "a\nb.graph"):
+        path = tmp_path / name
+        path.write_text(write_graph(build_family(FamilySpec.chain(2))))
+        code, out, _ = run(capsys, "frontier", "--graph", str(path), "--space-cap", "3")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows == [["family", "params", "game", "space", "min_time"], ["file", name, "black", "2", "2"]]
 
 
 # --- strategy -------------------------------------------------------------------
@@ -535,7 +546,7 @@ def test_fuzz_proof_inputs(tmp_path, capsys):
     assert codes.count(0) > 0 and codes.count(1) > len(codes) // 2
 
 
-FUZZ_VALUES = ("x", "", "-1", "0", "1.5", "3", "5", "1,2", "2..3", "--", "bw", "pyramid")
+FUZZ_VALUES = ("x", "", "-1", "0", "1.5", "3", "5", "1,2", "2..3", "--", "bw", "pyramid", "%", "%(x)s")
 
 
 def mutate_argv(rng, argv):
@@ -579,14 +590,19 @@ def mutate_spec(rng, text):
 def test_fuzz_search_inputs(tmp_path, capsys, monkeypatch):
     """Mutated command lines of price, frontier, measure and strategy,
     mutated graph files, and mutated tradeoff-report specs exit 0, 1 or 2
-    with a one-line error; no other exception escapes run_command."""
+    with a one-line error; no other exception escapes run_command.  The
+    stored-state limit is small, so that a mutation such as --h 5 makes a
+    search that stops at once."""
     monkeypatch.chdir(tmp_path)  # specs write their (mutated) output paths here
+    # 400 states of 130 B: the unmutated inputs store at most 325, the BW
+    # frontier of pyramid(2) at space cap 5.
+    monkeypatch.setattr(search, "MAX_STORED_BYTES", 400 * 130)
     rng = random.Random(20261019)
     graph = tmp_path / "g.txt"
     good_graph = write_graph(build_family(FamilySpec.pyramid(2)))
     argvs = [
         ["price", "--family", "pyramid", "--h", "2", "--game", "bw"],
-        ["price", "--family", "chain", "--n", "4", "--bound", "6"],
+        ["price", "--family", "chain", "--n", "4"],
         ["frontier", "--family", "carlson_savage", "--c", "2", "--r", "1", "--space-cap", "5"],
         ["frontier", "--family", "binary_tree", "--h", "2", "--space-cap", "4", "--game", "bw"],
         ["measure", "--family", "pyramid", "--h", "2", "--set", "3,4", "--black", "5"],
@@ -643,12 +659,12 @@ def write_spec(tmp_path, body):
 
 
 def test_report_csv_and_plots(tmp_path, capsys):
-    out_csv = tmp_path / "report.csv"
+    out_csv = tmp_path / "report%.csv"  # '%' is written '%%' in a spec
     spec = write_spec(
         tmp_path,
         "[experiment]\n"
         "game = black\n"
-        f"out_csv = {out_csv}\n"
+        f"out_csv = {tmp_path}/report%%.csv\n"
         f"plot_prefix = {tmp_path}/plot-\n"
         "[family:chain]\n"
         "n = 2..4\n"
@@ -662,18 +678,34 @@ def test_report_csv_and_plots(tmp_path, capsys):
     assert (tmp_path / "plot-chain-3.csv").read_text() == "space,time\n2,3\n"
 
 
-def test_report_skips_oversized_instances(tmp_path, capsys):
-    spec = write_spec(
-        tmp_path,
-        "[experiment]\nbound = 5\n[family:chain]\nn = 4..6\n",
-    )
+def test_report_skips_oversized_instances(tmp_path, capsys, monkeypatch):
+    # pyramid(1) stores 12 states, pyramid(2) passes 20 at budget 3.
+    monkeypatch.setattr(search, "MAX_STORED_BYTES", 20 * 129)
+    spec = write_spec(tmp_path, "[experiment]\n[family:pyramid]\nh = 1,2\n")
     code, out, err = run(capsys, "tradeoff-report", "--spec", spec)
     assert code == 0
-    assert "warning" in err and "chain(6)" in err
-    assert "chain,6" not in out and "chain,5" in out
+    assert err == (
+        "warning: skipped pyramid(2): black search at space budget 3 stored 21 states, "
+        "above the limit 20\n"
+    )
+    assert "pyramid,2" not in out and "pyramid,1" in out
 
 
-def test_report_usage_errors(tmp_path, capsys):
+def test_report_ignores_an_old_bound(tmp_path, capsys):
+    """Older specs set a vertex bound; it is ignored, with nothing on stderr."""
+    body = "[experiment]\ngame = bw\n[family:pyramid]\nh = 1..4\nspace_cap = +0\n"
+    want = run(capsys, "tradeoff-report", "--spec", write_spec(tmp_path, body))
+    assert want[0] == 0 and want[2] == "" and "pyramid,4,bw,4," in want[1]
+    for bound in ("23", "5", "x", "-1"):
+        spec = write_spec(tmp_path, body.replace("game = bw", f"game = bw\nbound = {bound}"))
+        assert run(capsys, "tradeoff-report", "--spec", spec) == want, bound
+
+
+def test_report_usage_errors(tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before reading the whole spec")
+
+    monkeypatch.setattr(cli, "tradeoff_frontier", no_search)
     assert run(capsys, "tradeoff-report", "--spec", str(tmp_path / "nope.ini"))[0] == 2
     spec = write_spec(tmp_path, "[experiment]\ngame = black\n")
     assert run(capsys, "tradeoff-report", "--spec", spec)[0] == 2
@@ -684,12 +716,16 @@ def test_report_usage_errors(tmp_path, capsys):
     spec = write_spec(tmp_path, "no section header\n")
     assert run(capsys, "tradeoff-report", "--spec", spec)[0] == 2
     for body in (
-        "[experiment]\nbound = x\n[family:chain]\nn = 2\n",
-        "[experiment]\nbound = -1\n[family:chain]\nn = 2\n",
         "[family:chain]\nn = 2\nspace_cap = +x\n",
         "[family:chain]\nn = 2\nspace_cap = x\n",
         "[family:chain]\nn = 2\nspace_cap = -1\n",
         "[family:chain]\nn = 2\nspace_cap = +-1\n",
+        "[family:chain]\nn = 2\nspace_cap = %(foo)s\n",
+        "[experiment]\ngame = %(x)s\n[family:chain]\nn = 2\n",
+        "[experiment]\nout_csv = 50%.csv\n[family:chain]\nn = 2\n",
+        "[experiment]\nplot_prefix = p%\n[family:chain]\nn = 2\n",
+        "[experiment]\nout_csv = a\0b.csv\n[family:chain]\nn = 2\n",
+        "[experiment]\nplot_prefix = p\0\n[family:chain]\nn = 2\n",
     ):
         code, out, err = run(capsys, "tradeoff-report", "--spec", write_spec(tmp_path, body))
         assert code == 2 and out == ""

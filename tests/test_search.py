@@ -109,13 +109,47 @@ def test_carlson_savage_frontier_golden():
     assert fr.points == ((3, 16), (4, 11))
 
 
-def test_size_bound_guard():
-    g = build_family(FamilySpec.carlson_savage(2, 2))  # 23 vertices
-    with pytest.raises(SizeBoundExceeded):
-        optimal_price(g, "black")  # default bound is 20
-    assert optimal_price(g, "black", bound=23) == 4
-    with pytest.raises(SizeBoundExceeded):
-        optimal_price(g, "bw")  # default bw bound is 14
+def test_instances_past_the_old_vertex_bounds_answer():
+    """The old vertex bounds (black 20, BW 14) refused these; each stores
+    under 200,000 states."""
+    for spec, game, price in (
+        (FamilySpec.carlson_savage(2, 2), "black", 4),  # 23 vertices
+        (FamilySpec.carlson_savage(2, 2), "bw", 4),
+        (FamilySpec.pyramid(4), "bw", 4),  # 15 vertices
+        (FamilySpec.pyramid(5), "black", 7),  # 21 vertices
+        (FamilySpec.binary_tree(4), "bw", 4),  # 31 vertices
+    ):
+        assert optimal_price(build_family(spec), game) == price, (spec, game)
+
+
+def test_size_bound_guard(monkeypatch):
+    """Past the limit, counted over all the call's budgets, each search
+    raises and names the budget, the states stored and the limit; its
+    stats end with the budget it stopped in and read ``states``."""
+    g = build_family(FamilySpec.pyramid(2))  # black states stored: 4, 7, 14, 15
+    free = SearchStats()
+    assert optimal_price(g, "black", stats=free) == 4
+    # The limit is the bytes over 128 B plus the state width, 12 bits here.
+    monkeypatch.setattr(search, "MAX_STORED_BYTES", 20 * 129)
+    stats = SearchStats()
+    with pytest.raises(SizeBoundExceeded, match="^black search at space budget 3 stored 21 states, above the limit 20$"):
+        optimal_price(g, "black", stats=stats)
+    assert [(b.space, b.generated) for b in stats.budgets] == [(1, 4), (2, 7), (3, 10)]
+    assert stats.stop == "states"
+    stats = SearchStats()
+    with pytest.raises(SizeBoundExceeded, match="^black search at space budget 3 stored 21 states"):
+        tradeoff_frontier(g, "black", space_cap=6, stats=stats)
+    assert stats.stop == "states"
+    with pytest.raises(SizeBoundExceeded, match=r"^bw search at space budget \d+ stored \d+ states, above the limit 19$"):
+        optimal_price(g, "bw")  # 128 B plus 18 bits
+    # Under the limit nothing changes: the whole call stores 40 states.
+    monkeypatch.setattr(search, "MAX_STORED_BYTES", 40 * 129)
+    stats = SearchStats()
+    assert optimal_price(g, "black", stats=stats) == 4
+    assert counts(stats) == counts(free)
+    # A stats object that has counted other calls does not count against one.
+    assert optimal_price(g, "black", stats=stats) == 4
+    assert tradeoff_frontier(g, "black", space_cap=6, stats=stats).points == ((4, 6),)
 
 
 def test_unknown_game_rejected():
@@ -370,13 +404,13 @@ def cross_check_graphs():
 @pytest.mark.parametrize("game", ["black", "bw"])
 def test_pruned_frontier_matches_naive_sweep(game):
     for g in cross_check_graphs():
-        price = optimal_price(g, game, bound=g.n)
+        price = optimal_price(g, game)
         full = naive_raw(g, game, price + 3)
         for k in range(4):
             want = pareto(p for p in full if p[0] <= price + k)
-            got = tradeoff_frontier(g, game, space_cap=price + k, bound=g.n)
+            got = tradeoff_frontier(g, game, space_cap=price + k)
             assert got.points == want, (g, game, price + k)
-            got = tradeoff_frontier(g, game, bound=g.n, above_price=k)
+            got = tradeoff_frontier(g, game, above_price=k)
             assert got.points == want, (g, game, k)
 
 
@@ -581,74 +615,67 @@ def test_successors_match_vertex_scan(game):
 
 
 # (space, generated, expanded) per budget of tradeoff_frontier on every
-# instance of the two benchmark frontier specs, at their bounds and caps above
-# the price, as the vertex-scanning successor functions counted them.
+# instance of the two benchmark frontier specs, at their caps above the price,
+# as the vertex-scanning successor functions counted them.
 FRONTIER_WORK = {
-    "black": (
-        23,
-        {
-            (FamilySpec.chain(2), 3): [(1, 2, 2), (2, 3, 2)],
-            (FamilySpec.chain(3), 3): [(1, 2, 2), (2, 4, 3)],
-            (FamilySpec.chain(4), 3): [(1, 2, 2), (2, 6, 4)],
-            (FamilySpec.chain(5), 3): [(1, 2, 2), (2, 8, 5)],
-            (FamilySpec.chain(6), 3): [(1, 2, 2), (2, 10, 6)],
-            (FamilySpec.chain(7), 3): [(1, 2, 2), (2, 12, 7)],
-            (FamilySpec.chain(8), 3): [(1, 2, 2), (2, 14, 8)],
-            (FamilySpec.pyramid(1), 3): [(1, 3, 3), (2, 4, 4), (3, 5, 3)],
-            (FamilySpec.pyramid(2), 3): [(1, 4, 4), (2, 7, 7), (3, 14, 14), (4, 15, 6)],
-            (FamilySpec.pyramid(3), 3): [
-                (1, 5, 5), (2, 11, 11), (3, 33, 33), (4, 101, 101), (5, 56, 10),
-            ],
-            (FamilySpec.pyramid(4), 3): [
-                (1, 6, 6), (2, 16, 16), (3, 66, 66), (4, 300, 300), (5, 1351, 1351), (6, 159, 15),
-            ],
-            (FamilySpec.binary_tree(1), 3): [(1, 3, 3), (2, 4, 4), (3, 5, 3)],
-            (FamilySpec.binary_tree(2), 3): [(1, 5, 5), (2, 11, 11), (3, 27, 27), (4, 25, 7)],
-            (FamilySpec.binary_tree(3), 3): [
-                (1, 9, 9), (2, 37, 37), (3, 205, 205), (4, 911, 911), (5, 239, 15),
-            ],
-            (FamilySpec.carlson_savage(2, 1), 2): [
-                (1, 5, 5), (2, 11, 11), (3, 139, 102), (4, 89, 16),
-            ],
-            (FamilySpec.carlson_savage(2, 2), 2): [
-                (1, 8, 8), (2, 29, 29), (3, 311, 311), (4, 8223, 7474), (5, 531, 28),
-            ],
-        },
-    ),
-    "bw": (
-        15,
-        {
-            (FamilySpec.chain(2), 2): [(1, 4, 4), (2, 9, 4)],
-            (FamilySpec.chain(3), 2): [(1, 5, 5), (2, 15, 6)],
-            (FamilySpec.chain(4), 2): [(1, 6, 6), (2, 22, 8)],
-            (FamilySpec.chain(5), 2): [(1, 7, 7), (2, 30, 10)],
-            (FamilySpec.chain(6), 2): [(1, 8, 8), (2, 39, 12)],
-            (FamilySpec.chain(7), 2): [(1, 9, 9), (2, 49, 14)],
-            (FamilySpec.chain(8), 2): [(1, 10, 10), (2, 60, 16)],
-            (FamilySpec.pyramid(1), 2): [(1, 6, 6), (2, 14, 14), (3, 18, 6)],
-            (FamilySpec.pyramid(2), 2): [(1, 10, 10), (2, 43, 43), (3, 199, 161), (4, 73, 12)],
-            (FamilySpec.pyramid(3), 2): [
-                (1, 15, 15), (2, 102, 102), (3, 749, 749), (4, 2276, 1836), (5, 216, 20),
-            ],
-            (FamilySpec.binary_tree(1), 1): [(1, 6, 6), (2, 14, 14), (3, 18, 6)],
-            (FamilySpec.binary_tree(2), 1): [(1, 12, 12), (2, 63, 63), (3, 223, 151)],
-            (FamilySpec.binary_tree(3), 1): [
-                (1, 24, 24), (2, 269, 269), (3, 2968, 2968), (4, 1783, 1362),
-            ],
-            (FamilySpec.carlson_savage(2, 1), 2): [
-                (1, 16, 16), (2, 117, 117), (3, 1412, 1191), (4, 218, 45),
-            ],
-        },
-    ),
+    "black": {
+        (FamilySpec.chain(2), 3): [(1, 2, 2), (2, 3, 2)],
+        (FamilySpec.chain(3), 3): [(1, 2, 2), (2, 4, 3)],
+        (FamilySpec.chain(4), 3): [(1, 2, 2), (2, 6, 4)],
+        (FamilySpec.chain(5), 3): [(1, 2, 2), (2, 8, 5)],
+        (FamilySpec.chain(6), 3): [(1, 2, 2), (2, 10, 6)],
+        (FamilySpec.chain(7), 3): [(1, 2, 2), (2, 12, 7)],
+        (FamilySpec.chain(8), 3): [(1, 2, 2), (2, 14, 8)],
+        (FamilySpec.pyramid(1), 3): [(1, 3, 3), (2, 4, 4), (3, 5, 3)],
+        (FamilySpec.pyramid(2), 3): [(1, 4, 4), (2, 7, 7), (3, 14, 14), (4, 15, 6)],
+        (FamilySpec.pyramid(3), 3): [
+            (1, 5, 5), (2, 11, 11), (3, 33, 33), (4, 101, 101), (5, 56, 10),
+        ],
+        (FamilySpec.pyramid(4), 3): [
+            (1, 6, 6), (2, 16, 16), (3, 66, 66), (4, 300, 300), (5, 1351, 1351), (6, 159, 15),
+        ],
+        (FamilySpec.binary_tree(1), 3): [(1, 3, 3), (2, 4, 4), (3, 5, 3)],
+        (FamilySpec.binary_tree(2), 3): [(1, 5, 5), (2, 11, 11), (3, 27, 27), (4, 25, 7)],
+        (FamilySpec.binary_tree(3), 3): [
+            (1, 9, 9), (2, 37, 37), (3, 205, 205), (4, 911, 911), (5, 239, 15),
+        ],
+        (FamilySpec.carlson_savage(2, 1), 2): [
+            (1, 5, 5), (2, 11, 11), (3, 139, 102), (4, 89, 16),
+        ],
+        (FamilySpec.carlson_savage(2, 2), 2): [
+            (1, 8, 8), (2, 29, 29), (3, 311, 311), (4, 8223, 7474), (5, 531, 28),
+        ],
+    },
+    "bw": {
+        (FamilySpec.chain(2), 2): [(1, 4, 4), (2, 9, 4)],
+        (FamilySpec.chain(3), 2): [(1, 5, 5), (2, 15, 6)],
+        (FamilySpec.chain(4), 2): [(1, 6, 6), (2, 22, 8)],
+        (FamilySpec.chain(5), 2): [(1, 7, 7), (2, 30, 10)],
+        (FamilySpec.chain(6), 2): [(1, 8, 8), (2, 39, 12)],
+        (FamilySpec.chain(7), 2): [(1, 9, 9), (2, 49, 14)],
+        (FamilySpec.chain(8), 2): [(1, 10, 10), (2, 60, 16)],
+        (FamilySpec.pyramid(1), 2): [(1, 6, 6), (2, 14, 14), (3, 18, 6)],
+        (FamilySpec.pyramid(2), 2): [(1, 10, 10), (2, 43, 43), (3, 199, 161), (4, 73, 12)],
+        (FamilySpec.pyramid(3), 2): [
+            (1, 15, 15), (2, 102, 102), (3, 749, 749), (4, 2276, 1836), (5, 216, 20),
+        ],
+        (FamilySpec.binary_tree(1), 1): [(1, 6, 6), (2, 14, 14), (3, 18, 6)],
+        (FamilySpec.binary_tree(2), 1): [(1, 12, 12), (2, 63, 63), (3, 223, 151)],
+        (FamilySpec.binary_tree(3), 1): [
+            (1, 24, 24), (2, 269, 269), (3, 2968, 2968), (4, 1783, 1362),
+        ],
+        (FamilySpec.carlson_savage(2, 1), 2): [
+            (1, 16, 16), (2, 117, 117), (3, 1412, 1191), (4, 218, 45),
+        ],
+    },
 }
 
 
 @pytest.mark.parametrize("game", ["black", "bw"])
 def test_frontier_work_pinned(game):
-    bound, work = FRONTIER_WORK[game]
-    for (spec, above), want in work.items():
+    for (spec, above), want in FRONTIER_WORK[game].items():
         stats = SearchStats()
-        tradeoff_frontier(build_family(spec), game, bound=bound, above_price=above, stats=stats)
+        tradeoff_frontier(build_family(spec), game, above_price=above, stats=stats)
         assert [(b.space, b.generated, b.expanded) for b in stats.budgets] == want, spec
 
 
@@ -730,11 +757,22 @@ def test_blob_price_never_exceeds_black_price():
         assert optimal_blob_price(g) <= optimal_price(g, "black")
 
 
-def test_blob_price_bound_guard():
-    g = build_family(FamilySpec.pyramid(2))  # 6 vertices, fine
-    with pytest.raises(SizeBoundExceeded):
-        optimal_blob_price(build_family(FamilySpec.pyramid(3)))  # 10 > 8
-    assert optimal_blob_price(g, bound=6) >= 1
+def test_blob_price_bound_guard(monkeypatch):
+    """The plain pyramid(3) search at cap 4 ran past 100 s; now it stops at
+    the limit, counted over the caps, and names the cap, the configurations
+    stored and the limit."""
+    g = build_family(FamilySpec.pyramid(2))  # stores 4, 10, 532 below cap 4
+    monkeypatch.setattr(search, "MAX_STORED_BYTES", 600 * 1024)
+    stats = SearchStats()
+    with pytest.raises(SizeBoundExceeded, match="^blob search at cost cap 4 stored 60[0-9] states, above the limit 600$"):
+        optimal_blob_price(g, stats=stats)
+    assert [b.space for b in stats.budgets] == [1, 2, 3, 4] and stats.stop == "states"
+    assert stats.budgets[-1].generated == stats.generated - 546
+    monkeypatch.undo()
+    stats = SearchStats()
+    with pytest.raises(SizeBoundExceeded, match="^blob search at cost cap 4 stored [0-9]+ states, above the limit 131072$"):
+        optimal_blob_price(build_family(FamilySpec.pyramid(3)), stats=stats)
+    assert [b.space for b in stats.budgets] == [1, 2, 3, 4] and stats.stop == "states"
 
 
 # Prices from the frozenset-configuration search that the bitmask search
@@ -899,7 +937,7 @@ def test_strict_pyramid3_blob_price():
     what the reference stores."""
     g = build_family(FamilySpec.pyramid(3))
     stats = SearchStats()
-    assert optimal_blob_price(g, bound=10, strict=True, stats=stats) == 4
+    assert optimal_blob_price(g, strict=True, stats=stats) == 4
     below = [b.generated for b in stats.budgets[:-1]]
     assert below == [reference_blob_reachable(g, cap, True)[1] for cap in (1, 2, 3)]
     assert below[-1] == 243

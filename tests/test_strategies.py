@@ -59,7 +59,7 @@ def test_carlson_savage_default_strategy_uses_min_budget():
 def test_cs_min_budget_matches_exact_price():
     for c, r in [(2, 1), (2, 2), (3, 1)]:
         g = build_family(FamilySpec.carlson_savage(c, r))
-        assert cs_min_budget(c, r) == optimal_price(g, "black", bound=g.n)
+        assert cs_min_budget(c, r) == optimal_price(g, "black")
 
 
 def test_cs_budget_too_small():
