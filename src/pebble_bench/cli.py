@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import sys
 from configparser import ConfigParser, Error as ConfigError
 from itertools import product
+from types import SimpleNamespace
 
 from . import blob as blobmod
 from . import simulation
@@ -27,7 +27,7 @@ from .measures import hidden_vertices, klawe_measure, potential, LayeredView
 from .pebbling import format_moves, parse_moves, validate_pebbling
 from .resolution import check_trace_text, format_trace
 from .search import optimal_price, tradeoff_frontier
-from .strategies import _cs_schedules, _strategy, black_strategy
+from .strategies import _schedules
 
 __all__ = ["main", "run_command"]
 
@@ -48,24 +48,26 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_graph_args(p: argparse.ArgumentParser, family_only: bool = False):
     p.add_argument("--family", choices=sorted(_FAMILY_PARAMS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--r", type=int)
+    for name in dict.fromkeys(name for least in _FAMILY_PARAMS.values() for name in least):
+        p.add_argument(f"--{name}", type=int)
     if not family_only:
         p.add_argument("--graph", metavar="FILE", help="read the graph from a file")
 
 
 def _spec_from_args(args) -> FamilySpec:
+    """The family the flags name.  Every usage error, ``strategy``'s
+    ``--budget`` on another family among them, is raised before the spec
+    checks its parameter values."""
     if not args.family:
         raise _Usage("a --family is required")
-    names = _FAMILY_PARAMS[args.family]
     vals = []
-    for name in names:
+    for name in _FAMILY_PARAMS[args.family]:
         v = getattr(args, name)
         if v is None:
             raise _Usage(f"family {args.family} needs --{name}")
         vals.append(v)
+    if getattr(args, "budget", None) is not None and args.family != "carlson_savage":
+        raise _Usage("--budget only applies to carlson_savage")
     return FamilySpec(args.family, tuple(vals))
 
 
@@ -76,7 +78,7 @@ def _limit(text: str) -> int:
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"bad bound {text!r}")
+        raise argparse.ArgumentTypeError(f"bad space cap {text!r}")
     return value
 
 
@@ -140,13 +142,15 @@ def _cmd_price(args) -> int:
     return 0
 
 
-def _frontier_rows(label_family: str, label_params: str, game: str, frontier) -> str:
-    """The frontier as CSV, quoting a file name that holds a comma or newline."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["family", "params", "game", "space", "min_time"])
-    writer.writerows([label_family, label_params, game, s, t] for s, t in frontier.points)
-    return out.getvalue()
+def _csv(rows) -> str:
+    """Rows as CSV text, one LF-ended line each, the writer of every CSV
+    output.  A field holding a comma, quote, CR or LF is quoted.  The
+    writer ends its lines with CRLF, so that it quotes a CR on every
+    Python version (before 3.13 it quotes only its terminator's
+    characters), and each line's CRLF is cut to LF."""
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def _cmd_frontier(args) -> int:
@@ -157,15 +161,14 @@ def _cmd_frontier(args) -> int:
         fam, par = spec.kind, spec.params_label()
     else:
         fam, par = "file", os.path.basename(args.graph)
-    _write_out(args.output, _frontier_rows(fam, par, args.game, fr))
+    header = ("family", "params", "game", "space", "min_time")
+    _write_out(args.output, _csv([header, *((fam, par, args.game, s, t) for s, t in fr.points)]))
     return 0
 
 
 def _cmd_strategy(args) -> int:
-    spec = _spec_from_args(args)
-    if spec.kind != "carlson_savage" and args.budget is not None:
-        raise _Usage("--budget only applies to carlson_savage")
-    g, moves = _strategy(spec, args.budget)
+    g, schedule = _schedules(_spec_from_args(args))
+    moves = schedule(args.budget)
     trace = validate_pebbling(g, moves, game="black")
     _write_out(args.output, format_moves(moves))
     if args.output:
@@ -229,17 +232,18 @@ def _parse_range(text: str) -> list[int]:
 
 def _experiment_instances(cp: ConfigParser):
     """(spec, cap) pairs in file order, params in cross-product order; cap is
-    the space-cap keyword for ``tradeoff_frontier`` (``+k``: above_price)."""
-    out = []
+    the space-cap keyword for ``tradeoff_frontier`` (``+k``: above_price).
+    The specs, which refuse a value below its least, are built once every
+    section has parsed, so a usage error anywhere in the file comes first."""
+    sections = []
     for section in cp.sections():
         if not section.startswith("family:"):
             continue
         kind = section.split(":", 1)[1]
         if kind not in _FAMILY_PARAMS:
             raise _Usage(f"unknown family {kind!r} in spec")
-        names = _FAMILY_PARAMS[kind]
         try:
-            ranges = [_parse_range(cp.get(section, name)) for name in names]
+            ranges = [_parse_range(cp.get(section, name)) for name in _FAMILY_PARAMS[kind]]
         except (ValueError, ConfigError) as e:
             raise _Usage(f"bad parameter ranges in [{section}]: {e}") from None
         cap = cp.get(section, "space_cap", fallback="+2")
@@ -250,19 +254,15 @@ def _experiment_instances(cp: ConfigParser):
                 raise ValueError
         except ValueError:
             raise _Usage(f"bad space_cap {cap!r} in [{section}]") from None
-        for combo in product(*ranges):
-            out.append((FamilySpec(kind, combo), cap_kw))
-    return out
+        sections.append((kind, product(*ranges), cap_kw))
+    return [(FamilySpec(kind, combo), cap_kw) for kind, combos, cap_kw in sections for combo in combos]
 
 
 def _instance_rows(spec: FamilySpec, cap_kw: dict[str, int], game: str):
-    """Frontier and strategy comparison rows for one instance.  A
-    carlson_savage graph is built once with its layout, and every point's
-    schedule is emitted from that layout."""
-    if spec.kind == "carlson_savage":
-        g, schedule = _cs_schedules(*spec.params)
-    else:
-        g = build_family(spec)
+    """Frontier and strategy comparison rows for one instance.  Its graph
+    is built once; a carlson_savage graph with its layout, from which every
+    point's schedule is emitted."""
+    g, schedule = _schedules(spec)
     frontier = tradeoff_frontier(g, game=game, **cap_kw)
     if spec.kind == "carlson_savage":
 
@@ -273,7 +273,7 @@ def _instance_rows(spec: FamilySpec, cap_kw: dict[str, int], game: str):
                 return ""
 
     else:
-        base = validate_pebbling(g, black_strategy(spec), game="black")
+        base = validate_pebbling(g, schedule(None), game="black")
 
         def strategy_time(s):
             return base.time if base.space <= s else ""
@@ -319,22 +319,20 @@ def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
     if not instances:
         raise _Usage("empty family range: no instances to run")
 
-    lines = ["family,params,game,space,min_time,strategy_time"]
+    rows = [("family", "params", "game", "space", "min_time", "strategy_time")]
     plots: dict[str, str] = {}
     warnings: list[str] = []
     for spec, cap_kw in instances:
         try:
-            rows, frontier = _instance_rows(spec, cap_kw, game)
+            instance_rows, frontier = _instance_rows(spec, cap_kw, game)
         except SizeBoundExceeded as e:
             warnings.append(f"skipped {spec.label()}: {e}")
             continue
-        for row in rows:
-            lines.append(",".join(str(x) for x in row))
-        plot = "space,time\n" + "".join(f"{s},{t}\n" for s, t in frontier.points)
-        plots[f"{spec.kind}-{spec.params_label()}.csv"] = plot
+        rows += instance_rows
+        plots[f"{spec.kind}-{spec.params_label()}.csv"] = _csv([("space", "time"), *frontier.points])
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = _csv(rows)
     _write_out(cp.get("experiment", "out_csv", fallback=None), csv_text)
     prefix = cp.get("experiment", "plot_prefix", fallback=None)
     if prefix:

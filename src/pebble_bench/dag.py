@@ -149,11 +149,14 @@ def validate_dag(g: Dag) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+# The one record of each family: its parameter names in order, each with its
+# least value.  FamilySpec checks against it, and the command line makes its
+# flags from it.
 _FAMILY_PARAMS = {
-    "chain": ("n",),
-    "pyramid": ("h",),
-    "binary_tree": ("h",),
-    "carlson_savage": ("c", "r"),
+    "chain": {"n": 1},
+    "pyramid": {"h": 1},
+    "binary_tree": {"h": 1},
+    "carlson_savage": {"c": 2, "r": 0},
 }
 
 
@@ -165,10 +168,14 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __post_init__(self):
-        # A wrong parameter count is refused here; an unknown kind by build_family.
-        names, got = _FAMILY_PARAMS.get(self.kind, self.params), len(self.params)
-        if got != len(names):
-            raise GraphError(f"family {self.kind} takes parameters ({', '.join(names)}), got {got}")
+        # A wrong parameter count or a value below its least is refused
+        # here; an unknown kind by build_family.
+        least, got = _FAMILY_PARAMS.get(self.kind, {}), len(self.params)
+        if least and got != len(least):
+            raise GraphError(f"family {self.kind} takes parameters ({', '.join(least)}), got {got}")
+        for (name, low), value in zip(least.items(), self.params):
+            if value < low:
+                raise GraphError(f"{self.kind} needs {name} >= {low}")
 
     @classmethod
     def chain(cls, n: int) -> "FamilySpec":
@@ -195,26 +202,21 @@ class FamilySpec:
 
 
 def build_family(spec: FamilySpec) -> Dag:
-    """Construct a family instance.  Raises UnsupportedFamily / GraphError,
-    or SizeBoundExceeded, from the parameters alone, above ``MAX_VERTICES``."""
+    """Construct a family instance.  Raises UnsupportedFamily for an unknown
+    kind, or SizeBoundExceeded, from the parameters alone, above
+    ``MAX_VERTICES``; ``spec`` has checked the parameters already."""
     kind, params = spec.kind, spec.params
     if kind == "chain":
         (n,) = params
-        if n < 1:
-            raise GraphError("chain needs n >= 1")
         _check_size(spec, n)
         return Dag(n, [(i, i + 1) for i in range(n - 1)])
     if kind == "pyramid":
         (h,) = params
-        if h < 1:
-            raise GraphError("pyramid needs h >= 1")
         _check_size(spec, (h + 1) * (h + 2) // 2)
         rows, edges, n = _pyramid_rows(h, 0)
         return Dag(n, edges)
     if kind == "binary_tree":
         (h,) = params
-        if h < 1:
-            raise GraphError("binary_tree needs h >= 1")
         # 2^(h+1) - 1 vertices; h is capped so that no huge power is formed
         _check_size(spec, 2 ** (min(h, MAX_VERTICES.bit_length()) + 1) - 1)
         # Leaves first, then each higher level; the root is the sink.
@@ -294,14 +296,10 @@ def carlson_savage_layout(c: int, r: int) -> tuple[Dag, CsLayout]:
     (spine[j-1], aux[j+1]).  The level's sinks are the spine ends; the graph's
     targets are the level-r sinks.
     """
-    if c < 2:
-        raise GraphError("carlson_savage needs c >= 2")
-    if r < 0:
-        raise GraphError("carlson_savage needs r >= 0")
+    spec = FamilySpec.carlson_savage(c, r)  # refuses c < 2 and r < 0
     # c base vertices, then per level k a pyramid of (k+1)(k+2)/2 vertices
     # and c spines of 2c - 1 vertices.
-    n = c + (r + 1) * (r + 2) * (r + 3) // 6 - 1 + r * c * (2 * c - 1)
-    _check_size(FamilySpec.carlson_savage(c, r), n)
+    _check_size(spec, c + (r + 1) * (r + 2) * (r + 3) // 6 - 1 + r * c * (2 * c - 1))
     edges: list[tuple[int, int]] = []
     base = list(range(c))
     nxt = c

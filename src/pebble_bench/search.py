@@ -55,8 +55,7 @@ def _check_game(game: str) -> None:
 
 def _refused(stats, what: str, stored: int, limit: int) -> SizeBoundExceeded:
     """The error of a call past its limit; ``stats.stop`` reads ``states``."""
-    if stats is not None:
-        stats.stop = "states"
+    stats.stop = "states"
     return SizeBoundExceeded(f"{what} stored {stored} states, above the limit {limit}")
 
 
@@ -240,7 +239,7 @@ def _bw_steps(g: Dag, s: int, dist: dict):
     return steps
 
 
-def _search(g: Dag, game: str, s: int, parents=None, stats=None, stored: int = 0):
+def _search(g: Dag, game: str, s: int, parents, stats: SearchStats, stored: int):
     """(min placements, goal state) of a complete pebbling with space cap s.
 
     Both are None when no pebbling fits.  A* with h(state) = |X|, X kept
@@ -249,9 +248,9 @@ def _search(g: Dag, game: str, s: int, parents=None, stats=None, stored: int = 0
     the unoccupied predecessors of every white pebble.  h(start) is the
     time floor.  The goal is X empty with no white pebble; the black
     pebbles left come off for free.  ``parents``, when a dict, is filled
-    with state -> previous state.  Raises SizeBoundExceeded when
-    ``stored``, the states stored at the call's earlier budgets, plus
-    those stored here pass the limit.
+    with state -> previous state.  The work is added to ``stats``.  Raises
+    SizeBoundExceeded when ``stored``, the states stored at the call's
+    earlier budgets, plus those stored here pass the limit.
 
     Sound: every vertex in X must be placed again.  An unvisited target
     must be; a placement of v, black at once or white by its removal,
@@ -300,9 +299,8 @@ def _search(g: Dag, game: str, s: int, parents=None, stats=None, stored: int = 0
             f += 1
         return None, None
     finally:
-        if stats is not None:
-            queued = sum(map(len, buckets)) + (goal is not None)
-            stats._add(BudgetStats(s, len(dist), len(dist) - queued, perf_counter() - t0))
+        queued = sum(map(len, buckets)) + (goal is not None)
+        stats._add(BudgetStats(s, len(dist), len(dist) - queued, perf_counter() - t0))
 
 
 def _witness(g: Dag, game: str, parents: dict, goal: int) -> list[Move]:
@@ -410,7 +408,7 @@ def tradeoff_frontier(
     cap = space_cap if above_price is None else g.n + above_price
     points: list[tuple[int, int]] = []
     for s in range(1, min(cap, g.n) + 1):
-        t, _ = _search(g, game, s, stats=stats, stored=stats.generated - start)
+        t, _ = _search(g, game, s, None, stats, stats.generated - start)
         if t is None:
             continue
         if above_price is not None and not points:
@@ -450,7 +448,7 @@ def optimal_blob_price(
     stats = SearchStats() if stats is None else stats
     start = stats.generated
     for cap in range(1, g.n + 1):
-        if _blob_reachable(g, cap, strict, stats, stats.generated - start)[0]:
+        if _blob_reachable(g, cap, strict, stats, stats.generated - start):
             stats.stop = "goal"
             return cap
     raise SizeBoundExceeded("no complete blob pebbling found (unreachable for valid DAGs)")
@@ -479,15 +477,13 @@ def _with_sub(cfg: frozenset, new: tuple[int, int]) -> frozenset:
     return frozenset(kept)
 
 
-def _blob_reachable(
-    g: Dag, cap: int, strict: bool, stats=None, stored: int = 0
-) -> tuple[bool, int, int]:
+def _blob_reachable(g: Dag, cap: int, strict: bool, stats: SearchStats, stored: int) -> bool:
     """Best-first search over canonical configurations with peak chargeable
     cost <= cap.
 
     Returns whether a configuration holding [t]<> for every target is
-    reachable, with the number of configurations stored and expanded, and
-    adds them to ``stats``.  Raises SizeBoundExceeded when ``stored``, the
+    reachable, and adds the configurations stored and expanded to
+    ``stats``.  Raises SizeBoundExceeded when ``stored``, the
     configurations the call stored at its lower caps, plus those stored
     here pass the call's limit.
 
@@ -586,7 +582,6 @@ def _blob_reachable(
                         break
                     seen.add(nxt)
                     heappush(queue, (key(nxt), len(seen), nxt))
-        return found, len(seen), len(seen) - len(queue)
+        return found
     finally:
-        if stats is not None:
-            stats._add(BudgetStats(cap, len(seen), len(seen) - len(queue), perf_counter() - t0))
+        stats._add(BudgetStats(cap, len(seen), len(seen) - len(queue), perf_counter() - t0))

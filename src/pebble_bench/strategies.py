@@ -39,34 +39,32 @@ def black_strategy(spec: FamilySpec) -> list[Move]:
     Chains, pyramids and binary trees are pebbled depth-first: space is 2
     on chains and h+2 on pyramids and trees.
     """
-    return _strategy(spec)[1]
+    return _schedules(spec)[1](None)
 
 
-def _strategy(spec: FamilySpec, budget: int | None = None) -> tuple[Dag, list[Move]]:
-    """The graph of ``spec``, built once, and its black pebbling: the
-    carlson_savage schedule under ``budget`` (its minimum if None), or the
-    depth-first pebbling of the other families."""
+def _schedules(spec: FamilySpec) -> tuple[Dag, Callable[[int | None], list[Move]]]:
+    """The graph of ``spec``, built once, and a function from a budget to
+    its black pebbling.  A carlson_savage graph is built with its layout,
+    and its schedule is emitted under the budget: None is the minimum, and
+    a budget below the minimum raises BudgetTooSmall.  The other families
+    are pebbled depth-first, whatever the budget."""
     if spec.kind in ("chain", "pyramid", "binary_tree"):
         g = build_family(spec)
-        e = _Emitter(g, g.n)
-        for t in g.targets:
-            e.pebble(t)
-            e.remove(t)
-        return g, e.moves
-    if spec.kind == "carlson_savage":
-        g, schedule = _cs_schedules(*spec.params)
-        return g, schedule(budget)
-    raise UnsupportedFamily(f"no strategy for family {spec.kind!r}")
 
+        def depth_first(budget: int | None) -> list[Move]:
+            e = _Emitter(g)
+            for t in g.targets:
+                e.pebble(t)
+                e.remove(t)
+            return e.moves
 
-def _cs_schedules(c: int, r: int) -> tuple[Dag, Callable[[int | None], list[Move]]]:
-    """carlson_savage(c, r), built once with its layout, and a function
-    from a budget to the graph's schedule under it: None is the minimum,
-    and a budget below the minimum raises BudgetTooSmall."""
-    g, layout = carlson_savage_layout(c, r)
+        return g, depth_first
+    if spec.kind != "carlson_savage":
+        raise UnsupportedFamily(f"no strategy for family {spec.kind!r}")
+    g, layout = carlson_savage_layout(*spec.params)
+    minimum = cs_min_budget(*spec.params)
 
     def schedule(budget: int | None) -> list[Move]:
-        minimum = cs_min_budget(c, r)
         budget = minimum if budget is None else budget
         if budget < minimum:
             raise BudgetTooSmall(budget, minimum)
@@ -82,9 +80,8 @@ class _Emitter:
     exponential emission stops early.
     """
 
-    def __init__(self, g: Dag, budget: int):
+    def __init__(self, g: Dag):
         self.preds = g.preds
-        self.budget = budget
         self.moves: list[Move] = []
         self.board: set[int] = set()
 
@@ -93,8 +90,6 @@ class _Emitter:
             raise SizeBoundExceeded(f"strategy has more than {MAX_MOVES} moves")
         self.moves.append(Move("PB", v))
         self.board.add(v)
-        if len(self.board) > self.budget:  # pragma: no cover - generator bug
-            raise AssertionError(f"schedule exceeded budget at vertex {v}")
 
     def remove(self, v: int) -> None:
         self.moves.append(Move("RB", v))
@@ -153,7 +148,8 @@ class _CsEmitter(_Emitter):
     """Move emitter for carlson_savage(c, r) under a space budget."""
 
     def __init__(self, g: Dag, layout: CsLayout, budget: int):
-        super().__init__(g, budget)
+        super().__init__(g)
+        self.budget = budget
         self.layout = layout
         self.keep: set[int] = set()
 
@@ -233,4 +229,4 @@ def cs_tradeoff_strategy(c: int, r: int, budget: int) -> list[Move]:
     Raises BudgetTooSmall (carrying the minimum) below the schedule's
     minimum budget.  Time is non-increasing in the budget.
     """
-    return _strategy(FamilySpec.carlson_savage(c, r), budget)[1]
+    return _schedules(FamilySpec.carlson_savage(c, r))[1](budget)

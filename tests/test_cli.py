@@ -85,7 +85,7 @@ def test_bad_command_line_is_one_usage_line(capsys):
         ([], "the following arguments are required: command"),
         (
             ["frontier", "--family", "chain", "--n", "3", "--space-cap", "-1"],
-            "argument --space-cap: bad bound '-1'",
+            "argument --space-cap: bad space cap '-1'",
         ),
         (
             ["price", "--family", "chain", "--n", "3", "--bound", "20"],
@@ -99,6 +99,26 @@ def test_bad_family_value_exits_1(capsys):
     code, _, err = run(capsys, "gen-graph", "--family", "pyramid", "--h", "0")
     assert code == 1
     assert "error:" in err
+
+
+def test_family_flags_come_from_the_table(capsys):
+    """Every family parameter is one flag, in table order, on every command
+    that takes a family."""
+    for command in ("gen-graph", "gen-cnf", "price", "frontier", "strategy", "compile", "measure"):
+        with pytest.raises(SystemExit):
+            run_command([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "[--family {binary_tree,carlson_savage,chain,pyramid}] [--n N] [--h H] [--c C] [--r R]" in out
+
+
+def test_strategy_usage_errors_come_before_the_family_check(capsys):
+    """A misused --budget is a usage error even when a parameter is out of
+    range, and a missing --family is named before a misused --budget."""
+    assert run(capsys, "strategy", "--budget", "3") == (2, "", "usage error: a --family is required\n")
+    assert run(capsys, "strategy", "--family", "chain", "--n", "0", "--budget", "3") == (
+        2, "", "usage error: --budget only applies to carlson_savage\n",
+    )
+    assert run(capsys, "strategy", "--family", "chain", "--n", "0") == (1, "", "error: chain needs n >= 1\n")
 
 
 # --- gen-cnf ------------------------------------------------------------------
@@ -169,8 +189,9 @@ def test_frontier_from_file_labels(tmp_path, capsys):
     code, out, _ = run(capsys, "frontier", "--graph", str(path), "--space-cap", "3")
     assert code == 0
     assert out.splitlines()[1] == "file,edge.txt,black,2,2"
-    # A file name holding a comma or a newline is quoted, one field.
-    for name in ("a,b.graph", "a\nb.graph"):
+    # A file name holding a comma, a quote, a newline or a carriage return
+    # is quoted, one field, on every Python version.
+    for name in ("a,b.graph", 'a"b.graph', "a\nb.graph", "a\rb.graph", "a\r\nb.graph"):
         path = tmp_path / name
         path.write_text(write_graph(build_family(FamilySpec.chain(2))))
         code, out, _ = run(capsys, "frontier", "--graph", str(path), "--space-cap", "3")
@@ -732,6 +753,27 @@ def test_report_usage_errors(tmp_path, capsys, monkeypatch):
         assert err.startswith("usage error: ") and err.count("\n") == 1
     code, _, err = run(capsys, "tradeoff-report", "--spec", write_spec(tmp_path, "[experiment]\ngame = red\n[family:chain]\nn = 2\n"))
     assert (code, err) == (2, "usage error: unknown game 'red'\n")
+    # A usage error in a later section comes before an out-of-range value
+    # in an earlier one.
+    body = "[family:pyramid]\nh = 0\n[family:chain]\nn = 2\nspace_cap = x\n"
+    assert run(capsys, "tradeoff-report", "--spec", write_spec(tmp_path, body)) == (
+        2, "", "usage error: bad space_cap 'x' in [family:chain]\n",
+    )
+
+
+def test_report_refuses_an_out_of_range_value_before_any_search(tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking the whole spec")
+
+    monkeypatch.setattr(cli, "tradeoff_frontier", no_search)
+    for body, message in (
+        ("[family:chain]\nn = 2\n[family:pyramid]\nh = 0..2\n", "pyramid needs h >= 1"),
+        ("[family:carlson_savage]\nc = 2\nr = 3\nspace_cap = +0\n[family:chain]\nn = 0\n", "chain needs n >= 1"),
+        ("[family:binary_tree]\nh = 1\n[family:carlson_savage]\nc = 1..2\nr = 1\n", "carlson_savage needs c >= 2"),
+        ("[family:carlson_savage]\nc = 2\nr = -1,1\n", "carlson_savage needs r >= 0"),
+    ):
+        spec = write_spec(tmp_path, body)
+        assert run(capsys, "tradeoff-report", "--spec", spec) == (1, "", f"error: {message}\n"), body
 
 
 def test_report_skips_overlong_strategy(tmp_path, monkeypatch):
@@ -767,28 +809,43 @@ def test_report_carlson_savage_strategy_column(tmp_path):
     assert plots["carlson_savage-2-1.csv"] == "space,time\n3,16\n4,11\n"
 
 
-def test_report_builds_each_carlson_savage_layout_once(tmp_path, monkeypatch):
-    """One layout per instance, whatever the number of frontier points."""
+def test_report_builds_each_graph_once(tmp_path, monkeypatch):
+    """One graph per instance, whatever the number of frontier points: a
+    carlson_savage graph with its layout, every other family by
+    build_family, and the strategy column emitted from that graph."""
     built = []
 
-    def counted(c, r):
-        built.append((c, r))
+    def counted_family(spec):
+        built.append(spec.label())
+        return build_family(spec)
+
+    def counted_layout(c, r):
+        built.append(f"layout({c},{r})")
         return carlson_savage_layout(c, r)
 
-    carlson_savage_layout = dag.carlson_savage_layout
-    monkeypatch.setattr(dag, "carlson_savage_layout", counted)
-    monkeypatch.setattr(strategies, "carlson_savage_layout", counted)
+    build_family, carlson_savage_layout = dag.build_family, dag.carlson_savage_layout
+    for module in (dag, cli, strategies):
+        monkeypatch.setattr(module, "build_family", counted_family, raising=False)
+        monkeypatch.setattr(module, "carlson_savage_layout", counted_layout, raising=False)
     spec = write_spec(
         tmp_path,
-        "[experiment]\ngame = black\n[family:carlson_savage]\nc = 2\nr = 0..1\nspace_cap = +1\n",
+        "[experiment]\ngame = black\n"
+        "[family:chain]\nn = 2\n[family:pyramid]\nh = 2\n[family:binary_tree]\nh = 1..2\n"
+        "[family:carlson_savage]\nc = 2\nr = 0..1\nspace_cap = +1\n",
     )
     csv_text, _, _ = tradeoff_report(spec)
     assert csv_text.splitlines()[1:] == [
+        "chain,2,black,2,2,2",
+        "pyramid,2,black,4,6,7",
+        "binary_tree,1,black,3,3,3",
+        "binary_tree,2,black,4,7,7",
         "carlson_savage,2-0,black,1,2,2",
         "carlson_savage,2-1,black,3,16,16",
         "carlson_savage,2-1,black,4,11,13",
     ]
-    assert built == [(2, 0), (2, 1)]
+    assert built == [
+        "chain(2)", "pyramid(2)", "binary_tree(1)", "binary_tree(2)", "layout(2,0)", "layout(2,1)",
+    ]
 
 
 def test_report_command_runs_tradeoff_report(tmp_path, capsys, monkeypatch):

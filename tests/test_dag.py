@@ -242,6 +242,26 @@ def test_bad_family_parameters():
         build_family(FamilySpec.carlson_savage(2, -1))
     with pytest.raises(UnsupportedFamily, match="^unknown family kind 'moebius'$"):
         build_family(FamilySpec("moebius", (2,)))
+    # the spec itself refuses a value below its least, before any build
+    for make, params, message in (
+        (FamilySpec.chain, (0,), "chain needs n >= 1"),
+        (FamilySpec.chain, (-5,), "chain needs n >= 1"),
+        (FamilySpec.pyramid, (0,), "pyramid needs h >= 1"),
+        (FamilySpec.binary_tree, (0,), "binary_tree needs h >= 1"),
+        (FamilySpec.carlson_savage, (1, 1), "carlson_savage needs c >= 2"),
+        (FamilySpec.carlson_savage, (2, -1), "carlson_savage needs r >= 0"),
+        (FamilySpec.carlson_savage, (0, -1), "carlson_savage needs c >= 2"),
+    ):
+        kind = make.__name__
+        for build in (lambda: make(*params), lambda: FamilySpec(kind, params)):
+            with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+                build()
+    with pytest.raises(GraphError, match="^carlson_savage needs r >= 0$"):
+        carlson_savage_layout(2, -1)
+    # the least values build
+    least = (FamilySpec.chain(1), FamilySpec.pyramid(1), FamilySpec.binary_tree(1), FamilySpec.carlson_savage(2, 0))
+    for spec in least:
+        assert validate_dag(build_family(spec)) == [], spec
     # a wrong parameter count is a domain error, not a failed unpacking
     cases = [
         ("chain", (1, 2), "(n), got 2"),

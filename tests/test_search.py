@@ -459,7 +459,7 @@ def test_search_matches_reference_every_budget(game):
         for s in range(1, g.n + 1):
             want, _ = oracle(g, s)
             parents = {}
-            got, goal = search._search(g, game, s, parents)
+            got, goal = search._search(g, game, s, parents, SearchStats(), 0)
             assert got == want, (g, game, s)
             if got is not None:
                 moves = search._witness(g, game, parents, goal)
@@ -914,8 +914,9 @@ def test_blob_goal_on_generation_matches_reference(strict):
             assert 0 <= b.expanded <= b.generated
         for cap in range(price + 1, g.n + 1 if g.n <= 4 else 0):
             want, stored = reference_blob_reachable(g, cap, strict)
-            got, generated, _ = search._blob_reachable(g, cap, strict)
-            assert got and want and generated <= stored, (g, cap)
+            above = SearchStats()
+            got = search._blob_reachable(g, cap, strict, above, 0)
+            assert got and want and above.generated <= stored, (g, cap)
 
 
 def test_blob_price_stats():
