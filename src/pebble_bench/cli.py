@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from configparser import ConfigParser, Error as ConfigError
+from contextlib import contextmanager
 from itertools import product
 from types import SimpleNamespace
 
@@ -26,7 +27,7 @@ from .errors import BudgetTooSmall, ParseError, PebbleBenchError, SizeBoundExcee
 from .measures import hidden_vertices, klawe_measure, potential, LayeredView
 from .pebbling import format_moves, parse_moves, validate_pebbling
 from .resolution import check_trace_text, format_trace
-from .search import optimal_price, tradeoff_frontier
+from .search import SearchStats, optimal_price, tradeoff_frontier
 from .strategies import _schedules
 
 __all__ = ["main", "run_command"]
@@ -110,6 +111,19 @@ def _graph_from_args(args) -> Dag:
     return build_family(_spec_from_args(args))
 
 
+@contextmanager
+def _search_stats(args):
+    """A SearchStats for the command's search.  With ``--stats`` it is
+    written as one JSON line on stderr when the search ends, and so before
+    the error line of a refused search; stdout is unchanged."""
+    stats = SearchStats()
+    try:
+        yield stats
+    finally:
+        if args.stats:
+            print(json.dumps(stats.report()), file=sys.stderr)
+
+
 def _write_out(path: str | None, text: str):
     """Write ``text`` to the file ``path``, or to stdout without one."""
     if path:
@@ -137,7 +151,8 @@ def _cmd_gen_cnf(args) -> int:
 
 def _cmd_price(args) -> int:
     g = _graph_from_args(args)
-    price = optimal_price(g, game=args.game)
+    with _search_stats(args) as stats:
+        price = optimal_price(g, game=args.game, stats=stats)
     _write_out(args.output, f"{price}\n")
     return 0
 
@@ -155,7 +170,8 @@ def _csv(rows) -> str:
 
 def _cmd_frontier(args) -> int:
     g = _graph_from_args(args)
-    fr = tradeoff_frontier(g, game=args.game, space_cap=args.space_cap)
+    with _search_stats(args) as stats:
+        fr = tradeoff_frontier(g, game=args.game, space_cap=args.space_cap, stats=stats)
     if args.family:
         spec = _spec_from_args(args)
         fam, par = spec.kind, spec.params_label()
@@ -355,6 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # commands, and each discarded parser is a reference cycle that lingers
     # until a full garbage collection.
     top = _Parser(prog="pebble-bench")
+    stats_help = "write the search's work counters as one JSON line on stderr"
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-graph", help="write a family instance as graph text")
@@ -372,6 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("price", help="exact pebbling price")
     _add_graph_args(p)
     p.add_argument("--game", choices=("black", "bw"), default="black")
+    p.add_argument("--stats", action="store_true", help=stats_help)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_price)
 
@@ -379,6 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--game", choices=("black", "bw"), default="black")
     p.add_argument("--space-cap", type=_limit, required=True)
+    p.add_argument("--stats", action="store_true", help=stats_help)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_frontier)
 

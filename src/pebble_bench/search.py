@@ -4,10 +4,11 @@ States are bitmask integers.  For the black game the search walks
 "placement steps": a transition places one pebble and optionally evicts one
 first.  Removals are free and can always be deferred, so this collapsed
 model reaches the same (space, placements) optima as the move-level game
-while visiting far fewer states.  The black-white game is searched at move
-level (placements cost 1, removals 0).  Both games run on one best-first
-loop, ``_search`` (A*), guided by the ancestor-closure bound of
-``_closure``.
+while visiting far fewer states.  It is also confined to the vertices that
+some unvisited target still needs (``_black_steps``).  The black-white
+game is searched at move level (placements cost 1, removals 0).  Both
+games run on one best-first loop, ``_search`` (A*), guided by the
+ancestor-closure bound of ``_closure``.
 
 These oracles are meant for desk-size instances.  A call stops with
 SizeBoundExceeded once the states it has stored, over all its space budgets
@@ -44,7 +45,7 @@ __all__ = [
 # width (2n bits black, 3n BW).  A blob configuration took about 900 B of
 # RSS at cap 4 of pyramid(3) and is reckoned at 1 KiB.  This admits every
 # search in the tests, examples and benchmark, the largest being the
-# carlson_savage(2,3) black price (663,533 states of a 979,691 limit).
+# carlson_savage(2,3) black price (579,096 states of a 979,691 limit).
 MAX_STORED_BYTES = 128 << 20
 
 
@@ -101,6 +102,19 @@ class SearchStats:
         self.generated = self.expanded = self.table = 0
         self.seconds = 0.0
 
+    def report(self) -> dict:
+        """The record as a JSON-ready dict: ``budgets``, each with its four
+        fields, then ``generated``, ``expanded``, ``table``, ``seconds``
+        and ``stop``."""
+        return {
+            "budgets": [b._asdict() for b in self.budgets],
+            "generated": self.generated,
+            "expanded": self.expanded,
+            "table": self.table,
+            "seconds": self.seconds,
+            "stop": self.stop,
+        }
+
     def _add(self, b: BudgetStats) -> None:
         self.budgets.append(b)
         self.generated += b.generated
@@ -137,13 +151,36 @@ def _black_steps(g: Dag, s: int, dist: dict):
     Only steps that improve on ``dist`` are returned, so a closure is
     computed only for an eviction that leads somewhere new.
 
+    The game is confined to N(T), the vertices some unvisited target
+    depends on: the ancestor closure of the targets outside the visited
+    set T, worked out once per T.  Two rules cut the states stored; both
+    keep every least time.
+
+    1. Only vertices in N(T) are placed, and when a placement visits a
+       target, every pebble outside the new N(T) comes off the new state.
+       N(T) is closed under predecessors and only shrinks as T grows, so
+       a vertex outside it never again feeds a placement the goal needs.
+       A pebbling from board B can drop its moves outside N(T): it stays
+       legal, no wider and no longer.  A pebbling from B ∩ N(T) also works
+       from B, evicting an extra pebble when the board is full.  So both
+       boards have the same least remaining time.  X, what must still be
+       placed, lies in N(T), so the drop leaves X and the bound unchanged.
+    2. With room on the board, a ready unvisited target that is an
+       ancestor of no other unvisited target is placed as the state's only
+       successor (the lowest, if several are), and dropped at once by
+       rule 1.  It must be placed some time.  Once it is visited its
+       pebble feeds nothing in N(T), so a pebbling that places it later
+       can place it now instead, drop it, and skip its later placements:
+       it stays legal and is no wider or longer.
+
     The work per state grows with the board, not with the graph.  A ready
     vertex, one off the board with all its predecessors on it, is a source
     or a successor of a pebbled vertex, so the candidates are the sources
-    and the successors of the board's vertices, less the board; those with
-    a predecessor off the board are dropped.  The evictable pebbles are the
-    board's.  Both are visited in ascending order, the order of a scan of
-    every vertex, so the successors come in the same order.
+    and the successors of the board's vertices, in N(T) and off the board;
+    those with a predecessor off the board are dropped.  The evictable
+    pebbles are the board's.  Both are visited in ascending order, the
+    order of a scan of every vertex, so the successors come in the same
+    order.
     """
     n, pm = g.n, g.pred_mask
     full = (1 << n) - 1
@@ -151,9 +188,19 @@ def _black_steps(g: Dag, s: int, dist: dict):
     marks = [1 << v | (1 << v & g.target_mask) << n for v in range(n)]
     feeds = {0: 0} | {1 << u: g.succ_mask[u] for u in range(n)}
 
+    @cache
+    def keep(seen: int) -> tuple[int, int]:
+        """For visited bits ``seen``: N(T) with ``seen``, the bits a state
+        keeps, and the unvisited targets."""
+        fresh = g.target_mask & ~(seen >> n)
+        return _closure(pm, 0, fresh, 0) | seen, fresh
+
     def steps(state: int, x: int, d: int):
         d += 1
+        unseen = d + 1  # dist of a state not reached yet: any value above d
         board = state & full
+        seen = state ^ board
+        need, fresh = keep(seen)
         pebbles = []
         reach = sources
         rest = board
@@ -162,22 +209,43 @@ def _black_steps(g: Dag, s: int, dist: dict):
             pebbles.append(low)
             reach |= feeds[low]
             rest ^= low
-        rest = reach & ~board
+        room = len(pebbles) < s
+        off = ~board
+        rest = reach & need & off
         ready = []
+        drops = {}  # ready unvisited target -> the bits kept once it is placed
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
-            if not pm[v] & ~board:
+            if not pm[v] & off:
+                if low & fresh:
+                    mask = drops[v] = keep(seen | low << n)[0]
+                    if room and not mask & low:  # rule 2
+                        nstate = (state | marks[v]) & mask
+                        return [(d, nstate, x & ~low)] if dist.get(nstate, unseen) > d else []
                 ready.append(v)
             rest ^= low
         # With room left a step evicts nothing (bit 0), else one pebble.
+        # Only a ready target's placement drops pebbles, so without one the
+        # states need no mask.
         out = []
-        for ubit in [0] if len(pebbles) < s else pebbles:
+        for ubit in [0] if room else pebbles:
             base = state ^ ubit
-            new = [v for v in ready if not pm[v] & ubit and dist.get(base | marks[v], d + 1) > d]
+            if drops:
+                new = [
+                    (v, t)
+                    for v in ready
+                    if not pm[v] & ubit and dist.get(t := (base | marks[v]) & drops.get(v, -1), unseen) > d
+                ]
+            else:
+                new = [
+                    (v, base | marks[v])
+                    for v in ready
+                    if not pm[v] & ubit and dist.get(base | marks[v], unseen) > d
+                ]
             if new:
                 xu = _closure(pm, x, ubit, board ^ ubit) if feeds[ubit] & x else x
-                out += [(d, base | marks[v], xu & ~(1 << v)) for v in new]
+                out += [(d, t, xu & ~(1 << v)) for v, t in new]
         return out
 
     return steps
@@ -306,11 +374,17 @@ def _search(g: Dag, game: str, s: int, parents, stats: SearchStats, stored: int)
 def _witness(g: Dag, game: str, parents: dict, goal: int) -> list[Move]:
     """The moves along the parent links to ``goal``, then its free removals.
 
-    A step differs from the one before it by at most a removal and a
-    placement, in that order.
+    A BW step is one move.  A black step is one placement of a vertex v
+    with its removals: an eviction, and the pebbles that no unvisited
+    target needs once v is placed, v itself among them when it is a
+    target that is dropped at once.  Such a v is not on the next board,
+    so it is read from the visited bits.  The removals of v and of its
+    predecessors come after the placement, which needs them; the others
+    come before it, so the board never holds more than the budget.
     """
     n = g.n
     full = (1 << n) - 1
+    at = n if game == "black" else 2 * n  # where the visited bits start
 
     def colours(state):
         return state & full, (state >> n & full if game == "bw" else 0)
@@ -320,8 +394,15 @@ def _witness(g: Dag, game: str, parents: dict, goal: int) -> list[Move]:
     while state:
         prev = parents[state]
         (pb, pw), (nb, nw) = colours(prev), colours(state)
-        kinds = (("RB", pb & ~nb), ("RW", pw & ~nw), ("PB", nb & ~pb), ("PW", nw & ~pw))
-        steps.append([Move(kind, bit.bit_length() - 1) for kind, bit in kinds if bit])
+        placed = (nb | nw) & ~(pb | pw) or (state ^ prev) >> at
+        v = placed.bit_length() - 1
+        after = placed | g.pred_mask[v] if placed else 0
+        kinds = (("RB", (pb | placed) & ~(nb | nw)), ("RW", pw & ~nw))
+        removals = [Move(kind, u) for kind, bits in kinds for u in range(n) if bits >> u & 1]
+        step = [m for m in removals if not after >> m.v & 1]
+        if placed:
+            step.append(Move("PW" if nw & placed else "PB", v))
+        steps.append(step + [m for m in removals if after >> m.v & 1])
         state = prev
     moves = [m for step in reversed(steps) for m in step]
     board = goal & full

@@ -17,9 +17,11 @@ from pebble_bench import (
     compile_pebbling,
     format_moves,
     format_trace,
+    optimal_price,
     parse_trace,
     pebbling_contradiction,
     read_dimacs,
+    tradeoff_frontier,
     validate_pebbling,
     parse_moves,
     write_dimacs,
@@ -164,15 +166,60 @@ def test_price_black_and_bw(capsys):
     assert (code, out) == (0, "3\n")
 
 
+def stats_record(err):
+    """The JSON line --stats writes, read back, and the stderr after it."""
+    line, rest = err.split("\n", 1)
+    record = json.loads(line)
+    assert list(record) == ["budgets", "generated", "expanded", "table", "seconds", "stop"]
+    for b in record["budgets"]:
+        assert list(b) == ["space", "generated", "expanded", "seconds"]
+    return record, rest
+
+
 def test_price_bound_exceeded(capsys, monkeypatch):
     """A search past its limit is one error line naming the work."""
-    # pyramid(2) black stores 4, 7, 14 and 15 states at budgets 1-4, at
+    # pyramid(2) black stores 4, 7, 14 and 14 states at budgets 1-4, at
     # 128 B plus 12 bits each.
     monkeypatch.setattr(search, "MAX_STORED_BYTES", 20 * 129)
     err = "error: black search at space budget 3 stored 21 states, above the limit 20\n"
     assert run(capsys, "price", "--family", "pyramid", "--h", "2") == (1, "", err)
     frontier = ["frontier", "--family", "pyramid", "--h", "2", "--space-cap", "6"]
     assert run(capsys, *frontier) == (1, "", err)
+    # With --stats the record comes first, ending with the budget refused.
+    for argv in (["price", "--family", "pyramid", "--h", "2"], frontier):
+        code, out, stats_err = run(capsys, *argv, "--stats")
+        assert (code, out) == (1, "")
+        record, rest = stats_record(stats_err)
+        assert rest == err
+        assert [(b["space"], b["generated"]) for b in record["budgets"]] == [(1, 4), (2, 7), (3, 10)]
+        assert record["stop"] == "states"
+
+
+def test_stats_line(capsys):
+    """--stats on price and frontier writes the SearchStats record as one
+    JSON line on stderr, with the library's counts; stdout is unchanged."""
+    g = build_family(FamilySpec.pyramid(2))
+    for argv, call in (
+        (["price", "--family", "pyramid", "--h", "2"], lambda stats: optimal_price(g, stats=stats)),
+        (
+            ["frontier", "--family", "pyramid", "--h", "2", "--space-cap", "6"],
+            lambda stats: tradeoff_frontier(g, space_cap=6, stats=stats),
+        ),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        code, stats_out, err = run(capsys, *argv, "--stats")
+        assert (code, stats_out) == (0, out)
+        record, rest = stats_record(err)
+        assert rest == ""
+        want = search.SearchStats()
+        call(want)
+        got = [(b["space"], b["generated"], b["expanded"]) for b in record["budgets"]]
+        assert got == [(b.space, b.generated, b.expanded) for b in want.budgets]
+        assert [record[k] for k in ("generated", "expanded", "table", "stop")] == [
+            want.generated, want.expanded, want.table, want.stop,
+        ]
+        assert record["seconds"] == pytest.approx(sum(b["seconds"] for b in record["budgets"]))
 
 
 def test_frontier_csv(capsys):

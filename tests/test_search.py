@@ -8,6 +8,7 @@ import pytest
 from pebble_bench import (
     Dag,
     FamilySpec,
+    Move,
     SearchStats,
     SizeBoundExceeded,
     build_family,
@@ -126,7 +127,7 @@ def test_size_bound_guard(monkeypatch):
     """Past the limit, counted over all the call's budgets, each search
     raises and names the budget, the states stored and the limit; its
     stats end with the budget it stopped in and read ``states``."""
-    g = build_family(FamilySpec.pyramid(2))  # black states stored: 4, 7, 14, 15
+    g = build_family(FamilySpec.pyramid(2))  # black states stored: 4, 7, 14, 14
     free = SearchStats()
     assert optimal_price(g, "black", stats=free) == 4
     # The limit is the bytes over 128 B plus the state width, 12 bits here.
@@ -142,8 +143,8 @@ def test_size_bound_guard(monkeypatch):
     assert stats.stop == "states"
     with pytest.raises(SizeBoundExceeded, match=r"^bw search at space budget \d+ stored \d+ states, above the limit 19$"):
         optimal_price(g, "bw")  # 128 B plus 18 bits
-    # Under the limit nothing changes: the whole call stores 40 states.
-    monkeypatch.setattr(search, "MAX_STORED_BYTES", 40 * 129)
+    # Under the limit nothing changes: the whole call stores 39 states.
+    monkeypatch.setattr(search, "MAX_STORED_BYTES", 39 * 129)
     stats = SearchStats()
     assert optimal_price(g, "black", stats=stats) == 4
     assert counts(stats) == counts(free)
@@ -439,6 +440,28 @@ def random_dags(count, max_n, seed):
         yield Dag(n, edges, targets=targets)
 
 
+def window_dag(n, window, rng):
+    """A DAG whose first ``window`` - 2 vertices are sources and whose
+    others each have two predecessors drawn from the ``window`` (at least
+    4) vertices before them.  Its targets are its sinks, often several, so
+    the black search visits them one by one and drops what each alone
+    needed."""
+    edges = []
+    for v in range(window - 2, n):
+        edges.extend((u, v) for u in rng.sample(range(max(0, v - window), v), 2))
+    return Dag(n, edges)
+
+
+def odd_graphs():
+    """Three graphs Dag accepts but validate_dag refuses: a backward edge,
+    a self-loop and a 2-cycle."""
+    return [
+        Dag(4, [(0, 1), (3, 1), (1, 2)], targets=[2]),
+        Dag(4, [(0, 1), (1, 1), (0, 2), (2, 3)], targets=[1, 3]),
+        Dag(4, [(0, 1), (1, 2), (2, 1), (0, 3)], targets=[2, 3]),
+    ]
+
+
 def every_budget_graphs(game):
     specs = [
         FamilySpec.chain(5),
@@ -448,8 +471,12 @@ def every_budget_graphs(game):
     ]
     if game == "black":
         specs += [FamilySpec.pyramid(3), FamilySpec.binary_tree(3), FamilySpec.carlson_savage(2, 1)]
-    families = [build_family(spec) for spec in specs]
-    return families + list(random_dags(160, 10 if game == "black" else 7, SEED + 1))
+    graphs = [build_family(spec) for spec in specs]
+    if game == "black":
+        rng = random.Random(SEED + 5)
+        windowed = (window_dag(rng.randint(6, 11), rng.randint(4, 6), rng) for _ in range(60))
+        graphs += odd_graphs() + [g for g in windowed if len(g.targets) > 2]
+    return graphs + list(random_dags(160, 10 if game == "black" else 7, SEED + 1))
 
 
 @pytest.mark.parametrize("game", ["black", "bw"])
@@ -465,6 +492,35 @@ def test_search_matches_reference_every_budget(game):
                 moves = search._witness(g, game, parents, goal)
                 trace = validate_pebbling(g, moves, game=game)
                 assert trace.space <= s and trace.time == got, (g, game, s)
+
+
+def test_witness_places_a_target_before_dropping_its_predecessors():
+    """Rule 1: visiting target 2 drops pebble 1, which only 2 needed.  1
+    is a predecessor of 2, so its removal comes after 2's placement.
+    Rule 2 makes placing 2 the only successor once it is ready, and
+    drops 2 at once, so 2 is never on a board the search stores."""
+    g = Dag(5, [(0, 2), (1, 2), (0, 3), (3, 4)], targets=[2, 4])
+    parents = {}
+    stats = SearchStats()
+    least, goal = search._search(g, "black", 3, parents, stats, 0)
+    moves = search._witness(g, "black", parents, goal)
+    assert moves.index(Move("PB", 2)) < moves.index(Move("RB", 1))
+    trace = validate_pebbling(g, moves, game="black")
+    assert trace.space <= 3 and trace.time == least == 5
+    assert stats.generated == 7  # 12 when the game was not confined to N(T)
+
+
+def test_rules_shrink_a_many_sink_search():
+    """Rules 1 and 2 on a 22-vertex DAG with 6 sinks: the confined search
+    finds the price of the breadth-first reference and stores 4,928
+    states, where the search over every board stored 17,265."""
+    g = window_dag(22, 6, random.Random(3))
+    assert len(g.targets) == 6
+    stats = SearchStats()
+    price = optimal_price(g, "black", stats=stats)
+    assert _black_search(g, price - 1) == (None, None)
+    assert _black_search(g, price)[0] == search._search(g, "black", price, None, SearchStats(), 0)[0]
+    assert stats.generated <= 5000
 
 
 def closure_from_scratch(g, game, state):
@@ -515,24 +571,52 @@ def test_closure_kept_per_state_matches_recomputation(game):
 # order, so that it pops the same states and its counts stay the same.
 
 
+def needed(g: Dag, visited: int) -> int:
+    """N(T) from scratch: the targets outside ``visited`` (a vertex bitmask)
+    and all their ancestors, by a plain loop over ``g.preds``."""
+    need = {t for t in g.targets if not visited >> t & 1}
+    todo = list(need)
+    while todo:
+        for u in g.preds[todo.pop()]:
+            if u not in need:
+                need.add(u)
+                todo.append(u)
+    return sum(1 << v for v in need)
+
+
 def reference_black_steps(g: Dag, s: int, dist: dict):
+    """The vertex scan, confined to N(T): rule 1 places only vertices in
+    N(T) and drops the pebbles outside the new N(T) when a target is
+    visited; rule 2 makes a ready unvisited target that no other unvisited
+    target needs the only successor when the board has room."""
     n, pm = g.n, g.pred_mask
     full = (1 << n) - 1
     marks = [1 << v | (1 << v & g.target_mask) << n for v in range(n)]
     feeds = {0: 0} | {1 << u: g.succ_mask[u] for u in range(n)}
 
+    def placed(state: int, v: int) -> int:
+        visited = (state >> n) | (1 << v & g.target_mask)
+        return (state | marks[v]) & (needed(g, visited) | visited << n)
+
     def steps(state: int, x: int, d: int):
         d += 1
         board = state & full
-        ready = [v for v in range(n) if not (board >> v & 1 or pm[v] & ~board)]
-        evictions = [0] if board.bit_count() < s else [1 << u for u in range(n) if board >> u & 1]
+        visited = state >> n
+        near = needed(g, visited)
+        ready = [v for v in range(n) if near >> v & 1 and not (board >> v & 1 or pm[v] & ~board)]
+        room = board.bit_count() < s
+        for v in ready if room else []:
+            if g.target_mask >> v & 1 and not visited >> v & 1 and not needed(g, visited | 1 << v) >> v & 1:
+                nstate = placed(state, v)
+                return [(d, nstate, x & ~(1 << v))] if dist.get(nstate, d + 1) > d else []
+        evictions = [0] if room else [1 << u for u in range(n) if board >> u & 1]
         out = []
         for ubit in evictions:
             base = state ^ ubit
-            new = [v for v in ready if not pm[v] & ubit and dist.get(base | marks[v], d + 1) > d]
+            new = [v for v in ready if not pm[v] & ubit and dist.get(placed(base, v), d + 1) > d]
             if new:
                 xu = search._closure(pm, x, ubit, board ^ ubit) if feeds[ubit] & x else x
-                out += [(d, base | marks[v], xu & ~(1 << v)) for v in new]
+                out += [(d, placed(base, v), xu & ~(1 << v)) for v in new]
         return out
 
     return steps
@@ -573,20 +657,14 @@ def reference_bw_steps(g: Dag, s: int, dist: dict):
 
 
 def successor_graphs():
-    """The four families, seeded random DAGs, and three graphs Dag accepts
-    but validate_dag refuses: a backward edge, a self-loop and a 2-cycle."""
+    """The four families, seeded random DAGs, and the odd graphs."""
     specs = [
         FamilySpec.chain(5),
         FamilySpec.pyramid(3),
         FamilySpec.binary_tree(2),
         FamilySpec.carlson_savage(2, 1),
     ]
-    odd = [
-        Dag(4, [(0, 1), (3, 1), (1, 2)], targets=[2]),
-        Dag(4, [(0, 1), (1, 1), (0, 2), (2, 3)], targets=[1, 3]),
-        Dag(4, [(0, 1), (1, 2), (2, 1), (0, 3)], targets=[2, 3]),
-    ]
-    return [build_family(spec) for spec in specs] + odd + list(random_dags(30, 9, SEED + 4))
+    return [build_family(spec) for spec in specs] + odd_graphs() + list(random_dags(30, 9, SEED + 4))
 
 
 @pytest.mark.parametrize("game", ["black", "bw"])
@@ -616,7 +694,8 @@ def test_successors_match_vertex_scan(game):
 
 # (space, generated, expanded) per budget of tradeoff_frontier on every
 # instance of the two benchmark frontier specs, at their caps above the price,
-# as the vertex-scanning successor functions counted them.
+# as the vertex-scanning successor functions counted them, the black game
+# confined to N(T) as the reference above is.
 FRONTIER_WORK = {
     "black": {
         (FamilySpec.chain(2), 3): [(1, 2, 2), (2, 3, 2)],
@@ -627,23 +706,23 @@ FRONTIER_WORK = {
         (FamilySpec.chain(7), 3): [(1, 2, 2), (2, 12, 7)],
         (FamilySpec.chain(8), 3): [(1, 2, 2), (2, 14, 8)],
         (FamilySpec.pyramid(1), 3): [(1, 3, 3), (2, 4, 4), (3, 5, 3)],
-        (FamilySpec.pyramid(2), 3): [(1, 4, 4), (2, 7, 7), (3, 14, 14), (4, 15, 6)],
+        (FamilySpec.pyramid(2), 3): [(1, 4, 4), (2, 7, 7), (3, 14, 14), (4, 14, 6)],
         (FamilySpec.pyramid(3), 3): [
-            (1, 5, 5), (2, 11, 11), (3, 33, 33), (4, 101, 101), (5, 56, 10),
+            (1, 5, 5), (2, 11, 11), (3, 33, 33), (4, 101, 101), (5, 54, 10),
         ],
         (FamilySpec.pyramid(4), 3): [
-            (1, 6, 6), (2, 16, 16), (3, 66, 66), (4, 300, 300), (5, 1351, 1351), (6, 159, 15),
+            (1, 6, 6), (2, 16, 16), (3, 66, 66), (4, 300, 300), (5, 1351, 1351), (6, 156, 15),
         ],
         (FamilySpec.binary_tree(1), 3): [(1, 3, 3), (2, 4, 4), (3, 5, 3)],
-        (FamilySpec.binary_tree(2), 3): [(1, 5, 5), (2, 11, 11), (3, 27, 27), (4, 25, 7)],
+        (FamilySpec.binary_tree(2), 3): [(1, 5, 5), (2, 11, 11), (3, 27, 27), (4, 24, 7)],
         (FamilySpec.binary_tree(3), 3): [
-            (1, 9, 9), (2, 37, 37), (3, 205, 205), (4, 911, 911), (5, 239, 15),
+            (1, 9, 9), (2, 37, 37), (3, 205, 205), (4, 911, 911), (5, 237, 15),
         ],
         (FamilySpec.carlson_savage(2, 1), 2): [
-            (1, 5, 5), (2, 11, 11), (3, 139, 102), (4, 89, 16),
+            (1, 5, 5), (2, 11, 11), (3, 114, 92), (4, 76, 16),
         ],
         (FamilySpec.carlson_savage(2, 2), 2): [
-            (1, 8, 8), (2, 29, 29), (3, 311, 311), (4, 8223, 7474), (5, 531, 28),
+            (1, 8, 8), (2, 29, 29), (3, 311, 311), (4, 7082, 6388), (5, 467, 28),
         ],
     },
     "bw": {
