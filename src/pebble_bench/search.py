@@ -173,6 +173,13 @@ def _black_steps(g: Dag, s: int, dist: dict):
        can place it now instead, drop it, and skip its later placements:
        it stays legal and is no wider or longer.
 
+    On a full board, a step that visits a target evicts a pebble in the
+    new N(T), or the lowest pebble outside it that is no predecessor of
+    the target.  Rule 1 drops every pebble outside the new N(T) with the
+    placement, so evicting any other one of them first gives the same
+    state; and it gives the same X, as such a pebble feeds nothing in X
+    but the target.  Each successor list then holds a state once.
+
     The work per state grows with the board, not with the graph.  A ready
     vertex, one off the board with all its predecessors on it, is a source
     or a successor of a pebbled vertex, so the candidates are the sources
@@ -214,6 +221,7 @@ def _black_steps(g: Dag, s: int, dist: dict):
         rest = reach & need & off
         ready = []
         drops = {}  # ready unvisited target -> the bits kept once it is placed
+        stay = {}  # ready unvisited target -> the pebbles its step does not evict
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
@@ -223,6 +231,8 @@ def _black_steps(g: Dag, s: int, dist: dict):
                     if room and not mask & low:  # rule 2
                         nstate = (state | marks[v]) & mask
                         return [(d, nstate, x & ~low)] if dist.get(nstate, unseen) > d else []
+                    outside = board & ~(mask | pm[v])
+                    stay[v] = pm[v] | outside & (outside - 1)
                 ready.append(v)
             rest ^= low
         # With room left a step evicts nothing (bit 0), else one pebble.
@@ -235,7 +245,8 @@ def _black_steps(g: Dag, s: int, dist: dict):
                 new = [
                     (v, t)
                     for v in ready
-                    if not pm[v] & ubit and dist.get(t := (base | marks[v]) & drops.get(v, -1), unseen) > d
+                    if not stay.get(v, pm[v]) & ubit
+                    and dist.get(t := (base | marks[v]) & drops.get(v, -1), unseen) > d
                 ]
             else:
                 new = [

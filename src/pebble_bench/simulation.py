@@ -6,7 +6,10 @@ contradiction.  One recursive elimination step does all the work: placing v
 resolves the positive clauses held for v's predecessors, one predecessor at
 a time and for any fan-in, against v's propagation axioms to derive "v has
 some true variable"; removing v erases that clause; and the same step
-against a target's unit axioms derives the empty clause.  A blob pebbling at d = 1 compiles
+against a target's unit axioms derives the empty clause.  Every clause of
+that step is fixed by the placement that derives it, so each is written in
+closed form, as a concatenation of variable blocks, and none is computed by
+resolution (``_derive`` gives the argument).  A blob pebbling at d = 1 compiles
 move-for-move (introduction = axiom download, merger = resolution, inflation
 and erasure are bookkeeping), with subsumption tracked so inflated blobs
 reuse the stronger clause.
@@ -176,7 +179,9 @@ def subconfig_clause(s: BlobSubconfig, d: int = 1) -> Clause:
 
 
 class _Emitter:
-    """Appends trace events and owns the clause of every live id."""
+    """Appends the blob compiler's trace events and owns the clause of every
+    live id.  A merge's pivot and premises depend on the play, so its
+    resolvent is computed by ``resolve``."""
 
     def __init__(self):
         self.events: list = []
@@ -228,44 +233,73 @@ def compile_pebbling(g: Dag, d: int, trace, starred: bool = False) -> Resolution
     raise UnsupportedOperation(f"cannot compile {type(trace).__name__}")
 
 
-def _derive(em: _Emitter, held: dict[int, int], d: int, ps, head: Clause, negs=()) -> int:
+def _derive(emit, ids, held: dict[int, int], pos, ps, head: Clause, unsorted: bool, negs=()) -> int:
     """The one elimination step: derive ``negs ∨ head`` and return its id.
 
-    With ``ps`` empty that clause is an axiom.  Otherwise, for each variable
-    x of u = ps[0], the clause ``negs ∨ ¬x ∨ head`` (derived recursively
-    over ps[1:]) is resolved on x against the running clause, which starts
-    as u's held positive clause; once all d variables are gone the running
-    clause is ``negs ∨ head``.  Side clauses and intermediates that are not
-    held are erased as soon as they are used.
+    Every event goes to ``emit``, and the clauses it derives take their ids
+    from ``ids``.  With ``ps`` empty that clause is an axiom.  Otherwise,
+    for each variable x of u = ps[0], the clause ``negs ∨ ¬x ∨ head``
+    (derived recursively over ps[1:]) is resolved on x against the running
+    clause, which starts as u's held positive clause; once all d variables
+    are gone the running clause is ``negs ∨ head``.  Side clauses and
+    intermediates that are not held are erased as soon as they are used.
+
+    Each clause is written from the step, not computed by resolution.
+    The clause held for u is u's positive clause ``pos[u]``.  After u's
+    first j variables are eliminated, the running clause is
+    ``negs + pos[u][j:] + head``; the side clause on x is
+    ``negs + (-x,) + head``, so x is positive in the one and negative in
+    the other; and the last resolvent is ``negs + head``.  Here negs holds
+    the negated variables of the predecessors before u, and head the
+    variables of the vertex placed (none for a target's unit axioms).
+    Predecessors are sorted, so when each lies below the vertex placed the
+    blocks come in ascending variable order.  Each variable occurs once,
+    as the vertices are distinct: a validated pebbling never places a
+    vertex that is its own predecessor.  So the clause is sorted by
+    variable and has no complementary pair, which is the canonical
+    resolvent ``resolve`` would return.  With a predecessor above the
+    vertex placed (``Dag`` takes such edges, ``read_graph`` does not) the
+    blocks are out of order, and ``unsorted`` has every clause sorted by
+    variable.  Events are built by ``tuple.__new__``, as ``_records``
+    builds them.  This is a module-level function: a nested function that
+    called itself would refer to itself, and through ``emit`` keep the
+    event list alive until the cyclic collector ran.
     """
+    new = tuple.__new__
     if not ps:
-        return em.axiom(canon_clause(negs + head))
+        cl = negs + head
+        emit(new(Axiom, (tuple(sorted(cl, key=abs)) if unsorted else cl,)))
+        return next(ids)
     u, rest = ps[0], ps[1:]
-    cur = held[u]
-    for j in range(1, d + 1):
-        x = var_id(u, j, d)
-        side = _derive(em, held, d, rest, head, negs + (-x,))
-        nxt = em.infer(cur, side, x)
-        em.erase(side)
-        if cur != held[u]:
-            em.erase(cur)
-        cur = nxt
+    cur = own = held[u]
+    xs = pos[u]
+    for j, x in enumerate(xs, 1):
+        side = _derive(emit, ids, held, pos, rest, head, unsorted, negs + (-x,))
+        cl = negs + xs[j:] + head
+        emit(new(Infer, (cur, side, x, tuple(sorted(cl, key=abs)) if unsorted else cl)))
+        emit(new(Erase, (side,)))
+        if cur != own:
+            emit(new(Erase, (cur,)))
+        cur = next(ids)
     return cur
 
 
 def _compile_black(g: Dag, d: int, trace: PebblingTrace, starred: bool) -> ResolutionTrace:
-    em = _Emitter()
+    events: list = []
+    emit = events.append
+    ids = count(1)
+    pos = [tuple(range(d * v + 1, d * v + d + 1)) for v in range(g.n)]
     held: dict[int, int] = {}
     targets = set(g.targets)
     derived: set[int] = set()
     for mv in trace.moves:
         v = mv.v
         if mv.kind == "PB":
-            head = canon_clause(var_id(v, i, d) for i in range(1, d + 1))
-            held[v] = _derive(em, held, d, g.preds[v], head)
+            ps = g.preds[v]
+            held[v] = _derive(emit, ids, held, pos, ps, pos[v], bool(ps) and ps[-1] > v)
             if v in targets:
                 if not starred:
-                    _derive(em, held, d, (v,), ())
+                    _derive(emit, ids, held, pos, (v,), (), False)
                     break
                 derived.add(v)
                 if derived == targets:
@@ -273,8 +307,8 @@ def _compile_black(g: Dag, d: int, trace: PebblingTrace, starred: bool) -> Resol
         elif starred and v in targets:  # RB; validated black traces have no whites
             held.pop(v)  # keep derived target clauses live
         else:
-            em.erase(held.pop(v))
-    return ResolutionTrace(tuple(em.events))
+            emit(tuple.__new__(Erase, (held.pop(v),)))
+    return ResolutionTrace(tuple(events))
 
 
 def _compile_blob(g: Dag, trace: BlobTrace, starred: bool) -> ResolutionTrace:
@@ -314,7 +348,11 @@ def _compile_blob(g: Dag, trace: BlobTrace, starred: bool) -> ResolutionTrace:
         t = g.targets[0]
         want = BlobSubconfig(frozenset({t}))
         cid = next(c for c, s in bound.values() if s == want)
-        _derive(em, {t: cid}, 1, (t,), ())
+        # the empty clause from [t]'s clause, (x_t), and the unit axiom (-x_t)
+        pv = var_id(t, 1, 1)
+        unit = em.axiom((-pv,))
+        em.infer(cid, unit, pv)
+        em.erase(unit)
     return ResolutionTrace(tuple(em.events))
 
 

@@ -2,9 +2,11 @@
 
 A change to the proof path counts as faster only if its outputs are
 byte-identical.  These digests were taken before the DIMACS reader, the
-trace reader and the checker were last optimised: the DIMACS text of the
-pebbling contradiction, the trace text compiled from the family's black
-strategy, and the metrics the checker reports for that trace.
+trace reader and the checker were last optimised, and before the black
+compiler wrote each clause from its derivation step instead of resolving
+it: the DIMACS text of the pebbling contradiction, the trace text compiled
+from the family's black strategy, and the metrics the checker reports for
+that trace.
 """
 
 import hashlib

@@ -523,6 +523,32 @@ def test_rules_shrink_a_many_sink_search():
     assert stats.generated <= 5000
 
 
+def test_black_successors_hold_no_state_twice(monkeypatch):
+    """On a full board, a placement that visits a target drops every pebble
+    outside the new N(T), so evicting any one of them first leads to the
+    same state; the successor list holds that state once."""
+    original = search._black_steps
+    seen = [0]
+
+    def checked(g, s, dist):
+        steps = original(g, s, dist)
+
+        def listed(state, x, d):
+            out = steps(state, x, d)
+            states = [t for _, t, _ in out]
+            assert len(set(states)) == len(states), (g, s, state)
+            seen[0] += len(out)
+            return out
+
+        return listed
+
+    monkeypatch.setattr(search, "_black_steps", checked)
+    frontier = tradeoff_frontier(build_family(FamilySpec.carlson_savage(2, 2)), "black", above_price=2)
+    assert frontier.points == ((4, 50), (5, 23))
+    assert optimal_price(window_dag(22, 6, random.Random(3)), "black") == 5
+    assert seen[0] > 10_000  # both searches ran through the wrapper
+
+
 def closure_from_scratch(g, game, state):
     """X of a state, recomputed: everything that must still be placed."""
     n = g.n
@@ -588,7 +614,10 @@ def reference_black_steps(g: Dag, s: int, dist: dict):
     """The vertex scan, confined to N(T): rule 1 places only vertices in
     N(T) and drops the pebbles outside the new N(T) when a target is
     visited; rule 2 makes a ready unvisited target that no other unvisited
-    target needs the only successor when the board has room."""
+    target needs the only successor when the board has room.  On a full
+    board, a step that visits a target evicts a pebble in the new N(T) or
+    the lowest evictable one outside it: evicting any other one outside it
+    leads to the same state."""
     n, pm = g.n, g.pred_mask
     full = (1 << n) - 1
     marks = [1 << v | (1 << v & g.target_mask) << n for v in range(n)]
@@ -597,6 +626,13 @@ def reference_black_steps(g: Dag, s: int, dist: dict):
     def placed(state: int, v: int) -> int:
         visited = (state >> n) | (1 << v & g.target_mask)
         return (state | marks[v]) & (needed(g, visited) | visited << n)
+
+    def evictable(board: int, visited: int, v: int, ubit: int) -> bool:
+        if not ubit or not g.target_mask >> v & 1 or visited >> v & 1:
+            return True
+        after = needed(g, visited | 1 << v)
+        outside = [u for u in range(n) if board >> u & 1 and not (after | pm[v]) >> u & 1]
+        return bool(after & ubit) or ubit == 1 << outside[0]
 
     def steps(state: int, x: int, d: int):
         d += 1
@@ -613,7 +649,13 @@ def reference_black_steps(g: Dag, s: int, dist: dict):
         out = []
         for ubit in evictions:
             base = state ^ ubit
-            new = [v for v in ready if not pm[v] & ubit and dist.get(placed(base, v), d + 1) > d]
+            new = [
+                v
+                for v in ready
+                if not pm[v] & ubit
+                and evictable(board, visited, v, ubit)
+                and dist.get(placed(base, v), d + 1) > d
+            ]
             if new:
                 xu = search._closure(pm, x, ubit, board ^ ubit) if feeds[ubit] & x else x
                 out += [(d, placed(base, v), xu & ~(1 << v)) for v in new]

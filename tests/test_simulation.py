@@ -1,6 +1,8 @@
 """Tests for pebbling-to-resolution compilation and configuration induction."""
 
+import gc
 import random
+from collections import Counter
 
 import pytest
 
@@ -29,7 +31,8 @@ from pebble_bench import (
     validate_blob_pebbling,
     validate_pebbling,
 )
-from pebble_bench.resolution import Axiom, Erase, Infer, format_trace
+from pebble_bench.cnf import Clause, canon_clause, var_id
+from pebble_bench.resolution import Axiom, Erase, Infer, format_trace, resolve
 from pebble_bench.simulation import ImplicationOracle, subconfig_clause
 from pebble_bench.strategies import black_strategy
 
@@ -201,6 +204,187 @@ def test_compile_space_tracks_pebbling_space():
         assert report["refutation"]["clause_space"] >= trace.space
         assert report["ratios"]["clause_space_over_cost"] >= 1.0
         assert report["ratios"]["length_over_time"] >= 1.0
+
+
+# --- the closed-form black compiler against the resolving one -----------------
+# The black compiler as it was when it computed every clause by resolution,
+# kept as the reference: the compiler that writes each clause from its
+# derivation step must give the same events, so the same trace bytes.
+
+
+class _RefEmitter:
+    """Appends trace events and owns the clause of every live id."""
+
+    def __init__(self):
+        self.events: list = []
+        self.clauses: dict[int, Clause] = {}
+        self.next_id = 1
+
+    def _add(self, event, cl: Clause) -> int:
+        self.events.append(event)
+        cid = self.next_id
+        self.next_id += 1
+        self.clauses[cid] = cl
+        return cid
+
+    def axiom(self, cl: Clause) -> int:
+        return self._add(Axiom(cl), cl)
+
+    def infer(self, left: int, right: int, pivot: int) -> int:
+        cl = resolve(self.clauses[left], self.clauses[right], pivot)
+        return self._add(Infer(left, right, pivot, cl), cl)
+
+    def erase(self, cid: int) -> None:
+        self.events.append(Erase(cid))
+        del self.clauses[cid]
+
+
+def _ref_derive(em: _RefEmitter, held: dict[int, int], d: int, ps, head: Clause, negs=()) -> int:
+    """The one elimination step: derive ``negs ∨ head`` and return its id.
+
+    With ``ps`` empty that clause is an axiom.  Otherwise, for each variable
+    x of u = ps[0], the clause ``negs ∨ ¬x ∨ head`` (derived recursively
+    over ps[1:]) is resolved on x against the running clause, which starts
+    as u's held positive clause; once all d variables are gone the running
+    clause is ``negs ∨ head``.  Side clauses and intermediates that are not
+    held are erased as soon as they are used.
+    """
+    if not ps:
+        return em.axiom(canon_clause(negs + head))
+    u, rest = ps[0], ps[1:]
+    cur = held[u]
+    for j in range(1, d + 1):
+        x = var_id(u, j, d)
+        side = _ref_derive(em, held, d, rest, head, negs + (-x,))
+        nxt = em.infer(cur, side, x)
+        em.erase(side)
+        if cur != held[u]:
+            em.erase(cur)
+        cur = nxt
+    return cur
+
+
+def reference_compile(g: Dag, d: int, trace, starred: bool = False) -> ResolutionTrace:
+    em = _RefEmitter()
+    held: dict[int, int] = {}
+    targets = set(g.targets)
+    derived: set[int] = set()
+    for mv in trace.moves:
+        v = mv.v
+        if mv.kind == "PB":
+            head = canon_clause(var_id(v, i, d) for i in range(1, d + 1))
+            held[v] = _ref_derive(em, held, d, g.preds[v], head)
+            if v in targets:
+                if not starred:
+                    _ref_derive(em, held, d, (v,), ())
+                    break
+                derived.add(v)
+                if derived == targets:
+                    break
+        elif starred and v in targets:  # RB; validated black traces have no whites
+            held.pop(v)  # keep derived target clauses live
+        else:
+            em.erase(held.pop(v))
+    return ResolutionTrace(tuple(em.events))
+
+
+def _repebbling(g):
+    """Place every vertex in order, first placing again each predecessor
+    that is off the board, and remove each predecessor that is no target
+    once the placement that needed it is made: a vertex that feeds two
+    others is removed and placed again."""
+    on, pins, moves = set(), Counter(), []
+
+    def place(v):
+        for u in g.preds[v]:
+            if u not in on:
+                place(u)
+            pins[u] += 1  # u stays on until v is placed
+        moves.append(Move("PB", v))
+        on.add(v)
+        for u in g.preds[v]:
+            pins[u] -= 1
+        for u in g.preds[v]:
+            if u in on and not pins[u] and u not in g.targets:
+                moves.append(Move("RB", u))
+                on.discard(u)
+
+    for v in range(g.n):
+        if v not in on:
+            place(v)
+    return moves + [Move("RB", v) for v in sorted(on)]
+
+
+def _relabelled(g, rng):
+    """g with its vertices renamed by a random permutation: some edges then
+    run from a higher id to a lower one."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    return Dag(g.n, edges, targets=[perm[t] for t in g.targets])
+
+
+def assert_compiles_as_reference(g, trace, ds=(1, 2, 3)):
+    for d in ds:
+        for starred in (False, True):
+            got = compile_pebbling(g, d, trace, starred=starred)
+            assert format_trace(got) == format_trace(reference_compile(g, d, trace, starred)), (g, d, starred)
+            f = pebbling_contradiction(g, d, starred=starred)
+            if starred:
+                with pytest.raises(VerificationError, match="lacks the empty clause"):
+                    check_refutation(f, got)
+            else:
+                check_refutation(f, got)
+
+
+def test_compile_matches_reference_on_families():
+    specs = ALL_SPECS + [FamilySpec.pyramid(3), FamilySpec.binary_tree(3), FamilySpec.carlson_savage(2, 2)]
+    for spec in specs:
+        assert_compiles_as_reference(*black_trace(spec))
+
+
+def test_compile_matches_reference_on_random_dags():
+    """The 40 DAGs of the any-fan-in test, under a pebbling that places
+    vertices again, and the same DAGs relabelled so that predecessors can
+    lie above their successors."""
+    rng = random.Random(SEED)
+    graphs = [_random_dag(rng, rng.randint(1, 8), 3) for _ in range(40)]
+    replaced = backward = 0
+    relabel = random.Random(SEED + 1)
+    for g in graphs + [_relabelled(g, relabel) for g in graphs]:
+        moves = _repebbling(g)
+        replaced += len(moves) > 2 * g.n
+        backward += any(u > v for u, v in g.edges)
+        assert_compiles_as_reference(g, validate_pebbling(g, moves, game="black"))
+    assert replaced >= 10 and backward >= 10
+
+
+def test_compile_sorts_clauses_of_a_backward_edge():
+    # vertex 0 has predecessors 1 and 2, above it: its variables come first
+    g = Dag(3, [(2, 0), (1, 0)], targets=[0])
+    trace = validate_pebbling(g, parse_moves("PB 1\nPB 2\nPB 0\nRB 0\nRB 1\nRB 2"), game="black")
+    text = format_trace(compile_pebbling(g, 2, trace))
+    assert text.startswith("a 3 4 0\na 5 6 0\na 1 2 -3 -5 0\n")
+    assert_compiles_as_reference(g, trace)
+    # a predecessor on each side of the vertex placed
+    g = Dag(4, [(0, 2), (3, 2), (1, 3)], targets=[2])
+    moves = parse_moves("PB 1\nPB 3\nRB 1\nPB 0\nPB 2\nRB 0\nRB 2\nRB 3")
+    trace = validate_pebbling(g, moves, game="black")
+    assert_compiles_as_reference(g, trace)
+
+
+def test_compile_leaves_no_cyclic_garbage():
+    """The compiler's events are freed by reference counting alone: no
+    reference cycle holds the event list until the collector runs."""
+    g, trace = black_trace(FamilySpec.pyramid(4))
+    gc.collect()
+    gc.disable()
+    try:
+        for starred in (False, True):
+            compile_pebbling(g, 2, trace, starred=starred)
+            assert gc.collect() == 0, starred
+    finally:
+        gc.enable()
 
 
 def test_compile_rejects_bw_trace():
