@@ -41,9 +41,6 @@ __all__ = [
     "introduce",
     "merge",
     "inflate",
-    "is_chain",
-    "legal_pebble_positions",
-    "chargeable_vertices",
     "blob_cost",
     "validate_blob_pebbling",
     "parse_blob_moves",
@@ -141,32 +138,6 @@ def inflate(
     return target
 
 
-def is_chain(g: Dag, blob: frozenset[int]) -> bool:
-    """True iff the blob is totally ordered by reachability."""
-    vs = sorted(blob)
-    return all(g.reaches(a, b) for a, b in zip(vs, vs[1:]))
-
-
-def legal_pebble_positions(g: Dag, blob: frozenset[int]) -> frozenset[int]:
-    """Vertices where a white supporting this blob may sit.
-
-    For a chain blob b1 < b2 < ... < bk these are the vertices strictly
-    below b1 together with the vertices lying on a path segment between two
-    consecutive blob vertices, minus the blob itself.
-    """
-    vs = sorted(blob)
-    out: set[int] = set()
-    b1 = vs[0]
-    for u in range(g.n):
-        if u != b1 and g.reaches(u, b1):
-            out.add(u)
-    for a, b in zip(vs, vs[1:]):
-        for u in range(g.n):
-            if g.reaches(a, u) and g.reaches(u, b):
-                out.add(u)
-    return frozenset(out - blob)
-
-
 def check_strict_shape(g: Dag, s: BlobSubconfig) -> str | None:
     """Strict-variant side conditions; returns a problem string or None."""
 
@@ -179,10 +150,11 @@ def check_strict_shape(g: Dag, s: BlobSubconfig) -> str | None:
 def _shape_problem(g: Dag, blob: int, whites: int) -> str | None:
     """``check_strict_shape`` on a nonempty blob and its whites as bitmasks.
 
-    The blob must be a chain (``is_chain``), and each white must lie in
-    ``legal_pebble_positions``: in the graph, outside the blob, and strictly
-    below the bottom vertex or on a path between two consecutive blob
-    vertices.  No vertex reaches or is reached from one outside the graph.
+    The blob must be a chain, totally ordered by reachability, and each
+    white must lie in a legal position: in the graph, outside the blob, and
+    strictly below the bottom vertex or on a path between two consecutive
+    blob vertices.  No vertex reaches or is reached from one outside the
+    graph.
     """
     vs = [v for v in range(blob.bit_length()) if blob >> v & 1]
     pairs = list(zip(vs, vs[1:]))
@@ -219,12 +191,6 @@ def _masks(g: Dag, s: BlobSubconfig) -> tuple[int, int]:
         if not 0 <= v < g.n:
             raise GraphError(f"vertex {v} out of range")
     return sum(1 << v for v in s.blob), sum(1 << v for v in s.whites)
-
-
-def chargeable_vertices(g: Dag, s: BlobSubconfig) -> frozenset[int]:
-    """Blob vertices plus whites strictly below the blob's bottom vertex."""
-    charged = _charge(g.below, *_masks(g, s))
-    return frozenset(v for v in s.blob | s.whites if charged >> v & 1)
 
 
 def blob_cost(g: Dag, cfg: BlobConfig) -> dict:

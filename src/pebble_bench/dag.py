@@ -42,7 +42,7 @@ class Dag:
     a sorted tuple (defaults to the sinks), also kept as ``target_mask``.
     ``below`` holds each vertex's strict ancestors as a bitmask; it is the
     graph's one reachability table, built on first use in O(n^2) bits, and
-    ``reaches``/``descendants`` read it.
+    ``reaches`` reads it.
     Construction is permissive about shape so that ``validate_dag`` can
     report problems; only out-of-range vertex ids and more than
     ``MAX_VERTICES`` vertices are rejected outright.
@@ -95,14 +95,6 @@ class Dag:
                     below[v] |= below[u] | 1 << u
             self._below = tuple(below)
         return self._below
-
-    def descendants(self, v: int) -> frozenset[int]:
-        """All vertices reachable from v along forward edges, including v;
-        empty when v is outside the graph."""
-        if not 0 <= v < self.n:
-            return frozenset()
-        below = self.below
-        return frozenset([v, *(w for w in range(v + 1, self.n) if below[w] >> v & 1)])
 
     def reaches(self, u: int, v: int) -> bool:
         """True iff there is a (possibly empty) forward path from u to v;

@@ -8,7 +8,10 @@ while visiting far fewer states.  It is also confined to the vertices that
 some unvisited target still needs (``_black_steps``).  The black-white
 game is searched at move level (placements cost 1, removals 0).  Both
 games run on one best-first loop, ``_search`` (A*), guided by the
-ancestor-closure bound of ``_closure``.
+ancestor-closure bound of ``_closure``.  The black searches start at the
+space budget ``_price_floor``, a lower bound on the black price worked out
+from the graph alone in one pass over its edges, as no smaller budget has
+a pebbling; the BW and blob searches start at 1.
 
 These oracles are meant for desk-size instances.  A call stops with
 SizeBoundExceeded once the states it has stored, over all its space budgets
@@ -86,8 +89,10 @@ class SearchStats:
     ``optimal_blob_price``.
 
     Filled only when passed as ``stats=``.  ``budgets`` gets one record per
-    space budget (for blob prices, cost cap) searched, in order;
-    ``generated``, ``expanded`` and ``seconds`` are their totals and
+    space budget (for blob prices, cost cap) searched, in order.  Black
+    searches start at the lower bound ``_price_floor`` on the price; a
+    budget below it is not searched and has no record.  The others start
+    at 1.  ``generated``, ``expanded`` and ``seconds`` are their totals and
     ``table`` is the peak table size, the largest ``generated`` of one
     budget.  ``stop`` is why the last call stopped: ``goal`` (the price
     was found), ``floor`` (a budget reached the time floor), ``cap`` (the
@@ -318,6 +323,67 @@ def _bw_steps(g: Dag, s: int, dist: dict):
     return steps
 
 
+def _price_floor(g: Dag) -> int:
+    """B, a lower bound on the black price from the graph alone.
+
+    L(v) is a number of pebbles that v's region, v with its ancestors,
+    holds at some moment, no later than v's first placement, of every
+    black pebbling that starts with the region empty and places v.  A
+    source has L = 1.  A vertex v with predecessors u_1..u_k has
+    L(v) = max(k + 1, L(u_i) for each i), and when the regions of the u_i
+    are pairwise disjoint also max_i (L(u_i) + i - 1), the L(u_i) sorted
+    largest first.  B is the largest L of a target, or 1.
+
+    Sound, by induction over v:
+
+    - placing v needs all its predecessors and v on the board, k + 1
+      pebbles in v's region;
+    - a region is closed under predecessors, so the moves inside u_i's
+      region pebble u_i from empty before v is placed: L(u_i);
+    - with disjoint regions, let τ_i be the last moment before v's first
+      placement at which region i is empty.  From τ_i on, region i is
+      never empty, and the moves inside it pebble u_i from empty, so some
+      later moment, before v's placement, has at least L(u_i) pebbles in
+      it;
+    - at that moment, every region emptied earlier still holds a pebble,
+      and the regions are disjoint.  One move changes one region, so the
+      τ_i are distinct, and the region with the p-th earliest τ_i has
+      L(u_i) + p - 1 pebbles in v's region at its moment;
+    - the pebbling's best order puts the largest L first (swapping a
+      smaller L ahead of a larger one never raises the maximum), which
+      gives max_i (L(u_i) + i - 1).
+
+    A pebbling of the graph starts empty and places every target, so it
+    holds at least B pebbles at some moment: no budget below B has one.
+    A white pebble is placed without its predecessors, so the argument
+    does not cover the BW game.
+
+    L is worked out in Kahn's order, each vertex once all its predecessors
+    are done, so backward edges are followed too.  A vertex never reached
+    lies on or below a cycle, a self-loop included: no pebbling places it,
+    so its L stays 0 and it bounds nothing.
+    """
+    least = [0] * g.n
+    region = [0] * g.n
+    waiting = [len(p) for p in g.preds]
+    order = [v for v in range(g.n) if not waiting[v]]
+    for v in order:  # grows as vertices become ready
+        union = size = 0
+        for u in g.preds[v]:
+            union |= region[u]
+            size += region[u].bit_count()
+        region[v] = union | 1 << v
+        ls = sorted((least[u] for u in g.preds[v]), reverse=True)
+        # With overlapping regions each L(u_i) counts alone (i * 0).
+        disjoint = union.bit_count() == size
+        least[v] = max([len(ls) + 1] + [low + i * disjoint for i, low in enumerate(ls)])
+        for w in g.succs[v]:
+            waiting[w] -= 1
+            if not waiting[w]:
+                order.append(w)
+    return max([1] + [least[t] for t in g.targets])
+
+
 def _search(g: Dag, game: str, s: int, parents, stats: SearchStats, stored: int):
     """(min placements, goal state) of a complete pebbling with space cap s.
 
@@ -438,12 +504,13 @@ def optimal_price(
     a given graph), read off the parent links of the winning search.
     Raises SizeBoundExceeded once the budgets searched have stored more
     states than ``MAX_STORED_BYTES`` allows.  ``stats`` is filled with the
-    work of each budget searched.
+    work of each budget searched.  The black game's budgets start at
+    ``_price_floor``, below which none has a pebbling; the BW game's at 1.
     """
     _check_game(game)
     stats = SearchStats() if stats is None else stats
     start = stats.generated
-    for s in range(1, g.n + 1):
+    for s in range(_price_floor(g) if game == "black" else 1, g.n + 1):
         parents = {} if with_trace else None
         d, goal = _search(g, game, s, parents, stats, stats.generated - start)
         if d is not None:
@@ -487,7 +554,8 @@ def tradeoff_frontier(
     Every budget has min time >= F, min time never rises as the budget
     grows, so every budget above the stop also has time F.  Budgets above n
     allow the same pebblings as budget n, so the sweep searches at most n
-    budgets.
+    budgets.  In the black game it starts at ``_price_floor``, as no budget
+    below that has a pebbling.
     """
     if above_price is not None and space_cap:
         raise ValueError("give space_cap or above_price, not both")
@@ -499,7 +567,7 @@ def tradeoff_frontier(
     floor = _closure(g.pred_mask, 0, g.target_mask, 0).bit_count()
     cap = space_cap if above_price is None else g.n + above_price
     points: list[tuple[int, int]] = []
-    for s in range(1, min(cap, g.n) + 1):
+    for s in range(_price_floor(g) if game == "black" else 1, min(cap, g.n) + 1):
         t, _ = _search(g, game, s, None, stats, stats.generated - start)
         if t is None:
             continue

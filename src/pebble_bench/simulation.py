@@ -402,19 +402,22 @@ def induce_configuration(g: Dag, d: int, live_clauses) -> BlobConfig:
         # An unsatisfiable live set asserts nothing conditionally; it matches
         # the finished game, whose configuration is empty.
         return BlobConfig(frozenset())
+    # variables[m]: the variables of the vertices in m, built once from the
+    # mask without its lowest bit.
     own = [((1 << d) - 1) << (d * v + 1) for v in range(g.n)]  # v's variables
+    variables = [0] * (1 << g.n)
+    for m in range(1, 1 << g.n):
+        low = m & -m
+        variables[m] = variables[m ^ low] | own[low.bit_length() - 1]
 
-    def variables(m: int) -> int:
-        return sum(own[x.bit_length() - 1] for x in _bits(m))
-
-    cache: dict[tuple[int, int], bool] = {}
+    cache: dict[int, bool] = {}
 
     def implied(b: int, w: int) -> bool:
         # [b]<w>'s clause is implied iff no model makes b's variables all
         # false and w's all true.
-        key = (b, w)
+        key = b | w << g.n
         if key not in cache:
-            cache[key] = oracle.refutes(variables(w), variables(b))
+            cache[key] = oracle.refutes(variables[w], variables[b])
         return cache[key]
 
     out = []

@@ -30,14 +30,40 @@ from pebble_bench import (
 )
 from pebble_bench.blob import (
     BlobConfig,
-    chargeable_vertices,
     _shape_problem,
     check_strict_shape,
-    is_chain,
-    legal_pebble_positions,
 )
 
 SEED = 313
+
+
+# --- set definitions, the references for the bitmask rules --------------------
+
+
+def is_chain(g, blob):
+    """True iff the blob is totally ordered by reachability."""
+    vs = sorted(blob)
+    return all(g.reaches(a, b) for a, b in zip(vs, vs[1:]))
+
+
+def legal_pebble_positions(g, blob):
+    """Vertices where a white supporting this blob may sit.
+
+    For a chain blob b1 < b2 < ... < bk these are the vertices strictly
+    below b1 together with the vertices lying on a path segment between two
+    consecutive blob vertices, minus the blob itself.
+    """
+    vs = sorted(blob)
+    out = {u for u in range(g.n) if u != vs[0] and g.reaches(u, vs[0])}
+    for a, b in zip(vs, vs[1:]):
+        out |= {u for u in range(g.n) if g.reaches(a, u) and g.reaches(u, b)}
+    return frozenset(out - blob)
+
+
+def chargeable_vertices(g, s):
+    """Blob vertices plus whites strictly below the blob's bottom vertex."""
+    bottom = min(s.blob)
+    return s.blob | {w for w in s.whites if w != bottom and g.reaches(w, bottom)}
 
 
 def edge_graph():
@@ -192,9 +218,15 @@ def test_chargeable_only_below_bottom():
     assert costs == {"naive": 4, "chargeable": 3}
     for outside in (sub([2], [-1]), sub([4], [0])):
         with pytest.raises(GraphError):
-            chargeable_vertices(g, outside)
-        with pytest.raises(GraphError):
             blob_cost(g, BlobConfig(frozenset({outside})))
+    # The bitmask rule against the set definition, on every disjoint
+    # (blob, whites) pair of a diamond and a pyramid.
+    for g in (diamond(), build_family(FamilySpec.pyramid(2))):
+        masks = range(1 << g.n)
+        for blob, whites in ((b, w) for b in masks[1:] for w in masks if not b & w):
+            s = sub(*([v for v in range(g.n) if m >> v & 1] for m in (blob, whites)))
+            want = len(chargeable_vertices(g, s))
+            assert blob_cost(g, BlobConfig(frozenset({s})))["chargeable"] == want, s
 
 
 def test_inflation_can_reduce_chargeable_cost():

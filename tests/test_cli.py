@@ -178,10 +178,10 @@ def stats_record(err):
 
 def test_price_bound_exceeded(capsys, monkeypatch):
     """A search past its limit is one error line naming the work."""
-    # pyramid(2) black stores 4, 7, 14 and 14 states at budgets 1-4, at
-    # 128 B plus 12 bits each.
+    # pyramid(2) black stores 14 and 14 states at budgets 3-4, from its
+    # price floor, at 128 B plus 12 bits each.
     monkeypatch.setattr(search, "MAX_STORED_BYTES", 20 * 129)
-    err = "error: black search at space budget 3 stored 21 states, above the limit 20\n"
+    err = "error: black search at space budget 4 stored 22 states, above the limit 20\n"
     assert run(capsys, "price", "--family", "pyramid", "--h", "2") == (1, "", err)
     frontier = ["frontier", "--family", "pyramid", "--h", "2", "--space-cap", "6"]
     assert run(capsys, *frontier) == (1, "", err)
@@ -191,7 +191,7 @@ def test_price_bound_exceeded(capsys, monkeypatch):
         assert (code, out) == (1, "")
         record, rest = stats_record(stats_err)
         assert rest == err
-        assert [(b["space"], b["generated"]) for b in record["budgets"]] == [(1, 4), (2, 7), (3, 10)]
+        assert [(b["space"], b["generated"]) for b in record["budgets"]] == [(3, 14), (4, 8)]
         assert record["stop"] == "states"
 
 
@@ -747,13 +747,13 @@ def test_report_csv_and_plots(tmp_path, capsys):
 
 
 def test_report_skips_oversized_instances(tmp_path, capsys, monkeypatch):
-    # pyramid(1) stores 12 states, pyramid(2) passes 20 at budget 3.
+    # pyramid(1) stores 5 states, pyramid(2) passes 20 at budget 4.
     monkeypatch.setattr(search, "MAX_STORED_BYTES", 20 * 129)
     spec = write_spec(tmp_path, "[experiment]\n[family:pyramid]\nh = 1,2\n")
     code, out, err = run(capsys, "tradeoff-report", "--spec", spec)
     assert code == 0
     assert err == (
-        "warning: skipped pyramid(2): black search at space budget 3 stored 21 states, "
+        "warning: skipped pyramid(2): black search at space budget 4 stored 22 states, "
         "above the limit 20\n"
     )
     assert "pyramid,2" not in out and "pyramid,1" in out

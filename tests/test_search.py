@@ -87,7 +87,7 @@ def test_frontier_chain_is_one_point():
     # cannot help a chain and the sweep stops at the price
     assert fr.points == ((2, 4),) == tuple(fr)
     assert stats.stop == "floor"
-    assert [b.space for b in stats.budgets] == [1, 2]
+    assert [b.space for b in stats.budgets] == [2]  # the price floor is 2
 
 
 def test_frontier_below_price_is_empty_prefix():
@@ -127,24 +127,24 @@ def test_size_bound_guard(monkeypatch):
     """Past the limit, counted over all the call's budgets, each search
     raises and names the budget, the states stored and the limit; its
     stats end with the budget it stopped in and read ``states``."""
-    g = build_family(FamilySpec.pyramid(2))  # black states stored: 4, 7, 14, 14
+    g = build_family(FamilySpec.pyramid(2))  # black states stored: 14, 14 from the floor 3
     free = SearchStats()
     assert optimal_price(g, "black", stats=free) == 4
     # The limit is the bytes over 128 B plus the state width, 12 bits here.
     monkeypatch.setattr(search, "MAX_STORED_BYTES", 20 * 129)
     stats = SearchStats()
-    with pytest.raises(SizeBoundExceeded, match="^black search at space budget 3 stored 21 states, above the limit 20$"):
+    with pytest.raises(SizeBoundExceeded, match="^black search at space budget 4 stored 22 states, above the limit 20$"):
         optimal_price(g, "black", stats=stats)
-    assert [(b.space, b.generated) for b in stats.budgets] == [(1, 4), (2, 7), (3, 10)]
+    assert [(b.space, b.generated) for b in stats.budgets] == [(3, 14), (4, 8)]
     assert stats.stop == "states"
     stats = SearchStats()
-    with pytest.raises(SizeBoundExceeded, match="^black search at space budget 3 stored 21 states"):
+    with pytest.raises(SizeBoundExceeded, match="^black search at space budget 4 stored 22 states"):
         tradeoff_frontier(g, "black", space_cap=6, stats=stats)
     assert stats.stop == "states"
     with pytest.raises(SizeBoundExceeded, match=r"^bw search at space budget \d+ stored \d+ states, above the limit 19$"):
         optimal_price(g, "bw")  # 128 B plus 18 bits
-    # Under the limit nothing changes: the whole call stores 39 states.
-    monkeypatch.setattr(search, "MAX_STORED_BYTES", 39 * 129)
+    # Under the limit nothing changes: the whole call stores 28 states.
+    monkeypatch.setattr(search, "MAX_STORED_BYTES", 28 * 129)
     stats = SearchStats()
     assert optimal_price(g, "black", stats=stats) == 4
     assert counts(stats) == counts(free)
@@ -419,7 +419,7 @@ def test_frontier_stops_at_time_floor():
     g = build_family(FamilySpec.carlson_savage(2, 1))  # 11 vertices, floor 11
     stats = SearchStats()
     fr = tradeoff_frontier(g, "black", space_cap=8, stats=stats)
-    assert [b.space for b in stats.budgets] == [1, 2, 3, 4]  # 4 reaches time 11
+    assert [b.space for b in stats.budgets] == [3, 4]  # floor 3; 4 reaches time 11
     assert stats.stop == "floor"
     assert fr.points == ((3, 16), (4, 11))
 
@@ -737,35 +737,26 @@ def test_successors_match_vertex_scan(game):
 # (space, generated, expanded) per budget of tradeoff_frontier on every
 # instance of the two benchmark frontier specs, at their caps above the price,
 # as the vertex-scanning successor functions counted them, the black game
-# confined to N(T) as the reference above is.
+# confined to N(T) as the reference above is.  The black sweeps start at the
+# price floor, so they have no row below it.
 FRONTIER_WORK = {
     "black": {
-        (FamilySpec.chain(2), 3): [(1, 2, 2), (2, 3, 2)],
-        (FamilySpec.chain(3), 3): [(1, 2, 2), (2, 4, 3)],
-        (FamilySpec.chain(4), 3): [(1, 2, 2), (2, 6, 4)],
-        (FamilySpec.chain(5), 3): [(1, 2, 2), (2, 8, 5)],
-        (FamilySpec.chain(6), 3): [(1, 2, 2), (2, 10, 6)],
-        (FamilySpec.chain(7), 3): [(1, 2, 2), (2, 12, 7)],
-        (FamilySpec.chain(8), 3): [(1, 2, 2), (2, 14, 8)],
-        (FamilySpec.pyramid(1), 3): [(1, 3, 3), (2, 4, 4), (3, 5, 3)],
-        (FamilySpec.pyramid(2), 3): [(1, 4, 4), (2, 7, 7), (3, 14, 14), (4, 14, 6)],
-        (FamilySpec.pyramid(3), 3): [
-            (1, 5, 5), (2, 11, 11), (3, 33, 33), (4, 101, 101), (5, 54, 10),
-        ],
-        (FamilySpec.pyramid(4), 3): [
-            (1, 6, 6), (2, 16, 16), (3, 66, 66), (4, 300, 300), (5, 1351, 1351), (6, 156, 15),
-        ],
-        (FamilySpec.binary_tree(1), 3): [(1, 3, 3), (2, 4, 4), (3, 5, 3)],
-        (FamilySpec.binary_tree(2), 3): [(1, 5, 5), (2, 11, 11), (3, 27, 27), (4, 24, 7)],
-        (FamilySpec.binary_tree(3), 3): [
-            (1, 9, 9), (2, 37, 37), (3, 205, 205), (4, 911, 911), (5, 237, 15),
-        ],
-        (FamilySpec.carlson_savage(2, 1), 2): [
-            (1, 5, 5), (2, 11, 11), (3, 114, 92), (4, 76, 16),
-        ],
-        (FamilySpec.carlson_savage(2, 2), 2): [
-            (1, 8, 8), (2, 29, 29), (3, 311, 311), (4, 7082, 6388), (5, 467, 28),
-        ],
+        (FamilySpec.chain(2), 3): [(2, 3, 2)],
+        (FamilySpec.chain(3), 3): [(2, 4, 3)],
+        (FamilySpec.chain(4), 3): [(2, 6, 4)],
+        (FamilySpec.chain(5), 3): [(2, 8, 5)],
+        (FamilySpec.chain(6), 3): [(2, 10, 6)],
+        (FamilySpec.chain(7), 3): [(2, 12, 7)],
+        (FamilySpec.chain(8), 3): [(2, 14, 8)],
+        (FamilySpec.pyramid(1), 3): [(3, 5, 3)],
+        (FamilySpec.pyramid(2), 3): [(3, 14, 14), (4, 14, 6)],
+        (FamilySpec.pyramid(3), 3): [(3, 33, 33), (4, 101, 101), (5, 54, 10)],
+        (FamilySpec.pyramid(4), 3): [(3, 66, 66), (4, 300, 300), (5, 1351, 1351), (6, 156, 15)],
+        (FamilySpec.binary_tree(1), 3): [(3, 5, 3)],
+        (FamilySpec.binary_tree(2), 3): [(4, 24, 7)],
+        (FamilySpec.binary_tree(3), 3): [(5, 237, 15)],
+        (FamilySpec.carlson_savage(2, 1), 2): [(3, 114, 92), (4, 76, 16)],
+        (FamilySpec.carlson_savage(2, 2), 2): [(4, 7082, 6388), (5, 467, 28)],
     },
     "bw": {
         (FamilySpec.chain(2), 2): [(1, 4, 4), (2, 9, 4)],
@@ -800,6 +791,84 @@ def test_frontier_work_pinned(game):
         assert [(b.space, b.generated, b.expanded) for b in stats.budgets] == want, spec
 
 
+# --- the price floor -----------------------------------------------------------
+
+
+def least_budget(g):
+    """The least budget at which the black search finds a pebbling, trying
+    every budget from 1, without the floor; None when no budget has one."""
+    for s in range(1, g.n + 1):
+        if search._search(g, "black", s, None, SearchStats(), 0)[0] is not None:
+            return s
+    return None
+
+
+def in_tree(n, rng):
+    """A random in-tree: each vertex but the last feeds one later vertex, so
+    a vertex has any fan-in from 0 to n - 1."""
+    return Dag(n, [(v, rng.randint(v + 1, n - 1)) for v in range(n - 1)])
+
+
+def reversed_ids(g):
+    """g with vertex v renamed n - 1 - v, so every edge goes backward."""
+    n = g.n
+    return Dag(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges], targets=[n - 1 - t for t in g.targets])
+
+
+def test_price_floor_never_exceeds_the_price():
+    """The floor against the least budget with a pebbling, found from
+    budget 1: the four families, the same graphs with every edge backward,
+    the odd graphs (a 2-cycle and a self-loop have no pebbling, so there the
+    floor need only stay within n), and seeded random DAGs with several
+    targets."""
+    specs = [FamilySpec.chain(n) for n in range(1, 6)]
+    specs += [FamilySpec.pyramid(h) for h in (1, 2, 3)]
+    specs += [FamilySpec.binary_tree(h) for h in (1, 2, 3)]
+    specs += [FamilySpec.carlson_savage(2, 0), FamilySpec.carlson_savage(2, 1)]
+    families = [build_family(spec) for spec in specs]
+    graphs = families + [reversed_ids(g) for g in families] + odd_graphs()
+    graphs += [g for g in random_dags(300, 9, SEED + 6) if len(g.targets) > 1]
+    for g in graphs:
+        price = least_budget(g)
+        assert 1 <= search._price_floor(g) <= (g.n if price is None else price), g
+    for g in families:
+        assert search._price_floor(reversed_ids(g)) == search._price_floor(g), g
+
+
+def test_price_floor_is_the_price_of_an_in_tree():
+    """In a tree the regions of a vertex's predecessors are disjoint, and
+    pebbling them largest L first, each kept once placed, needs just the
+    floor, so it is the price."""
+    rng = random.Random(SEED + 7)
+    for _ in range(200):
+        g = in_tree(rng.randint(1, 10), rng)
+        assert search._price_floor(g) == least_budget(g), g
+
+
+def test_price_floor_pinned():
+    """The floor is the price of chains, binary trees and carlson_savage(2, 1)
+    and (2, 2); on pyramids it stays at 3, below the price h + 2."""
+    def floor(spec):
+        return search._price_floor(build_family(spec))
+
+    assert floor(FamilySpec.chain(1)) == 1
+    assert [floor(FamilySpec.chain(n)) for n in range(2, 9)] == [2] * 7
+    assert [floor(FamilySpec.binary_tree(h)) for h in range(1, 6)] == [3, 4, 5, 6, 7]
+    assert floor(FamilySpec.carlson_savage(2, 1)) == 3
+    assert floor(FamilySpec.carlson_savage(2, 2)) == 4
+    assert [floor(FamilySpec.pyramid(h)) for h in range(1, 7)] == [3] * 6
+
+
+def test_binary_tree_5_black_price():
+    """Searched from budget 1 the call passed its limit at budget 5 after
+    14.9 s; from the floor it searches only the price, 7 = h + 2."""
+    g = build_family(FamilySpec.binary_tree(5))
+    stats = SearchStats()
+    price, moves = optimal_price(g, "black", with_trace=True, stats=stats)
+    assert price == 7 and validate_pebbling(g, moves, game="black").space == 7
+    assert counts(stats) == ([(7, 9751, 63)], "goal")
+
+
 # --- work counters -------------------------------------------------------------
 
 
@@ -825,7 +894,8 @@ def test_search_stats_deterministic_and_additive(game):
         assert runs[0] == runs[1]
         stats = SearchStats()
         price = optimal_price(g, game, stats=stats)
-        assert [b.space for b in stats.budgets] == list(range(1, price + 1))
+        first = search._price_floor(g) if game == "black" else 1
+        assert [b.space for b in stats.budgets] == list(range(first, price + 1))
         assert stats.stop == "goal"
 
 
@@ -833,10 +903,10 @@ def test_search_stats_stop_reasons():
     g = build_family(FamilySpec.carlson_savage(2, 1))  # price 3, floor at 4
     stats = SearchStats()
     assert tradeoff_frontier(g, "black", space_cap=2, stats=stats).points == ()
-    assert ([b.space for b in stats.budgets], stats.stop) == ([1, 2], "cap")
+    assert ([b.space for b in stats.budgets], stats.stop) == ([], "cap")  # price floor 3
     stats = SearchStats()
     tradeoff_frontier(g, "black", above_price=0, stats=stats)
-    assert ([b.space for b in stats.budgets], stats.stop) == ([1, 2, 3], "cap")
+    assert ([b.space for b in stats.budgets], stats.stop) == ([3], "cap")
     cycle = Dag(2, [(0, 1), (1, 0)], targets=[1])  # no budget can pebble it
     stats = SearchStats()
     assert tradeoff_frontier(cycle, "black", space_cap=5, stats=stats).points == ()
