@@ -43,9 +43,11 @@ class Dag:
     ``below`` holds each vertex's strict ancestors as a bitmask; it is the
     graph's one reachability table, built on first use in O(n^2) bits, and
     ``reaches`` reads it.
-    Construction is permissive about shape so that ``validate_dag`` can
-    report problems; only out-of-range vertex ids and more than
-    ``MAX_VERTICES`` vertices are rejected outright.
+    Ids are topological: an edge (u, v) with u >= v, a self-loop
+    included, is refused with GraphError, as is an id out of range or more
+    than ``MAX_VERTICES`` vertices.  Construction is otherwise permissive
+    about shape (fan-in, targets that are no sinks) so that
+    ``validate_dag`` can report those problems.
     """
 
     __slots__ = ("n", "edges", "preds", "succs", "pred_mask", "succ_mask",
@@ -56,8 +58,11 @@ class Dag:
             raise SizeBoundExceeded(f"graph has {n} vertices, above the bound {MAX_VERTICES}")
         edges = tuple(sorted(set((int(u), int(v)) for u, v in edges)))
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if not 0 <= u < v < n:
+                if 0 <= u < n and 0 <= v < n:
+                    raise GraphError(f"edge ({u}, {v}) does not go from a lower id to a higher one")
                 raise GraphError(f"edge ({u}, {v}) out of range for {n} vertices")
+        # edges are sorted, so each list is built in ascending order
         pred_lists: list[list[int]] = [[] for _ in range(n)]
         succ_lists: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
@@ -65,8 +70,8 @@ class Dag:
             succ_lists[u].append(v)
         self.n = n
         self.edges = edges
-        self.preds = tuple(tuple(sorted(p)) for p in pred_lists)
-        self.succs = tuple(tuple(sorted(s)) for s in succ_lists)
+        self.preds = tuple(map(tuple, pred_lists))
+        self.succs = tuple(map(tuple, succ_lists))
         self.pred_mask = tuple(sum(1 << u for u in p) for p in self.preds)
         self.succ_mask = tuple(sum(1 << w for w in s) for s in self.succs)
         self.sources = tuple(v for v in range(n) if not self.preds[v])
@@ -84,20 +89,18 @@ class Dag:
     @property
     def below(self) -> tuple[int, ...]:
         """``below[v]``: bitmask of the vertices strictly below v, those with
-        a forward path to v.  Non-forward edges of malformed graphs are
-        ignored.  Built on first use; it takes O(n^2) bits."""
+        a path to v.  Built on first use; it takes O(n^2) bits."""
         if self._below is None:
             below = [0] * self.n
             # Edges are sorted by source and every edge into u starts below
             # u, so below[u] is complete before any edge leaves u.
             for u, v in self.edges:
-                if u < v:
-                    below[v] |= below[u] | 1 << u
+                below[v] |= below[u] | 1 << u
             self._below = tuple(below)
         return self._below
 
     def reaches(self, u: int, v: int) -> bool:
-        """True iff there is a (possibly empty) forward path from u to v;
+        """True iff there is a (possibly empty) path from u to v;
         False when u or v is outside the graph."""
         return 0 <= v < self.n and (u == v or (0 <= u and self.below[v] >> u & 1 == 1))
 
@@ -117,14 +120,14 @@ class Dag:
 
 
 def validate_dag(g: Dag) -> list[str]:
-    """Return a list of invariant violations (empty means the graph is fine)."""
+    """Return a list of the shape problems ``Dag`` accepts: no vertices,
+    fan-in above 2, and targets that are empty or no sinks (empty means the
+    graph is fine).  ``Dag`` itself refuses every edge that does not go
+    from a lower id to a higher one."""
     report: list[str] = []
     if g.n == 0:
         report.append("no vertices")
         return report
-    for u, v in g.edges:
-        if u >= v:
-            report.append(f"cycle: edge ({u}, {v}) does not go forward in vertex order")
     for v in range(g.n):
         if len(g.preds[v]) > 2:
             report.append(f"fan-in exceeds 2 at vertex {v}")

@@ -10,7 +10,7 @@ game is searched at move level (placements cost 1, removals 0).  Both
 games run on one best-first loop, ``_search`` (A*), guided by the
 ancestor-closure bound of ``_closure``.  The black searches start at the
 space budget ``_price_floor``, a lower bound on the black price worked out
-from the graph alone in one pass over its edges, as no smaller budget has
+from the graph alone in one pass over its vertices, as no smaller budget has
 a pebbling; the BW and blob searches start at 1.
 
 These oracles are meant for desk-size instances.  A call stops with
@@ -358,29 +358,20 @@ def _price_floor(g: Dag) -> int:
     A white pebble is placed without its predecessors, so the argument
     does not cover the BW game.
 
-    L is worked out in Kahn's order, each vertex once all its predecessors
-    are done, so backward edges are followed too.  A vertex never reached
-    lies on or below a cycle, a self-loop included: no pebbling places it,
-    so its L stays 0 and it bounds nothing.
+    L is worked out in id order, which is topological, so each vertex
+    comes after its predecessors; u's region is u with ``Dag.below[u]``.
     """
     least = [0] * g.n
-    region = [0] * g.n
-    waiting = [len(p) for p in g.preds]
-    order = [v for v in range(g.n) if not waiting[v]]
-    for v in order:  # grows as vertices become ready
+    below = g.below
+    for v in range(g.n):
         union = size = 0
         for u in g.preds[v]:
-            union |= region[u]
-            size += region[u].bit_count()
-        region[v] = union | 1 << v
+            union |= below[u] | 1 << u
+            size += below[u].bit_count() + 1
         ls = sorted((least[u] for u in g.preds[v]), reverse=True)
         # With overlapping regions each L(u_i) counts alone (i * 0).
         disjoint = union.bit_count() == size
         least[v] = max([len(ls) + 1] + [low + i * disjoint for i, low in enumerate(ls)])
-        for w in g.succs[v]:
-            waiting[w] -= 1
-            if not waiting[w]:
-                order.append(w)
     return max([1] + [least[t] for t in g.targets])
 
 

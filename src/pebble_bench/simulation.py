@@ -12,7 +12,9 @@ closed form, as a concatenation of variable blocks, and none is computed by
 resolution (``_derive`` gives the argument).  A blob pebbling at d = 1 compiles
 move-for-move (introduction = axiom download, merger = resolution, inflation
 and erasure are bookkeeping), with subsumption tracked so inflated blobs
-reuse the stronger clause.
+reuse the stronger clause; each of its clauses is that of a
+subconfiguration, so none is computed by resolution either
+(``_compile_blob``).
 
 ``induce_configuration`` goes the other way: given live clauses it returns
 every subconfiguration whose clause the set implies, keeping only precise
@@ -52,7 +54,6 @@ from .resolution import (
     ProofMetrics,
     ResolutionTrace,
     check_refutation,
-    resolve,
 )
 
 __all__ = [
@@ -178,35 +179,6 @@ def subconfig_clause(s: BlobSubconfig, d: int = 1) -> Clause:
 # ---------------------------------------------------------------------------
 
 
-class _Emitter:
-    """Appends the blob compiler's trace events and owns the clause of every
-    live id.  A merge's pivot and premises depend on the play, so its
-    resolvent is computed by ``resolve``."""
-
-    def __init__(self):
-        self.events: list = []
-        self.clauses: dict[int, Clause] = {}
-        self.next_id = 1
-
-    def _add(self, event, cl: Clause) -> int:
-        self.events.append(event)
-        cid = self.next_id
-        self.next_id += 1
-        self.clauses[cid] = cl
-        return cid
-
-    def axiom(self, cl: Clause) -> int:
-        return self._add(Axiom(cl), cl)
-
-    def infer(self, left: int, right: int, pivot: int) -> int:
-        cl = resolve(self.clauses[left], self.clauses[right], pivot)
-        return self._add(Infer(left, right, pivot, cl), cl)
-
-    def erase(self, cid: int) -> None:
-        self.events.append(Erase(cid))
-        del self.clauses[cid]
-
-
 def compile_pebbling(g: Dag, d: int, trace, starred: bool = False) -> ResolutionTrace:
     """Translate a pebbling into a resolution trace over the degree-d
     pebbling contradiction of g.
@@ -233,7 +205,7 @@ def compile_pebbling(g: Dag, d: int, trace, starred: bool = False) -> Resolution
     raise UnsupportedOperation(f"cannot compile {type(trace).__name__}")
 
 
-def _derive(emit, ids, held: dict[int, int], pos, ps, head: Clause, unsorted: bool, negs=()) -> int:
+def _derive(emit, ids, held: dict[int, int], pos, ps, head: Clause, negs=()) -> int:
     """The one elimination step: derive ``negs ∨ head`` and return its id.
 
     Every event goes to ``emit``, and the clauses it derives take their ids
@@ -252,31 +224,26 @@ def _derive(emit, ids, held: dict[int, int], pos, ps, head: Clause, unsorted: bo
     the other; and the last resolvent is ``negs + head``.  Here negs holds
     the negated variables of the predecessors before u, and head the
     variables of the vertex placed (none for a target's unit axioms).
-    Predecessors are sorted, so when each lies below the vertex placed the
-    blocks come in ascending variable order.  Each variable occurs once,
-    as the vertices are distinct: a validated pebbling never places a
-    vertex that is its own predecessor.  So the clause is sorted by
-    variable and has no complementary pair, which is the canonical
-    resolvent ``resolve`` would return.  With a predecessor above the
-    vertex placed (``Dag`` takes such edges, ``read_graph`` does not) the
-    blocks are out of order, and ``unsorted`` has every clause sorted by
-    variable.  Events are built by ``tuple.__new__``, as ``_records``
-    builds them.  This is a module-level function: a nested function that
-    called itself would refer to itself, and through ``emit`` keep the
-    event list alive until the cyclic collector ran.
+    Predecessors are sorted, and each lies below the vertex placed, as
+    ``Dag`` ids are topological, so the blocks come in ascending variable
+    order.  Each variable occurs once, as the vertices are distinct.  So
+    the clause is sorted by variable and has no complementary pair, which
+    is the canonical resolvent ``resolve`` would return.  Events are built
+    by ``tuple.__new__``, as ``_records`` builds them.  This is a
+    module-level function: a nested function that called itself would
+    refer to itself, and through ``emit`` keep the event list alive until
+    the cyclic collector ran.
     """
     new = tuple.__new__
     if not ps:
-        cl = negs + head
-        emit(new(Axiom, (tuple(sorted(cl, key=abs)) if unsorted else cl,)))
+        emit(new(Axiom, (negs + head,)))
         return next(ids)
     u, rest = ps[0], ps[1:]
     cur = own = held[u]
     xs = pos[u]
     for j, x in enumerate(xs, 1):
-        side = _derive(emit, ids, held, pos, rest, head, unsorted, negs + (-x,))
-        cl = negs + xs[j:] + head
-        emit(new(Infer, (cur, side, x, tuple(sorted(cl, key=abs)) if unsorted else cl)))
+        side = _derive(emit, ids, held, pos, rest, head, negs + (-x,))
+        emit(new(Infer, (cur, side, x, negs + xs[j:] + head)))
         emit(new(Erase, (side,)))
         if cur != own:
             emit(new(Erase, (cur,)))
@@ -295,11 +262,10 @@ def _compile_black(g: Dag, d: int, trace: PebblingTrace, starred: bool) -> Resol
     for mv in trace.moves:
         v = mv.v
         if mv.kind == "PB":
-            ps = g.preds[v]
-            held[v] = _derive(emit, ids, held, pos, ps, pos[v], bool(ps) and ps[-1] > v)
+            held[v] = _derive(emit, ids, held, pos, g.preds[v], pos[v])
             if v in targets:
                 if not starred:
-                    _derive(emit, ids, held, pos, (v,), (), False)
+                    _derive(emit, ids, held, pos, (v,), ())
                     break
                 derived.add(v)
                 if derived == targets:
@@ -312,48 +278,65 @@ def _compile_black(g: Dag, d: int, trace: PebblingTrace, starred: bool) -> Resol
 
 
 def _compile_blob(g: Dag, trace: BlobTrace, starred: bool) -> ResolutionTrace:
-    em = _Emitter()
-    bound: dict[int, tuple[int, BlobSubconfig]] = {}  # blob id -> (clause id, sub)
+    """Each blob id is bound to its subconfiguration s, a clause id, and
+    the subconfiguration t whose clause that id holds.  t is s or lies
+    inside it, blob in blob and whites in whites, so its clause subsumes
+    s's.  At d = 1 the clause of [B]<W> is x_b for b in B and -x_w for w
+    in W.  A merge on p of t1 (p in its blob) and t2 (p white) resolves on
+    x_p, and the resolvent is the clause of merge(t1, t2, p), which is
+    legal as t1 and t2 lie inside s1 and s2, whose merge the validated
+    play made.  When p is not in t1's blob, or not white in t2, that
+    operand's clause already subsumes the merge result and is reused.  So
+    every clause is written from a subconfiguration, and none is computed
+    by resolution."""
+    events: list = []
+    ids = count(1)
+    bound: dict[int, tuple[int, BlobSubconfig, BlobSubconfig]] = {}  # blob id -> (clause id, s, t)
     refs: dict[int, int] = {}
     bids = count()
 
-    def bind(cid: int, s: BlobSubconfig):
-        bound[next(bids)] = (cid, s)
+    def bind(cid: int, s: BlobSubconfig, t: BlobSubconfig):
+        bound[next(bids)] = (cid, s, t)
         refs[cid] = refs.get(cid, 0) + 1
+
+    def axiom(cl: Clause) -> int:
+        events.append(Axiom(cl))
+        return next(ids)
 
     for mv in trace.moves:
         if isinstance(mv, IntroduceMove):
             s = introduce(g, mv.v)
-            bind(em.axiom(subconfig_clause(s)), s)
+            bind(axiom(subconfig_clause(s)), s, s)
         elif isinstance(mv, MergeMove):
-            (c1, s1), (c2, s2) = bound[mv.i], bound[mv.j]
-            s = merge(s1, s2, mv.pivot)
-            pv = var_id(mv.pivot, 1, 1)
-            if pv not in em.clauses[c1]:
-                # the tracked clause already subsumes the merge result
-                bind(c1, s)
-            elif -pv not in em.clauses[c2]:
-                bind(c2, s)
+            (c1, s1, t1), (c2, s2, t2) = bound[mv.i], bound[mv.j]
+            p = mv.pivot
+            s = merge(s1, s2, p)
+            if p not in t1.blob:
+                bind(c1, s, t1)
+            elif p not in t2.whites:
+                bind(c2, s, t2)
             else:
-                bind(em.infer(c1, c2, pv), s)
+                t = merge(t1, t2, p)
+                events.append(Infer(c1, c2, var_id(p, 1, 1), subconfig_clause(t)))
+                bind(next(ids), s, t)
         elif isinstance(mv, InflateMove):
-            bind(bound[mv.i][0], BlobSubconfig(mv.blob, mv.whites))
+            cid, _, t = bound[mv.i]
+            bind(cid, BlobSubconfig(mv.blob, mv.whites), t)
         elif isinstance(mv, EraseMove):
-            cid, _ = bound.pop(mv.i)
+            cid = bound.pop(mv.i)[0]
             refs[cid] -= 1
             if refs[cid] == 0:
-                em.erase(cid)
+                events.append(Erase(cid))
 
     if not starred:
         t = g.targets[0]
         want = BlobSubconfig(frozenset({t}))
-        cid = next(c for c, s in bound.values() if s == want)
+        cid = next(c for c, s, _ in bound.values() if s == want)
         # the empty clause from [t]'s clause, (x_t), and the unit axiom (-x_t)
         pv = var_id(t, 1, 1)
-        unit = em.axiom((-pv,))
-        em.infer(cid, unit, pv)
-        em.erase(unit)
-    return ResolutionTrace(tuple(em.events))
+        unit = axiom((-pv,))
+        events += [Infer(cid, unit, pv, ()), Erase(unit)]
+    return ResolutionTrace(tuple(events))
 
 
 def metrics_vs_cost(g: Dag, d: int, trace) -> dict:

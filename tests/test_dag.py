@@ -63,10 +63,21 @@ def test_validate_flags_empty_graph_and_targets():
     assert validate_dag(Dag(2, [(0, 1)], targets=[])) == ["bad targets: empty"]
 
 
-def test_validate_flags_backward_edge():
-    g = Dag(2, [(1, 0)])
-    problems = validate_dag(g)
-    assert any("cycle" in p for p in problems)
+def test_dag_refuses_backward_edge_and_self_loop():
+    for u, v in [(1, 0), (0, 0)]:
+        message = f"edge ({u}, {v}) does not go from a lower id to a higher one"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            Dag(2, [(0, 1), (u, v)])
+
+
+def test_dag_refuses_reversed_pyramid():
+    """pyramid(2) with vertex v renamed 5 - v: every edge goes backward.
+    Dag took it once, and optimal_blob_price then answered 2, below the
+    black price 4."""
+    g = build_family(FamilySpec.pyramid(2))
+    edges = [(5 - u, 5 - v) for u, v in g.edges]
+    with pytest.raises(GraphError, match=r"^edge \(1, 0\) does not go from a lower id to a higher one$"):
+        Dag(6, edges, targets=[0])
 
 
 def test_validate_flags_fan_in():
@@ -93,7 +104,7 @@ def test_reaches_and_descendants():
 
 
 def descendants(g, v):
-    """All vertices reachable from v along forward edges, including v, read
+    """All vertices reachable from v, including v, read
     from ``Dag.below``; empty when v is outside the graph."""
     if not 0 <= v < g.n:
         return frozenset()
@@ -101,29 +112,33 @@ def descendants(g, v):
 
 
 def forward_reach(g, u):
-    """The vertices reachable from u along forward edges, by depth-first
-    search."""
+    """The vertices reachable from u, by depth-first search."""
     seen, stack = {u}, [u]
     while stack:
-        x = stack.pop()
-        for w in g.succs[x]:
-            if w > x and w not in seen:
+        for w in g.succs[stack.pop()]:
+            if w not in seen:
                 seen.add(w)
                 stack.append(w)
     return seen
 
 
 def random_pairs_dag(rng):
-    """A Dag on arbitrary vertex pairs: backward edges and self-loops too."""
+    """A Dag on random vertex pairs, each edge from the lower id to the
+    higher one."""
     n = rng.randint(1, 12)
-    return Dag(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))])
+    pairs = rng.randint(0, 2 * n) if n > 1 else 0
+    return Dag(n, [sorted(rng.sample(range(n), 2)) for _ in range(pairs)])
 
 
 def test_below_matches_depth_first_search():
+    """Also the neighbour lists: each vertex's, in ascending order."""
     rng = random.Random(SEED)
     for _ in range(200):
         g = random_pairs_dag(rng)
         n = g.n
+        for v in range(n):
+            assert g.preds[v] == tuple(sorted(u for u, w in g.edges if w == v))
+            assert g.succs[v] == tuple(sorted(w for u, w in g.edges if u == v))
         reach = [forward_reach(g, u) for u in range(n)]
         want = tuple(sum(1 << u for u in range(n) if u != v and v in reach[u]) for v in range(n))
         assert g.below == want, g

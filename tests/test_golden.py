@@ -6,7 +6,9 @@ trace reader and the checker were last optimised, and before the black
 compiler wrote each clause from its derivation step instead of resolving
 it: the DIMACS text of the pebbling contradiction, the trace text compiled
 from the family's black strategy, and the metrics the checker reports for
-that trace.
+that trace.  The blob compiler's digests, of the blob play that replays
+chain(6)'s starred proof, plain and starred, were taken before it wrote
+each clause from a subconfiguration instead of resolving it.
 """
 
 import hashlib
@@ -19,7 +21,9 @@ from pebble_bench import (
     check_trace_text,
     compile_pebbling,
     format_trace,
+    parse_blob_moves,
     pebbling_contradiction,
+    validate_blob_pebbling,
     validate_pebbling,
     write_dimacs,
 )
@@ -65,3 +69,25 @@ def test_proof_path_bytes(spec, d, cnf_sha, trace_sha, report):
     trace = format_trace(compile_pebbling(g, d, ptrace))
     assert sha256(trace) == trace_sha
     assert check_trace_text(f, trace).report() == report
+
+
+# The blob play the proof benchmark makes by inducing a configuration after
+# each event of chain(6)'s starred proof and explaining each transition.
+CHAIN6_REPLAY = (
+    "I 0\nI 1\nM 0 1 0\nE 1\nE 0\nI 2\nM 2 3 1\nE 3\nE 2\nI 3\nM 4 5 2\nE 5\nE 4\n"
+    "I 4\nM 6 7 3\nE 7\nE 6\nI 5\nM 8 9 4\nE 9\n"
+)
+
+
+@pytest.mark.parametrize(
+    "starred, trace_sha",
+    [
+        (False, "b73302ed49d1d02b419de4c9edc76e130b381c3e7b22ec3fb68bf2783229bfdf"),
+        (True, "1830923a5ee294ed04753192a83364f13ececaa0eb44b424c72b6d0b3b193396"),
+    ],
+    ids=["plain", "starred"],
+)
+def test_blob_compile_bytes(starred, trace_sha):
+    g = build_family(FamilySpec.chain(6))
+    btrace = validate_blob_pebbling(g, parse_blob_moves(CHAIN6_REPLAY))
+    assert sha256(format_trace(compile_pebbling(g, 1, btrace, starred=starred))) == trace_sha

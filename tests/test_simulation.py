@@ -3,6 +3,7 @@
 import gc
 import random
 from collections import Counter
+from itertools import count
 
 import pytest
 
@@ -12,6 +13,7 @@ from pebble_bench import (
     BlobSubconfig,
     Dag,
     FamilySpec,
+    IllegalMove,
     Move,
     ResolutionTrace,
     SizeBoundExceeded,
@@ -31,6 +33,7 @@ from pebble_bench import (
     validate_blob_pebbling,
     validate_pebbling,
 )
+from pebble_bench.blob import EraseMove, InflateMove, IntroduceMove, MergeMove, introduce, merge
 from pebble_bench.cnf import Clause, canon_clause, var_id
 from pebble_bench.resolution import Axiom, Erase, Infer, format_trace, resolve
 from pebble_bench.simulation import ImplicationOracle, subconfig_clause
@@ -315,15 +318,6 @@ def _repebbling(g):
     return moves + [Move("RB", v) for v in sorted(on)]
 
 
-def _relabelled(g, rng):
-    """g with its vertices renamed by a random permutation: some edges then
-    run from a higher id to a lower one."""
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    edges = [(perm[u], perm[v]) for u, v in g.edges]
-    return Dag(g.n, edges, targets=[perm[t] for t in g.targets])
-
-
 def assert_compiles_as_reference(g, trace, ds=(1, 2, 3)):
     for d in ds:
         for starred in (False, True):
@@ -345,32 +339,14 @@ def test_compile_matches_reference_on_families():
 
 def test_compile_matches_reference_on_random_dags():
     """The 40 DAGs of the any-fan-in test, under a pebbling that places
-    vertices again, and the same DAGs relabelled so that predecessors can
-    lie above their successors."""
+    vertices again."""
     rng = random.Random(SEED)
-    graphs = [_random_dag(rng, rng.randint(1, 8), 3) for _ in range(40)]
-    replaced = backward = 0
-    relabel = random.Random(SEED + 1)
-    for g in graphs + [_relabelled(g, relabel) for g in graphs]:
+    replaced = 0
+    for g in [_random_dag(rng, rng.randint(1, 8), 3) for _ in range(40)]:
         moves = _repebbling(g)
         replaced += len(moves) > 2 * g.n
-        backward += any(u > v for u, v in g.edges)
         assert_compiles_as_reference(g, validate_pebbling(g, moves, game="black"))
-    assert replaced >= 10 and backward >= 10
-
-
-def test_compile_sorts_clauses_of_a_backward_edge():
-    # vertex 0 has predecessors 1 and 2, above it: its variables come first
-    g = Dag(3, [(2, 0), (1, 0)], targets=[0])
-    trace = validate_pebbling(g, parse_moves("PB 1\nPB 2\nPB 0\nRB 0\nRB 1\nRB 2"), game="black")
-    text = format_trace(compile_pebbling(g, 2, trace))
-    assert text.startswith("a 3 4 0\na 5 6 0\na 1 2 -3 -5 0\n")
-    assert_compiles_as_reference(g, trace)
-    # a predecessor on each side of the vertex placed
-    g = Dag(4, [(0, 2), (3, 2), (1, 3)], targets=[2])
-    moves = parse_moves("PB 1\nPB 3\nRB 1\nPB 0\nPB 2\nRB 0\nRB 2\nRB 3")
-    trace = validate_pebbling(g, moves, game="black")
-    assert_compiles_as_reference(g, trace)
+    assert replaced >= 10
 
 
 def test_compile_leaves_no_cyclic_garbage():
@@ -448,6 +424,145 @@ def test_blob_compile_merge_subsumed_by_second_clause():
     )
     metrics = check_refutation(pebbling_contradiction(g, 1), rtrace)
     assert metrics.report() == {"length": 8, "width": 2, "clause_space": 6}
+
+
+# --- the closed-form blob compiler against the resolving one ------------------
+# The blob compiler as it was when it computed every merge's clause by
+# resolution on _RefEmitter, kept as the reference: the compiler that writes
+# each clause from a subconfiguration must give the same trace bytes.
+
+
+def reference_compile_blob(g: Dag, trace, starred: bool = False) -> ResolutionTrace:
+    em = _RefEmitter()
+    bound: dict[int, tuple[int, BlobSubconfig]] = {}  # blob id -> (clause id, sub)
+    refs: dict[int, int] = {}
+    bids = count()
+
+    def bind(cid: int, s: BlobSubconfig):
+        bound[next(bids)] = (cid, s)
+        refs[cid] = refs.get(cid, 0) + 1
+
+    for mv in trace.moves:
+        if isinstance(mv, IntroduceMove):
+            s = introduce(g, mv.v)
+            bind(em.axiom(subconfig_clause(s)), s)
+        elif isinstance(mv, MergeMove):
+            (c1, s1), (c2, s2) = bound[mv.i], bound[mv.j]
+            s = merge(s1, s2, mv.pivot)
+            pv = var_id(mv.pivot, 1, 1)
+            if pv not in em.clauses[c1]:
+                # the tracked clause already subsumes the merge result
+                bind(c1, s)
+            elif -pv not in em.clauses[c2]:
+                bind(c2, s)
+            else:
+                bind(em.infer(c1, c2, pv), s)
+        elif isinstance(mv, InflateMove):
+            bind(bound[mv.i][0], BlobSubconfig(mv.blob, mv.whites))
+        elif isinstance(mv, EraseMove):
+            cid, _ = bound.pop(mv.i)
+            refs[cid] -= 1
+            if refs[cid] == 0:
+                em.erase(cid)
+
+    if not starred:
+        t = g.targets[0]
+        want = BlobSubconfig(frozenset({t}))
+        cid = next(c for c, s in bound.values() if s == want)
+        pv = var_id(t, 1, 1)
+        unit = em.axiom((-pv,))
+        em.infer(cid, unit, pv)
+        em.erase(unit)
+    return ResolutionTrace(tuple(em.events))
+
+
+def random_blob_play(g, rng, steps):
+    """A legal blob play: ``steps`` random introductions, mergers,
+    inflations and erasures, then every live subconfiguration erased and
+    [v]<> derived for each vertex in id order, merging [u]<> into v's
+    axiom for each predecessor u."""
+    moves, live, ids = [], {}, count()
+
+    def add(move, s):
+        moves.append(move)
+        live[next(ids)] = s
+
+    for _ in range(steps):
+        kind = rng.choice("IMFE")
+        items = list(live.items())
+        if kind == "I":
+            v = rng.randrange(g.n)
+            if introduce(g, v) not in live.values():
+                add(IntroduceMove(v), introduce(g, v))
+        elif kind == "M":
+            pairs = [(i, j, p) for i, a in items for j, b in items for p in a.blob & b.whites]
+            if pairs:
+                i, j, p = rng.choice(pairs)
+                try:
+                    s = merge(live[i], live[j], p)
+                except IllegalMove:
+                    continue
+                if s not in live.values():
+                    add(MergeMove(i, j, p), s)
+        elif kind == "F" and items:
+            i, a = rng.choice(items)
+            free = sorted(set(range(g.n)) - a.blob - a.whites)
+            if free:
+                v = rng.choice(free)
+                blob, whites = (a.blob | {v}, a.whites) if rng.random() < 0.5 else (a.blob, a.whites | {v})
+                s = BlobSubconfig(blob, whites)
+                if s not in live.values():
+                    add(InflateMove(i, blob, whites), s)
+        elif kind == "E" and items:
+            i = rng.choice(items)[0]
+            moves.append(EraseMove(i))
+            del live[i]
+    moves += [EraseMove(i) for i in sorted(live)]
+    done = {}
+    for v in range(g.n):
+        cur = next(ids)
+        moves.append(IntroduceMove(v))
+        for u in g.preds[v]:
+            moves += [MergeMove(done[u], cur, u), EraseMove(cur)]
+            cur = next(ids)
+        done[v] = cur
+    return validate_blob_pebbling(g, moves)
+
+
+def test_blob_compile_matches_reference():
+    """The plays of the tests above, the induced replays of four families'
+    starred proofs, and random plays with inflations on random DAGs."""
+    plays = [
+        (Dag(2, [(0, 1)], targets=[1]), "I 1\nI 0\nM 1 0 0\nE 0\nE 1"),
+        (build_family(FamilySpec.chain(3)), "I 1\nI 2\nI 0\nM 2 0 0\nE 0\nE 2\nM 3 1 1\nE 1\nE 3"),
+        (
+            build_family(FamilySpec.chain(4)),
+            "I 3\nF 0 1,3|2\nE 0\nI 1\nI 0\nM 3 2 0\nE 2\nE 3\nI 2\nM 4 5 1\nE 4\nE 5\n"
+            "M 6 1 2\nE 1\nE 6\nI 2\nM 7 8 1\nE 7\nE 8\nI 3\nM 9 10 2\nE 9\nE 10",
+        ),
+        (
+            build_family(FamilySpec.chain(3)),
+            "I 0\nI 1\nM 0 1 0\nE 1\nF 2 1|0\nE 2\nE 0\nI 0\nM 4 3 0\nI 2\nM 5 6 1",
+        ),
+    ]
+    traces = [(g, validate_blob_pebbling(g, parse_blob_moves(text))) for g, text in plays]
+    for spec in [FamilySpec.chain(4), FamilySpec.pyramid(1), FamilySpec.pyramid(2), FamilySpec.binary_tree(2)]:
+        g, trace = black_trace(spec)
+        builder = replay_induced(g, compile_pebbling(g, 1, trace, starred=True))
+        traces.append((g, validate_blob_pebbling(g, builder.moves)))
+    rng = random.Random(SEED + 2)
+    for _ in range(60):
+        g = _random_dag(rng, rng.randint(1, 7), 2)
+        traces.append((g, random_blob_play(g, rng, 40)))
+    inflated = subsumed = 0
+    for g, trace in traces:
+        inflated += any(isinstance(mv, InflateMove) for mv in trace.moves)
+        for starred in (False, True):
+            got = format_trace(compile_pebbling(g, 1, trace, starred=starred))
+            assert got == format_trace(reference_compile_blob(g, trace, starred)), (g, starred)
+        subsumed += got.count("\nr ") < sum(isinstance(mv, MergeMove) for mv in trace.moves)
+        check_refutation(pebbling_contradiction(g, 1), compile_pebbling(g, 1, trace))
+    assert inflated >= 30 and subsumed >= 10
 
 
 def test_compile_rejects_unknown_trace_type():
@@ -718,11 +833,10 @@ def test_explain_skips_illegal_merges_of_live_subconfigurations():
 
 
 def test_explain_refuses_what_nothing_derives():
-    # on a 2-cycle the introductions [0]<1> and [1]<0> do not merge, and
-    # neither lies inside [0]<>
-    g = Dag(2, [(0, 1), (1, 0)], targets=[0])
-    with pytest.raises(UnsupportedOperation, match=r"^cannot explain induced subconfiguration \[0\]<>$"):
-        explain_transition(g, BlobScriptBuilder(g), BlobConfig(frozenset({sub([0])})))
+    # nothing derived from [0]<> and [1]<0> has its blob inside {5}
+    g = Dag(2, [(0, 1)])
+    with pytest.raises(UnsupportedOperation, match=r"^cannot explain induced subconfiguration \[5\]<>$"):
+        explain_transition(g, BlobScriptBuilder(g), BlobConfig(frozenset({sub([5])})))
 
 
 def test_metrics_vs_cost_blob():
