@@ -44,16 +44,19 @@ class Dag:
     graph's one reachability table, built on first use in O(n^2) bits, and
     ``reaches`` reads it.
     Ids are topological: an edge (u, v) with u >= v, a self-loop
-    included, is refused with GraphError, as is an id out of range or more
-    than ``MAX_VERTICES`` vertices.  Construction is otherwise permissive
-    about shape (fan-in, targets that are no sinks) so that
-    ``validate_dag`` can report those problems.
+    included, is refused with GraphError, as are an id out of range and a
+    graph with no vertex, so every ``Dag`` has a pebbling.  More than
+    ``MAX_VERTICES`` vertices are refused with SizeBoundExceeded.
+    Construction is otherwise permissive about shape (fan-in, targets that
+    are no sinks) so that ``validate_dag`` can report those problems.
     """
 
     __slots__ = ("n", "edges", "preds", "succs", "pred_mask", "succ_mask",
                  "sources", "sinks", "targets", "target_mask", "_below")
 
     def __init__(self, n: int, edges, targets=None):
+        if n < 1:
+            raise GraphError(f"graph has {n} vertices, needs at least 1")
         if n > MAX_VERTICES:
             raise SizeBoundExceeded(f"graph has {n} vertices, above the bound {MAX_VERTICES}")
         edges = tuple(sorted(set((int(u), int(v)) for u, v in edges)))
@@ -120,14 +123,11 @@ class Dag:
 
 
 def validate_dag(g: Dag) -> list[str]:
-    """Return a list of the shape problems ``Dag`` accepts: no vertices,
-    fan-in above 2, and targets that are empty or no sinks (empty means the
-    graph is fine).  ``Dag`` itself refuses every edge that does not go
-    from a lower id to a higher one."""
+    """Return a list of the shape problems ``Dag`` accepts: fan-in above 2,
+    and targets that are empty or no sinks (empty means the graph is fine).
+    ``Dag`` itself refuses a graph with no vertex and every edge that does
+    not go from a lower id to a higher one."""
     report: list[str] = []
-    if g.n == 0:
-        report.append("no vertices")
-        return report
     for v in range(g.n):
         if len(g.preds[v]) > 2:
             report.append(f"fan-in exceeds 2 at vertex {v}")
@@ -389,7 +389,7 @@ def read_graph(text: str) -> Dag:
             targets.append(t)
         else:
             raise ParseError(f"unknown line type {parts[0]!r}", lineno)
-    if n is None or n == 0:
+    if n is None or n < 1:
         raise ParseError("no vertices")
     g = Dag(n, edges, targets=targets or None)
     problems = validate_dag(g)

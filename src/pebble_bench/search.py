@@ -8,10 +8,12 @@ while visiting far fewer states.  It is also confined to the vertices that
 some unvisited target still needs (``_black_steps``).  The black-white
 game is searched at move level (placements cost 1, removals 0).  Both
 games run on one best-first loop, ``_search`` (A*), guided by the
-ancestor-closure bound of ``_closure``.  The black searches start at the
-space budget ``_price_floor``, a lower bound on the black price worked out
-from the graph alone in one pass over its vertices, as no smaller budget has
-a pebbling; the BW and blob searches start at 1.
+ancestor-closure bound of ``_closure``.  The BW search places a white
+pebble only where a predecessor is missing, as a black one serves as well
+elsewhere (``_bw_steps``).  Each game's searches start at a lower bound on
+its price worked out from the graph alone, ``_price_floor`` (black) and
+``_bw_price_floor`` (BW), as no smaller budget has a pebbling; the blob
+search starts at 1.
 
 These oracles are meant for desk-size instances.  A call stops with
 SizeBoundExceeded once the states it has stored, over all its space budgets
@@ -89,16 +91,17 @@ class SearchStats:
     ``optimal_blob_price``.
 
     Filled only when passed as ``stats=``.  ``budgets`` gets one record per
-    space budget (for blob prices, cost cap) searched, in order.  Black
-    searches start at the lower bound ``_price_floor`` on the price; a
-    budget below it is not searched and has no record.  The others start
-    at 1.  ``generated``, ``expanded`` and ``seconds`` are their totals and
-    ``table`` is the peak table size, the largest ``generated`` of one
-    budget.  ``stop`` is why the last call stopped: ``goal`` (the price
-    was found), ``floor`` (a budget reached the time floor), ``cap`` (the
-    space cap), ``n`` (the vertex count) or ``states`` (the call stored
-    more states than ``MAX_STORED_BYTES`` allows, and raised
-    SizeBoundExceeded; its last record is the budget it stopped in).
+    space budget (for blob prices, cost cap) searched, in order.  The
+    pebble-game searches start at a lower bound on the price,
+    ``_price_floor`` in the black game and ``_bw_price_floor`` in the BW
+    game; a budget below it is not searched and has no record.  The blob
+    search starts at 1.  ``generated``, ``expanded`` and ``seconds`` are
+    their totals and ``table`` is the peak table size, the largest
+    ``generated`` of one budget.  ``stop`` is why the last call stopped:
+    ``goal`` (the price was found), ``floor`` (a budget reached the time
+    floor), ``cap`` (the space cap) or ``states`` (the call stored more
+    states than ``MAX_STORED_BYTES`` allows, and raised SizeBoundExceeded;
+    its last record is the budget it stopped in).
     """
 
     def __init__(self) -> None:
@@ -276,6 +279,18 @@ def _bw_steps(g: Dag, s: int, dist: dict):
     A removal of v adds closure(v) when v feeds the closure or a white
     pebble.  Only the moves that improve on ``dist`` are returned.
 
+    A free vertex gets one placement: white when some predecessor is off
+    the board, else black.  This keeps every least time.  With all of v's
+    predecessors on, both placements are legal, cost the same, mark the
+    same visited bits and leave the same closure, as the white one's adds
+    nothing.  A later white removal of v needs v's predecessors on the
+    board, but a black removal is always legal, and every other move sees
+    only that v is occupied.  So in any pebbling, placing such a pebble
+    black and removing it black at the white removal's step gives a legal
+    pebbling with the same boards' sizes at every step: no wider and no
+    longer.  Every white placement it keeps had a predecessor missing, so
+    the search still reaches a least-time pebbling at every budget.
+
     On a full board only removals are legal, as a placement needs a free
     pebble, so then only the occupied vertices are visited, in ascending
     order, the order of a scan of every vertex; the successors come in the
@@ -311,13 +326,10 @@ def _bw_steps(g: Dag, s: int, dist: dict):
                     nx = _closure(pm, x, vbit, occupied ^ vbit) if sm[v] & (x | white) else x
                     out.append((d, nstate, nx))
             elif room:
-                nx = x & ~vbit
-                nstate = state | vbit | seen[v]
-                if not missing and dist.get(nstate, d + 2) > d + 1:
-                    out.append((d + 1, nstate, nx))
-                nstate = state | vbit << n | seen[v]
+                # White with a predecessor missing, else black: one placement.
+                nstate = state | (vbit << n if missing else vbit) | seen[v]
                 if dist.get(nstate, d + 2) > d + 1:
-                    out.append((d + 1, nstate, _closure(pm, nx, missing, occupied | vbit)))
+                    out.append((d + 1, nstate, _closure(pm, x & ~vbit, missing, occupied | vbit)))
         return out
 
     return steps
@@ -356,7 +368,7 @@ def _price_floor(g: Dag) -> int:
     A pebbling of the graph starts empty and places every target, so it
     holds at least B pebbles at some moment: no budget below B has one.
     A white pebble is placed without its predecessors, so the argument
-    does not cover the BW game.
+    does not cover the BW game; ``_bw_price_floor`` does.
 
     L is worked out in id order, which is topological, so each vertex
     comes after its predecessors; u's region is u with ``Dag.below[u]``.
@@ -373,6 +385,21 @@ def _price_floor(g: Dag) -> int:
         disjoint = union.bit_count() == size
         least[v] = max([len(ls) + 1] + [low + i * disjoint for i, low in enumerate(ls)])
     return max([1] + [least[t] for t in g.targets])
+
+
+def _bw_price_floor(g: Dag) -> int:
+    """A lower bound on the BW price: 1 plus the largest in-degree among the
+    targets and their ancestors, or 1 if that set has no edges.
+
+    Sound: every vertex of that set is pebbled in a complete pebbling.  A
+    target is; and a pebbled vertex needs its predecessors on the board at
+    its black placement or at the removal of its white pebble, so they are
+    pebbled too.  Each pebbled vertex v is placed black or removed white,
+    as no white pebble is left at the end, and at that move v and all its
+    predecessors are on the board.
+    """
+    need = _closure(g.pred_mask, 0, g.target_mask, 0)
+    return 1 + max((len(g.preds[v]) for v in range(g.n) if need >> v & 1), default=0)
 
 
 def _search(g: Dag, game: str, s: int, parents, stats: SearchStats, stored: int):
@@ -495,19 +522,20 @@ def optimal_price(
     a given graph), read off the parent links of the winning search.
     Raises SizeBoundExceeded once the budgets searched have stored more
     states than ``MAX_STORED_BYTES`` allows.  ``stats`` is filled with the
-    work of each budget searched.  The black game's budgets start at
-    ``_price_floor``, below which none has a pebbling; the BW game's at 1.
+    work of each budget searched.  The budgets start at ``_price_floor``
+    in the black game and ``_bw_price_floor`` in the BW game, below which
+    none has a pebbling.  Budget n has one, as every ``Dag`` has a vertex.
     """
     _check_game(game)
     stats = SearchStats() if stats is None else stats
     start = stats.generated
-    for s in range(_price_floor(g) if game == "black" else 1, g.n + 1):
+    for s in range((_price_floor if game == "black" else _bw_price_floor)(g), g.n + 1):
         parents = {} if with_trace else None
         d, goal = _search(g, game, s, parents, stats, stats.generated - start)
         if d is not None:
             stats.stop = "goal"
             return (s, _witness(g, game, parents, goal)) if with_trace else s
-    raise SizeBoundExceeded("no complete pebbling found (unreachable for valid DAGs)")
+    raise AssertionError("budget n has a pebbling")  # pragma: no cover - every Dag has a vertex
 
 
 @dataclass(frozen=True)
@@ -543,10 +571,11 @@ def tradeoff_frontier(
     The sweep stops at the first budget whose time equals the time floor F,
     the search's bound at the start: |ancestors(targets)|.  This is exact.
     Every budget has min time >= F, min time never rises as the budget
-    grows, so every budget above the stop also has time F.  Budgets above n
-    allow the same pebblings as budget n, so the sweep searches at most n
-    budgets.  In the black game it starts at ``_price_floor``, as no budget
-    below that has a pebbling.
+    grows, so every budget above the stop also has time F.  Budget n holds
+    every vertex at once, so its time is F and the sweep searches at most n
+    budgets; a sweep that ends without reaching F ended at the cap.  It
+    starts at ``_price_floor`` in the black game and ``_bw_price_floor`` in
+    the BW game, as no budget below those has a pebbling.
     """
     if above_price is not None and space_cap:
         raise ValueError("give space_cap or above_price, not both")
@@ -558,7 +587,8 @@ def tradeoff_frontier(
     floor = _closure(g.pred_mask, 0, g.target_mask, 0).bit_count()
     cap = space_cap if above_price is None else g.n + above_price
     points: list[tuple[int, int]] = []
-    for s in range(_price_floor(g) if game == "black" else 1, min(cap, g.n) + 1):
+    first = (_price_floor if game == "black" else _bw_price_floor)(g)
+    for s in range(first, min(cap, g.n) + 1):
         t, _ = _search(g, game, s, None, stats, stats.generated - start)
         if t is None:
             continue
@@ -570,7 +600,7 @@ def tradeoff_frontier(
             stats.stop = "floor" if t == floor else "cap"
             break
     else:
-        stats.stop = "cap" if above_price is None and cap <= g.n else "n"
+        stats.stop = "cap"
     return ParetoFrontier(points=tuple(points))
 
 
@@ -602,7 +632,7 @@ def optimal_blob_price(
         if _blob_reachable(g, cap, strict, stats, stats.generated - start):
             stats.stop = "goal"
             return cap
-    raise SizeBoundExceeded("no complete blob pebbling found (unreachable for valid DAGs)")
+    raise AssertionError("cap n has a play")  # pragma: no cover - every Dag has a vertex
 
 
 def _with_sub(cfg: frozenset, new: tuple[int, int]) -> frozenset:
@@ -646,7 +676,11 @@ def _blob_reachable(g: Dag, cap: int, strict: bool, stats: SearchStats, stored: 
     blob vertices at/above the bottom only grows the chargeable set and
     yields a subconfiguration dominated by its source, and a merge pivoting
     on an inflation-added vertex produces a weakening of the source, so
-    only the bottom-lowering inflations can ever pay off.  The cost check
+    only the bottom-lowering inflations can ever pay off.  A strict blob is
+    a chain, and a vertex below the bottom is comparable with the bottom
+    only if it reaches it, so strict fattening adds only the bottom's
+    ancestors: ``strict_ok`` refuses every other inflation anyway, so the
+    successors are the same.  The cost check
     uses the transient configuration (new subconfiguration next to its
     operands/source) to mirror per-move accounting in the validator, and
     the validator's own rule, ``blob._charge`` on ``Dag.below``, to charge
@@ -665,8 +699,8 @@ def _blob_reachable(g: Dag, cap: int, strict: bool, stats: SearchStats, stored: 
     a configuration is generated, not when it is popped; every generated
     configuration is reachable within the cap, so the verdict is the same.
     """
-    n = g.n
-    charge = partial(_charge, g.below)
+    n, below = g.n, g.below
+    charge = partial(_charge, below)
 
     @cache
     def strict_ok(s: tuple[int, int]) -> bool:
@@ -693,7 +727,10 @@ def _blob_reachable(g: Dag, cap: int, strict: bool, stats: SearchStats, stored: 
         for s in cfg:
             blob, whites = s
             rest = cfg - {s}
-            room = ((blob & -blob) - 1) & ~whites
+            low = blob & -blob
+            room = (low - 1) & ~whites
+            if strict:
+                room &= below[low.bit_length() - 1]
             extra = room
             while extra:
                 fat = (blob | extra, whites)

@@ -59,7 +59,10 @@ def test_repr():
 
 
 def test_validate_flags_empty_graph_and_targets():
-    assert validate_dag(Dag(0, [])) == ["no vertices"]
+    # Dag itself refuses a graph with no vertex, which has no pebbling
+    for n in (0, -1):
+        with pytest.raises(GraphError, match=f"^graph has {n} vertices, needs at least 1$"):
+            Dag(n, [])
     assert validate_dag(Dag(2, [(0, 1)], targets=[])) == ["bad targets: empty"]
 
 
