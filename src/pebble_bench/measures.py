@@ -16,6 +16,7 @@ small bound cannot dodge the potential argument.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -138,8 +139,10 @@ def klawe_measure(view: LayeredView, U) -> MeasureValue:
 def potential(g: Dag, config, direction: str = "below") -> int:
     """Least measure of a set whose hull covers the whole configuration.
 
-    ``config`` may be a PebbleConfig or any iterable of vertices.  Exhausts
-    all vertex subsets, so refuses graphs above ``POTENTIAL_BOUND`` vertices.
+    ``config`` may be a PebbleConfig or any iterable of vertices.  Scans
+    the vertex subsets in ascending measure and stops at the first that
+    hides the configuration, so refuses graphs above ``POTENTIAL_BOUND``
+    vertices.
     """
     if g.n > POTENTIAL_BOUND:
         raise SizeBoundExceeded(f"{g.n} vertices exceeds potential bound {POTENTIAL_BOUND}")
@@ -148,9 +151,9 @@ def potential(g: Dag, config, direction: str = "below") -> int:
     pebbled = _mask(g, config)
     if not pebbled:
         return 0
-    hull, meas = _hulls_and_measures(g, direction)
-    # The set of all vertices hides everything, so the minimum exists.
-    return min(meas[m] for m in range(1 << g.n) if hull[m] & pebbled == pebbled)
+    hull, meas, by_measure = _hulls_and_measures(g, direction)
+    # The set of all vertices hides everything, so a hiding set exists.
+    return meas[next(m for m in by_measure if hull[m] & pebbled == pebbled)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +179,31 @@ class LhcResult:
 
 # Hulls and levels depend only on n and the edges, so graphs equal as Dags
 # may share a table.  No graph above POTENTIAL_BOUND = 14 vertices gets one;
-# there an entry holds 2^14 hull ints (each its own object) and 2^14 measures
-# (small cached ints): about 0.75 MiB (tracemalloc), so 6 MiB for 8 entries.
+# there an entry holds 2^14 hull ints (each its own object), 2^14 measures
+# (small cached ints) and the 2-byte measure order: about 0.78 MiB
+# (tracemalloc), so 6.2 MiB for 8 entries.
 @lru_cache(maxsize=8)
-def _hulls_and_measures(g: Dag, direction: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Hull and measure for every vertex subset, as bitmask tables.
+def _hulls_and_measures(g: Dag, direction: str) -> tuple[tuple[int, ...], tuple[int, ...], array]:
+    """Hull and measure for every vertex subset, as bitmask tables, and the
+    subsets in ascending measure, ties in ascending bitmask order.
 
     Built once per graph and direction, then shared: tuples, so no caller
-    can change a table another one reads.
+    can change a table another one reads.  The order is an ``array('H')``,
+    2 bytes a subset, as n <= 14 keeps each bitmask below 2^16; callers
+    only read it.
     """
     level_masks = _level_masks(LayeredView.from_dag(g))
     subsets = range(1 << g.n)
     hull = tuple(_hull(g, mask, direction) for mask in subsets)
     meas = tuple(max(_partials(level_masks, mask), default=0) for mask in subsets)
-    return hull, meas
+    return hull, meas, array("H", sorted(subsets, key=meas.__getitem__))
+
+
+@lru_cache(maxsize=None)
+def _by_size(n: int) -> array:
+    """The subsets of n vertices in ascending size, ties in ascending
+    bitmask order.  Only check_lhc's sweep asks, so n <= LHC_BOUND."""
+    return array("H", sorted(range(1 << n), key=int.bit_count))
 
 
 def _connected(g: Dag, mask: int) -> bool:
@@ -223,8 +237,8 @@ def _in_scope_hiders(g: Dag, direction: str):
     """
     if g.n > LHC_BOUND:
         raise SizeBoundExceeded(f"{g.n} vertices exceeds hider-check bound {LHC_BOUND}")
-    hull, meas = _hulls_and_measures(g, direction)
-    by_size = sorted(range(1 << g.n), key=int.bit_count)
+    hull, meas, _ = _hulls_and_measures(g, direction)
+    by_size = _by_size(g.n)
     for mask in range(1, 1 << g.n):
         if not _tight(mask, hull) or not _connected(g, hull[mask]):
             continue

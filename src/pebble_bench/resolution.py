@@ -3,13 +3,15 @@
 A trace is a sequence of events, each a named tuple: ``Axiom`` downloads a
 clause of the formula, ``Infer`` resolves two live clauses, and ``Erase``
 frees a live clause.  Axiom and inference events get sequential 1-based ids.
-The compiler emits these events, ``parse_trace`` reads them from text with
-canonical clauses, and ``check_trace_text`` checks them as it reads them,
-with the clauses as written.  The checker is a single pass that verifies
-every event and measures length (axioms + inferences), width (largest
-clause appearing), and clause space (peak number of simultaneously live
-clauses).  No live clause is tautological, so the checker resolves on sets
-and accepts a stated clause of the resolvent's length and set (``_verify``).
+The compiler emits these events, ``format_trace`` writes them as text, and
+``parse_trace`` reads them back with canonical clauses.  There is one
+checker, ``check_trace_text``: a single loop over the lines of a trace text
+that verifies each event as it reads it, with the clauses as written, and
+measures length (axioms + inferences), width (largest clause appearing),
+and clause space (peak number of simultaneously live clauses).
+``check_refutation`` checks an event trace by writing it as text first.  No
+live clause is tautological, so the checker resolves on sets and accepts a
+stated clause of the resolvent's length and set.
 """
 
 from __future__ import annotations
@@ -100,6 +102,18 @@ class ProofMetrics:
         }
 
 
+class _Memo(dict):
+    """key -> fn(key), computed on a miss: the text of a literal, or the
+    literal a token stands for, once per trace."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def check_refutation(f: Cnf, trace: ResolutionTrace) -> ProofMetrics:
     """Verify a refutation trace against a formula and measure it.
 
@@ -107,26 +121,17 @@ def check_refutation(f: Cnf, trace: ResolutionTrace) -> ProofMetrics:
     resolves two live clauses on the stated pivot into exactly the stated
     clause, erased ids are live, and the final live set contains the empty
     clause.  Raises VerificationError carrying the 0-based event index.
+    The trace is written with ``format_trace`` and checked as text, so
+    there is one checker, ``check_trace_text``.
     """
-    return _verify(f, trace.events)
+    return check_trace_text(f, format_trace(trace))
 
 
 def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
-    """``check_refutation(f, parse_trace(text))`` in one pass over the text,
-    keeping no trace.  As there, a malformed line is reported ahead of a
-    verification failure at an earlier event."""
-    events = _records(text)
-    try:
-        return _verify(f, events)
-    except VerificationError as e:
-        err = e
-    for _ in events:  # raises the ParseError of a later line, if any
-        pass
-    raise err
-
-
-def _verify(f: Cnf, events) -> ProofMetrics:
-    """The checker.
+    """The checker: ``check_refutation(f, parse_trace(text))`` in one loop
+    over the lines, each parsed and verified where it stands, keeping no
+    trace.  After the first verification failure the remaining lines are
+    only parsed, so a malformed later line is reported ahead of it.
 
     No live clause is tautological: an axiom is a clause of ``f``, which
     ``Cnf`` refuses if tautological, and a resolvent goes live only after
@@ -137,32 +142,68 @@ def _verify(f: Cnf, events) -> ProofMetrics:
     for a missing one.  Canonical forms are built only on a miss, where a
     repeated literal may still agree; a failed pivot or tautology check is
     reported by ``resolve``.  Axioms are canonicalised only when not found
-    as given.
+    as written.  Erase lines, half of a compiled trace, are read first.
     """
     axioms = set(f.clauses)
     live: dict[int, Clause] = {}
     next_id = 1
     width = space = 0
-    for idx, ev in enumerate(events):
-        kind = type(ev)
-        if kind is Erase:
-            if ev.id not in live:
-                raise VerificationError(f"erased id {ev.id} not live", index=idx)
-            del live[ev.id]
-            continue  # an erasure cannot raise the peak
-        if kind is Axiom:
-            cl = ev.clause
-            if type(cl) is not tuple or cl not in axioms:  # a list does not hash
+    idx = -1  # of the current event
+    err = None  # the first verification failure
+    lit = _Memo(int).__getitem__  # a literal recurs in many clauses, an id does not
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        kind = parts[0]
+        if kind == "e":
+            if len(parts) != 2:
+                raise ParseError("bad erase line", lineno)
+            try:
+                cid = int(parts[1])
+            except ValueError:
+                raise ParseError(f"bad integer in {raw.strip()!r}", lineno) from None
+            idx += 1
+            if err is None:
+                if cid in live:
+                    del live[cid]  # an erasure cannot raise the peak
+                else:
+                    err = VerificationError(f"erased id {cid} not live", index=idx)
+            continue
+        if kind[0] == "c":
+            continue
+        if kind != "a" and kind != "r":
+            raise ParseError(f"unknown line type {kind!r}", lineno)
+        try:
+            if kind == "a":
+                ints = tuple(map(lit, parts[1:]))
+            else:
+                ints = (*map(int, parts[1:3]), *map(lit, parts[3:]))
+        except ValueError:
+            raise ParseError(f"bad integer in {raw.strip()!r}", lineno) from None
+        if kind == "a":
+            if not ints or ints[-1]:
+                raise ParseError("axiom line missing trailing 0", lineno)
+        elif len(ints) < 4 or ints[-1]:
+            raise ParseError("bad inference line", lineno)
+        idx += 1
+        if err is not None:
+            continue
+        if kind == "a":
+            cl = ints[:-1]
+            if cl not in axioms:
                 cl = canon_clause(cl)
                 if cl not in axioms:
-                    raise VerificationError(f"axiom {cl} not in formula", index=idx)
-        elif kind is Infer:
-            left, right, pivot, cl = ev
+                    err = VerificationError(f"axiom {cl} not in formula", index=idx)
+                    continue
+        else:
+            left, right, pivot = ints[0], ints[1], ints[2]
             try:
                 c1 = live[left]
                 c2 = live[right]
             except KeyError as e:  # the left premise is looked up first
-                raise VerificationError(f"premise {e.args[0]} not live", index=idx) from None
+                err = VerificationError(f"premise {e.args[0]} not live", index=idx)
+                continue
             lits = {*c1, *c2}
             lits.discard(pivot)
             lits.discard(-pivot)
@@ -171,23 +212,24 @@ def _verify(f: Cnf, events) -> ProofMetrics:
                 try:
                     resolve(c1, c2, pivot)  # raises, naming the failed check
                 except (BadPivot, TautologicalResolvent) as e:
-                    raise VerificationError(str(e), index=idx) from None
-            if type(cl) is not tuple:  # live clauses are tuples: () must match
-                cl = tuple(cl)
+                    err = VerificationError(str(e), index=idx)
+                    continue
+            cl = ints[3:-1]
             if len(cl) != len(lits) or lits != set(cl):
                 stated, cl = canon_clause(cl), tuple(sorted(lits, key=abs))
                 if cl != stated:
-                    raise VerificationError(
+                    err = VerificationError(
                         f"stated clause {stated} differs from resolvent {cl}", index=idx
                     )
-        else:  # pragma: no cover - event union is closed
-            raise VerificationError(f"unknown event {ev!r}", index=idx)
+                    continue
         live[next_id] = cl
         next_id += 1
         if len(cl) > width:
             width = len(cl)
         if len(live) > space:
             space = len(live)
+    if err is not None:
+        raise err
     if () not in live.values():
         raise VerificationError("final live set lacks the empty clause")
     return ProofMetrics(length=next_id - 1, width=width, clause_space=space)
@@ -203,26 +245,33 @@ def _verify(f: Cnf, events) -> ProofMetrics:
 
 
 def format_trace(trace: ResolutionTrace) -> str:
+    """The trace as text, one line per event.  A literal recurs in many
+    clauses, so its text is computed once per call; ids are unique, and
+    are written directly."""
+    text = _Memo(str).__getitem__
     lines = []
     for ev in trace.events:
-        if isinstance(ev, Axiom):
-            lines.append("a " + " ".join(map(str, (*ev.clause, 0))))
-        elif isinstance(ev, Infer):
-            lits = " ".join(map(str, (*ev.clause, 0)))
-            lines.append(f"r {ev.left} {ev.right} {ev.pivot} {lits}")
-        else:
+        kind = type(ev)
+        if kind is Erase:
             lines.append(f"e {ev.id}")
+            continue
+        lits = " ".join(map(text, ev.clause))
+        lits = lits + " 0" if lits else "0"
+        if kind is Axiom:
+            lines.append("a " + lits)
+        else:
+            lines.append(f"r {ev.left} {ev.right} {ev.pivot} {lits}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_trace(text: str) -> ResolutionTrace:
-    return ResolutionTrace(tuple(_records(text, canon_clause)))
+    return ResolutionTrace(tuple(_records(text)))
 
 
-def _records(text: str, clause=tuple):
-    """Yield the event of each line, its clause passed through ``clause``:
-    as written by default.  Raises ParseError at the first malformed line.
-    Events are built by ``tuple.__new__``, the named tuples' own
+def _records(text: str):
+    """Yield the event of each line, its clause canonical.  Raises
+    ParseError at the first malformed line, by the rules of
+    ``check_trace_text``.  Events are built by ``tuple.__new__``, the named tuples' own
     constructor without the Python-level ``__new__`` in front of it; erase
     lines, half of a compiled trace, are read first."""
     new = tuple.__new__
@@ -251,8 +300,8 @@ def _records(text: str, clause=tuple):
         if kind == "a":
             if not ints or ints[-1]:
                 raise ParseError("axiom line missing trailing 0", lineno)
-            yield new(Axiom, (clause(ints[:-1]),))
+            yield new(Axiom, (canon_clause(ints[:-1]),))
         elif len(ints) < 4 or ints[-1]:
             raise ParseError("bad inference line", lineno)
         else:
-            yield new(Infer, (ints[0], ints[1], ints[2], clause(ints[3:-1])))
+            yield new(Infer, (ints[0], ints[1], ints[2], canon_clause(ints[3:-1])))

@@ -219,8 +219,13 @@ def test_hull_and_measure_tables_match_set_functions():
     for g in graphs:
         view = LayeredView.from_dag(g)
         for direction in ("below", "above"):
-            hull, meas = _hulls_and_measures(g, direction)
-            assert len(hull) == len(meas) == 1 << g.n
+            hull, meas, by_measure = _hulls_and_measures(g, direction)
+            assert len(hull) == len(meas) == len(by_measure) == 1 << g.n
+            # every subset once, by measure, ties by bitmask
+            assert sorted(by_measure) == list(range(1 << g.n))
+            assert all(
+                (meas[a], a) < (meas[b], b) for a, b in zip(by_measure, by_measure[1:])
+            )
             for mask in range(1 << g.n):
                 U = [v for v in range(g.n) if mask >> v & 1]
                 want = hidden_vertices(g, U, direction)
@@ -259,9 +264,11 @@ def test_shared_tables_match_recomputation_across_evictions():
     assert len(set(calls)) > measures._hulls_and_measures.cache_info().maxsize
     want = {key: table_from_scratch(*key) for key in set(calls)}
     for key in calls:
-        hull, meas = _hulls_and_measures(*key)
+        hull, meas, by_measure = _hulls_and_measures(*key)
         assert type(hull) is tuple and type(meas) is tuple
         assert (hull, meas) == want[key], key
+        assert by_measure.typecode == "H"
+        assert list(by_measure) == sorted(range(len(meas)), key=want[key][1].__getitem__)
     # Graphs equal as Dags share one table.
     twin = Dag(graphs[0].n, graphs[0].edges)
     assert _hulls_and_measures(twin, "below") is _hulls_and_measures(graphs[0], "below")
@@ -332,3 +339,54 @@ def test_measure_sweeps_match_reference():
             for bound in (need - 1, need):
                 got = check_lhc(g, bound, direction)
                 assert got == reference_check_lhc(g, bound, direction), (g, direction, bound)
+
+
+# --- the stored orders against exhaustive scans -------------------------------
+
+
+def topological_boards(g):
+    """The nonempty boards along a black pebbling that places vertices in id
+    order and removes a pebble once every successor of it is placed (a
+    sink's right away)."""
+    waiting = [len(s) for s in g.succs]
+    board = 0
+    boards = []
+    for v in range(g.n):
+        board |= 1 << v
+        boards.append(board)
+        for p in g.preds[v]:
+            waiting[p] -= 1
+            if not waiting[p]:
+                board &= ~(1 << p)
+                boards.append(board)
+        if not g.succs[v]:
+            board &= ~(1 << v)
+            boards.append(board)
+    return [b for b in boards if b]
+
+
+def test_potential_is_the_least_measure_of_a_hiding_set():
+    """``potential`` stops at the first hiding set in ascending measure; it
+    must give the minimum over all 2^n subsets.  The hider sweep reads a
+    stored size order; it must agree with one sorted per call."""
+    rng = random.Random(SEED + 3)
+    graphs = [random_dag(rng, n) for n in range(1, measures.POTENTIAL_BOUND + 1) for _ in range(2)]
+    assert max(g.n for g in graphs) == measures.POTENTIAL_BOUND
+    boards_seen = 0
+    for g in graphs:
+        boards = topological_boards(g)
+        for direction in ("below", "above"):
+            hull, meas, _ = _hulls_and_measures(g, direction)
+            for b in boards:
+                config = [v for v in range(g.n) if b >> v & 1]
+                want = min(meas[m] for m in range(1 << g.n) if hull[m] & b == b)
+                assert potential(g, config, direction) == want, (g, direction, config)
+            boards_seen += len(boards)
+            if g.n > measures.LHC_BOUND:
+                continue
+            need = min_lhc_bound(g, direction)
+            assert need == reference_min_lhc_bound(g, direction), (g, direction)
+            for bound in (need - 1, need):
+                got = check_lhc(g, bound, direction)
+                assert got == reference_check_lhc(g, bound, direction), (g, direction, bound)
+    assert boards_seen > 500

@@ -1,7 +1,7 @@
 """Tests for the resolution rule, trace checking, metrics, and the trace format."""
 
 import random
-from itertools import product
+from itertools import count, product
 
 import pytest
 
@@ -11,8 +11,11 @@ from pebble_bench import (
     Cnf,
     Dag,
     Erase,
+    EraseMove,
     FamilySpec,
     Infer,
+    IntroduceMove,
+    MergeMove,
     ParseError,
     ProofMetrics,
     ResolutionTrace,
@@ -26,6 +29,7 @@ from pebble_bench import (
     parse_trace,
     pebbling_contradiction,
     resolve,
+    validate_blob_pebbling,
     validate_pebbling,
 )
 from pebble_bench.cnf import Clause, canon_clause
@@ -435,6 +439,7 @@ def test_stated_clause_compared_as_a_set():
                 assert " differs from resolvent " in got[2]
             assert got == outcome(ref_check_refutation, f, trace)
             assert got == outcome(check_trace_text, f, format_trace(trace))
+            assert got == outcome(check_trace_text, f, ref_format_trace(trace))
 
 
 # --- the one-pass text checker against parse-then-check ----------------------
@@ -639,3 +644,78 @@ def test_check_trace_text_matches_parse_then_check():
     assert verdicts == {
         "ok", "parse", "axiom", "premise", "pivot", "resolvent", "stated", "erased", "final"
     }
+
+
+def test_parse_error_after_a_verification_failure():
+    """The checker reads on past the first failed event, so a malformed
+    line after it is what it reports."""
+    f, _ = simple_refutation()
+    wrong = "a 1 0\na -1 2 0\nr 1 2 1 1 0\na -2 0\n"  # the third event misstates
+    with pytest.raises(VerificationError) as exc:
+        check_trace_text(f, wrong)
+    assert exc.value.index == 2
+    with pytest.raises(ParseError) as exc:
+        check_trace_text(f, wrong + "r 3 4 2 x\n")
+    assert exc.value.line == 5
+    assert str(exc.value) == "line 5: bad integer in 'r 3 4 2 x'"
+
+
+# --- the trace writer against its first form -----------------------------------
+
+
+def ref_format_trace(trace: ResolutionTrace) -> str:
+    """format_trace before its literal cache, verbatim."""
+    lines = []
+    for ev in trace.events:
+        if isinstance(ev, Axiom):
+            lines.append("a " + " ".join(map(str, (*ev.clause, 0))))
+        elif isinstance(ev, Infer):
+            lits = " ".join(map(str, (*ev.clause, 0)))
+            lines.append(f"r {ev.left} {ev.right} {ev.pivot} {lits}")
+        else:
+            lines.append(f"e {ev.id}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def blob_play(g):
+    """A complete blob pebbling: [v]<> for each vertex in id order, merging
+    [u]<> into v's axiom for each predecessor u."""
+    moves, ids, done = [], count(), {}
+    for v in range(g.n):
+        cur = next(ids)
+        moves.append(IntroduceMove(v))
+        for u in g.preds[v]:
+            moves += [MergeMove(done[u], cur, u), EraseMove(cur)]
+            cur = next(ids)
+        done[v] = cur
+    return validate_blob_pebbling(g, moves)
+
+
+def test_format_trace_matches_reference():
+    specs = [
+        FamilySpec.chain(4),
+        FamilySpec.pyramid(2),
+        FamilySpec.binary_tree(2),
+        FamilySpec.carlson_savage(2, 1),
+    ]
+    traces = []
+    for spec in specs:
+        g = build_family(spec)
+        black = validate_pebbling(g, black_strategy(spec), game="black")
+        for d in range(1, 9):
+            for starred in (False, True):
+                traces.append(compile_pebbling(g, d, black, starred=starred))
+        for starred in (False, True):
+            traces.append(compile_pebbling(g, 1, blob_play(g), starred=starred))
+    assert len(traces) == len(specs) * 18
+    big = 2**70
+    traces += [
+        ResolutionTrace(()),
+        ResolutionTrace((Axiom(()),)),
+        ResolutionTrace((Axiom([3, -1, 2]), Infer(1, 1, 1, []), Infer(2, 1, 5, [-5, 5, 0]))),
+        ResolutionTrace(
+            (Axiom((big, -big, -1)), Infer(-3, big, -big, (-(big + 1), 0, 7)), Erase(-big), Erase(0))
+        ),
+    ]
+    for trace in traces:
+        assert format_trace(trace) == ref_format_trace(trace)
