@@ -19,7 +19,6 @@ from .errors import (
 from .dag import Dag, FamilySpec, build_family, read_graph, validate_dag, write_graph
 from .pebbling import (
     Move,
-    PebbleConfig,
     PebblingTrace,
     format_moves,
     parse_moves,
@@ -27,7 +26,6 @@ from .pebbling import (
     pw,
     rb,
     rw,
-    step,
     validate_pebbling,
 )
 from .blob import (

@@ -185,10 +185,12 @@ def read_dimacs(text: str) -> Cnf:
             parts = line.split()
             if num_vars is not None:
                 raise ParseError("duplicate p line", lineno)
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"bad header {line!r}", lineno)
             try:
+                if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
+                    raise ValueError
                 num_vars, declared = int(parts[2]), int(parts[3])
+                if num_vars < 0 or declared < 0:
+                    raise ValueError
             except ValueError:
                 raise ParseError(f"bad header {line!r}", lineno) from None
             continue

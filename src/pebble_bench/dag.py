@@ -44,8 +44,9 @@ class Dag:
     graph's one reachability table, built on first use in O(n^2) bits, and
     ``reaches`` reads it.
     Ids are topological: an edge (u, v) with u >= v, a self-loop
-    included, is refused with GraphError, as are an id out of range and a
-    graph with no vertex, so every ``Dag`` has a pebbling.  More than
+    included, is refused with GraphError, as are an id out of range, a
+    graph with no vertex and an empty target set, so every ``Dag`` has a
+    pebbling, and every pebbling places a pebble.  More than
     ``MAX_VERTICES`` vertices are refused with SizeBoundExceeded.
     Construction is otherwise permissive about shape (fan-in, targets that
     are no sinks) so that ``validate_dag`` can report those problems.
@@ -83,6 +84,8 @@ class Dag:
             self.targets = self.sinks
         else:
             self.targets = tuple(sorted(set(int(t) for t in targets)))
+            if not self.targets:
+                raise GraphError("graph has 0 targets, needs at least 1")
             for t in self.targets:
                 if not (0 <= t < n):
                     raise GraphError(f"target {t} out of range for {n} vertices")
@@ -124,15 +127,13 @@ class Dag:
 
 def validate_dag(g: Dag) -> list[str]:
     """Return a list of the shape problems ``Dag`` accepts: fan-in above 2,
-    and targets that are empty or no sinks (empty means the graph is fine).
-    ``Dag`` itself refuses a graph with no vertex and every edge that does
-    not go from a lower id to a higher one."""
+    and targets that are no sinks (empty means the graph is fine).
+    ``Dag`` itself refuses a graph with no vertex or no target and every
+    edge that does not go from a lower id to a higher one."""
     report: list[str] = []
     for v in range(g.n):
         if len(g.preds[v]) > 2:
             report.append(f"fan-in exceeds 2 at vertex {v}")
-    if not g.targets:
-        report.append("bad targets: empty")
     for t in g.targets:
         if t not in g.sinks:
             report.append(f"bad targets: {t} is not a sink")

@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from .dag import Dag
 from .errors import GraphError, SizeBoundExceeded
-from .pebbling import PebbleConfig
 
 __all__ = [
     "LayeredView",
@@ -139,15 +138,14 @@ def klawe_measure(view: LayeredView, U) -> MeasureValue:
 def potential(g: Dag, config, direction: str = "below") -> int:
     """Least measure of a set whose hull covers the whole configuration.
 
-    ``config`` may be a PebbleConfig or any iterable of vertices.  Scans
-    the vertex subsets in ascending measure and stops at the first that
-    hides the configuration, so refuses graphs above ``POTENTIAL_BOUND``
+    ``config`` is the configuration as an iterable of its pebbled
+    vertices, of either colour; GraphError for a vertex outside the graph.
+    Scans the vertex subsets in ascending measure and stops at the first
+    that hides them all, so refuses graphs above ``POTENTIAL_BOUND``
     vertices.
     """
     if g.n > POTENTIAL_BOUND:
         raise SizeBoundExceeded(f"{g.n} vertices exceeds potential bound {POTENTIAL_BOUND}")
-    if isinstance(config, PebbleConfig):
-        config = config.occupied
     pebbled = _mask(g, config)
     if not pebbled:
         return 0

@@ -1,8 +1,13 @@
-"""Black and black-white pebbling: single-step rules and trace validation.
+"""Black and black-white pebbling: the move rules and trace validation.
 
-A complete pebbling starts and ends with an empty board and pebbles every
-target at some step.  Time counts placements only; space is the maximum
-number of pebbles on the board.
+A pebbling is a sequence of moves on a board of black and white pebbles.
+Placing a black pebble on v needs every predecessor of v pebbled (either
+colour); removing a black pebble is free.  Placing a white pebble is free;
+removing one needs every predecessor pebbled.  The black game has no white
+moves.  A complete pebbling starts and ends with an empty board and
+pebbles every target at some step.  Time counts placements only; space is
+the maximum number of pebbles on the board.  ``validate_pebbling`` is the
+one place these rules are applied.
 """
 
 from __future__ import annotations
@@ -14,9 +19,7 @@ from .errors import IllegalMove, IncompletePebbling, ParseError
 
 __all__ = [
     "Move",
-    "PebbleConfig",
     "PebblingTrace",
-    "step",
     "validate_pebbling",
     "parse_moves",
     "format_moves",
@@ -39,10 +42,6 @@ class Move:
     def __str__(self):
         return f"{self.kind} {self.v}"
 
-    @property
-    def is_placement(self) -> bool:
-        return self.kind in ("PB", "PW")
-
 
 def pb(v: int) -> Move:
     return Move("PB", v)
@@ -58,61 +57,6 @@ def pw(v: int) -> Move:
 
 def rw(v: int) -> Move:
     return Move("RW", v)
-
-
-@dataclass(frozen=True)
-class PebbleConfig:
-    """Board state: disjoint black and white pebble sets."""
-
-    black: frozenset[int] = frozenset()
-    white: frozenset[int] = frozenset()
-
-    @property
-    def occupied(self) -> frozenset[int]:
-        return self.black | self.white
-
-    def size(self) -> int:
-        return len(self.black) + len(self.white)
-
-
-EMPTY = PebbleConfig()
-
-
-def step(g: Dag, cfg: PebbleConfig, move: Move, game: str = "black") -> PebbleConfig:
-    """Apply one move, raising IllegalMove if the rules forbid it.
-
-    Black placement needs all predecessors pebbled (either colour); black
-    removal is free.  White placement is free; white removal needs all
-    predecessors pebbled.  White moves are rejected in the black game.
-    """
-    if game not in ("black", "bw"):
-        raise IllegalMove(f"unknown game {game!r}")
-    v = move.v
-    if not (0 <= v < g.n):
-        raise IllegalMove(f"vertex {v} out of range")
-    occ = cfg.occupied
-    if move.kind == "PB":
-        if v in occ:
-            raise IllegalMove(f"vertex {v} already pebbled")
-        if any(p not in occ for p in g.preds[v]):
-            raise IllegalMove(f"predecessor of {v} unpebbled")
-        return PebbleConfig(cfg.black | {v}, cfg.white)
-    if move.kind == "RB":
-        if v not in cfg.black:
-            raise IllegalMove(f"no black pebble on {v}")
-        return PebbleConfig(cfg.black - {v}, cfg.white)
-    if game == "black":
-        raise IllegalMove("white moves forbidden in black game")
-    if move.kind == "PW":
-        if v in occ:
-            raise IllegalMove(f"vertex {v} already pebbled")
-        return PebbleConfig(cfg.black, cfg.white | {v})
-    # RW
-    if v not in cfg.white:
-        raise IllegalMove(f"no white pebble on {v}")
-    if any(p not in occ for p in g.preds[v]):
-        raise IllegalMove(f"predecessor of {v} unpebbled")
-    return PebbleConfig(cfg.black, cfg.white - {v})
 
 
 @dataclass(frozen=True)
@@ -133,32 +77,60 @@ class PebblingTrace:
 
 
 def validate_pebbling(g: Dag, moves, game: str = "black") -> PebblingTrace:
-    """Check a move sequence is a complete pebbling and measure it.
+    """Check a move sequence is a complete pebbling in ``game`` ("black" or
+    "bw") and measure it.
 
-    Raises IllegalMove (with the move index) on a rule violation and
-    IncompletePebbling if the board is nonempty at the end or some target is
-    never pebbled.
+    The board is two bitmask ints, ``black`` and ``white``, replayed one
+    move at a time; a placement or white removal tests ``g.pred_mask[v]``
+    against the board.  Raises IllegalMove without an index for an unknown
+    game, whatever the moves, and with the move's index on the first rule
+    violation: a vertex out of range, a placement on a pebbled vertex, a
+    removal of an absent pebble, a black placement or white removal with a
+    predecessor unpebbled, or a white move in the black game.  Raises
+    IncompletePebbling if the board is nonempty at the end or some target
+    is never pebbled.
     """
+    if game not in ("black", "bw"):
+        raise IllegalMove(f"unknown game {game!r}")
     moves = tuple(moves)
-    cfg = EMPTY
-    time = 0
-    space = 0
-    hit = set()
+    n, pred_mask, white_ok = g.n, g.pred_mask, game == "bw"
+    black = white = placed = 0
+    time = space = 0
     for i, mv in enumerate(moves):
-        try:
-            cfg = step(g, cfg, mv, game)
-        except IllegalMove as e:
-            raise IllegalMove(e.reason, index=i) from None
-        if mv.is_placement:
+        kind, v = mv.kind, mv.v
+        if not 0 <= v < n:
+            raise IllegalMove(f"vertex {v} out of range", index=i)
+        bit = 1 << v
+        if kind == "RB":
+            if not black & bit:
+                raise IllegalMove(f"no black pebble on {v}", index=i)
+            black ^= bit
+        elif kind != "PB" and not white_ok:
+            raise IllegalMove("white moves forbidden in black game", index=i)
+        elif kind == "RW":
+            if not white & bit:
+                raise IllegalMove(f"no white pebble on {v}", index=i)
+            if pred_mask[v] & ~(black | white):
+                raise IllegalMove(f"predecessor of {v} unpebbled", index=i)
+            white ^= bit
+        else:
+            board = black | white
+            if board & bit:
+                raise IllegalMove(f"vertex {v} already pebbled", index=i)
+            if kind == "PB":
+                if pred_mask[v] & ~board:
+                    raise IllegalMove(f"predecessor of {v} unpebbled", index=i)
+                black |= bit
+            else:
+                white |= bit
+            placed |= bit
             time += 1
-            if mv.v in g.targets:
-                hit.add(mv.v)
-        space = max(space, cfg.size())
-    if cfg.occupied:
+            space = max(space, board.bit_count() + 1)
+    if black | white:
         raise IncompletePebbling("final configuration nonempty")
-    missing = [t for t in g.targets if t not in hit]
+    missing = g.target_mask & ~placed
     if missing:
-        raise IncompletePebbling(f"target {missing[0]} never pebbled")
+        raise IncompletePebbling(f"target {(missing & -missing).bit_length() - 1} never pebbled")
     return PebblingTrace(game=game, moves=moves, time=time, space=space)
 
 

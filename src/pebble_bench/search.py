@@ -344,7 +344,7 @@ def _price_floor(g: Dag) -> int:
     source has L = 1.  A vertex v with predecessors u_1..u_k has
     L(v) = max(k + 1, L(u_i) for each i), and when the regions of the u_i
     are pairwise disjoint also max_i (L(u_i) + i - 1), the L(u_i) sorted
-    largest first.  B is the largest L of a target, or 1.
+    largest first.  B is the largest L of a target.
 
     Sound, by induction over v:
 
@@ -384,7 +384,7 @@ def _price_floor(g: Dag) -> int:
         # With overlapping regions each L(u_i) counts alone (i * 0).
         disjoint = union.bit_count() == size
         least[v] = max([len(ls) + 1] + [low + i * disjoint for i, low in enumerate(ls)])
-    return max([1] + [least[t] for t in g.targets])
+    return max(least[t] for t in g.targets)
 
 
 def _bw_price_floor(g: Dag) -> int:
@@ -399,7 +399,7 @@ def _bw_price_floor(g: Dag) -> int:
     predecessors are on the board.
     """
     need = _closure(g.pred_mask, 0, g.target_mask, 0)
-    return 1 + max((len(g.preds[v]) for v in range(g.n) if need >> v & 1), default=0)
+    return 1 + max(len(g.preds[v]) for v in range(g.n) if need >> v & 1)
 
 
 def _search(g: Dag, game: str, s: int, parents, stats: SearchStats, stored: int):
@@ -755,7 +755,7 @@ def _blob_reachable(g: Dag, cap: int, strict: bool, stats: SearchStats, stored: 
     start: frozenset[tuple[int, int]] = frozenset()
     seen = {start}
     queue = [(key(start), 0, start)]
-    found = goal <= start
+    found = False
     limit = MAX_STORED_BYTES // 1024
     room = limit - stored
     t0 = perf_counter()

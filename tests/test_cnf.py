@@ -263,6 +263,11 @@ def test_dimacs_parse_errors():
         read_dimacs("p cnf x 1\n1 0\n")
     with pytest.raises(ParseError, match="^line 1: clause before p line$"):
         read_dimacs("1 0\np cnf 1 1\n")
+    # the header's first token is p itself, and both counts are at least 0
+    for header in ("px cnf 1 1", "pcnf 1 1", "p dnf 1 1", "p cnf -1 0", "p cnf 1 -1", "p cnf 1"):
+        with pytest.raises(ParseError, match=f"^line 2: bad header '{header}'$"):
+            read_dimacs(f"c x\n{header}\n1 0\n")
+    assert read_dimacs("p cnf 0 0\n") == Cnf(num_vars=0, clauses=())
 
 
 def test_dimacs_names_clause_as_written():

@@ -59,11 +59,13 @@ def test_repr():
 
 
 def test_validate_flags_empty_graph_and_targets():
-    # Dag itself refuses a graph with no vertex, which has no pebbling
+    # Dag itself refuses a graph with no vertex, which has no pebbling, and
+    # one with no target, whose empty pebbling would pebble nothing
     for n in (0, -1):
         with pytest.raises(GraphError, match=f"^graph has {n} vertices, needs at least 1$"):
             Dag(n, [])
-    assert validate_dag(Dag(2, [(0, 1)], targets=[])) == ["bad targets: empty"]
+    with pytest.raises(GraphError, match="^graph has 0 targets, needs at least 1$"):
+        Dag(2, [(0, 1)], targets=[])
 
 
 def test_dag_refuses_backward_edge_and_self_loop():

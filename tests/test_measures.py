@@ -9,7 +9,6 @@ from pebble_bench import (
     FamilySpec,
     GraphError,
     LayeredView,
-    PebbleConfig,
     SizeBoundExceeded,
     build_family,
     check_lhc,
@@ -112,7 +111,7 @@ def test_measure_counts_from_each_level():
 def test_potential_apex():
     g = pyramid2()
     assert potential(g, {5}) == 3
-    assert potential(g, PebbleConfig(black=frozenset({5}))) == 3
+    assert potential(g, frozenset({5})) == 3
 
 
 def test_potential_empty_and_source():
@@ -286,8 +285,6 @@ def reference_hulls_and_measures(g, direction):
 def reference_potential(g, config, direction="below", bound=measures.POTENTIAL_BOUND):
     if g.n > bound:
         raise SizeBoundExceeded(f"{g.n} vertices exceeds potential bound {bound}")
-    if isinstance(config, PebbleConfig):
-        config = config.occupied
     pebbled = measures._mask(g, config)
     if not pebbled:
         return 0

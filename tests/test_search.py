@@ -838,7 +838,8 @@ def test_bw_price_floor_pinned():
     assert [floor(FamilySpec.binary_tree(h)) for h in range(1, 5)] == [3] * 4
     assert floor(FamilySpec.carlson_savage(2, 2)) == 3
     assert search._bw_price_floor(Dag(4, [(0, 3), (1, 3), (2, 3)], targets=[0])) == 1
-    assert search._bw_price_floor(Dag(3, [(0, 1)], targets=[])) == 1
+    with pytest.raises(GraphError, match="^graph has 0 targets, needs at least 1$"):
+        Dag(3, [(0, 1)], targets=[])
 
 
 def test_price_floor_is_the_price_of_an_in_tree():
@@ -1087,7 +1088,8 @@ def blob_check_graphs():
     specs += [FamilySpec.pyramid(1), FamilySpec.pyramid(2), FamilySpec.binary_tree(1)]
     specs += [FamilySpec.carlson_savage(2, 0), FamilySpec.carlson_savage(3, 0)]
     graphs = [build_family(spec) for spec in specs]
-    graphs.append(Dag(3, [(0, 2), (1, 2)], targets=[]))
+    with pytest.raises(GraphError, match="^graph has 0 targets, needs at least 1$"):
+        Dag(3, [(0, 2), (1, 2)], targets=[])
     rng = random.Random(SEED + 3)
     for i in range(150):
         # Mostly small: one 6-vertex graph can take a second to search.
