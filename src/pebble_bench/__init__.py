@@ -36,9 +36,7 @@ from .blob import (
     InflateMove,
     IntroduceMove,
     MergeMove,
-    blob_cost,
     format_blob_moves,
-    inflate,
     introduce,
     merge,
     parse_blob_moves,

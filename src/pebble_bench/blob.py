@@ -12,6 +12,11 @@ strictly below the bottom vertex of their own blob; whites sitting beside or
 above the blob ride for free.  One rule, ``_charge``, decides it on bitmasks
 against the graph's reachability table ``Dag.below``, for the validator and
 for the blob price search alike.
+
+Both replay a subconfiguration as a (blob, whites) pair of bitmasks, with
+vertex v at bit v, and test the strict shape with ``_shape_problem``.
+``BlobSubconfig`` is the frozenset form that moves, messages and the
+compiler read; ``_vertices`` turns a mask back into a vertex set.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .dag import Dag
 from .errors import (
     BadInflation,
     BadMerge,
-    GraphError,
     IllegalMove,
     IncompletePebbling,
     ParseError,
@@ -40,8 +44,6 @@ __all__ = [
     "BlobTrace",
     "introduce",
     "merge",
-    "inflate",
-    "blob_cost",
     "validate_blob_pebbling",
     "parse_blob_moves",
     "format_blob_moves",
@@ -82,6 +84,19 @@ class BlobConfig:
         return "{" + ", ".join(str(s) for s in sorted(self.subs, key=str)) + "}"
 
 
+def _bits(m: int):
+    """The one-bit masks of m."""
+    while m:
+        x = m & -m
+        yield x
+        m ^= x
+
+
+def _vertices(m: int) -> frozenset[int]:
+    """The vertices of the bitmask m, the vertex set of a blob or its whites."""
+    return frozenset(x.bit_length() - 1 for x in _bits(m))
+
+
 # ---------------------------------------------------------------------------
 # Moves on subconfigurations
 # ---------------------------------------------------------------------------
@@ -111,57 +126,19 @@ def merge(s1: BlobSubconfig, s2: BlobSubconfig, pivot: int) -> BlobSubconfig:
     return BlobSubconfig(blob, whites)
 
 
-def inflate(
-    s: BlobSubconfig,
-    target: BlobSubconfig,
-    g: Dag,
-    strict: bool = False,
-) -> BlobSubconfig:
-    """Weaken s to target.  Both components may only grow, staying disjoint,
-    and every vertex of target must be in g.
-
-    With ``strict`` the inflated subconfiguration must also keep its blob a
-    chain and its whites inside the blob's legal pebble positions; see
-    ``check_strict_shape``.
-    """
-    for v in sorted(target.blob | target.whites):
-        if not 0 <= v < g.n:
-            raise BadInflation(f"vertex {v} out of range")
-    if not s.blob <= target.blob:
-        raise BadInflation("blob not superset")
-    if not s.whites <= target.whites:
-        raise BadInflation("whites not superset")
-    if strict:
-        problem = check_strict_shape(g, target)
-        if problem:
-            raise BadInflation(problem)
-    return target
-
-
-def check_strict_shape(g: Dag, s: BlobSubconfig) -> str | None:
-    """Strict-variant side conditions; returns a problem string or None."""
-
-    def mask(vs) -> int:  # bit n stands for every vertex outside the graph
-        return sum(1 << v for v in {v if 0 <= v < g.n else g.n for v in vs})
-
-    return _shape_problem(g, mask(s.blob), mask(s.whites))
-
-
 def _shape_problem(g: Dag, blob: int, whites: int) -> str | None:
-    """``check_strict_shape`` on a nonempty blob and its whites as bitmasks.
+    """The strict-variant side conditions on a subconfiguration; returns a
+    problem string or None.
 
-    The blob must be a chain, totally ordered by reachability, and each
-    white must lie in a legal position: in the graph, outside the blob, and
-    strictly below the bottom vertex or on a path between two consecutive
-    blob vertices.  No vertex reaches or is reached from one outside the
-    graph.
+    ``blob`` (nonempty) and ``whites`` are disjoint bitmasks of vertices in
+    the graph.  The blob must be a chain, totally ordered by reachability,
+    and each white must lie in a legal position: strictly below the bottom
+    vertex or on a path between two consecutive blob vertices.
     """
     vs = [v for v in range(blob.bit_length()) if blob >> v & 1]
     pairs = list(zip(vs, vs[1:]))
     if not all(g.reaches(a, b) for a, b in pairs):
         return "blob not a chain"
-    if whites & blob or whites >> g.n:
-        return "white pebble outside legal positions"
     while whites:
         w = (whites & -whites).bit_length() - 1
         whites &= whites - 1
@@ -182,26 +159,6 @@ def _charge(below: tuple[int, ...], blob: int, whites: int) -> int:
     bitmask, given ``Dag.below``.  Ids are topological, so the bottom vertex
     is the lowest set bit of the (nonempty) blob."""
     return blob | (whites & below[(blob & -blob).bit_length() - 1])
-
-
-def _masks(g: Dag, s: BlobSubconfig) -> tuple[int, int]:
-    """The blob and whites of s as bitmasks; GraphError for a vertex
-    outside the graph."""
-    for v in sorted(s.blob | s.whites):
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range")
-    return sum(1 << v for v in s.blob), sum(1 << v for v in s.whites)
-
-
-def blob_cost(g: Dag, cfg: BlobConfig) -> dict:
-    """Naive and chargeable cost of a configuration."""
-    blobs = whites = charged = 0
-    for s in cfg.subs:
-        blob, white = _masks(g, s)
-        blobs |= blob
-        whites |= white
-        charged |= _charge(g.below, blob, white)
-    return {"naive": blobs.bit_count() + whites.bit_count(), "chargeable": charged.bit_count()}
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +232,6 @@ class BlobTrace:
         }
 
 
-def _lookup(live: dict[int, BlobSubconfig], i: int) -> BlobSubconfig:
-    if i not in live:
-        raise IllegalMove(f"unknown subconfiguration {i}")
-    return live[i]
-
-
 def validate_blob_pebbling(
     g: Dag,
     moves,
@@ -293,47 +244,85 @@ def validate_blob_pebbling(
     ``strict`` enforces chain blobs and legal white positions on every
     created subconfiguration.  Raises IllegalMove (with the move index) or
     IncompletePebbling.
+
+    ``live`` maps each id to its (blob, whites) mask pair.  The unions of
+    the live blobs, whites and charged vertices grow as a subconfiguration
+    is created, the only move that can raise the cost, and are recomputed
+    over the live pairs after an erasure.  A ``BlobSubconfig`` is built only
+    for an error message and for ``final``.
     """
     moves = tuple(moves)
-    live: dict[int, BlobSubconfig] = {}
+    n, below = g.n, g.below
+    live: dict[int, tuple[int, int]] = {}
+    held: set[tuple[int, int]] = set()  # live.values(), for the duplicate test
     ids = count()
-    cost = 0
-    naive = 0
+    blobs = whites_in = charged = 0
+    cost = naive = 0
     for idx, mv in enumerate(moves):
         try:
             if isinstance(mv, EraseMove):
-                _lookup(live, mv.i)
-                del live[mv.i]
+                held.remove(live.pop(mv.i))
+                blobs = whites_in = charged = 0
+                for b, w in live.values():
+                    blobs |= b
+                    whites_in |= w
+                    charged |= _charge(below, b, w)
+                continue
+            if isinstance(mv, IntroduceMove):
+                if not 0 <= mv.v < n:
+                    raise IllegalMove(f"vertex {mv.v} out of range")
+                blob, whites = 1 << mv.v, g.pred_mask[mv.v]
+            elif isinstance(mv, MergeMove):
+                (b1, w1), (b2, w2), p = live[mv.i], live[mv.j], mv.pivot
+                if not (p >= 0 and b1 >> p & 1):
+                    raise BadMerge(f"pivot {p} not in first blob")
+                if not w2 >> p & 1:
+                    raise BadMerge(f"pivot {p} not white in second subconfiguration")
+                bit = 1 << p
+                blob, whites = (b1 ^ bit) | b2, w1 | (w2 ^ bit)
+                if blob & whites:
+                    raise BadMerge("merge result not disjoint")
+            elif isinstance(mv, InflateMove):
+                BlobSubconfig(mv.blob, mv.whites)  # refuses an empty blob or an overlap
+                b0, w0 = live[mv.i]
+                outside = [v for v in mv.blob | mv.whites if not 0 <= v < n]
+                if outside:
+                    raise BadInflation(f"vertex {min(outside)} out of range")
+                blob, whites = sum(1 << v for v in mv.blob), sum(1 << v for v in mv.whites)
+                if b0 & ~blob:
+                    raise BadInflation("blob not superset")
+                if w0 & ~whites:
+                    raise BadInflation("whites not superset")
             else:
-                if isinstance(mv, IntroduceMove):
-                    s = introduce(g, mv.v)
-                elif isinstance(mv, MergeMove):
-                    s = merge(_lookup(live, mv.i), _lookup(live, mv.j), mv.pivot)
-                elif isinstance(mv, InflateMove):
-                    target = BlobSubconfig(mv.blob, mv.whites)
-                    s = inflate(_lookup(live, mv.i), target, g, strict)
-                else:
-                    raise IllegalMove(f"unknown move {mv!r}")
-                if s in live.values():
-                    raise IllegalMove(f"duplicate subconfiguration {s}")
-                if labelled_only and len(s.blob) != 1:
-                    raise IllegalMove(f"blob not a singleton in labelled game: {s}")
-                # inflate has tested an inflation's shape already.
-                problem = strict and not isinstance(mv, InflateMove) and check_strict_shape(g, s)
-                if problem:
-                    raise IllegalMove(f"{problem}: {s}")
-                live[next(ids)] = s
+                raise IllegalMove(f"unknown move {mv!r}")
+            shape = strict and _shape_problem(g, blob, whites)
+            if shape and isinstance(mv, InflateMove):
+                raise BadInflation(shape)
+            if (blob, whites) in held:
+                problem = "duplicate subconfiguration "
+            elif labelled_only and blob & (blob - 1):
+                problem = "blob not a singleton in labelled game: "
+            else:
+                problem = shape and f"{shape}: "
+            if problem:
+                raise IllegalMove(f"{problem}{BlobSubconfig(_vertices(blob), _vertices(whites))}")
+            live[next(ids)] = blob, whites
+            held.add((blob, whites))
+            blobs |= blob
+            whites_in |= whites
+            charged |= _charge(below, blob, whites)
+            cost = max(cost, charged.bit_count())
+            naive = max(naive, blobs.bit_count() + whites_in.bit_count())
         except IllegalMove as e:
             raise type(e)(e.reason, index=idx) from None
-        costs = blob_cost(g, BlobConfig(frozenset(live.values())))
-        cost = max(cost, costs["chargeable"])
-        naive = max(naive, costs["naive"])
+        except KeyError as e:  # only a lookup in live raises it
+            raise IllegalMove(f"unknown subconfiguration {e.args[0]}", index=idx) from None
 
-    final = BlobConfig(frozenset(live.values()))
     for t in g.targets:
-        if BlobSubconfig(frozenset({t})) not in final.subs:
+        if (1 << t, 0) not in held:
             raise IncompletePebbling(f"no unconditional subconfiguration for target {t}")
-    return BlobTrace(moves=moves, cost=cost, naive_cost=naive, final=final)
+    final = frozenset(BlobSubconfig(_vertices(b), _vertices(w)) for b, w in live.values())
+    return BlobTrace(moves=moves, cost=cost, naive_cost=naive, final=BlobConfig(final))
 
 
 # --- text format: "I v", "M i j p", "F i blob|whites", "E i" ----------------

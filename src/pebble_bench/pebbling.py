@@ -138,7 +138,7 @@ def validate_pebbling(g: Dag, moves, game: str = "black") -> PebblingTrace:
 
 
 def format_moves(moves) -> str:
-    return "\n".join(str(m) for m in moves) + ("\n" if moves else "")
+    return "".join(f"{m}\n" for m in moves)
 
 
 def parse_moves(text: str) -> list[Move]:

@@ -34,6 +34,8 @@ from .blob import (
     InflateMove,
     IntroduceMove,
     MergeMove,
+    _bits,
+    _vertices,
     introduce,
     merge,
 )
@@ -426,18 +428,6 @@ def _colourings(n: int):
             if not w:
                 break
             w = (w - 1) & rest
-
-
-def _bits(m: int):
-    """The one-bit masks of m."""
-    while m:
-        x = m & -m
-        yield x
-        m ^= x
-
-
-def _vertices(m: int) -> frozenset[int]:
-    return frozenset(x.bit_length() - 1 for x in _bits(m))
 
 
 # ---------------------------------------------------------------------------

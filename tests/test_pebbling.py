@@ -149,6 +149,10 @@ def test_format_round_trip():
     text = "PB 0\nPW 3\nRW 3\nRB 0\n"
     moves = parse_moves(text)
     assert format_moves(moves) == text
+    assert format_moves(iter(moves)) == text
+    # An empty generator is truthy, yet writes nothing.
+    assert format_moves(iter([])) == format_moves([]) == ""
+    assert format_moves(m for m in moves[:1]) == "PB 0\n"
     assert str(moves[1]) == "PW 3"
     assert parse_moves("c a comment\n" + text) == moves
 

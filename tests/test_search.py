@@ -19,7 +19,7 @@ from pebble_bench import (
     validate_pebbling,
 )
 from pebble_bench import search
-from pebble_bench.blob import BlobSubconfig, check_strict_shape
+from test_blob import is_chain, legal_pebble_positions
 
 SEED = 6502
 
@@ -1017,7 +1017,9 @@ def test_blob_price_pinned():
 
 def reference_blob_reachable(g, cap, strict):
     """The blob search before the goal was tested on generation, verbatim
-    but for its returns, which add the number of configurations stored."""
+    but for its returns, which add the number of configurations stored, and
+    for ``strict_ok``, which reads the set definitions of the strict shape
+    rather than the bitmask test under check."""
     n = g.n
     # below[v]: the vertices strictly below v, those with a path to v.
     below = [sum(1 << u for u in range(n) if u != v and g.reaches(u, v)) for v in range(n)]
@@ -1032,7 +1034,8 @@ def reference_blob_reachable(g, cap, strict):
         ok = shape_ok.get(s)
         if ok is None:
             blob, whites = (frozenset(v for v in range(n) if m >> v & 1) for m in s)
-            ok = shape_ok[s] = check_strict_shape(g, BlobSubconfig(blob, whites)) is None
+            ok = is_chain(g, blob) and whites <= legal_pebble_positions(g, blob)
+            shape_ok[s] = ok
         return ok
 
     intros = [(1 << v, g.pred_mask[v]) for v in range(n)]
