@@ -37,8 +37,6 @@ from .blob import (
     IntroduceMove,
     MergeMove,
     format_blob_moves,
-    introduce,
-    merge,
     parse_blob_moves,
     sub,
     validate_blob_pebbling,

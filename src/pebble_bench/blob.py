@@ -13,10 +13,13 @@ above the blob ride for free.  One rule, ``_charge``, decides it on bitmasks
 against the graph's reachability table ``Dag.below``, for the validator and
 for the blob price search alike.
 
-Both replay a subconfiguration as a (blob, whites) pair of bitmasks, with
-vertex v at bit v, and test the strict shape with ``_shape_problem``.
-``BlobSubconfig`` is the frozenset form that moves, messages and the
-compiler read; ``_vertices`` turns a mask back into a vertex set.
+Every replay of a play holds a subconfiguration as a (blob, whites) pair of
+bitmasks, with vertex v at bit v: the validator, the blob price search, and
+the compiler and explainer in ``simulation``.  Each merges with ``_merge``,
+and the validator and the search test the strict shape with
+``_shape_problem``.  ``BlobSubconfig`` is the frozenset form that moves,
+messages and configurations read; ``_pair`` and ``_subconfig`` convert
+between the two.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ __all__ = [
     "InflateMove",
     "EraseMove",
     "BlobTrace",
-    "introduce",
-    "merge",
     "validate_blob_pebbling",
     "parse_blob_moves",
     "format_blob_moves",
@@ -92,38 +93,30 @@ def _bits(m: int):
         m ^= x
 
 
-def _vertices(m: int) -> frozenset[int]:
-    """The vertices of the bitmask m, the vertex set of a blob or its whites."""
-    return frozenset(x.bit_length() - 1 for x in _bits(m))
+def _pair(s) -> tuple[int, int]:
+    """The (blob, whites) mask pair of s, a ``BlobSubconfig`` or an
+    ``InflateMove``; its vertices must not be negative."""
+    return sum(1 << v for v in s.blob), sum(1 << v for v in s.whites)
+
+
+def _subconfig(s: tuple[int, int]) -> BlobSubconfig:
+    """The ``BlobSubconfig`` of a (blob, whites) mask pair."""
+    return BlobSubconfig(*(frozenset(x.bit_length() - 1 for x in _bits(m)) for m in s))
 
 
 # ---------------------------------------------------------------------------
-# Moves on subconfigurations
+# Moves on mask pairs
 # ---------------------------------------------------------------------------
 
 
-def introduce(g: Dag, v: int) -> BlobSubconfig:
-    """Download the pebbling axiom for v: [v]<preds(v)>."""
-    if not (0 <= v < g.n):
-        raise IllegalMove(f"vertex {v} out of range")
-    return BlobSubconfig(frozenset({v}), frozenset(g.preds[v]))
+def _merge(s1: tuple[int, int], s2: tuple[int, int], bit: int) -> tuple[int, int]:
+    """Merge s1 with s2 on the pivot ``bit``, black in s1 and white in s2.
 
-
-def merge(s1: BlobSubconfig, s2: BlobSubconfig, pivot: int) -> BlobSubconfig:
-    """Merge s1 (pivot in blob) with s2 (pivot white) on the pivot vertex.
-
-    The result is [(B1 - pivot) | B2]<W1 | (W2 - pivot)>, the game image of
-    resolving the two corresponding clauses.
+    The result is [(B1 - p) | B2]<W1 | (W2 - p)>, the game image of
+    resolving the two corresponding clauses on p.  Its blob and whites may
+    overlap; each caller decides what that means.
     """
-    if pivot not in s1.blob:
-        raise BadMerge(f"pivot {pivot} not in first blob")
-    if pivot not in s2.whites:
-        raise BadMerge(f"pivot {pivot} not white in second subconfiguration")
-    blob = (s1.blob - {pivot}) | s2.blob
-    whites = s1.whites | (s2.whites - {pivot})
-    if blob & whites:
-        raise BadMerge("merge result not disjoint")
-    return BlobSubconfig(blob, whites)
+    return (s1[0] ^ bit) | s2[0], s1[1] | (s2[1] ^ bit)
 
 
 def _shape_problem(g: Dag, blob: int, whites: int) -> str | None:
@@ -273,13 +266,12 @@ def validate_blob_pebbling(
                     raise IllegalMove(f"vertex {mv.v} out of range")
                 blob, whites = 1 << mv.v, g.pred_mask[mv.v]
             elif isinstance(mv, MergeMove):
-                (b1, w1), (b2, w2), p = live[mv.i], live[mv.j], mv.pivot
-                if not (p >= 0 and b1 >> p & 1):
+                s1, s2, p = live[mv.i], live[mv.j], mv.pivot
+                if not (p >= 0 and s1[0] >> p & 1):
                     raise BadMerge(f"pivot {p} not in first blob")
-                if not w2 >> p & 1:
+                if not s2[1] >> p & 1:
                     raise BadMerge(f"pivot {p} not white in second subconfiguration")
-                bit = 1 << p
-                blob, whites = (b1 ^ bit) | b2, w1 | (w2 ^ bit)
+                blob, whites = _merge(s1, s2, 1 << p)
                 if blob & whites:
                     raise BadMerge("merge result not disjoint")
             elif isinstance(mv, InflateMove):
@@ -288,7 +280,7 @@ def validate_blob_pebbling(
                 outside = [v for v in mv.blob | mv.whites if not 0 <= v < n]
                 if outside:
                     raise BadInflation(f"vertex {min(outside)} out of range")
-                blob, whites = sum(1 << v for v in mv.blob), sum(1 << v for v in mv.whites)
+                blob, whites = _pair(mv)
                 if b0 & ~blob:
                     raise BadInflation("blob not superset")
                 if w0 & ~whites:
@@ -305,7 +297,7 @@ def validate_blob_pebbling(
             else:
                 problem = shape and f"{shape}: "
             if problem:
-                raise IllegalMove(f"{problem}{BlobSubconfig(_vertices(blob), _vertices(whites))}")
+                raise IllegalMove(f"{problem}{_subconfig((blob, whites))}")
             live[next(ids)] = blob, whites
             held.add((blob, whites))
             blobs |= blob
@@ -321,8 +313,8 @@ def validate_blob_pebbling(
     for t in g.targets:
         if (1 << t, 0) not in held:
             raise IncompletePebbling(f"no unconditional subconfiguration for target {t}")
-    final = frozenset(BlobSubconfig(_vertices(b), _vertices(w)) for b, w in live.values())
-    return BlobTrace(moves=moves, cost=cost, naive_cost=naive, final=BlobConfig(final))
+    final = BlobConfig(frozenset(map(_subconfig, live.values())))
+    return BlobTrace(moves=moves, cost=cost, naive_cost=naive, final=final)
 
 
 # --- text format: "I v", "M i j p", "F i blob|whites", "E i" ----------------

@@ -29,7 +29,7 @@ from heapq import heappop, heappush
 from time import perf_counter
 from typing import NamedTuple
 
-from .blob import _charge, _shape_problem
+from .blob import _charge, _merge, _shape_problem
 from .dag import Dag
 from .errors import SizeBoundExceeded
 from .pebbling import Move
@@ -683,8 +683,8 @@ def _blob_reachable(g: Dag, cap: int, strict: bool, stats: SearchStats, stored: 
     successors are the same.  The cost check
     uses the transient configuration (new subconfiguration next to its
     operands/source) to mirror per-move accounting in the validator, and
-    the validator's own rule, ``blob._charge`` on ``Dag.below``, to charge
-    each subconfiguration.
+    the validator's own rules, ``blob._merge`` to merge and
+    ``blob._charge`` on ``Dag.below`` to charge each subconfiguration.
 
     The queue pops first the configuration nearest the goal: per target,
     the fewest literals (|B| - 1 + |W|) left in a subconfiguration whose
@@ -713,13 +713,13 @@ def _blob_reachable(g: Dag, cap: int, strict: bool, stats: SearchStats, stored: 
         for s in intros:
             if s not in cfg and (charged | charge(*s)).bit_count() <= cap:
                 yield _with_sub(cfg, s)
-        for b1, w1 in cfg:
-            for b2, w2 in cfg:
-                pivots = b1 & w2
+        for s1 in cfg:
+            for s2 in cfg:
+                pivots = s1[0] & s2[1]
                 while pivots:
                     p = pivots & -pivots
                     pivots ^= p
-                    m = ((b1 & ~p) | b2, w1 | (w2 & ~p))
+                    m = _merge(s1, s2, p)
                     if m[0] & m[1] or (strict and not strict_ok(m)):
                         continue
                     if m not in cfg and (charged | charge(*m)).bit_count() <= cap:

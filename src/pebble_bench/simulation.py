@@ -14,12 +14,16 @@ move-for-move (introduction = axiom download, merger = resolution, inflation
 and erasure are bookkeeping), with subsumption tracked so inflated blobs
 reuse the stronger clause; each of its clauses is that of a
 subconfiguration, so none is computed by resolution either
-(``_compile_blob``).
+(``_compile_blob``).  It replays the play on (blob, whites) mask pairs, as
+the validator does, and writes each clause with ``_clause``, the one rule
+``subconfig_clause`` also uses.
 
 ``induce_configuration`` goes the other way: given live clauses it returns
 every subconfiguration whose clause the set implies, keeping only precise
 ones (no single black or white vertex can be dropped).  Implication is
-decided exactly by a small DPLL oracle.
+decided exactly by a small DPLL oracle.  ``explain_transition`` turns one
+induced configuration into the next with blob moves, searching what merges
+on mask pairs derive from the live set.
 """
 
 from __future__ import annotations
@@ -35,13 +39,12 @@ from .blob import (
     IntroduceMove,
     MergeMove,
     _bits,
-    _vertices,
-    introduce,
-    merge,
+    _merge,
+    _pair,
+    _subconfig,
 )
 from .cnf import (
     Clause,
-    canon_clause,
     check_formula_size,
     pebbling_contradiction,
     var_id,
@@ -168,12 +171,17 @@ def _satisfiable(clauses, true: int, false: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def subconfig_clause(s: BlobSubconfig, d: int = 1) -> Clause:
-    """The clause stating: if every white variable is true, the blob has a
-    true variable.  At d = 1 this is the familiar positive/negative split."""
-    lits = [var_id(b, i, d) for b in s.blob for i in range(1, d + 1)]
-    lits += [-var_id(w, j, d) for w in s.whites for j in range(1, d + 1)]
-    return canon_clause(lits)
+def subconfig_clause(s: BlobSubconfig) -> Clause:
+    """The d = 1 clause stating: if every white variable is true, the blob
+    has a true variable."""
+    return _clause(*_pair(s))
+
+
+def _clause(blob: int, whites: int) -> Clause:
+    """The d = 1 clause of [blob]<whites>: x_v = v + 1 for a blob vertex v
+    and -x_v for a white one, in vertex order.  The masks are disjoint, so
+    each variable occurs once and the order is ``canon_clause``'s."""
+    return tuple(x.bit_length() if blob & x else -x.bit_length() for x in _bits(blob | whites))
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +289,23 @@ def _compile_black(g: Dag, d: int, trace: PebblingTrace, starred: bool) -> Resol
 
 def _compile_blob(g: Dag, trace: BlobTrace, starred: bool) -> ResolutionTrace:
     """Each blob id is bound to its subconfiguration s, a clause id, and
-    the subconfiguration t whose clause that id holds.  t is s or lies
-    inside it, blob in blob and whites in whites, so its clause subsumes
-    s's.  At d = 1 the clause of [B]<W> is x_b for b in B and -x_w for w
-    in W.  A merge on p of t1 (p in its blob) and t2 (p white) resolves on
-    x_p, and the resolvent is the clause of merge(t1, t2, p), which is
-    legal as t1 and t2 lie inside s1 and s2, whose merge the validated
-    play made.  When p is not in t1's blob, or not white in t2, that
-    operand's clause already subsumes the merge result and is reused.  So
-    every clause is written from a subconfiguration, and none is computed
-    by resolution."""
+    the subconfiguration t whose clause that id holds, each a (blob,
+    whites) mask pair.  t is s or lies inside it, blob in blob and whites
+    in whites, so its clause subsumes s's.  At d = 1 the clause of [B]<W>
+    is x_b for b in B and -x_w for w in W (``_clause``).  A merge on p of
+    t1 (p in its blob) and t2 (p white) resolves on x_p, and the resolvent
+    is the clause of their merge, which is disjoint as t1 and t2 lie inside
+    s1 and s2, whose merge the validated play made.  When p is not in t1's
+    blob, or not white in t2, that operand's clause already subsumes the
+    merge result and is reused.  So every clause is written from a
+    subconfiguration, and none is computed by resolution."""
     events: list = []
     ids = count(1)
-    bound: dict[int, tuple[int, BlobSubconfig, BlobSubconfig]] = {}  # blob id -> (clause id, s, t)
+    bound: dict[int, tuple[int, tuple, tuple]] = {}  # blob id -> (clause id, s, t)
     refs: dict[int, int] = {}
     bids = count()
 
-    def bind(cid: int, s: BlobSubconfig, t: BlobSubconfig):
+    def bind(cid: int, s: tuple, t: tuple):
         bound[next(bids)] = (cid, s, t)
         refs[cid] = refs.get(cid, 0) + 1
 
@@ -307,23 +315,23 @@ def _compile_blob(g: Dag, trace: BlobTrace, starred: bool) -> ResolutionTrace:
 
     for mv in trace.moves:
         if isinstance(mv, IntroduceMove):
-            s = introduce(g, mv.v)
-            bind(axiom(subconfig_clause(s)), s, s)
+            s = 1 << mv.v, g.pred_mask[mv.v]
+            bind(axiom(_clause(*s)), s, s)
         elif isinstance(mv, MergeMove):
             (c1, s1, t1), (c2, s2, t2) = bound[mv.i], bound[mv.j]
-            p = mv.pivot
-            s = merge(s1, s2, p)
-            if p not in t1.blob:
+            bit = 1 << mv.pivot
+            s = _merge(s1, s2, bit)
+            if not t1[0] & bit:
                 bind(c1, s, t1)
-            elif p not in t2.whites:
+            elif not t2[1] & bit:
                 bind(c2, s, t2)
             else:
-                t = merge(t1, t2, p)
-                events.append(Infer(c1, c2, var_id(p, 1, 1), subconfig_clause(t)))
+                t = _merge(t1, t2, bit)
+                events.append(Infer(c1, c2, var_id(mv.pivot, 1, 1), _clause(*t)))
                 bind(next(ids), s, t)
         elif isinstance(mv, InflateMove):
             cid, _, t = bound[mv.i]
-            bind(cid, BlobSubconfig(mv.blob, mv.whites), t)
+            bind(cid, _pair(mv), t)
         elif isinstance(mv, EraseMove):
             cid = bound.pop(mv.i)[0]
             refs[cid] -= 1
@@ -332,8 +340,7 @@ def _compile_blob(g: Dag, trace: BlobTrace, starred: bool) -> ResolutionTrace:
 
     if not starred:
         t = g.targets[0]
-        want = BlobSubconfig(frozenset({t}))
-        cid = next(c for c, s, _ in bound.values() if s == want)
+        cid = next(c for c, s, _ in bound.values() if s == (1 << t, 0))
         # the empty clause from [t]'s clause, (x_t), and the unit axiom (-x_t)
         pv = var_id(t, 1, 1)
         unit = axiom((-pv,))
@@ -413,7 +420,7 @@ def induce_configuration(g: Dag, d: int, live_clauses) -> BlobConfig:
             continue
         if any(implied(b, w & ~x) for x in _bits(w)):
             continue
-        out.append(BlobSubconfig(_vertices(b), _vertices(w)))
+        out.append(_subconfig((b, w)))
     return BlobConfig(frozenset(out))
 
 
@@ -436,43 +443,26 @@ def _colourings(n: int):
 
 
 class BlobScriptBuilder:
-    """Accumulates an indexed blob move list while tracking live values."""
+    """Accumulates an indexed blob move list while tracking live values.
+
+    ``ids`` maps each live subconfiguration, a (blob, whites) mask pair, to
+    its id; ``live()`` gives them as ``BlobSubconfig`` objects.
+    """
 
     def __init__(self, g: Dag):
         self.g = g
         self.moves: list = []
-        self.ids: dict[BlobSubconfig, int] = {}
+        self.ids: dict[tuple[int, int], int] = {}
         self.next_id = 0
 
-    def _add(self, s: BlobSubconfig) -> None:
+    def _add(self, s: tuple[int, int], move) -> None:
+        """Append ``move``, which creates s, and give s the next id."""
+        self.moves.append(move)
         self.ids[s] = self.next_id
         self.next_id += 1
 
-    def introduce(self, v: int) -> BlobSubconfig:
-        s = introduce(self.g, v)
-        if s not in self.ids:
-            self.moves.append(IntroduceMove(v))
-            self._add(s)
-        return s
-
-    def merge(self, s1: BlobSubconfig, s2: BlobSubconfig, pivot: int) -> BlobSubconfig:
-        s = merge(s1, s2, pivot)
-        if s not in self.ids:
-            self.moves.append(MergeMove(self.ids[s1], self.ids[s2], pivot))
-            self._add(s)
-        return s
-
-    def inflate(self, s: BlobSubconfig, target: BlobSubconfig) -> BlobSubconfig:
-        if target not in self.ids:
-            self.moves.append(InflateMove(self.ids[s], target.blob, target.whites))
-            self._add(target)
-        return target
-
-    def erase(self, s: BlobSubconfig) -> None:
-        self.moves.append(EraseMove(self.ids.pop(s)))
-
     def live(self) -> frozenset[BlobSubconfig]:
-        return frozenset(self.ids)
+        return frozenset(map(_subconfig, self.ids))
 
 
 def explain_transition(g: Dag, builder: BlobScriptBuilder, new: BlobConfig) -> None:
@@ -481,60 +471,66 @@ def explain_transition(g: Dag, builder: BlobScriptBuilder, new: BlobConfig) -> N
     Every added subconfiguration must be reachable from the current live set
     by introductions and mergers (scratch intermediates allowed, erased
     afterwards), or by a single inflation of something reachable.  Raises
-    UnsupportedOperation when no explanation exists.
-    """
-    old = builder.live()
-    additions = set(new.subs) - old
+    UnsupportedOperation when no explanation exists, as for a vertex
+    outside the graph.
 
-    # Closure of derivable subconfigurations with derivation parents.
-    parent: dict[BlobSubconfig, tuple] = {s: ("live",) for s in old}
-    for v in range(g.n):
-        s = introduce(g, v)
-        parent.setdefault(s, ("intro", v))
+    The closure of what merges derive is built on (blob, whites) mask
+    pairs with ``blob._merge``.  Additions, the candidates for an
+    inflation's source and erasures are taken in the text order of
+    ``BlobSubconfig``; with the order the closure grows in, that decides
+    the moves.
+    """
+    ids = builder.ids
+    inside = range(g.n)
+    want = {s: _pair(s) for s in new.subs if all(v in inside for v in s.blob | s.whites)}
+
+    # Closure of derivable subconfigurations, each with the operands and
+    # pivot bit of its merge, or () if live or an introduction.  The first
+    # derivation found is the one played, so the order the closure grows in,
+    # from the live set in builder.live()'s order, decides the moves.
+    parent: dict[tuple[int, int], tuple] = dict.fromkeys(map(_pair, builder.live()), ())
+    for v in inside:
+        parent.setdefault((1 << v, g.pred_mask[v]), ())
     frontier = list(parent)
     while frontier:
         nxt = []
-        pool = list(parent)
-        for s1 in pool:
+        for s1 in list(parent):
             for s2 in frontier:
                 for a, b in ((s1, s2), (s2, s1)):
-                    for pivot in a.blob & b.whites:
-                        try:
-                            m = merge(a, b, pivot)
-                        except IllegalMove:
-                            continue
-                        if m not in parent:
-                            parent[m] = ("merge", a, b, pivot)
+                    for bit in _bits(a[0] & b[1]):
+                        m = _merge(a, b, bit)
+                        if not m[0] & m[1] and m not in parent:
+                            parent[m] = a, b, bit
                             nxt.append(m)
         frontier = nxt
 
-    def realize(s: BlobSubconfig) -> BlobSubconfig:
-        if s in builder.ids:
-            return s
-        how = parent[s]
-        if how[0] == "intro":
-            return builder.introduce(how[1])
-        _, a, b, pivot = how
+    def realize(s: tuple[int, int]) -> None:
+        if s in ids:
+            return
+        if not parent[s]:
+            builder._add(s, IntroduceMove(s[0].bit_length() - 1))
+            return
+        a, b, bit = parent[s]
         realize(a)
         realize(b)
-        return builder.merge(a, b, pivot)
+        builder._add(s, MergeMove(ids[a], ids[b], bit.bit_length() - 1))
 
-    for s in sorted(additions, key=str):
-        if s in parent:
-            realize(s)
+    def text(s: tuple[int, int]) -> str:
+        return str(_subconfig(s))
+
+    order = None  # the closure in text order, sorted for the first inflation
+    for s in sorted((s for s in new.subs if want.get(s) not in ids), key=str):
+        pair = want.get(s)
+        if pair in parent:
+            realize(pair)
             continue
-        base = next(
-            (
-                c
-                for c in sorted(parent, key=str)
-                if c.blob <= s.blob and c.whites <= s.whites
-            ),
-            None,
-        )
+        order = order or sorted(parent, key=text)
+        # pair is None for a subconfiguration with a vertex outside the graph
+        base = pair and next((c for c in order if not (c[0] & ~pair[0] or c[1] & ~pair[1])), None)
         if base is None:
             raise UnsupportedOperation(f"cannot explain induced subconfiguration {s}")
         realize(base)
-        builder.inflate(base, s)
+        builder._add(pair, InflateMove(ids[base], s.blob, s.whites))
 
-    for s in sorted(builder.live() - set(new.subs), key=str):
-        builder.erase(s)
+    for s in sorted(ids.keys() - want.values(), key=text):
+        builder.moves.append(EraseMove(ids.pop(s)))

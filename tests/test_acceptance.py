@@ -10,7 +10,7 @@ being tested.
 import random
 import sys
 import time
-from itertools import product
+from itertools import count, product
 
 import pytest
 
@@ -22,8 +22,12 @@ from pebble_bench import (
     BlobSubconfig,
     Dag,
     Erase,
+    EraseMove,
     FamilySpec,
     Infer,
+    InflateMove,
+    IntroduceMove,
+    MergeMove,
     ResolutionTrace,
     TautologicalResolvent,
     VerificationError,
@@ -36,7 +40,6 @@ from pebble_bench import (
     explain_transition,
     hidden_vertices,
     induce_configuration,
-    merge,
     min_lhc_bound,
     optimal_price,
     parse_moves,
@@ -265,8 +268,33 @@ def test_criterion_5_tradeoff_frontier(verdict):
 # --- criterion 6: merging mirrors resolution exactly ------------------------------
 
 
+def _made_live(n, s1, s2):
+    """Moves of a play on an edgeless graph of n + 1 vertices, where each
+    introduction is [v]<>, that leave [n]<>, s1 and s2 live, and the ids
+    of s1 and s2.  Each is inflated from [v]<>, v its least blob vertex,
+    unless it is that, or s1 is."""
+    moves, ids, nid = [IntroduceMove(n)], {}, count(1)
+    for s in (s1, s2):
+        if s in ids:
+            continue
+        unit = BlobSubconfig(frozenset({min(s.blob)}))
+        if unit in ids:
+            moves.append(InflateMove(ids[unit], s.blob, s.whites))
+        else:
+            moves.append(IntroduceMove(min(s.blob)))
+            if s == unit:
+                ids[s] = next(nid)
+                continue
+            src = next(nid)
+            moves += [InflateMove(src, s.blob, s.whites), EraseMove(src)]
+        ids[s] = next(nid)
+    return moves, ids[s1], ids[s2]
+
+
 def test_criterion_6_merge_is_resolution(verdict):
     n = 5
+    g = Dag(n + 1, [], targets=[n])
+    end = BlobSubconfig(frozenset({n}))
     subs = [
         BlobSubconfig(*(frozenset(v for v in range(n) if m >> v & 1) for m in (b, w)))
         for b, w in _colourings(n)
@@ -275,22 +303,24 @@ def test_criterion_6_merge_is_resolution(verdict):
     checked = 0
     bad = []
     for s1, s2 in product(subs, repeat=2):
+        moves, i, j = _made_live(n, s1, s2)
+        c1, c2 = subconfig_clause(s1), subconfig_clause(s2)
         for p in range(n):
             game_err = clause_err = None
             merged = resolvent = None
             try:
-                merged = merge(s1, s2, p)
+                # the validator's merge, read back as the one new live subconfiguration
+                final = validate_blob_pebbling(g, moves + [MergeMove(i, j, p)]).final.subs
+                (merged,) = final - {end, s1, s2}
             except BadMerge as e:
                 game_err = e
             try:
-                resolvent = resolve(
-                    subconfig_clause(s1, 1), subconfig_clause(s2, 1), p + 1
-                )
+                resolvent = resolve(c1, c2, p + 1)
             except (BadPivot, TautologicalResolvent) as e:
                 clause_err = e
             if (game_err is None) != (clause_err is None):
                 bad.append(f"{s1} + {s2} on {p}: {game_err!r} vs {clause_err!r}")
-            elif merged is not None and subconfig_clause(merged, 1) != resolvent:
+            elif merged is not None and subconfig_clause(merged) != resolvent:
                 bad.append(f"{s1} + {s2} on {p}: clause mismatch")
             checked += 1
             if bad:

@@ -23,8 +23,6 @@ from pebble_bench import (
     MergeMove,
     build_family,
     format_blob_moves,
-    introduce,
-    merge,
     parse_blob_moves,
     sub,
     validate_blob_pebbling,
@@ -32,6 +30,7 @@ from pebble_bench import (
 from pebble_bench.blob import (
     BlobConfig,
     _charge,
+    _merge,
     _shape_problem,
 )
 
@@ -82,6 +81,15 @@ def refusal(g, text, **flags):
     return kind, message
 
 
+def made(g, text):
+    """The subconfiguration the play's last move creates, as the validator
+    names it when that move is made again."""
+    last = text.splitlines()[-1]
+    kind, message = refusal(g, f"{text}\n{last}")
+    assert kind is IllegalMove and "duplicate subconfiguration " in message, message
+    return message.split("duplicate subconfiguration ")[1]
+
+
 def edge_graph():
     return Dag(2, [(0, 1)], targets=[1])
 
@@ -102,27 +110,19 @@ def test_subconfig_invariants():
 
 def test_introduce():
     g = diamond()
-    s = introduce(g, 3)
-    assert s == sub([3], [1, 2])
-    assert introduce(g, 0) == sub([0], [])
+    assert made(g, "I 3") == "[3]<1,2>"
+    assert made(g, "I 0") == "[0]<>"
 
 
 def test_merge_moves_pivot():
     g = edge_graph()
-    s1 = introduce(g, 0)  # [0]<>
-    s2 = introduce(g, 1)  # [1]<0>
-    m = merge(s1, s2, 0)
-    assert m == sub([1], [])
+    # [0]<> and [1]<0> merge on 0 into [1]<>, which completes the play
+    trace = validate_blob_pebbling(g, parse_blob_moves("I 0\nI 1\nM 0 1 0"))
+    assert trace.final.subs == {sub([0]), sub([1], [0]), sub([1])}
 
 
 def test_merge_requires_pivot_in_blob_and_white():
     g = edge_graph()
-    s1 = introduce(g, 0)
-    s2 = introduce(g, 1)
-    with pytest.raises(BadMerge):
-        merge(s2, s1, 0)  # pivot not in first blob
-    with pytest.raises(BadMerge):
-        merge(s1, sub([1], []), 0)  # pivot not white in second
     assert refusal(g, "I 0\nI 1\nM 1 0 0") == (BadMerge, "move 3: pivot 0 not in first blob")
     assert refusal(g, "I 0\nI 1\nM 0 0 0") == (
         BadMerge,
@@ -133,21 +133,14 @@ def test_merge_requires_pivot_in_blob_and_white():
 
 def test_merge_requires_disjoint_result():
     g = diamond()
-    s1 = sub([1], [2])
-    s2 = sub([2, 3], [1])
-    # resolving on 1: blob (2,3) u () minus... and whites {2} stay -> overlap
-    with pytest.raises(BadMerge):
-        merge(s2, s1, 2)
-    # The same merger in play: [2,3]<0,1> and [1]<0,2> on pivot 2.
+    # [2,3]<0,1> and [1]<0,2> on pivot 2: 1 is black and white in the result.
     play = "I 3\nI 2\nM 1 0 2\nF 2 2,3|0,1\nI 1\nF 4 1|0,2\nM 3 5 2"
     assert refusal(g, play) == (BadMerge, "move 7: merge result not disjoint")
 
 
 def test_merge_unions_components():
-    s1 = sub([2], [0])
-    s2 = sub([3], [1, 2])
-    m = merge(s1, s2, 2)
-    assert m == sub([3], [0, 1])
+    # [2]<0> and [3]<1,2> on 2
+    assert made(diamond(), "I 2\nI 3\nM 0 1 2") == "[3]<0,1>"
 
 
 def test_inflate_superset_rules():
@@ -423,34 +416,56 @@ def test_blob_config_str():
 
 
 def test_fuzz_merge_properties():
-    """Random merges: result components follow the set algebra when legal."""
+    """Random merges: the mask rule follows the set algebra."""
+
+    def mask(vs):
+        return sum(1 << v for v in vs)
+
     rng = random.Random(SEED)
-    g = diamond()
-    verts = range(g.n)
+    verts = range(4)
     trials = 0
     for _ in range(500):
         b1 = frozenset(rng.sample(verts, rng.randint(1, 2)))
         w1 = frozenset(v for v in verts if v not in b1 and rng.random() < 0.4)
         b2 = frozenset(rng.sample(verts, rng.randint(1, 2)))
         w2 = frozenset(v for v in verts if v not in b2 and rng.random() < 0.4)
-        s1, s2 = BlobSubconfig(b1, w1), BlobSubconfig(b2, w2)
+        s1, s2 = (mask(b1), mask(w1)), (mask(b2), mask(w2))
         for p in b1 & w2:
-            try:
-                m = merge(s1, s2, p)
-            except BadMerge:
-                continue
             trials += 1
-            assert m.blob == (b1 - {p}) | b2
-            assert m.whites == w1 | (w2 - {p})
-            assert not m.blob & m.whites
+            assert _merge(s1, s2, 1 << p) == (mask((b1 - {p}) | b2), mask(w1 | (w2 - {p})))
     assert trials > 50
 
 
 # --- the reference: the validator that replayed BlobSubconfig objects ---------
 #
 # Copied verbatim, with the single-move helpers it called, from before the
-# validator replayed (blob, whites) mask pairs; only the validator's name
-# differs.  _shape_problem and _charge are the module's own.
+# validator replayed (blob, whites) mask pairs; only the names of the
+# validator, introduce and merge differ.  _shape_problem and _charge are the
+# module's own.
+
+
+def reference_introduce(g: Dag, v: int) -> BlobSubconfig:
+    """Download the pebbling axiom for v: [v]<preds(v)>."""
+    if not (0 <= v < g.n):
+        raise IllegalMove(f"vertex {v} out of range")
+    return BlobSubconfig(frozenset({v}), frozenset(g.preds[v]))
+
+
+def reference_merge(s1: BlobSubconfig, s2: BlobSubconfig, pivot: int) -> BlobSubconfig:
+    """Merge s1 (pivot in blob) with s2 (pivot white) on the pivot vertex.
+
+    The result is [(B1 - pivot) | B2]<W1 | (W2 - pivot)>, the game image of
+    resolving the two corresponding clauses.
+    """
+    if pivot not in s1.blob:
+        raise BadMerge(f"pivot {pivot} not in first blob")
+    if pivot not in s2.whites:
+        raise BadMerge(f"pivot {pivot} not white in second subconfiguration")
+    blob = (s1.blob - {pivot}) | s2.blob
+    whites = s1.whites | (s2.whites - {pivot})
+    if blob & whites:
+        raise BadMerge("merge result not disjoint")
+    return BlobSubconfig(blob, whites)
 
 
 def inflate(
@@ -540,9 +555,9 @@ def reference_validate_blob_pebbling(
                 del live[mv.i]
             else:
                 if isinstance(mv, IntroduceMove):
-                    s = introduce(g, mv.v)
+                    s = reference_introduce(g, mv.v)
                 elif isinstance(mv, MergeMove):
-                    s = merge(_lookup(live, mv.i), _lookup(live, mv.j), mv.pivot)
+                    s = reference_merge(_lookup(live, mv.i), _lookup(live, mv.j), mv.pivot)
                 elif isinstance(mv, InflateMove):
                     target = BlobSubconfig(mv.blob, mv.whites)
                     s = inflate(_lookup(live, mv.i), target, g, strict)
@@ -610,10 +625,10 @@ def legal_biased_play(rng, g):
         return i
 
     for v in range(g.n):
-        i = make(IntroduceMove(v), introduce(g, v))
+        i = make(IntroduceMove(v), reference_introduce(g, v))
         for u in g.preds[v]:
             if u in unit and rng.random() < 0.9:
-                old, i = i, make(MergeMove(unit[u], i, u), merge(live[unit[u]], live[i], u))
+                old, i = i, make(MergeMove(unit[u], i, u), reference_merge(live[unit[u]], live[i], u))
                 if rng.random() < 0.8:
                     moves.append(EraseMove(old))
                     del live[old]
@@ -633,14 +648,14 @@ def legal_biased_play(rng, g):
             if target != s:
                 make(InflateMove(j, target.blob, target.whites), target)
         u = rng.randrange(g.n)
-        if rng.random() < 0.3 and introduce(g, u) not in live.values():
-            make(IntroduceMove(u), introduce(g, u))
+        if rng.random() < 0.3 and reference_introduce(g, u) not in live.values():
+            make(IntroduceMove(u), reference_introduce(g, u))
         pairs = [(a, b) for a in live for b in live if live[a].blob & live[b].whites]
         if pairs and rng.random() < 0.5:
             a, b = rng.choice(pairs)
             p = rng.choice(sorted(live[a].blob & live[b].whites))
             try:
-                make(MergeMove(a, b, p), merge(live[a], live[b], p))
+                make(MergeMove(a, b, p), reference_merge(live[a], live[b], p))
             except BadMerge:
                 moves.append(MergeMove(a, b, p))
         spare = [j for j in live if j not in unit.values()]

@@ -8,6 +8,7 @@ from itertools import count
 import pytest
 
 from pebble_bench import (
+    BadInflation,
     BlobConfig,
     BlobScriptBuilder,
     BlobSubconfig,
@@ -33,11 +34,12 @@ from pebble_bench import (
     validate_blob_pebbling,
     validate_pebbling,
 )
-from pebble_bench.blob import EraseMove, InflateMove, IntroduceMove, MergeMove, introduce, merge
+from pebble_bench.blob import EraseMove, InflateMove, IntroduceMove, MergeMove
 from pebble_bench.cnf import Clause, canon_clause, var_id
 from pebble_bench.resolution import Axiom, Erase, Infer, format_trace, resolve
-from pebble_bench.simulation import ImplicationOracle, subconfig_clause
+from pebble_bench.simulation import ImplicationOracle, _colourings, subconfig_clause
 from pebble_bench.strategies import black_strategy
+from test_blob import reference_introduce, reference_merge, refusal
 
 SEED = 4242
 
@@ -429,7 +431,17 @@ def test_blob_compile_merge_subsumed_by_second_clause():
 # --- the closed-form blob compiler against the resolving one ------------------
 # The blob compiler as it was when it computed every merge's clause by
 # resolution on _RefEmitter, kept as the reference: the compiler that writes
-# each clause from a subconfiguration must give the same trace bytes.
+# each clause from a subconfiguration must give the same trace bytes.  It
+# replays BlobSubconfig objects through the copies of introduce and merge in
+# test_blob, and writes axioms with subconfig_clause as it was for any d.
+
+
+def reference_subconfig_clause(s: BlobSubconfig, d: int = 1) -> Clause:
+    """The clause stating: if every white variable is true, the blob has a
+    true variable.  At d = 1 this is the familiar positive/negative split."""
+    lits = [var_id(b, i, d) for b in s.blob for i in range(1, d + 1)]
+    lits += [-var_id(w, j, d) for w in s.whites for j in range(1, d + 1)]
+    return canon_clause(lits)
 
 
 def reference_compile_blob(g: Dag, trace, starred: bool = False) -> ResolutionTrace:
@@ -444,11 +456,11 @@ def reference_compile_blob(g: Dag, trace, starred: bool = False) -> ResolutionTr
 
     for mv in trace.moves:
         if isinstance(mv, IntroduceMove):
-            s = introduce(g, mv.v)
-            bind(em.axiom(subconfig_clause(s)), s)
+            s = reference_introduce(g, mv.v)
+            bind(em.axiom(reference_subconfig_clause(s)), s)
         elif isinstance(mv, MergeMove):
             (c1, s1), (c2, s2) = bound[mv.i], bound[mv.j]
-            s = merge(s1, s2, mv.pivot)
+            s = reference_merge(s1, s2, mv.pivot)
             pv = var_id(mv.pivot, 1, 1)
             if pv not in em.clauses[c1]:
                 # the tracked clause already subsumes the merge result
@@ -492,14 +504,14 @@ def random_blob_play(g, rng, steps):
         items = list(live.items())
         if kind == "I":
             v = rng.randrange(g.n)
-            if introduce(g, v) not in live.values():
-                add(IntroduceMove(v), introduce(g, v))
+            if reference_introduce(g, v) not in live.values():
+                add(IntroduceMove(v), reference_introduce(g, v))
         elif kind == "M":
             pairs = [(i, j, p) for i, a in items for j, b in items for p in a.blob & b.whites]
             if pairs:
                 i, j, p = rng.choice(pairs)
                 try:
-                    s = merge(live[i], live[j], p)
+                    s = reference_merge(live[i], live[j], p)
                 except IllegalMove:
                     continue
                 if s not in live.values():
@@ -632,6 +644,10 @@ def test_subconfig_clause():
     s = sub([2], [0, 1])
     assert subconfig_clause(s) == (-1, -2, 3)
     assert subconfig_clause(sub([0], [])) == (1,)
+    for b, w in _colourings(5):
+        if b:
+            s = BlobSubconfig(*(frozenset(v for v in range(5) if m >> v & 1) for m in (b, w)))
+            assert subconfig_clause(s) == reference_subconfig_clause(s), s
 
 
 # --- induced configurations ---------------------------------------------------
@@ -717,7 +733,7 @@ def ref_induce(g, d, live_clauses):
 
     def implied(b, w):
         if (b, w) not in cache:
-            cache[b, w] = implies(subconfig_clause(BlobSubconfig(b, w), d))
+            cache[b, w] = implies(reference_subconfig_clause(BlobSubconfig(b, w), d))
         return cache[b, w]
 
     out = []
@@ -771,18 +787,25 @@ def test_induce_matches_reference():
     assert induced > 100
 
 
-def replay_induced(g, rtrace):
-    """Induce after every event and explain each transition with blob moves."""
-    builder = BlobScriptBuilder(g)
+def induced(g, rtrace):
+    """The configuration induced after each event."""
     live = {}
     nid = 0
+    out = []
     for ev in rtrace.events:
         if isinstance(ev, (Axiom, Infer)):
             nid += 1
             live[nid] = ev.clause
         else:
             del live[ev.id]
-        cfg = induce_configuration(g, 1, list(live.values()))
+        out.append(induce_configuration(g, 1, list(live.values())))
+    return out
+
+
+def replay_induced(g, rtrace):
+    """Induce after every event and explain each transition with blob moves."""
+    builder = BlobScriptBuilder(g)
+    for cfg in induced(g, rtrace):
         explain_transition(g, builder, cfg)
     return builder
 
@@ -837,6 +860,192 @@ def test_explain_refuses_what_nothing_derives():
     g = Dag(2, [(0, 1)])
     with pytest.raises(UnsupportedOperation, match=r"^cannot explain induced subconfiguration \[5\]<>$"):
         explain_transition(g, BlobScriptBuilder(g), BlobConfig(frozenset({sub([5])})))
+
+
+# --- explain on mask pairs against explain on BlobSubconfig objects ----------
+# The builder and explain_transition as they were when they replayed
+# BlobSubconfig objects through introduce and merge, copied verbatim; only
+# the names differ.
+
+
+class ReferenceBlobScriptBuilder:
+    """Accumulates an indexed blob move list while tracking live values."""
+
+    def __init__(self, g: Dag):
+        self.g = g
+        self.moves: list = []
+        self.ids: dict[BlobSubconfig, int] = {}
+        self.next_id = 0
+
+    def _add(self, s: BlobSubconfig) -> None:
+        self.ids[s] = self.next_id
+        self.next_id += 1
+
+    def introduce(self, v: int) -> BlobSubconfig:
+        s = reference_introduce(self.g, v)
+        if s not in self.ids:
+            self.moves.append(IntroduceMove(v))
+            self._add(s)
+        return s
+
+    def merge(self, s1: BlobSubconfig, s2: BlobSubconfig, pivot: int) -> BlobSubconfig:
+        s = reference_merge(s1, s2, pivot)
+        if s not in self.ids:
+            self.moves.append(MergeMove(self.ids[s1], self.ids[s2], pivot))
+            self._add(s)
+        return s
+
+    def inflate(self, s: BlobSubconfig, target: BlobSubconfig) -> BlobSubconfig:
+        if target not in self.ids:
+            self.moves.append(InflateMove(self.ids[s], target.blob, target.whites))
+            self._add(target)
+        return target
+
+    def erase(self, s: BlobSubconfig) -> None:
+        self.moves.append(EraseMove(self.ids.pop(s)))
+
+    def live(self) -> frozenset[BlobSubconfig]:
+        return frozenset(self.ids)
+
+
+def reference_explain_transition(g: Dag, builder: ReferenceBlobScriptBuilder, new: BlobConfig) -> None:
+    """Extend the builder's script so its live set becomes exactly ``new``.
+
+    Every added subconfiguration must be reachable from the current live set
+    by introductions and mergers (scratch intermediates allowed, erased
+    afterwards), or by a single inflation of something reachable.  Raises
+    UnsupportedOperation when no explanation exists.
+    """
+    old = builder.live()
+    additions = set(new.subs) - old
+
+    # Closure of derivable subconfigurations with derivation parents.
+    parent: dict[BlobSubconfig, tuple] = {s: ("live",) for s in old}
+    for v in range(g.n):
+        s = reference_introduce(g, v)
+        parent.setdefault(s, ("intro", v))
+    frontier = list(parent)
+    while frontier:
+        nxt = []
+        pool = list(parent)
+        for s1 in pool:
+            for s2 in frontier:
+                for a, b in ((s1, s2), (s2, s1)):
+                    for pivot in a.blob & b.whites:
+                        try:
+                            m = reference_merge(a, b, pivot)
+                        except IllegalMove:
+                            continue
+                        if m not in parent:
+                            parent[m] = ("merge", a, b, pivot)
+                            nxt.append(m)
+        frontier = nxt
+
+    def realize(s: BlobSubconfig) -> BlobSubconfig:
+        if s in builder.ids:
+            return s
+        how = parent[s]
+        if how[0] == "intro":
+            return builder.introduce(how[1])
+        _, a, b, pivot = how
+        realize(a)
+        realize(b)
+        return builder.merge(a, b, pivot)
+
+    for s in sorted(additions, key=str):
+        if s in parent:
+            realize(s)
+            continue
+        base = next(
+            (
+                c
+                for c in sorted(parent, key=str)
+                if c.blob <= s.blob and c.whites <= s.whites
+            ),
+            None,
+        )
+        if base is None:
+            raise UnsupportedOperation(f"cannot explain induced subconfiguration {s}")
+        realize(base)
+        builder.inflate(base, s)
+
+    for s in sorted(builder.live() - set(new.subs), key=str):
+        builder.erase(s)
+
+
+def explained(builder_type, explain, g, configs):
+    """The script after explaining each configuration in turn, up to the
+    type and message of the first refusal."""
+    builder = builder_type(g)
+    out = []
+    for cfg in configs:
+        try:
+            explain(g, builder, cfg)
+        except Exception as e:  # the type is compared too
+            return out + [(type(e), str(e))]
+        out.append(format_blob_moves(builder.moves))
+    return out
+
+
+def random_subconfig(rng, n):
+    """A subconfiguration over n vertices, [v]<> or random, or now and then
+    one whose blob is a vertex outside the graph."""
+    kind = rng.random()
+    if kind < 0.2:
+        return BlobSubconfig(frozenset({rng.randrange(n)}))
+    if kind < 0.23:
+        blob = frozenset({rng.choice([-1, n])})
+    else:
+        blob = frozenset({rng.randrange(n)} | {u for u in range(n) if rng.random() < 0.2})
+    return BlobSubconfig(blob, frozenset(u for u in range(n) if u not in blob and rng.random() < 0.3))
+
+
+def test_explain_matches_reference():
+    """The same script as the BlobSubconfig explain, or the same refusal: on
+    the induced replays of four starred proofs, on seeded random
+    configurations on random DAGs, and on vertices outside the graph."""
+    for spec in [FamilySpec.chain(4), FamilySpec.pyramid(1), FamilySpec.pyramid(2), FamilySpec.binary_tree(2)]:
+        g, trace = black_trace(spec)
+        configs = induced(g, compile_pebbling(g, 1, trace, starred=True))
+        got = explained(BlobScriptBuilder, explain_transition, g, configs)
+        assert got == explained(ReferenceBlobScriptBuilder, reference_explain_transition, g, configs), spec
+    rng = random.Random(SEED + 3)
+    steps = inflated = refused = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        g = _random_dag(rng, n, 2)
+        configs, cfg = [], set()
+        for _ in range(rng.randint(1, 4)):
+            cfg = {s for s in cfg if rng.random() < 0.6}
+            cfg |= {random_subconfig(rng, n) for _ in range(rng.randint(0, 3))}
+            configs.append(BlobConfig(frozenset(cfg)))
+        got = explained(BlobScriptBuilder, explain_transition, g, configs)
+        assert got == explained(ReferenceBlobScriptBuilder, reference_explain_transition, g, configs), (
+            g,
+            configs,
+        )
+        scripts = [s for s in got if isinstance(s, str)]
+        steps += len(got)
+        inflated += any(line[0] == "F" for line in "".join(scripts[-1:]).splitlines())
+        refused += len(scripts) < len(got)
+    assert steps > 600 and inflated > 100 and refused > 20, (steps, inflated, refused)
+    g = Dag(2, [(0, 1)])
+    for s in (sub([-1]), sub([2]), sub([2], [0]), sub([5], [-3])):
+        configs = [BlobConfig(frozenset({sub([1]), s}))]
+        got = explained(BlobScriptBuilder, explain_transition, g, configs)
+        assert got == explained(ReferenceBlobScriptBuilder, reference_explain_transition, g, configs)
+        assert got == [(UnsupportedOperation, f"cannot explain induced subconfiguration {s}")]
+    # With a vertex of the graph in its blob, the BlobSubconfig explain
+    # inflated into an outside vertex, a move the validator refuses; the
+    # mask explain refuses to explain it.
+    configs = [BlobConfig(frozenset({sub([0, 2])}))]
+    assert explained(ReferenceBlobScriptBuilder, reference_explain_transition, g, configs) == [
+        "I 0\nF 0 0,2|\nE 0\n"
+    ]
+    assert refusal(g, "I 0\nF 0 0,2|\nE 0") == (BadInflation, "move 2: vertex 2 out of range")
+    assert explained(BlobScriptBuilder, explain_transition, g, configs) == [
+        (UnsupportedOperation, "cannot explain induced subconfiguration [0,2]<>")
+    ]
 
 
 def test_metrics_vs_cost_blob():
