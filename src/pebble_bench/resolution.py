@@ -229,7 +229,12 @@ def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
         if len(live) > space:
             space = len(live)
     if err is not None:
-        raise err
+        try:
+            raise err
+        finally:
+            # The traceback holds this frame; without the local, no cycle
+            # keeps the frame's clauses alive until a collection.
+            del err
     if () not in live.values():
         raise VerificationError("final live set lacks the empty clause")
     return ProofMetrics(length=next_id - 1, width=width, clause_space=space)

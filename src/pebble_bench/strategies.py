@@ -1,9 +1,11 @@
-"""Explicit pebbling strategies: depth-first pebblings of the standard
-families and budgeted trade-off schedules for the recursive spine family.
+"""Explicit pebbling strategies: pebblings of the standard families and
+budgeted trade-off schedules for the recursive spine family.
 
 Every strategy is emitted through one ``_Emitter``: one placement/removal
 pair and one depth-first ``pebble(v)``.  ``black_strategy`` emits a
-complete black pebbling whose space matches the family's standard bound.
+complete black pebbling whose space matches the family's standard bound:
+chains and binary trees depth-first, pyramids row by row, each pyramid
+vertex placed once.
 ``cs_tradeoff_strategy`` emits a pebbling of carlson_savage(c, r) under a
 space budget: spare pebbles beyond the minimum are spent caching the most
 expensive reusable vertices (the level pyramid apex and the previous
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .dag import CsLayout, Dag, FamilySpec, build_family, carlson_savage_layout
+from .dag import CsLayout, Dag, FamilySpec, _pyramid_rows, build_family, carlson_savage_layout
 from .errors import BudgetTooSmall, SizeBoundExceeded, UnsupportedFamily
 from .pebbling import Move
 
@@ -25,19 +27,19 @@ __all__ = [
     "cs_min_budget",
 ]
 
-# Longest move list emitted: 128 times pyramid(9)'s 2,046 moves, the longest
-# strategy any test or benchmark emits, and 8 times the 32,768 moves of
-# chain(16,384).  Depth-first pebbling re-pebbles shared vertices, so the
-# length grows exponentially in the height: pyramid(30) builds in
-# milliseconds but would never finish emitting.
+# Longest move list emitted: 8 times the 32,768 moves of chain(16,384), the
+# longest chain the vertex bound admits, and above the 204,792 moves of
+# carlson_savage(2,11).  A carlson_savage schedule rebuilds the levels below
+# per use, so its length grows about 2.3 times per level: (2,12) passes the
+# bound, and (2,30) builds in milliseconds but would never finish emitting.
 MAX_MOVES = 1 << 18
 
 
 def black_strategy(spec: FamilySpec) -> list[Move]:
     """A complete black pebbling at the family's standard space bound.
 
-    Chains, pyramids and binary trees are pebbled depth-first: space is 2
-    on chains and h+2 on pyramids and trees.
+    Chains and binary trees are pebbled depth-first, pyramids row by row:
+    space is 2 on chains and h+2 on pyramids and trees.
     """
     return _schedules(spec)[1](None)
 
@@ -46,9 +48,40 @@ def _schedules(spec: FamilySpec) -> tuple[Dag, Callable[[int | None], list[Move]
     """The graph of ``spec``, built once, and a function from a budget to
     its black pebbling.  A carlson_savage graph is built with its layout,
     and its schedule is emitted under the budget: None is the minimum, and
-    a budget below the minimum raises BudgetTooSmall.  The other families
-    are pebbled depth-first, whatever the budget."""
-    if spec.kind in ("chain", "pyramid", "binary_tree"):
+    a budget below the minimum raises BudgetTooSmall.  Every other family
+    has one pebbling, whatever the budget."""
+    if spec.kind == "pyramid":
+        g = build_family(spec)
+        rows = _pyramid_rows(spec.params[0], 0)[0]
+
+        def row_by_row(budget: int | None) -> list[Move]:
+            """Place row 0; then, for each row, place each vertex and remove
+            its left predecessor, and at the row's end remove the last
+            vertex of the row below; last, remove the apex.
+
+            Sound: when (l, i) is placed, (l-1, i) and (l-1, i+1) are on
+            the board, as row l-1 was placed whole and only (l-1, 0) ..
+            (l-1, i-1) were removed since.  Removing (l-1, i) then leaves
+            none of its successors, (l, i-1) and (l, i), still to place, and
+            the row's last vertex removes the last of the row below, whose
+            one successor it is.  So each vertex is placed once, time n in
+            2n moves.  While row l is placed the board holds the rest of
+            row l-1 and the start of row l, h+3-l vertices after a
+            placement, so the peak, h+2, is reached on row 1.
+            """
+            e = _Emitter(g)
+            for v in rows[0]:
+                e.place(v)
+            for below, row in zip(rows, rows[1:]):
+                for left, v in zip(below, row):
+                    e.place(v)
+                    e.remove(left)
+                e.remove(below[-1])
+            e.remove(rows[-1][0])
+            return e.moves
+
+        return g, row_by_row
+    if spec.kind in ("chain", "binary_tree"):
         g = build_family(spec)
 
         def depth_first(budget: int | None) -> list[Move]:
@@ -76,7 +109,7 @@ def _schedules(spec: FamilySpec) -> tuple[Dag, Callable[[int | None], list[Move]
 class _Emitter:
     """A move list under construction and the black pebbles on the board.
 
-    Raises SizeBoundExceeded at a placement past move ``MAX_MOVES``, so an
+    Raises SizeBoundExceeded at any move past move ``MAX_MOVES``, so an
     exponential emission stops early.
     """
 
@@ -86,14 +119,17 @@ class _Emitter:
         self.board: set[int] = set()
 
     def place(self, v: int) -> None:
-        if len(self.moves) >= MAX_MOVES:
-            raise SizeBoundExceeded(f"strategy has more than {MAX_MOVES} moves")
-        self.moves.append(Move("PB", v))
+        self._append(Move("PB", v))
         self.board.add(v)
 
     def remove(self, v: int) -> None:
-        self.moves.append(Move("RB", v))
+        self._append(Move("RB", v))
         self.board.discard(v)
+
+    def _append(self, move: Move) -> None:
+        if len(self.moves) >= MAX_MOVES:
+            raise SizeBoundExceeded(f"strategy has more than {MAX_MOVES} moves")
+        self.moves.append(move)
 
     def pebble(self, v: int) -> None:
         """Pebble each predecessor of v in id order, place v, then remove

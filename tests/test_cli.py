@@ -255,7 +255,7 @@ def test_strategy_pyramid_validates(capsys):
     assert code == 0
     g = build_family(FamilySpec.pyramid(2))
     trace = validate_pebbling(g, parse_moves(out), game="black")
-    assert trace.time == 7 and trace.space == 4
+    assert trace.time == 6 and trace.space == 4
 
 
 def test_strategy_to_file_prints_report(tmp_path, capsys):
@@ -295,12 +295,12 @@ def test_strategy_longest_chain(tmp_path, capsys):
 
 
 def test_strategy_errors_exit_1_at_once(capsys):
-    """Emission stops past strategies.MAX_MOVES moves (pyramid(30) and
-    carlson_savage(2, 30) build in milliseconds but emit exponentially many),
-    and a carlson_savage level count out of range is refused, not recursed on."""
+    """Emission stops past strategies.MAX_MOVES moves (carlson_savage(2, 12)
+    and (2, 30) build in milliseconds but emit exponentially many), and a
+    carlson_savage level count out of range is refused, not recursed on."""
     too_long = "strategy has more than 262144 moves"
     for argv, message in (
-        (["--family", "pyramid", "--h", "30"], too_long),
+        (["--family", "carlson_savage", "--c", "2", "--r", "12"], too_long),
         (["--family", "carlson_savage", "--c", "2", "--r", "30"], too_long),
         (["--family", "carlson_savage", "--c", "2", "--r", "-1"], "carlson_savage needs r >= 0"),
         (["--family", "carlson_savage", "--c", "2", "--r", "2000"], "carlson_savage(2,2000) has"),
@@ -824,12 +824,26 @@ def test_report_refuses_an_out_of_range_value_before_any_search(tmp_path, capsys
 
 
 def test_report_skips_overlong_strategy(tmp_path, monkeypatch):
-    monkeypatch.setattr(strategies, "MAX_MOVES", 10)  # pyramid(1) has 6 moves, pyramid(2) 14
+    # pyramid(1) has 6 moves, pyramid(2) 12: its 6 placements fall within the
+    # first 10 moves, so only the bound on removals refuses it.
+    monkeypatch.setattr(strategies, "MAX_MOVES", 10)
     spec = write_spec(tmp_path, "[experiment]\ngame = black\n[family:pyramid]\nh = 1..2\n")
     csv_text, plots, warnings = tradeoff_report(spec)
     assert warnings == ["skipped pyramid(2): strategy has more than 10 moves"]
     assert list(plots) == ["pyramid-1.csv"]
     assert {line.split(",")[1] for line in csv_text.splitlines()[1:]} == {"1"}
+
+
+def test_report_pyramid_strategy_time_is_exact(tmp_path):
+    """The pyramid strategy is exact at the price: one frontier point per
+    pyramid, and the strategy's time is its time."""
+    spec = write_spec(
+        tmp_path, "[experiment]\ngame = black\n[family:pyramid]\nh = 1..4\nspace_cap = +3\n"
+    )
+    csv_text, _, _ = tradeoff_report(spec)
+    rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+    assert [(r[1], r[3]) for r in rows] == [("1", "3"), ("2", "4"), ("3", "5"), ("4", "6")]
+    assert all(r[5] == r[4] for r in rows), rows
 
 
 def test_report_deterministic_across_threads(tmp_path):
@@ -883,7 +897,7 @@ def test_report_builds_each_graph_once(tmp_path, monkeypatch):
     csv_text, _, _ = tradeoff_report(spec)
     assert csv_text.splitlines()[1:] == [
         "chain,2,black,2,2,2",
-        "pyramid,2,black,4,6,7",
+        "pyramid,2,black,4,6,6",
         "binary_tree,1,black,3,3,3",
         "binary_tree,2,black,4,7,7",
         "carlson_savage,2-0,black,1,2,2",

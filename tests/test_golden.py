@@ -6,9 +6,12 @@ trace reader and the checker were last optimised, and before the black
 compiler wrote each clause from its derivation step instead of resolving
 it: the DIMACS text of the pebbling contradiction, the trace text compiled
 from the family's black strategy, and the metrics the checker reports for
-that trace.  The blob compiler's digests, of the blob play that replays
-chain(6)'s starred proof, plain and starred, were taken before it wrote
-each clause from a subconfiguration instead of resolving it.
+that trace.  pyramid(9)'s digests are of its depth-first pebbling, which
+the reference emitter of ``test_strategies`` writes; a fourth row pins the
+trace of the row-by-row pebbling that ``black_strategy`` emits.  The blob
+compiler's digests, of the blob play that replays chain(6)'s starred
+proof, plain and starred, were taken before it wrote each clause from a
+subconfiguration instead of resolving it.
 """
 
 import hashlib
@@ -28,10 +31,17 @@ from pebble_bench import (
     write_dimacs,
 )
 from pebble_bench.strategies import black_strategy
+from test_strategies import reference_recursive_strategy
+
+
+def depth_first(spec):
+    return reference_recursive_strategy(build_family(spec))
+
 
 GOLDEN = [
     (
         FamilySpec.pyramid(9),
+        depth_first,
         4,
         "d10c0706f16f45086c0aed9b438b2bf1de710681aa8a59eaced9d15bd5452cd0",
         "b285843382691419ade6427d14f1c2aa291596741964dab41cddc0b4e3b9cc9a",
@@ -39,6 +49,7 @@ GOLDEN = [
     ),
     (
         FamilySpec.binary_tree(7),
+        black_strategy,
         8,
         "b5d5e8072c776fa297404f26424547146d67a993a706d17077c9446fa16bf8ed",
         "82872a3409348e6cd11a65da833805238a0a0471662ec64ac331edf000b46f20",
@@ -46,26 +57,34 @@ GOLDEN = [
     ),
     (
         FamilySpec.carlson_savage(2, 3),
+        black_strategy,
         4,
         "70fe554332fa88125650f06d72cda4b499a111775d2ff252fac2aef9d4f1c4af",
         "41558b0d77e996062578f58b9b90a7785c0ab95cf0d87d1d31d19b499c57e312",
         {"length": 1408, "width": 8, "clause_space": 8},
     ),
+    (
+        FamilySpec.pyramid(9),
+        black_strategy,
+        4,
+        "d10c0706f16f45086c0aed9b438b2bf1de710681aa8a59eaced9d15bd5452cd0",
+        "86b18bc0635c72890050ff382d940cc8292215b1b995ac55156d39d75c32effc",
+        {"length": 1638, "width": 8, "clause_space": 14},
+    ),
 ]
+GOLDEN_IDS = ["pyramid(9)", "binary_tree(7)", "carlson_savage(2,3)", "pyramid(9)-row-by-row"]
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "spec, d, cnf_sha, trace_sha, report", GOLDEN, ids=[s.label() for s, *_ in GOLDEN]
-)
-def test_proof_path_bytes(spec, d, cnf_sha, trace_sha, report):
+@pytest.mark.parametrize("spec, strategy, d, cnf_sha, trace_sha, report", GOLDEN, ids=GOLDEN_IDS)
+def test_proof_path_bytes(spec, strategy, d, cnf_sha, trace_sha, report):
     g = build_family(spec)
     f = pebbling_contradiction(g, d)
     assert sha256(write_dimacs(f)) == cnf_sha
-    ptrace = validate_pebbling(g, black_strategy(spec), game="black")
+    ptrace = validate_pebbling(g, strategy(spec), game="black")
     trace = format_trace(compile_pebbling(g, d, ptrace))
     assert sha256(trace) == trace_sha
     assert check_trace_text(f, trace).report() == report

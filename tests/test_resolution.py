@@ -1,5 +1,6 @@
 """Tests for the resolution rule, trace checking, metrics, and the trace format."""
 
+import gc
 import random
 from itertools import count, product
 
@@ -658,6 +659,24 @@ def test_parse_error_after_a_verification_failure():
         check_trace_text(f, wrong + "r 3 4 2 x\n")
     assert exc.value.line == 5
     assert str(exc.value) == "line 5: bad integer in 'r 3 4 2 x'"
+
+
+
+def test_refused_trace_leaves_no_reference_cycle():
+    """A refused trace's clauses are freed with its error, not at the next
+    collection: the checker's frame holds no reference to the error whose
+    traceback holds that frame."""
+    f, _ = simple_refutation()
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            check_trace_text(f, "a 1 0\na -1 2 0\nr 1 2 1 1 0\na -2 0\n")
+        except VerificationError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- the trace writer against its first form -----------------------------------

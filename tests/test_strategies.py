@@ -9,12 +9,15 @@ import pytest
 from pebble_bench import (
     BudgetTooSmall,
     FamilySpec,
+    SizeBoundExceeded,
     UnsupportedFamily,
     black_strategy,
     build_family,
     cs_min_budget,
     cs_tradeoff_strategy,
     optimal_price,
+    strategies,
+    tradeoff_frontier,
     validate_pebbling,
 )
 from pebble_bench.dag import _pyramid_rows, carlson_savage_layout
@@ -39,6 +42,35 @@ def test_pyramid_strategy_matches_price():
         spec = FamilySpec.pyramid(h)
         trace = run(spec, black_strategy(spec))
         assert trace.space == h + 2 == optimal_price(build_family(spec))
+
+
+def test_pyramid_strategy_places_each_vertex_once():
+    for h in range(1, 31):
+        spec = FamilySpec.pyramid(h)
+        n = build_family(spec).n
+        moves = black_strategy(spec)
+        trace = run(spec, moves)
+        assert (trace.space, trace.time, len(moves)) == (h + 2, n, 2 * n), h
+        assert sorted(m.v for m in moves if m.kind == "PB") == list(range(n)), h
+
+
+def test_pyramid_strategy_time_is_exact_at_the_price():
+    for h in range(1, 5):
+        spec = FamilySpec.pyramid(h)
+        trace = run(spec, black_strategy(spec))
+        fr = tradeoff_frontier(build_family(spec), "black", above_price=0)
+        assert fr.points == ((trace.space, trace.time),), h
+
+
+def test_move_bound_counts_removals(monkeypatch):
+    """pyramid(1) emits 6 moves, the last three removals: a bound of 6
+    admits them, a bound of 5 refuses the sixth."""
+    spec = FamilySpec.pyramid(1)
+    monkeypatch.setattr(strategies, "MAX_MOVES", 6)
+    assert [m.kind for m in black_strategy(spec)] == ["PB"] * 3 + ["RB"] * 3
+    monkeypatch.setattr(strategies, "MAX_MOVES", 5)
+    with pytest.raises(SizeBoundExceeded, match="^strategy has more than 5 moves$"):
+        black_strategy(spec)
 
 
 def test_binary_tree_strategy_matches_price():
@@ -328,14 +360,13 @@ def reference_cs_tradeoff_strategy(c: int, r: int, budget: int):
 
 
 def test_emitters_match_reference_move_for_move():
-    """348 strategies: chains, pyramids and binary trees by default, and
+    """337 strategies: chains and binary trees by default, and
     carlson_savage by default and at every budget from the minimum to the
-    minimum + 2c + 2."""
-    specs = (
-        [FamilySpec.chain(n) for n in range(1, 200)]
-        + [FamilySpec.pyramid(h) for h in range(1, 12)]
-        + [FamilySpec.binary_tree(h) for h in range(1, 11)]
-    )
+    minimum + 2c + 2.  Pyramids are pebbled row by row, not depth-first as
+    the reference does; carlson_savage's level pyramids still are."""
+    specs = [FamilySpec.chain(n) for n in range(1, 200)] + [
+        FamilySpec.binary_tree(h) for h in range(1, 11)
+    ]
     checked = 0
     for spec in specs:
         assert black_strategy(spec) == reference_recursive_strategy(build_family(spec)), spec
@@ -351,7 +382,7 @@ def test_emitters_match_reference_move_for_move():
                 want = reference_cs_tradeoff_strategy(c, r, budget)
                 assert cs_tradeoff_strategy(c, r, budget) == want, (c, r, budget)
                 checked += 1
-    assert checked == 348
+    assert checked == 337
 
 
 def test_cs_min_budget_matches_reference():
