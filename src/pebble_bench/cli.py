@@ -237,10 +237,15 @@ def _cmd_measure(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
+    """The values of ``a..b``, ``a,b,...`` or ``a``; a reversed range names no
+    value, so it is refused rather than dropping its family."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"empty range {text!r}")
+        return values
     if "," in text:
         return [int(t) for t in text.split(",")]
     return [int(text)]

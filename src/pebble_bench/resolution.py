@@ -6,9 +6,10 @@ frees a live clause.  Axiom and inference events get sequential 1-based ids.
 The compiler emits these events, ``format_trace`` writes them as text, and
 ``parse_trace`` reads them back with canonical clauses.  There is one
 checker, ``check_trace_text``: a single loop over the lines of a trace text
-that verifies each event as it reads it, with the clauses as written, and
-measures length (axioms + inferences), width (largest clause appearing),
-and clause space (peak number of simultaneously live clauses).
+that verifies each event as it reads it, with the clauses as written, stops
+at the first malformed line or failed event, and measures length (axioms +
+inferences), width (largest clause appearing), and clause space (peak
+number of simultaneously live clauses).
 ``check_refutation`` checks an event trace by writing it as text first.  No
 live clause is tautological, so the checker resolves on sets and accepts a
 stated clause of the resolvent's length and set.
@@ -128,10 +129,12 @@ def check_refutation(f: Cnf, trace: ResolutionTrace) -> ProofMetrics:
 
 
 def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
-    """The checker: ``check_refutation(f, parse_trace(text))`` in one loop
-    over the lines, each parsed and verified where it stands, keeping no
-    trace.  After the first verification failure the remaining lines are
-    only parsed, so a malformed later line is reported ahead of it.
+    """The checker: one loop over the lines, each parsed and verified where
+    it stands, keeping no trace.  It raises at the first fault in line
+    order: ParseError with the line number of a malformed line, or
+    VerificationError with the index of a failed event.  On a text that
+    ``parse_trace`` accepts, it is ``check_refutation(f, parse_trace(text))``:
+    the same metrics, or the same message and event index.
 
     No live clause is tautological: an axiom is a clause of ``f``, which
     ``Cnf`` refuses if tautological, and a resolvent goes live only after
@@ -149,7 +152,6 @@ def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
     next_id = 1
     width = space = 0
     idx = -1  # of the current event
-    err = None  # the first verification failure
     lit = _Memo(int).__getitem__  # a literal recurs in many clauses, an id does not
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -164,11 +166,9 @@ def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
             except ValueError:
                 raise ParseError(f"bad integer in {raw.strip()!r}", lineno) from None
             idx += 1
-            if err is None:
-                if cid in live:
-                    del live[cid]  # an erasure cannot raise the peak
-                else:
-                    err = VerificationError(f"erased id {cid} not live", index=idx)
+            if cid not in live:
+                raise VerificationError(f"erased id {cid} not live", index=idx)
+            del live[cid]  # an erasure cannot raise the peak
             continue
         if kind[0] == "c":
             continue
@@ -187,23 +187,19 @@ def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
         elif len(ints) < 4 or ints[-1]:
             raise ParseError("bad inference line", lineno)
         idx += 1
-        if err is not None:
-            continue
         if kind == "a":
             cl = ints[:-1]
             if cl not in axioms:
                 cl = canon_clause(cl)
                 if cl not in axioms:
-                    err = VerificationError(f"axiom {cl} not in formula", index=idx)
-                    continue
+                    raise VerificationError(f"axiom {cl} not in formula", index=idx)
         else:
             left, right, pivot = ints[0], ints[1], ints[2]
             try:
                 c1 = live[left]
                 c2 = live[right]
             except KeyError as e:  # the left premise is looked up first
-                err = VerificationError(f"premise {e.args[0]} not live", index=idx)
-                continue
+                raise VerificationError(f"premise {e.args[0]} not live", index=idx) from None
             lits = {*c1, *c2}
             lits.discard(pivot)
             lits.discard(-pivot)
@@ -212,29 +208,20 @@ def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
                 try:
                     resolve(c1, c2, pivot)  # raises, naming the failed check
                 except (BadPivot, TautologicalResolvent) as e:
-                    err = VerificationError(str(e), index=idx)
-                    continue
+                    raise VerificationError(str(e), index=idx) from None
             cl = ints[3:-1]
             if len(cl) != len(lits) or lits != set(cl):
                 stated, cl = canon_clause(cl), tuple(sorted(lits, key=abs))
                 if cl != stated:
-                    err = VerificationError(
+                    raise VerificationError(
                         f"stated clause {stated} differs from resolvent {cl}", index=idx
                     )
-                    continue
         live[next_id] = cl
         next_id += 1
         if len(cl) > width:
             width = len(cl)
         if len(live) > space:
             space = len(live)
-    if err is not None:
-        try:
-            raise err
-        finally:
-            # The traceback holds this frame; without the local, no cycle
-            # keeps the frame's clauses alive until a collection.
-            del err
     if () not in live.values():
         raise VerificationError("final live set lacks the empty clause")
     return ProofMetrics(length=next_id - 1, width=width, clause_space=space)

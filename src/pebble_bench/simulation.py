@@ -465,6 +465,23 @@ class BlobScriptBuilder:
         return frozenset(map(_subconfig, self.ids))
 
 
+def _realize(builder: BlobScriptBuilder, parent: dict, s: tuple[int, int]) -> None:
+    """Make the (blob, whites) pair ``s`` live in the builder's script: by
+    an introduction, or by the merge ``parent[s]`` records once both its
+    operands are live.  A module-level function, as ``_derive`` is: a nested
+    function that called itself would refer to itself through its closure,
+    a cycle that keeps the closure table alive until the collector runs."""
+    if s in builder.ids:
+        return
+    if not parent[s]:
+        builder._add(s, IntroduceMove(s[0].bit_length() - 1))
+        return
+    a, b, bit = parent[s]
+    _realize(builder, parent, a)
+    _realize(builder, parent, b)
+    builder._add(s, MergeMove(builder.ids[a], builder.ids[b], bit.bit_length() - 1))
+
+
 def explain_transition(g: Dag, builder: BlobScriptBuilder, new: BlobConfig) -> None:
     """Extend the builder's script so its live set becomes exactly ``new``.
 
@@ -504,17 +521,6 @@ def explain_transition(g: Dag, builder: BlobScriptBuilder, new: BlobConfig) -> N
                             nxt.append(m)
         frontier = nxt
 
-    def realize(s: tuple[int, int]) -> None:
-        if s in ids:
-            return
-        if not parent[s]:
-            builder._add(s, IntroduceMove(s[0].bit_length() - 1))
-            return
-        a, b, bit = parent[s]
-        realize(a)
-        realize(b)
-        builder._add(s, MergeMove(ids[a], ids[b], bit.bit_length() - 1))
-
     def text(s: tuple[int, int]) -> str:
         return str(_subconfig(s))
 
@@ -522,14 +528,14 @@ def explain_transition(g: Dag, builder: BlobScriptBuilder, new: BlobConfig) -> N
     for s in sorted((s for s in new.subs if want.get(s) not in ids), key=str):
         pair = want.get(s)
         if pair in parent:
-            realize(pair)
+            _realize(builder, parent, pair)
             continue
         order = order or sorted(parent, key=text)
         # pair is None for a subconfiguration with a vertex outside the graph
         base = pair and next((c for c in order if not (c[0] & ~pair[0] or c[1] & ~pair[1])), None)
         if base is None:
             raise UnsupportedOperation(f"cannot explain induced subconfiguration {s}")
-        realize(base)
+        _realize(builder, parent, base)
         builder._add(pair, InflateMove(ids[base], s.blob, s.whites))
 
     for s in sorted(ids.keys() - want.values(), key=text):

@@ -398,10 +398,11 @@ def test_check_rejects_corrupt_proof(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
-def test_check_reports_malformed_line_before_earlier_failure(tmp_path, capsys):
-    """check reads and verifies a trace in one pass, yet a malformed line is
-    still reported ahead of a verification failure at an earlier event, as
-    when the whole trace was parsed before it was checked."""
+def test_check_reports_the_first_fault(tmp_path, capsys):
+    """check reads and verifies a trace in one pass and stops at its first
+    fault in line order: a failed event is reported whatever malformed line
+    follows it, and a malformed line before it is reported in its place.
+    Both exit 1."""
     spec, d = FamilySpec.pyramid(2), 2
     g = build_family(spec)
     cnf, proof = tmp_path / "f.cnf", tmp_path / "proof.txt"
@@ -410,15 +411,18 @@ def test_check_reports_malformed_line_before_earlier_failure(tmp_path, capsys):
     lines = format_trace(compile_pebbling(g, d, ptrace)).splitlines()
     assert len(lines) > 40 and lines[1].startswith("a ")
     lines[1] = "a 99 0"  # event 2: not an axiom of the formula
-    proof.write_text("\n".join(lines) + "\n")
-    wrong = run(capsys, "check", "--cnf", str(cnf), "--proof", str(proof))
-    assert wrong == (1, "", "error: event 2: axiom (99,) not in formula\n")
-    lines[39] = "r 1 x 0"
+    for malformed in (None, 39):
+        if malformed is not None:
+            lines[malformed] = "r 1 x 0"
+        proof.write_text("\n".join(lines) + "\n")
+        wrong = run(capsys, "check", "--cnf", str(cnf), "--proof", str(proof))
+        assert wrong == (1, "", "error: event 2: axiom (99,) not in formula\n"), malformed
+    lines[0] = "r 1 x 0"
     proof.write_text("\n".join(lines) + "\n")
     assert run(capsys, "check", "--cnf", str(cnf), "--proof", str(proof)) == (
         1,
         "",
-        f"error: {proof}: line 40: bad integer in 'r 1 x 0'\n",
+        f"error: {proof}: line 1: bad integer in 'r 1 x 0'\n",
     )
 
 
@@ -800,6 +804,11 @@ def test_report_usage_errors(tmp_path, capsys, monkeypatch):
         assert err.startswith("usage error: ") and err.count("\n") == 1
     code, _, err = run(capsys, "tradeoff-report", "--spec", write_spec(tmp_path, "[experiment]\ngame = red\n[family:chain]\nn = 2\n"))
     assert (code, err) == (2, "usage error: unknown game 'red'\n")
+    # A reversed range names no instance: refused, not a family dropped.
+    body = "[family:pyramid]\nh = 3..1\n[family:chain]\nn = 2\n"
+    assert run(capsys, "tradeoff-report", "--spec", write_spec(tmp_path, body)) == (
+        2, "", "usage error: bad parameter ranges in [family:pyramid]: empty range '3..1'\n",
+    )
     # A usage error in a later section comes before an out-of-range value
     # in an earlier one.
     body = "[family:pyramid]\nh = 0\n[family:chain]\nn = 2\nspace_cap = x\n"

@@ -448,7 +448,9 @@ def test_stated_clause_compared_as_a_set():
 # Verbatim copies of parse_trace and check_refutation as they were before the
 # text checker existed (events first, then a second walk that canonicalises
 # only on a miss), kept to pin check_trace_text: same metrics, or the same
-# exception type, message, line and event index.
+# exception type, message, line and event index.  On a text that does not
+# parse, the reference is the first fault in line order: a failed event
+# before the first malformed line, else that line's ParseError.
 
 
 def ref_check_refutation_on_miss(f: Cnf, trace: ResolutionTrace) -> ProofMetrics:
@@ -527,6 +529,23 @@ def ref_parse_trace(text: str) -> ResolutionTrace:
         except ValueError:
             raise ParseError(f"bad integer in {line!r}", lineno) from None
     return ResolutionTrace(tuple(events))
+
+
+def ref_first_fault(f: Cnf, text: str) -> ProofMetrics:
+    """``ref_check_refutation(f, ref_parse_trace(text))``, or on a text that
+    does not parse, the first event fault before its first malformed line,
+    else that line's ParseError."""
+    try:
+        trace = ref_parse_trace(text)
+    except ParseError as bad:
+        head = ref_parse_trace("\n".join(text.splitlines()[: bad.line - 1]))
+        try:
+            ref_check_refutation(f, head)
+        except VerificationError as e:
+            if e.index is not None:  # not the final check, which the line precedes
+                raise
+        raise
+    return ref_check_refutation(f, trace)
 
 
 def text_outcome(fn, *args):
@@ -632,10 +651,12 @@ def test_check_trace_text_matches_parse_then_check():
     verdicts = set()
     for f, text in cases:
         got = text_outcome(check_trace_text, f, text)
-        want = text_outcome(lambda: ref_check_refutation_on_miss(f, ref_parse_trace(text)))
-        assert got == want, text
-        assert got == text_outcome(lambda: ref_check_refutation(f, ref_parse_trace(text)))
-        assert got == text_outcome(lambda: check_refutation(f, parse_trace(text)))
+        assert got == text_outcome(ref_first_fault, f, text), text
+        trace = text_outcome(ref_parse_trace, text)
+        assert text_outcome(parse_trace, text) == trace
+        if isinstance(trace, ResolutionTrace):  # the text parses
+            assert got == text_outcome(ref_check_refutation_on_miss, f, trace)
+            assert got == text_outcome(check_refutation, f, trace)
         if isinstance(got, ProofMetrics):
             verdicts.add("ok")
         elif got[0] is ParseError:
@@ -648,18 +669,20 @@ def test_check_trace_text_matches_parse_then_check():
 
 
 def test_parse_error_after_a_verification_failure():
-    """The checker reads on past the first failed event, so a malformed
-    line after it is what it reports."""
+    """The checker stops at the first fault in line order: a misstated
+    event is reported whether or not a malformed line follows it, and a
+    malformed line before it is reported in its place."""
     f, _ = simple_refutation()
     wrong = "a 1 0\na -1 2 0\nr 1 2 1 1 0\na -2 0\n"  # the third event misstates
-    with pytest.raises(VerificationError) as exc:
-        check_trace_text(f, wrong)
-    assert exc.value.index == 2
+    for text in (wrong, wrong + "r 3 4 2 x\n"):
+        with pytest.raises(VerificationError) as exc:
+            check_trace_text(f, text)
+        assert exc.value.index == 2
+        assert str(exc.value) == "event 3: stated clause (1,) differs from resolvent (2,)"
     with pytest.raises(ParseError) as exc:
-        check_trace_text(f, wrong + "r 3 4 2 x\n")
-    assert exc.value.line == 5
-    assert str(exc.value) == "line 5: bad integer in 'r 3 4 2 x'"
-
+        check_trace_text(f, "a 1 0\na -1 2 0\nr 3 4 2 x\nr 1 2 1 1 0\na -2 0\n")
+    assert exc.value.line == 3
+    assert str(exc.value) == "line 3: bad integer in 'r 3 4 2 x'"
 
 
 def test_refused_trace_leaves_no_reference_cycle():

@@ -862,6 +862,22 @@ def test_explain_refuses_what_nothing_derives():
         explain_transition(g, BlobScriptBuilder(g), BlobConfig(frozenset({sub([5])})))
 
 
+def test_explain_leaves_no_reference_cycle():
+    """An explained transition is freed by reference counting alone: no
+    recursive closure keeps the closure table alive until a collection."""
+    g, trace = black_trace(FamilySpec.chain(3))
+    configs = induced(g, compile_pebbling(g, 1, trace, starred=True))
+    gc.collect()
+    gc.disable()
+    try:
+        builder = BlobScriptBuilder(g)
+        for cfg in configs[:2]:
+            explain_transition(g, builder, cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # --- explain on mask pairs against explain on BlobSubconfig objects ----------
 # The builder and explain_transition as they were when they replayed
 # BlobSubconfig objects through introduce and merge, copied verbatim; only
