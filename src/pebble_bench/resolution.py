@@ -3,16 +3,16 @@
 A trace is a sequence of events, each a named tuple: ``Axiom`` downloads a
 clause of the formula, ``Infer`` resolves two live clauses, and ``Erase``
 frees a live clause.  Axiom and inference events get sequential 1-based ids.
-The compiler emits these events, ``format_trace`` writes them as text, and
-``parse_trace`` reads them back with canonical clauses.  There is one
-checker, ``check_trace_text``: a single loop over the lines of a trace text
-that verifies each event as it reads it, with the clauses as written, stops
-at the first malformed line or failed event, and measures length (axioms +
-inferences), width (largest clause appearing), and clause space (peak
-number of simultaneously live clauses).
-``check_refutation`` checks an event trace by writing it as text first.  No
-live clause is tautological, so the checker resolves on sets and accepts a
-stated clause of the resolvent's length and set.
+The compiler emits these events and ``format_trace`` writes them as text.
+One lazy reader, ``_read``, holds the text grammar and serves two callers:
+``parse_trace`` builds events from it with canonical clauses, and the one
+checker, ``check_trace_text``, verifies each event as it is read, with the
+clauses as written.  The checker stops at the first malformed line or
+failed event and measures length (axioms + inferences), width (largest
+clause appearing), and clause space (peak number of simultaneously live
+clauses).  ``check_refutation`` checks an event trace by writing it as text
+first.  No live clause is tautological, so the checker resolves on sets and
+accepts a stated clause of the resolvent's length and set.
 """
 
 from __future__ import annotations
@@ -129,72 +129,40 @@ def check_refutation(f: Cnf, trace: ResolutionTrace) -> ProofMetrics:
 
 
 def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
-    """The checker: one loop over the lines, each parsed and verified where
-    it stands, keeping no trace.  It raises at the first fault in line
-    order: ParseError with the line number of a malformed line, or
+    """The checker: it verifies each event as ``_read`` yields it and keeps
+    no trace.  The reader is lazy, so the first fault in line order is the
+    one raised: ParseError with the line number of a malformed line, or
     VerificationError with the index of a failed event.  On a text that
-    ``parse_trace`` accepts, it is ``check_refutation(f, parse_trace(text))``:
-    the same metrics, or the same message and event index.
+    ``parse_trace`` accepts, it is ``check_refutation(f, parse_trace(text))``.
 
     No live clause is tautological: an axiom is a clause of ``f``, which
     ``Cnf`` refuses if tautological, and a resolvent goes live only after
     the tautology check.  So a good pivot occurs with one sign in each
     premise, and the resolvent is the set ``(C1 | C2) - {p, -p}``.  A
-    stated clause of the same length and the same set is that set in some
-    order; a length and superset test would let a repeated literal stand in
-    for a missing one.  Canonical forms are built only on a miss, where a
+    stated clause of the same length and set is that set in some order; a
+    length and superset test would let a repeated literal stand in for a
+    missing one.  Canonical forms are built only on a miss, where a
     repeated literal may still agree; a failed pivot or tautology check is
-    reported by ``resolve``.  Axioms are canonicalised only when not found
-    as written.  Erase lines, half of a compiled trace, are read first.
+    reported by ``resolve``.
     """
     axioms = set(f.clauses)
     live: dict[int, Clause] = {}
     next_id = 1
     width = space = 0
-    idx = -1  # of the current event
-    lit = _Memo(int).__getitem__  # a literal recurs in many clauses, an id does not
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        kind = parts[0]
+    for idx, (kind, val) in enumerate(_read(text)):
         if kind == "e":
-            if len(parts) != 2:
-                raise ParseError("bad erase line", lineno)
-            try:
-                cid = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad integer in {raw.strip()!r}", lineno) from None
-            idx += 1
-            if cid not in live:
-                raise VerificationError(f"erased id {cid} not live", index=idx)
-            del live[cid]  # an erasure cannot raise the peak
+            if val not in live:
+                raise VerificationError(f"erased id {val} not live", index=idx)
+            del live[val]  # an erasure cannot raise the peak
             continue
-        if kind[0] == "c":
-            continue
-        if kind != "a" and kind != "r":
-            raise ParseError(f"unknown line type {kind!r}", lineno)
-        try:
-            if kind == "a":
-                ints = tuple(map(lit, parts[1:]))
-            else:
-                ints = (*map(int, parts[1:3]), *map(lit, parts[3:]))
-        except ValueError:
-            raise ParseError(f"bad integer in {raw.strip()!r}", lineno) from None
         if kind == "a":
-            if not ints or ints[-1]:
-                raise ParseError("axiom line missing trailing 0", lineno)
-        elif len(ints) < 4 or ints[-1]:
-            raise ParseError("bad inference line", lineno)
-        idx += 1
-        if kind == "a":
-            cl = ints[:-1]
+            cl = val
             if cl not in axioms:
                 cl = canon_clause(cl)
                 if cl not in axioms:
                     raise VerificationError(f"axiom {cl} not in formula", index=idx)
         else:
-            left, right, pivot = ints[0], ints[1], ints[2]
+            left, right, pivot = val[0], val[1], val[2]
             try:
                 c1 = live[left]
                 c2 = live[right]
@@ -209,7 +177,7 @@ def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
                     resolve(c1, c2, pivot)  # raises, naming the failed check
                 except (BadPivot, TautologicalResolvent) as e:
                     raise VerificationError(str(e), index=idx) from None
-            cl = ints[3:-1]
+            cl = val[3:]
             if len(cl) != len(lits) or lits != set(cl):
                 stated, cl = canon_clause(cl), tuple(sorted(lits, key=abs))
                 if cl != stated:
@@ -257,16 +225,32 @@ def format_trace(trace: ResolutionTrace) -> str:
 
 
 def parse_trace(text: str) -> ResolutionTrace:
-    return ResolutionTrace(tuple(_records(text)))
-
-
-def _records(text: str):
-    """Yield the event of each line, its clause canonical.  Raises
-    ParseError at the first malformed line, by the rules of
-    ``check_trace_text``.  Events are built by ``tuple.__new__``, the named tuples' own
-    constructor without the Python-level ``__new__`` in front of it; erase
-    lines, half of a compiled trace, are read first."""
+    """The events ``_read`` yields, each clause made canonical.  Events are
+    built by ``tuple.__new__``, the named tuples' own constructor without
+    the Python-level ``__new__`` in front of it."""
     new = tuple.__new__
+    events = []
+    for kind, val in _read(text):
+        if kind == "e":
+            events.append(new(Erase, (val,)))
+        elif kind == "a":
+            events.append(new(Axiom, (canon_clause(val),)))
+        else:
+            events.append(new(Infer, (val[0], val[1], val[2], canon_clause(val[3:]))))
+    return ResolutionTrace(tuple(events))
+
+
+def _read(text: str):
+    """The one reader of the trace grammar, for ``check_trace_text`` and
+    ``parse_trace``.  It yields the event of each line as it reads the
+    line: ``("e", id)``, ``("a", literals)`` or
+    ``("r", (left, right, pivot, *literals))``, the literals as written
+    and the trailing 0 dropped.  Comment and blank lines are skipped.  It
+    raises ParseError at the first malformed line, after yielding every
+    event before it.  A literal recurs in many clauses, an id does not, so
+    only literals are read through a memo, one per trace; erase lines,
+    half of a compiled trace, are tested first."""
+    lit = _Memo(int).__getitem__
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
@@ -279,21 +263,22 @@ def _records(text: str):
                 cid = int(parts[1])
             except ValueError:
                 raise ParseError(f"bad integer in {raw.strip()!r}", lineno) from None
-            yield new(Erase, (cid,))
+            yield kind, cid
             continue
         if kind[0] == "c":
             continue
         if kind != "a" and kind != "r":
             raise ParseError(f"unknown line type {kind!r}", lineno)
         try:
-            ints = tuple(map(int, parts[1:]))
+            if kind == "a":
+                ints = tuple(map(lit, parts[1:]))
+            else:
+                ints = (*map(int, parts[1:3]), *map(lit, parts[3:]))
         except ValueError:
             raise ParseError(f"bad integer in {raw.strip()!r}", lineno) from None
         if kind == "a":
             if not ints or ints[-1]:
                 raise ParseError("axiom line missing trailing 0", lineno)
-            yield new(Axiom, (canon_clause(ints[:-1]),))
         elif len(ints) < 4 or ints[-1]:
             raise ParseError("bad inference line", lineno)
-        else:
-            yield new(Infer, (ints[0], ints[1], ints[2], canon_clause(ints[3:-1])))
+        yield kind, ints[:-1]

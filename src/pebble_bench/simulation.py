@@ -239,7 +239,7 @@ def _derive(emit, ids, held: dict[int, int], pos, ps, head: Clause, negs=()) -> 
     order.  Each variable occurs once, as the vertices are distinct.  So
     the clause is sorted by variable and has no complementary pair, which
     is the canonical resolvent ``resolve`` would return.  Events are built
-    by ``tuple.__new__``, as ``_records`` builds them.  This is a
+    by ``tuple.__new__``, as ``parse_trace`` builds them.  This is a
     module-level function: a nested function that called itself would
     refer to itself, and through ``emit`` keep the event list alive until
     the cyclic collector ran.
@@ -492,10 +492,11 @@ def explain_transition(g: Dag, builder: BlobScriptBuilder, new: BlobConfig) -> N
     outside the graph.
 
     The closure of what merges derive is built on (blob, whites) mask
-    pairs with ``blob._merge``.  Additions, the candidates for an
-    inflation's source and erasures are taken in the text order of
-    ``BlobSubconfig``; with the order the closure grows in, that decides
-    the moves.
+    pairs with ``blob._merge``.  It grows from the live set in creation
+    order, the order of ``builder.ids``, then the introductions in vertex
+    order.  Additions, the candidates for an inflation's source and
+    erasures are taken in the text order of ``BlobSubconfig``.  So the
+    moves depend on ids and text alone, not on hash-table layout.
     """
     ids = builder.ids
     inside = range(g.n)
@@ -504,8 +505,8 @@ def explain_transition(g: Dag, builder: BlobScriptBuilder, new: BlobConfig) -> N
     # Closure of derivable subconfigurations, each with the operands and
     # pivot bit of its merge, or () if live or an introduction.  The first
     # derivation found is the one played, so the order the closure grows in,
-    # from the live set in builder.live()'s order, decides the moves.
-    parent: dict[tuple[int, int], tuple] = dict.fromkeys(map(_pair, builder.live()), ())
+    # from the live set in creation order, decides the moves.
+    parent: dict[tuple[int, int], tuple] = dict.fromkeys(ids, ())
     for v in inside:
         parent.setdefault((1 << v, g.pred_mask[v]), ())
     frontier = list(parent)

@@ -27,18 +27,23 @@ import xml.etree.ElementTree as ET
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECK = "pebble_bench/resolution.py"
+SEARCH = "pebble_bench/search.py"
+PEBBLING = "pebble_bench/pebbling.py"
 RES = "tests/test_resolution.py::"
+SRCH = "tests/test_search.py::"
+PEB = "tests/test_pebbling.py::"
 
 # (file under src/, exact old text, new text, tests that must fail)
 MUTANTS = [
+    # The proof checker's verdict on each event.
     (  # an erase is checked against the ids issued, not the ids live
         CHECK,
-        """            if cid not in live:
-                raise VerificationError(f"erased id {cid} not live", index=idx)
-            del live[cid]""",
-        """            if not 0 < cid < next_id:
-                raise VerificationError(f"erased id {cid} not live", index=idx)
-            live.pop(cid, None)""",
+        """            if val not in live:
+                raise VerificationError(f"erased id {val} not live", index=idx)
+            del live[val]""",
+        """            if not 0 < val < next_id:
+                raise VerificationError(f"erased id {val} not live", index=idx)
+            live.pop(val, None)""",
         [RES + "test_check_trace_text_matches_parse_then_check"],
     ),
     (  # an axiom is canonicalised but never looked up in the formula
@@ -80,6 +85,104 @@ MUTANTS = [
         "if () not in live.values():",
         "if not live:",
         [RES + "test_check_requires_live_empty_clause", RES + "test_check_trace_text_matches_parse_then_check"],
+    ),
+    # The trace reader, which both the checker and parse_trace read through.
+    (  # an axiom line without its trailing 0 is accepted
+        CHECK,
+        """            if not ints or ints[-1]:
+                raise ParseError("axiom line missing trailing 0", lineno)""",
+        """            if not ints:
+                raise ParseError("axiom line missing trailing 0", lineno)""",
+        [
+            RES + "test_parse_trace_errors",
+            RES + "test_malformed_line_refused_alike_by_both_callers",
+            RES + "test_check_trace_text_matches_parse_then_check",
+        ],
+    ),
+    (  # an erase line with an extra token is accepted
+        CHECK,
+        "if len(parts) != 2:",
+        "if len(parts) < 2:",
+        [
+            RES + "test_malformed_line_refused_alike_by_both_callers",
+            RES + "test_check_trace_text_matches_parse_then_check",
+        ],
+    ),
+    (  # an inference line with fewer than four integers is accepted
+        CHECK,
+        "elif len(ints) < 4 or ints[-1]:",
+        "elif len(ints) < 3 or ints[-1]:",
+        [RES + "test_parse_trace_errors", RES + "test_malformed_line_refused_alike_by_both_callers"],
+    ),
+    (  # only a line whose first word is "c" is a comment
+        CHECK,
+        """if kind[0] == "c":""",
+        """if kind == "c":""",
+        [
+            RES + "test_malformed_line_refused_alike_by_both_callers",
+            RES + "test_check_trace_text_matches_parse_then_check",
+        ],
+    ),
+    # The exact searches' pruning rules and lower bounds.
+    (  # the BW floor one too high
+        SEARCH,
+        "return 1 + max(len(g.preds[v]) for v in range(g.n) if need >> v & 1)",
+        "return 2 + max(len(g.preds[v]) for v in range(g.n) if need >> v & 1)",
+        [SRCH + "test_single_vertex", SRCH + "test_bw_price_floor_pinned"],
+    ),
+    (  # the BW floor taken over every vertex, not the targets' ancestors
+        SEARCH,
+        "return 1 + max(len(g.preds[v]) for v in range(g.n) if need >> v & 1)",
+        "return 1 + max(len(g.preds[v]) for v in range(g.n))",
+        [SRCH + "test_pruned_frontier_matches_naive_sweep[bw]", SRCH + "test_bw_price_floor_pinned"],
+    ),
+    (  # no white placement: a free vertex is placed only when black is legal
+        SEARCH,
+        "elif room:",
+        "elif room and not missing:",
+        [SRCH + "test_bw_price_witness_validates", SRCH + "test_successors_match_vertex_scan[bw]"],
+    ),
+    (  # the black floor one too high
+        SEARCH,
+        "return max(least[t] for t in g.targets)",
+        "return 1 + max(least[t] for t in g.targets)",
+        [SRCH + "test_single_vertex", SRCH + "test_chain_prices", SRCH + "test_price_floor_pinned"],
+    ),
+    (  # black rule 2 off: a ready last target is not placed at once
+        SEARCH,
+        "if room and not mask & low:  # rule 2",
+        "if False:  # rule 2",
+        [
+            SRCH + "test_witness_places_a_target_before_dropping_its_predecessors",
+            SRCH + "test_frontier_work_pinned[black]",
+        ],
+    ),
+    (  # a target's step may evict any pebble outside the new N(T)
+        SEARCH,
+        "stay[v] = pm[v] | outside & (outside - 1)",
+        "stay[v] = pm[v]",
+        [SRCH + "test_black_successors_hold_no_state_twice", SRCH + "test_successors_match_vertex_scan[black]"],
+    ),
+    # The pebbling validator's move rules.
+    (  # a white removal needs no predecessor on the board
+        PEBBLING,
+        """            if pred_mask[v] & ~(black | white):
+                raise IllegalMove(f"predecessor of {v} unpebbled", index=i)
+            white ^= bit""",
+        """            white ^= bit""",
+        [PEB + "test_white_placement_free_removal_guarded", PEB + "test_validate_matches_set_based_reference"],
+    ),
+    (  # space counts the board before a placement, one short
+        PEBBLING,
+        "space = max(space, board.bit_count() + 1)",
+        "space = max(space, board.bit_count())",
+        [PEB + "test_space_counts_both_colours", PEB + "test_validate_black_chain"],
+    ),
+    (  # a white removal is allowed in the black game
+        PEBBLING,
+        """elif kind != "PB" and not white_ok:""",
+        """elif kind == "PW" and not white_ok:""",
+        [PEB + "test_white_moves_forbidden_in_black_game", PEB + "test_validate_matches_set_based_reference"],
     ),
 ]
 

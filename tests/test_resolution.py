@@ -668,6 +668,23 @@ def test_check_trace_text_matches_parse_then_check():
     }
 
 
+def test_malformed_line_refused_alike_by_both_callers():
+    """Each malformed line shape, after an axiom and a comment line, is the
+    same ParseError from parse_trace, from the checker and from the
+    verbatim ref_parse_trace: one reader holds the grammar for both
+    callers."""
+    f, _ = simple_refutation()
+    for line in (
+        "a", "a 1", "a 1 x 0", "r", "r 1 2", "r 1 2 0", "r 1 2 1", "r 1 x 1 0",
+        "e", "e 1 2", "e x", "x 1 0", "ax 1 0",
+    ):
+        text = f"a 1 0\ncomment\n{line}\n"
+        want = text_outcome(ref_parse_trace, text)
+        assert want[0] is ParseError and want[2] == 3, line
+        assert text_outcome(parse_trace, text) == want, line
+        assert text_outcome(check_trace_text, f, text) == want, line
+
+
 def test_parse_error_after_a_verification_failure():
     """The checker stops at the first fault in line order: a misstated
     event is reported whether or not a malformed line follows it, and a

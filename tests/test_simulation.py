@@ -881,7 +881,9 @@ def test_explain_leaves_no_reference_cycle():
 # --- explain on mask pairs against explain on BlobSubconfig objects ----------
 # The builder and explain_transition as they were when they replayed
 # BlobSubconfig objects through introduce and merge, copied verbatim; only
-# the names differ.
+# the names differ, and the closure starts from ``builder.ids`` in creation
+# order, where it started from the frozenset ``builder.live()``, whose order
+# follows hash-table layout.
 
 
 class ReferenceBlobScriptBuilder:
@@ -936,7 +938,7 @@ def reference_explain_transition(g: Dag, builder: ReferenceBlobScriptBuilder, ne
     additions = set(new.subs) - old
 
     # Closure of derivable subconfigurations with derivation parents.
-    parent: dict[BlobSubconfig, tuple] = {s: ("live",) for s in old}
+    parent: dict[BlobSubconfig, tuple] = {s: ("live",) for s in builder.ids}
     for v in range(g.n):
         s = reference_introduce(g, v)
         parent.setdefault(s, ("intro", v))
