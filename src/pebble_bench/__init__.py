@@ -65,7 +65,6 @@ from .resolution import (
 )
 from .simulation import (
     BlobScriptBuilder,
-    ImplicationOracle,
     compile_pebbling,
     explain_transition,
     induce_configuration,

@@ -20,10 +20,11 @@ the validator does, and writes each clause with ``_clause``, the one rule
 
 ``induce_configuration`` goes the other way: given live clauses it returns
 every subconfiguration whose clause the set implies, keeping only precise
-ones (no single black or white vertex can be dropped).  Implication is
-decided exactly by a small DPLL oracle.  ``explain_transition`` turns one
+ones (no single black or white vertex can be dropped).  These are read off
+the set's prime implicates, which resolution with subsumption computes on
+(positive, negative) variable masks.  ``explain_transition`` turns one
 induced configuration into the next with blob moves, searching what merges
-on mask pairs derive from the live set.
+on mask pairs derive from the live set, only as far as the additions need.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .cnf import (
     var_id,
 )
 from .dag import Dag
-from .errors import IllegalMove, SizeBoundExceeded, UnsupportedOperation
+from .errors import SizeBoundExceeded, UnsupportedOperation
 from .pebbling import PebblingTrace
 from .resolution import (
     Axiom,
@@ -62,108 +63,23 @@ from .resolution import (
 )
 
 __all__ = [
-    "ImplicationOracle",
     "subconfig_clause",
     "compile_pebbling",
     "metrics_vs_cost",
     "induce_configuration",
     "BlobScriptBuilder",
     "explain_transition",
-    "MAX_ORACLE_VARS",
-    "MAX_INDUCE_VERTICES",
+    "MAX_IMPLICATES",
 ]
 
-MAX_ORACLE_VARS = 24
-# induce_configuration sweeps all 3^n (blob, whites) pairs: with one clause,
-# chain(8) takes 0.04 s and chain(12) 3.2 s, 9 times more per two vertices.
-# No test or benchmark induces on more than chain(6).
-MAX_INDUCE_VERTICES = 12
-
-
-# ---------------------------------------------------------------------------
-# Exact implication oracle
-# ---------------------------------------------------------------------------
-
-
-class ImplicationOracle:
-    """Exact entailment checks for clause sets over at most 24 variables.
-
-    ``implies(clause)`` decides CNF |= clause by refuting CNF plus the
-    negated clause with a unit-propagating DPLL search on bitmasks: bit x
-    stands for variable x, a clause is a ``(pos_mask, neg_mask)`` pair and
-    an assignment a ``(true_mask, false_mask)`` pair.  The base clauses are
-    converted to masks once, here.
-    """
-
-    def __init__(self, clauses, num_vars: int):
-        if num_vars > MAX_ORACLE_VARS:
-            raise SizeBoundExceeded(
-                f"{num_vars} variables exceeds oracle bound {MAX_ORACLE_VARS}"
-            )
-        self.num_vars = num_vars
-        masks = []
-        for cl in clauses:
-            pos, neg = _masks(cl)
-            if not pos & neg:  # a tautology holds under every assignment
-                masks.append((pos, neg))
-        self.masks = tuple(masks)
-
-    def implies(self, clause) -> bool:
-        # The negated clause is the assignment making every literal false.
-        false, true = _masks(clause)
-        return self.refutes(true, false)
-
-    def refutes(self, true: int, false: int) -> bool:
-        """Whether no model makes the variables in ``true`` true and those
-        in ``false`` false."""
-        return bool(true & false) or not _satisfiable(self.masks, true, false)
-
-
-def _masks(lits) -> tuple[int, int]:
-    """The (positive, negative) variable masks of a literal collection."""
-    pos = neg = 0
-    for l in lits:
-        if l > 0:
-            pos |= 1 << l
-        else:
-            neg |= 1 << -l
-    return pos, neg
-
-
-def _satisfiable(clauses, true: int, false: int) -> bool:
-    """Whether some extension of the assignment satisfies every
-    ``(pos, neg)`` clause; no clause may hold a variable in both masks.
-
-    Unit propagation runs to a fixpoint, dropping satisfied clauses and
-    false literals; then the search branches on the lowest variable of the
-    first open clause.
-    """
-    while True:
-        open_clauses = []
-        propagated = False
-        for pos, neg in clauses:
-            if pos & true or neg & false:
-                continue
-            pos &= ~false
-            neg &= ~true
-            lits = pos | neg
-            if not lits:
-                return False
-            if lits & (lits - 1):
-                open_clauses.append((pos, neg))
-            else:  # a unit: make its literal true
-                true |= pos
-                false |= neg
-                propagated = True
-        clauses = open_clauses
-        if not propagated:
-            break
-    if not clauses:
-        return True
-    pos, neg = clauses[0]
-    lits = pos | neg
-    x = lits & -lits
-    return _satisfiable(clauses, true | x, false) or _satisfiable(clauses, true, false | x)
+# induce_configuration saturates the live set by resolution, holding at most
+# this many clauses.  An implication chain -x_i v x_{i+1} over k variables
+# holds all k(k-1)/2 clauses -x_i v x_j: 32 variables hold 496 in 0.18 s, 45
+# hold 990 in 1.0 s and 60 hold 1,770 in 4.3-5.0 s (Python 3.11, 2 cores),
+# the time growing about 40-fold per doubling of k; 33 variables are refused
+# after 0.09 s.  The starred replays of pyramid(7), binary_tree(5) and
+# carlson_savage(2,3) hold at most 10.
+MAX_IMPLICATES = 500
 
 
 # ---------------------------------------------------------------------------
@@ -384,57 +300,98 @@ def induce_configuration(g: Dag, d: int, live_clauses) -> BlobConfig:
 
     A subconfiguration is induced when the set implies its clause and the
     implication is precise: dropping any single blob or white vertex breaks
-    it.  Exhaustive over all (blob, white) pairs, so refuses graphs above
-    ``MAX_INDUCE_VERTICES`` vertices before any work.
+    it.  The induced pairs are read off the set's prime implicates.
+
+    Sound and complete: [B]<W>'s clause holds every variable of B positive
+    and every variable of W negative, so it is implied iff some prime
+    implicate lies inside it, that is iff the implicate's positive vertices
+    lie in B and its negative vertices in W.  A projection whose two vertex
+    sets overlap, or that names a vertex outside g, lies inside no such
+    clause.  An all-negative implicate with whites W lies inside that of
+    [{v}]<W> for each v of g outside W, and so inside that of every [B]<W'>
+    with B nonempty and W inside W'.  The implied pairs are therefore
+    upward closed under inclusion of blob and of whites, so a pair is
+    precise iff it is minimal, and each minimal pair is one of these
+    projections.  An unsatisfiable set has the empty clause as its one
+    prime implicate and induces the empty configuration.
     """
-    if g.n > MAX_INDUCE_VERTICES:
-        raise SizeBoundExceeded(f"{g.n} vertices exceeds induce bound {MAX_INDUCE_VERTICES}")
-    oracle = ImplicationOracle(live_clauses, d * g.n)
-    if oracle.implies(()):
+    implicates = _prime_implicates(live_clauses)
+    if (0, 0) in implicates:
         # An unsatisfiable live set asserts nothing conditionally; it matches
         # the finished game, whose configuration is empty.
         return BlobConfig(frozenset())
-    # variables[m]: the variables of the vertices in m, built once from the
-    # mask without its lowest bit.
-    own = [((1 << d) - 1) << (d * v + 1) for v in range(g.n)]  # v's variables
-    variables = [0] * (1 << g.n)
-    for m in range(1, 1 << g.n):
-        low = m & -m
-        variables[m] = variables[m ^ low] | own[low.bit_length() - 1]
-
-    cache: dict[int, bool] = {}
-
-    def implied(b: int, w: int) -> bool:
-        # [b]<w>'s clause is implied iff no model makes b's variables all
-        # false and w's all true.
-        key = b | w << g.n
-        if key not in cache:
-            cache[key] = oracle.refutes(variables[w], variables[b])
-        return cache[key]
-
-    out = []
-    for b, w in _colourings(g.n):
-        if not b or not implied(b, w):
+    full = (1 << g.n) - 1
+    pairs = set()
+    for pos, neg in implicates:
+        b, w = _vertices(pos, d), _vertices(neg, d)
+        if b & w or (b | w) & ~full:
             continue
-        if b & (b - 1) and any(implied(b & ~x, w) for x in _bits(b)):
-            continue
-        if any(implied(b, w & ~x) for x in _bits(w)):
-            continue
-        out.append(_subconfig((b, w)))
-    return BlobConfig(frozenset(out))
+        if b:
+            pairs.add((b, w))
+        else:
+            pairs.update((x, w) for x in _bits(full & ~w))
+    minimal: list[tuple[int, int]] = []
+    for b, w in sorted(pairs, key=lambda s: (s[0] | s[1]).bit_count()):
+        if not any(not (c & ~b or x & ~w) for c, x in minimal):
+            minimal.append((b, w))
+    return BlobConfig(frozenset(map(_subconfig, minimal)))
 
 
-def _colourings(n: int):
-    """All (blob, whites) pairs of disjoint vertex masks below 1 << n."""
-    full = (1 << n) - 1
-    for b in range(1 << n):
-        rest = full & ~b
-        w = rest
-        while True:
-            yield b, w
-            if not w:
-                break
-            w = (w - 1) & rest
+def _vertices(lits: int, d: int) -> int:
+    """The vertex mask of a variable mask: variable x belongs to vertex
+    (x - 1) // d."""
+    m = 0
+    for x in _bits(lits):
+        m |= 1 << (x.bit_length() - 2) // d
+    return m
+
+
+def _prime_implicates(clauses) -> dict[tuple[int, int], None]:
+    """The prime implicates of a clause set, each a (positive, negative)
+    variable mask pair: bit x stands for variable x.
+
+    Saturation by resolution with subsumption.  A clause is held unless it
+    is a tautology or a held clause subsumes it, and holding it drops the
+    held clauses it subsumes.  Each held clause, taken up in turn, is
+    resolved against every clause taken up before it; two clauses resolve
+    when exactly one variable clashes, as a second clash makes the
+    resolvent a tautology.  At the fixpoint no held clause subsumes another
+    and every resolvent of two held clauses is subsumed by a held one, so
+    the held clauses are exactly the prime implicates (Quine's consensus
+    theorem).  Raises SizeBoundExceeded once more than ``MAX_IMPLICATES``
+    clauses are held.
+    """
+    found = []
+    for cl in clauses:
+        pos = neg = 0
+        for lit in cl:
+            if lit > 0:
+                pos |= 1 << lit
+            else:
+                neg |= 1 << -lit
+        found.append((pos, neg))
+    done: dict[tuple[int, int], None] = {}  # taken up
+    waiting: dict[tuple[int, int], None] = {}  # held, not yet taken up
+    while True:
+        for pos, neg in found:
+            if pos & neg or any(not (p & ~pos or n & ~neg) for held in (done, waiting) for p, n in held):
+                continue
+            for held in (done, waiting):
+                for c in [c for c in held if not (pos & ~c[0] or neg & ~c[1])]:
+                    del held[c]
+            waiting[pos, neg] = None
+            if len(done) + len(waiting) > MAX_IMPLICATES:
+                raise SizeBoundExceeded(f"more than {MAX_IMPLICATES} implicates held")
+        if not waiting:
+            return done
+        pos, neg = c = next(iter(waiting))
+        del waiting[c]
+        found = []
+        for p, n in done:
+            clash = pos & n | neg & p
+            if clash and not clash & (clash - 1):
+                found.append(((pos | p) & ~clash, (neg | n) & ~clash))
+        done[c] = None
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +403,7 @@ class BlobScriptBuilder:
     """Accumulates an indexed blob move list while tracking live values.
 
     ``ids`` maps each live subconfiguration, a (blob, whites) mask pair, to
-    its id; ``live()`` gives them as ``BlobSubconfig`` objects.
+    its id.
     """
 
     def __init__(self, g: Dag):
@@ -460,9 +417,6 @@ class BlobScriptBuilder:
         self.moves.append(move)
         self.ids[s] = self.next_id
         self.next_id += 1
-
-    def live(self) -> frozenset[BlobSubconfig]:
-        return frozenset(map(_subconfig, self.ids))
 
 
 def _realize(builder: BlobScriptBuilder, parent: dict, s: tuple[int, int]) -> None:
@@ -497,6 +451,12 @@ def explain_transition(g: Dag, builder: BlobScriptBuilder, new: BlobConfig) -> N
     order.  Additions, the candidates for an inflation's source and
     erasures are taken in the text order of ``BlobSubconfig``.  So the
     moves depend on ids and text alone, not on hash-table layout.
+
+    The closure grows a layer at a time and stops after the layer in which
+    the last addition not yet in it is found.  A pair's derivation is fixed
+    when the pair is first found, so the moves are those the full closure
+    gives.  If an addition is not derivable, the inflation picks its source
+    from the whole closure, which then saturates.
     """
     ids = builder.ids
     inside = range(g.n)
@@ -505,12 +465,15 @@ def explain_transition(g: Dag, builder: BlobScriptBuilder, new: BlobConfig) -> N
     # Closure of derivable subconfigurations, each with the operands and
     # pivot bit of its merge, or () if live or an introduction.  The first
     # derivation found is the one played, so the order the closure grows in,
-    # from the live set in creation order, decides the moves.
+    # from the live set in creation order, decides the moves.  It grows
+    # until every pair to add is in it (None, for a vertex outside the
+    # graph, never is), or until it saturates.
+    need = {want.get(s) for s in new.subs} - ids.keys()
     parent: dict[tuple[int, int], tuple] = dict.fromkeys(ids, ())
     for v in inside:
         parent.setdefault((1 << v, g.pred_mask[v]), ())
     frontier = list(parent)
-    while frontier:
+    while frontier and not need <= parent.keys():
         nxt = []
         for s1 in list(parent):
             for s2 in frontier:

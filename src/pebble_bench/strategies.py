@@ -69,6 +69,7 @@ def _schedules(spec: FamilySpec) -> tuple[Dag, Callable[[int | None], list[Move]
             row l-1 and the start of row l, h+3-l vertices after a
             placement, so the peak, h+2, is reached on row 1.
             """
+            _bounded(g.n)
             e = _Emitter(g)
             for v in rows[0]:
                 e.place(v)
@@ -85,6 +86,7 @@ def _schedules(spec: FamilySpec) -> tuple[Dag, Callable[[int | None], list[Move]
         g = build_family(spec)
 
         def depth_first(budget: int | None) -> list[Move]:
+            _bounded(g.n)  # each vertex of a chain or an in-tree is placed once
             e = _Emitter(g)
             for t in g.targets:
                 e.pebble(t)
@@ -106,12 +108,17 @@ def _schedules(spec: FamilySpec) -> tuple[Dag, Callable[[int | None], list[Move]
     return g, schedule
 
 
-class _Emitter:
-    """A move list under construction and the black pebbles on the board.
+def _bounded(placements: int) -> None:
+    """Refuse, before any move is emitted, a schedule of this many
+    placements that has more than ``MAX_MOVES`` moves.  Every schedule ends
+    with an empty board, each placement removed once, so it has twice as
+    many moves as placements."""
+    if 2 * placements > MAX_MOVES:
+        raise SizeBoundExceeded(f"strategy has more than {MAX_MOVES} moves")
 
-    Raises SizeBoundExceeded at any move past move ``MAX_MOVES``, so an
-    exponential emission stops early.
-    """
+
+class _Emitter:
+    """A move list under construction and the black pebbles on the board."""
 
     def __init__(self, g: Dag):
         self.preds = g.preds
@@ -119,17 +126,12 @@ class _Emitter:
         self.board: set[int] = set()
 
     def place(self, v: int) -> None:
-        self._append(Move("PB", v))
+        self.moves.append(Move("PB", v))
         self.board.add(v)
 
     def remove(self, v: int) -> None:
-        self._append(Move("RB", v))
+        self.moves.append(Move("RB", v))
         self.board.discard(v)
-
-    def _append(self, move: Move) -> None:
-        if len(self.moves) >= MAX_MOVES:
-            raise SizeBoundExceeded(f"strategy has more than {MAX_MOVES} moves")
-        self.moves.append(move)
 
     def pebble(self, v: int) -> None:
         """Pebble each predecessor of v in id order, place v, then remove
@@ -234,6 +236,7 @@ class _CsEmitter(_Emitter):
     def run(self) -> list[Move]:
         c, r = self.layout.c, self.layout.r
         if r == 0:
+            _bounded(c)
             for t in self.layout.base:
                 self.place(t)
                 self.remove(t)
@@ -245,7 +248,12 @@ class _CsEmitter(_Emitter):
             for k, z in enumerate(top.prev_sinks)
         ]
         candidates.sort()
-        cached = [v for _, _, v in candidates[: min(extra, len(candidates))]]
+        chosen = candidates[: min(extra, len(candidates))]
+        # Each of the c walks builds the apex and each previous sink once; a
+        # cached one is built once for all c, which saves c - 1 builds: the
+        # key's negation.
+        _bounded(c * _walk_time(c, r) + sum(key for key, _, _ in chosen))
+        cached = [v for _, _, v in chosen]
         for v in cached:
             self.ensure(v, r)
             self.keep.add(v)

@@ -29,9 +29,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECK = "pebble_bench/resolution.py"
 SEARCH = "pebble_bench/search.py"
 PEBBLING = "pebble_bench/pebbling.py"
+SIMULATION = "pebble_bench/simulation.py"
 RES = "tests/test_resolution.py::"
 SRCH = "tests/test_search.py::"
 PEB = "tests/test_pebbling.py::"
+SIM = "tests/test_simulation.py::"
 
 # (file under src/, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -183,6 +185,38 @@ MUTANTS = [
         """elif kind != "PB" and not white_ok:""",
         """elif kind == "PW" and not white_ok:""",
         [PEB + "test_white_moves_forbidden_in_black_game", PEB + "test_validate_matches_set_based_reference"],
+    ),
+    # Induce by prime implicates, and explain by the closure layers needed.
+    (  # an implicate whose positive and negative vertices overlap is kept
+        SIMULATION,
+        "if b & w or (b | w) & ~full:",
+        "if (b | w) & ~full:",
+        [SIM + "test_induce_matches_reference"],
+    ),
+    (  # an all-negative implicate yields no pair
+        SIMULATION,
+        """        else:
+            pairs.update((x, w) for x in _bits(full & ~w))""",
+        "",
+        [SIM + "test_induce_matches_reference"],
+    ),
+    (  # pairs that are not minimal are kept
+        SIMULATION,
+        "if not any(not (c & ~b or x & ~w) for c, x in minimal):",
+        "if True:",
+        [SIM + "test_induce_matches_reference"],
+    ),
+    (  # the explain closure stops one layer early: the last layer's finds are dropped
+        SIMULATION,
+        """        frontier = nxt
+""",
+        """        frontier = nxt
+        if need <= parent.keys():
+            for m in nxt:
+                del parent[m]
+            break
+""",
+        [SIM + "test_explain_matches_reference", SIM + "test_starred_replays_pinned"],
     ),
 ]
 

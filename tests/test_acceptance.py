@@ -51,7 +51,6 @@ from pebble_bench import (
     validate_pebbling,
 )
 from pebble_bench.cli import tradeoff_report
-from pebble_bench.simulation import _colourings
 
 SEED = 20240911
 QUALITY_FACTOR = 2.0  # worst measured strategy/optimal time ratio is 44/23
@@ -289,6 +288,19 @@ def _made_live(n, s1, s2):
             moves += [InflateMove(src, s.blob, s.whites), EraseMove(src)]
         ids[s] = next(nid)
     return moves, ids[s1], ids[s2]
+
+
+def _colourings(n: int):
+    """All (blob, whites) pairs of disjoint vertex masks below 1 << n."""
+    full = (1 << n) - 1
+    for b in range(1 << n):
+        rest = full & ~b
+        w = rest
+        while True:
+            yield b, w
+            if not w:
+                break
+            w = (w - 1) & rest
 
 
 def test_criterion_6_merge_is_resolution(verdict):

@@ -37,7 +37,7 @@ from pebble_bench import (
 from pebble_bench.blob import EraseMove, InflateMove, IntroduceMove, MergeMove
 from pebble_bench.cnf import Clause, canon_clause, var_id
 from pebble_bench.resolution import Axiom, Erase, Infer, format_trace, resolve
-from pebble_bench.simulation import ImplicationOracle, _colourings, subconfig_clause
+from pebble_bench.simulation import _prime_implicates, subconfig_clause
 from pebble_bench.strategies import black_strategy
 from test_blob import reference_introduce, reference_merge, refusal
 
@@ -583,22 +583,28 @@ def test_compile_rejects_unknown_trace_type():
         compile_pebbling(g, 1, "PB 0")
 
 
-# --- implication oracle -------------------------------------------------------
+# --- prime implicates ---------------------------------------------------------
 
 
-def test_oracle_basic():
+def clause_masks(cl):
+    """The (positive, negative) variable masks of a clause: bit x for x."""
+    return sum({1 << l for l in cl if l > 0}), sum({1 << -l for l in cl if l < 0})
+
+
+def literals(pos, neg):
+    """The clause of a (positive, negative) variable mask pair."""
+    return tuple(x for x in range(pos.bit_length()) if pos >> x & 1) + tuple(
+        -x for x in range(neg.bit_length()) if neg >> x & 1
+    )
+
+
+def test_prime_implicates_basic():
     f = pebbling_contradiction(Dag(2, [(0, 1)], targets=[1]), 1, starred=True)
-    oracle = ImplicationOracle(f.clauses, f.num_vars)
-    assert oracle.implies((1,))  # source axiom
-    assert oracle.implies((2,))  # implied by unit propagation
-    assert oracle.implies((-1, 2))
-    assert not oracle.implies((-1,))
-    assert not oracle.implies(())
-
-
-def test_oracle_refuses_too_many_variables():
-    with pytest.raises(SizeBoundExceeded, match="^25 variables exceeds oracle bound 24$"):
-        ImplicationOracle([], 25)
+    # the source axiom x1, and x2 by resolving it with -x1 v x2, which x2 subsumes
+    assert set(_prime_implicates(f.clauses)) == {clause_masks((1,)), clause_masks((2,))}
+    assert set(_prime_implicates([(1, -2), (2,), (-1,)])) == {clause_masks(())}
+    assert set(_prime_implicates([(1, -1), (2, 2)])) == {clause_masks((2,))}
+    assert set(_prime_implicates([])) == set()
 
 
 def truth_table_implies(clauses, n, clause):
@@ -619,7 +625,10 @@ def truth_table_implies(clauses, n, clause):
     return True
 
 
-def test_oracle_matches_truth_table():
+def test_prime_implicates_match_truth_table():
+    """On seeded random clause sets: every implicate is implied, none stays
+    implied with one of its literals dropped, and a random clause is implied
+    exactly when some implicate subsumes it."""
     rng = random.Random(SEED)
 
     def clause(n):
@@ -630,23 +639,31 @@ def test_oracle_matches_truth_table():
     for _ in range(120):
         n = rng.randint(1, 10)
         cases.append((n, [c for c in (clause(n) for _ in range(rng.randint(0, 2 * n))) if c]))
-    verdicts = []
+    verdicts, held = [], 0
     for n, clauses in cases:
-        oracle = ImplicationOracle(clauses, n)
+        implicates = _prime_implicates(clauses)
+        held += len(implicates)
+        for pos, neg in implicates:
+            cl = literals(pos, neg)
+            assert truth_table_implies(clauses, n, cl), (clauses, cl)
+            for lit in cl:
+                weaker = tuple(l for l in cl if l != lit)
+                assert not truth_table_implies(clauses, n, weaker), (clauses, cl, lit)
         for q in [()] + [clause(n) for _ in range(6)]:
-            got = oracle.implies(q)
-            assert got == truth_table_implies(clauses, n, q), (clauses, q)
+            got = truth_table_implies(clauses, n, q)
+            pos, neg = clause_masks(q)
+            assert got == bool(pos & neg or any(not (p & ~pos or m & ~neg) for p, m in implicates)), (clauses, q)
             verdicts.append(got)
-    assert 100 < sum(verdicts) < len(verdicts) - 100
+    assert 100 < sum(verdicts) < len(verdicts) - 100 and held > 250, (sum(verdicts), len(verdicts), held)
 
 
 def test_subconfig_clause():
     s = sub([2], [0, 1])
     assert subconfig_clause(s) == (-1, -2, 3)
     assert subconfig_clause(sub([0], [])) == (1,)
-    for b, w in _colourings(5):
+    for b, w in ref_colourings(5):
         if b:
-            s = BlobSubconfig(*(frozenset(v for v in range(5) if m >> v & 1) for m in (b, w)))
+            s = BlobSubconfig(b, w)
             assert subconfig_clause(s) == reference_subconfig_clause(s), s
 
 
@@ -675,16 +692,22 @@ def test_induce_empty_for_contradiction():
 
 
 def test_induce_size_guard():
-    # The refusal comes before any work, even where the oracle alone would
-    # answer at once; chain(13) at d = 1 is within the oracle's bound.
-    for clauses in ([()], [(1,)]):
-        with pytest.raises(SizeBoundExceeded, match="^13 vertices exceeds induce bound 12$"):
-            induce_configuration(build_family(FamilySpec.chain(13)), 1, clauses)
-    assert induce_configuration(build_family(FamilySpec.chain(12)), 1, [()]).subs == frozenset()
+    """The bound is on the implicates held, not on the vertices: chain(13)
+    answers, and an implication chain -x_i v x_{i+1} over k variables,
+    whose k(k-1)/2 prime implicates are the -x_i v x_j, answers at k = 32
+    (496) and is refused at k = 33 (528)."""
+    assert induce_configuration(build_family(FamilySpec.chain(13)), 1, [(1,)]).subs == {sub([0])}
+    g = build_family(FamilySpec.chain(32))
+    cfg = induce_configuration(g, 1, [(-x, x + 1) for x in range(1, 32)])
+    assert cfg.subs == {sub([j], [i]) for j in range(32) for i in range(j)}
+    g = build_family(FamilySpec.chain(33))
+    with pytest.raises(SizeBoundExceeded, match="^more than 500 implicates held$"):
+        induce_configuration(g, 1, [(-x, x + 1) for x in range(1, 33)])
 
 
 # Reference copy of the first oracle and induction (a tuple/set DPLL over
-# clause tuples, frozenset colourings), kept to pin the bitmask versions.
+# clause tuples, all 3^n frozenset colourings), kept to pin the induction
+# by prime implicates.
 
 
 def ref_dpll(clauses):
@@ -785,6 +808,19 @@ def test_induce_matches_reference():
                     assert got == ref_induce(g, d, clauses), (g.n, d, clauses)
                     induced += len(got.subs)
     assert induced > 100
+    # Seeded random clause sets, a variable now and then beyond the graph's.
+    counts = Counter()
+    for _ in range(300):
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        g = random_dag(rng, n)
+        clauses = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, d * n + (rng.random() < 0.1)) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        got = induce_configuration(g, d, clauses)
+        assert got == ref_induce(g, d, clauses), (g.n, d, clauses)
+        counts[d, bool(got.subs)] += 1
+    assert min(counts[d, True] for d in (1, 2, 3)) > 50, counts
 
 
 def induced(g, rtrace):
@@ -837,6 +873,36 @@ def test_explained_script_round_trip_pyramid1():
     assert sub([2], []) in final.final.subs
 
 
+REPLAY_PINS = [
+    # spec, blob cost, peak live clauses, blob moves
+    (FamilySpec.chain(6), 2, 3, 20),
+    (FamilySpec.pyramid(3), 5, 6, 41),
+    (FamilySpec.carlson_savage(2, 1), 4, 5, 60),
+    (FamilySpec.binary_tree(3), 5, 6, 55),
+    (FamilySpec.pyramid(4), 6, 7, 67),
+    (FamilySpec.pyramid(5), 7, 8, 99),
+    (FamilySpec.carlson_savage(2, 2), 5, 6, 212),
+    (FamilySpec.binary_tree(4), 6, 7, 119),
+]
+
+
+def test_starred_replays_pinned():
+    """The starred d = 1 proof of black_strategy, induced after every event
+    and explained, replays as a blob pebbling that ends with each target's
+    blob [t]<>, at the pinned cost and length."""
+    for spec, cost, peak, moves in REPLAY_PINS:
+        g, trace = black_trace(spec)
+        rtrace = compile_pebbling(g, 1, trace, starred=True)
+        live = live_peak = 0
+        for ev in rtrace.events:
+            live += -1 if isinstance(ev, Erase) else 1
+            live_peak = max(live_peak, live)
+        builder = replay_induced(g, rtrace)
+        final = validate_blob_pebbling(g, builder.moves)
+        assert all(sub([t]) in final.final.subs for t in g.targets), spec
+        assert (final.cost, live_peak, len(builder.moves)) == (cost, peak, moves), spec
+
+
 def test_explain_inflates_what_no_merge_derives():
     g = Dag(2, [])
     builder = BlobScriptBuilder(g)
@@ -852,7 +918,7 @@ def test_explain_skips_illegal_merges_of_live_subconfigurations():
     assert format_blob_moves(builder.moves) == "I 0\nF 0 0|1\nI 1\nE 0\n"
     explain_transition(g, builder, BlobConfig(frozenset({sub([1])})))
     assert format_blob_moves(builder.moves) == "I 0\nF 0 0|1\nI 1\nE 0\nI 0\nM 3 2 0\nE 1\nE 3\nE 2\n"
-    assert builder.live() == {sub([1])}
+    assert builder.ids == {(0b10, 0): 4}
 
 
 def test_explain_refuses_what_nothing_derives():

@@ -29,6 +29,19 @@ def run(spec, moves):
     return validate_pebbling(build_family(spec), moves, game="black")
 
 
+def bounded_at_length(monkeypatch, emit, length):
+    """The moves of ``emit()`` under ``MAX_MOVES`` = ``length``, after
+    checking that a bound of ``length`` - 1 refuses it: the move count a
+    strategy computes before emitting is exact."""
+    monkeypatch.setattr(strategies, "MAX_MOVES", length - 1)
+    with pytest.raises(SizeBoundExceeded, match=f"^strategy has more than {length - 1} moves$"):
+        emit()
+    monkeypatch.setattr(strategies, "MAX_MOVES", length)
+    moves = emit()
+    monkeypatch.undo()
+    return moves
+
+
 def test_chain_strategy_is_optimal():
     for n in (1, 2, 3, 6, 10):
         spec = FamilySpec.chain(n)
@@ -44,11 +57,11 @@ def test_pyramid_strategy_matches_price():
         assert trace.space == h + 2 == optimal_price(build_family(spec))
 
 
-def test_pyramid_strategy_places_each_vertex_once():
+def test_pyramid_strategy_places_each_vertex_once(monkeypatch):
     for h in range(1, 31):
         spec = FamilySpec.pyramid(h)
         n = build_family(spec).n
-        moves = black_strategy(spec)
+        moves = bounded_at_length(monkeypatch, lambda: black_strategy(spec), 2 * n)
         trace = run(spec, moves)
         assert (trace.space, trace.time, len(moves)) == (h + 2, n, 2 * n), h
         assert sorted(m.v for m in moves if m.kind == "PB") == list(range(n)), h
@@ -64,7 +77,7 @@ def test_pyramid_strategy_time_is_exact_at_the_price():
 
 def test_move_bound_counts_removals(monkeypatch):
     """pyramid(1) emits 6 moves, the last three removals: a bound of 6
-    admits them, a bound of 5 refuses the sixth."""
+    admits them, a bound of 5 refuses them."""
     spec = FamilySpec.pyramid(1)
     monkeypatch.setattr(strategies, "MAX_MOVES", 6)
     assert [m.kind for m in black_strategy(spec)] == ["PB"] * 3 + ["RB"] * 3
@@ -359,28 +372,32 @@ def reference_cs_tradeoff_strategy(c: int, r: int, budget: int):
     return ReferenceCsEmitter(c, r, budget, layout).run()
 
 
-def test_emitters_match_reference_move_for_move():
+def test_emitters_match_reference_move_for_move(monkeypatch):
     """337 strategies: chains and binary trees by default, and
     carlson_savage by default and at every budget from the minimum to the
     minimum + 2c + 2.  Pyramids are pebbled row by row, not depth-first as
-    the reference does; carlson_savage's level pyramids still are."""
+    the reference does; carlson_savage's level pyramids still are.  Each is
+    emitted under a move bound of its length, which one less refuses."""
     specs = [FamilySpec.chain(n) for n in range(1, 200)] + [
         FamilySpec.binary_tree(h) for h in range(1, 11)
     ]
     checked = 0
     for spec in specs:
-        assert black_strategy(spec) == reference_recursive_strategy(build_family(spec)), spec
+        want = reference_recursive_strategy(build_family(spec))
+        assert bounded_at_length(monkeypatch, lambda: black_strategy(spec), len(want)) == want, spec
         checked += 1
     for c in (2, 3, 4):
         for r in range(5 if c == 2 else 4):
             lo = reference_cs_min_budget(c, r)
             assert cs_min_budget(c, r) == lo
             spec = FamilySpec.carlson_savage(c, r)
-            assert black_strategy(spec) == reference_cs_tradeoff_strategy(c, r, lo), spec
+            want = reference_cs_tradeoff_strategy(c, r, lo)
+            assert bounded_at_length(monkeypatch, lambda: black_strategy(spec), len(want)) == want, spec
             checked += 1
             for budget in range(lo, lo + 2 * c + 3):
                 want = reference_cs_tradeoff_strategy(c, r, budget)
-                assert cs_tradeoff_strategy(c, r, budget) == want, (c, r, budget)
+                got = bounded_at_length(monkeypatch, lambda: cs_tradeoff_strategy(c, r, budget), len(want))
+                assert got == want, (c, r, budget)
                 checked += 1
     assert checked == 337
 
