@@ -43,7 +43,6 @@ from .blob import (
 )
 from .search import (
     BudgetStats,
-    ParetoFrontier,
     SearchStats,
     optimal_blob_price,
     optimal_price,

@@ -178,7 +178,7 @@ def _cmd_frontier(args) -> int:
     else:
         fam, par = "file", os.path.basename(args.graph)
     header = ("family", "params", "game", "space", "min_time")
-    _write_out(args.output, _csv([header, *((fam, par, args.game, s, t) for s, t in fr.points)]))
+    _write_out(args.output, _csv([header, *((fam, par, args.game, s, t) for s, t in fr)]))
     return 0
 
 
@@ -299,7 +299,7 @@ def _instance_rows(spec: FamilySpec, cap_kw: dict[str, int], game: str):
         def strategy_time(s):
             return base.time if base.space <= s else ""
 
-    rows = [(spec.kind, spec.params_label(), game, s, t, strategy_time(s)) for s, t in frontier.points]
+    rows = [(spec.kind, spec.params_label(), game, s, t, strategy_time(s)) for s, t in frontier]
     return rows, frontier
 
 
@@ -329,14 +329,18 @@ def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
     warning to stderr, then writes the csv and plot files where the spec's
     ``out_csv`` (stdout without one) and ``plot_prefix`` say.  The spec is
     read once, so a pipe such as ``--spec /dev/stdin`` works, and checked
-    whole before any search.  A ``bound`` key, which older specs set, is
-    ignored: the searches are bounded by what they store.
+    whole before any search; the parser, a reference cycle, is let go
+    before them.  A ``bound`` key, which older specs set, is ignored: the
+    searches are bounded by what they store.
     """
     cp = _read_spec(spec_path)
     game = cp.get("experiment", "game", fallback="black")
     if game not in ("black", "bw"):
         raise _Usage(f"unknown game {game!r}")
+    out_csv = cp.get("experiment", "out_csv", fallback=None)
+    prefix = cp.get("experiment", "plot_prefix", fallback=None)
     instances = _experiment_instances(cp)
+    del cp
     if not instances:
         raise _Usage("empty family range: no instances to run")
 
@@ -350,12 +354,11 @@ def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
             warnings.append(f"skipped {spec.label()}: {e}")
             continue
         rows += instance_rows
-        plots[f"{spec.kind}-{spec.params_label()}.csv"] = _csv([("space", "time"), *frontier.points])
+        plots[f"{spec.kind}-{spec.params_label()}.csv"] = _csv([("space", "time"), *frontier])
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     csv_text = _csv(rows)
-    _write_out(cp.get("experiment", "out_csv", fallback=None), csv_text)
-    prefix = cp.get("experiment", "plot_prefix", fallback=None)
+    _write_out(out_csv, csv_text)
     if prefix:
         for name, text in plots.items():
             _write_out(prefix + name, text)

@@ -10,10 +10,10 @@ game is searched at move level (placements cost 1, removals 0).  Both
 games run on one best-first loop, ``_search`` (A*), guided by the
 ancestor-closure bound of ``_closure``.  The BW search places a white
 pebble only where a predecessor is missing, as a black one serves as well
-elsewhere (``_bw_steps``).  Each game's searches start at a lower bound on
-its price worked out from the graph alone, ``_price_floor`` (black) and
-``_bw_price_floor`` (BW), as no smaller budget has a pebbling; the blob
-search starts at 1.
+elsewhere (``_bw_steps``).  Price and frontier walk the space budgets in
+one sweep, ``_sweep``, up from a lower bound on the game's price worked out
+from the graph alone, ``_price_floor`` (black) or ``_bw_price_floor`` (BW);
+the blob search starts at 1.
 
 These oracles are meant for desk-size instances.  A call stops with
 SizeBoundExceeded once the states it has stored, over all its space budgets
@@ -23,7 +23,6 @@ until memory runs out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from heapq import heappop, heappush
 from time import perf_counter
@@ -35,7 +34,6 @@ from .errors import SizeBoundExceeded
 from .pebbling import Move
 
 __all__ = [
-    "ParetoFrontier",
     "SearchStats",
     "BudgetStats",
     "optimal_price",
@@ -52,11 +50,6 @@ __all__ = [
 # search in the tests, examples and benchmark, the largest being the
 # carlson_savage(2,3) black price (579,096 states of a 979,691 limit).
 MAX_STORED_BYTES = 128 << 20
-
-
-def _check_game(game: str) -> None:
-    if game not in ("black", "bw"):
-        raise ValueError(f"unknown game {game!r}; expected 'black' or 'bw'")
 
 
 def _refused(stats, what: str, stored: int, limit: int) -> SizeBoundExceeded:
@@ -504,6 +497,23 @@ def _witness(g: Dag, game: str, parents: dict, goal: int) -> list[Move]:
     return moves + [Move("RB", v) for v in range(n) if board >> v & 1]
 
 
+def _sweep(g: Dag, game: str, last: int, stats: SearchStats, parents: dict | None = None):
+    """(s, least time, goal state) for each space budget s from the game's
+    price floor, below which no budget has a pebbling, to ``last``; time and
+    goal are None where s has none.  ``parents``, when a dict, is emptied
+    before each budget and filled with its parent links.  Each budget's
+    work goes to ``stats``, and its limit counts the states stored at the
+    earlier budgets.  An unknown game is refused before any search.
+    """
+    if game not in ("black", "bw"):
+        raise ValueError(f"unknown game {game!r}; expected 'black' or 'bw'")
+    start = stats.generated
+    for s in range((_price_floor if game == "black" else _bw_price_floor)(g), last + 1):
+        if parents is not None:
+            parents.clear()
+        yield s, *_search(g, game, s, parents, stats, stats.generated - start)
+
+
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
@@ -522,33 +532,16 @@ def optimal_price(
     a given graph), read off the parent links of the winning search.
     Raises SizeBoundExceeded once the budgets searched have stored more
     states than ``MAX_STORED_BYTES`` allows.  ``stats`` is filled with the
-    work of each budget searched.  The budgets start at ``_price_floor``
-    in the black game and ``_bw_price_floor`` in the BW game, below which
-    none has a pebbling.  Budget n has one, as every ``Dag`` has a vertex.
+    work of each budget searched, from the game's price floor up (``_sweep``).
+    Budget n has a pebbling, as every ``Dag`` has a vertex.
     """
-    _check_game(game)
     stats = SearchStats() if stats is None else stats
-    start = stats.generated
-    for s in range((_price_floor if game == "black" else _bw_price_floor)(g), g.n + 1):
-        parents = {} if with_trace else None
-        d, goal = _search(g, game, s, parents, stats, stats.generated - start)
-        if d is not None:
+    parents = {} if with_trace else None
+    for s, t, goal in _sweep(g, game, g.n, stats, parents):
+        if t is not None:
             stats.stop = "goal"
             return (s, _witness(g, game, parents, goal)) if with_trace else s
     raise AssertionError("budget n has a pebbling")  # pragma: no cover - every Dag has a vertex
-
-
-@dataclass(frozen=True)
-class ParetoFrontier:
-    """Undominated (space, min_time) points, space increasing, time decreasing."""
-
-    points: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def min_time(self) -> int | None:
-        return self.points[-1][1] if self.points else None
 
 
 def tradeoff_frontier(
@@ -558,13 +551,14 @@ def tradeoff_frontier(
     *,
     above_price: int | None = None,
     stats: SearchStats | None = None,
-) -> ParetoFrontier:
+) -> tuple[tuple[int, int], ...]:
     """Minimum placements for every space budget from the price to the cap.
 
     The cap is ``space_cap``, or price + ``above_price`` when that is given
-    (passing both is an error).  Returns the Pareto-filtered frontier; a cap
-    below the price yields an empty frontier.  ``stats`` is filled with the
-    work of each budget searched and the reason the sweep stopped.  Raises
+    (passing both is an error).  Returns the Pareto frontier as
+    (space, min_time) pairs, space increasing and time decreasing; a cap
+    below the price yields none.  ``stats`` is filled with the work of each
+    budget searched and the reason the sweep stopped.  Raises
     SizeBoundExceeded once the budgets searched have stored more states
     than ``MAX_STORED_BYTES`` allows.
 
@@ -574,22 +568,17 @@ def tradeoff_frontier(
     grows, so every budget above the stop also has time F.  Budget n holds
     every vertex at once, so its time is F and the sweep searches at most n
     budgets; a sweep that ends without reaching F ended at the cap.  It
-    starts at ``_price_floor`` in the black game and ``_bw_price_floor`` in
-    the BW game, as no budget below those has a pebbling.
+    starts at the game's price floor (``_sweep``).
     """
     if above_price is not None and space_cap:
         raise ValueError("give space_cap or above_price, not both")
     if above_price is not None and above_price < 0:
         raise ValueError("above_price must be >= 0")
-    _check_game(game)
     stats = SearchStats() if stats is None else stats
-    start = stats.generated
     floor = _closure(g.pred_mask, 0, g.target_mask, 0).bit_count()
     cap = space_cap if above_price is None else g.n + above_price
     points: list[tuple[int, int]] = []
-    first = (_price_floor if game == "black" else _bw_price_floor)(g)
-    for s in range(first, min(cap, g.n) + 1):
-        t, _ = _search(g, game, s, None, stats, stats.generated - start)
+    for s, t, _ in _sweep(g, game, min(cap, g.n), stats):
         if t is None:
             continue
         if above_price is not None and not points:
@@ -601,7 +590,7 @@ def tradeoff_frontier(
             break
     else:
         stats.stop = "cap"
-    return ParetoFrontier(points=tuple(points))
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------

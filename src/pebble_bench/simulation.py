@@ -442,8 +442,8 @@ def explain_transition(g: Dag, builder: BlobScriptBuilder, new: BlobConfig) -> N
     Every added subconfiguration must be reachable from the current live set
     by introductions and mergers (scratch intermediates allowed, erased
     afterwards), or by a single inflation of something reachable.  Raises
-    UnsupportedOperation when no explanation exists, as for a vertex
-    outside the graph.
+    UnsupportedOperation, before any move, when no explanation exists, as
+    for a vertex outside the graph.
 
     The closure of what merges derive is built on (blob, whites) mask
     pairs with ``blob._merge``.  It grows from the live set in creation
@@ -488,19 +488,22 @@ def explain_transition(g: Dag, builder: BlobScriptBuilder, new: BlobConfig) -> N
     def text(s: tuple[int, int]) -> str:
         return str(_subconfig(s))
 
+    # Every addition is decided before the first move: a refusal writes nothing.
     order = None  # the closure in text order, sorted for the first inflation
+    plan = []
     for s in sorted((s for s in new.subs if want.get(s) not in ids), key=str):
-        pair = want.get(s)
-        if pair in parent:
-            _realize(builder, parent, pair)
-            continue
-        order = order or sorted(parent, key=text)
-        # pair is None for a subconfiguration with a vertex outside the graph
-        base = pair and next((c for c in order if not (c[0] & ~pair[0] or c[1] & ~pair[1])), None)
-        if base is None:
-            raise UnsupportedOperation(f"cannot explain induced subconfiguration {s}")
+        pair = base = want.get(s)
+        if pair not in parent:
+            order = order or sorted(parent, key=text)
+            # pair is None for a subconfiguration with a vertex outside the graph
+            base = pair and next((c for c in order if not (c[0] & ~pair[0] or c[1] & ~pair[1])), None)
+            if base is None:
+                raise UnsupportedOperation(f"cannot explain induced subconfiguration {s}")
+        plan.append((s, pair, base))
+    for s, pair, base in plan:
         _realize(builder, parent, base)
-        builder._add(pair, InflateMove(ids[base], s.blob, s.whites))
+        if base != pair:
+            builder._add(pair, InflateMove(ids[base], s.blob, s.whites))
 
     for s in sorted(ids.keys() - want.values(), key=text):
         builder.moves.append(EraseMove(ids.pop(s)))

@@ -125,7 +125,7 @@ MUTANTS = [
             RES + "test_check_trace_text_matches_parse_then_check",
         ],
     ),
-    # The exact searches' pruning rules and lower bounds.
+    # The exact searches' pruning rules, lower bounds, witness and budget sweep.
     (  # the BW floor one too high
         SEARCH,
         "return 1 + max(len(g.preds[v]) for v in range(g.n) if need >> v & 1)",
@@ -165,6 +165,35 @@ MUTANTS = [
         "stay[v] = pm[v]",
         [SRCH + "test_black_successors_hold_no_state_twice", SRCH + "test_successors_match_vertex_scan[black]"],
     ),
+    (  # black rule 1 off: vertices outside N(T) are placed too
+        SEARCH,
+        "rest = reach & need & off",
+        "rest = reach & off",
+        [
+            SRCH + "test_frontier_work_pinned[black]",
+            SRCH + "test_successors_match_vertex_scan[black]",
+            SRCH + "test_rules_shrink_a_many_sink_search",
+        ],
+    ),
+    (  # the witness no longer reads a dropped target from the visited bits
+        SEARCH,
+        "placed = (nb | nw) & ~(pb | pw) or (state ^ prev) >> at",
+        "placed = (nb | nw) & ~(pb | pw)",
+        [SRCH + "test_price_with_witness", SRCH + "test_witness_places_a_target_before_dropping_its_predecessors"],
+    ),
+    (  # plain blob fattening adds only the bottom's ancestors, as strict does
+        SEARCH,
+        """            if strict:
+                room &= below[low.bit_length() - 1]""",
+        """            room &= below[low.bit_length() - 1]""",
+        [SRCH + "test_blob_goal_on_generation_matches_reference[False]", SRCH + "test_blob_price_stats"],
+    ),
+    (  # the budget sweep forgets the states stored at its earlier budgets
+        SEARCH,
+        "yield s, *_search(g, game, s, parents, stats, stats.generated - start)",
+        "yield s, *_search(g, game, s, parents, stats, 0)",
+        [SRCH + "test_size_bound_guard"],
+    ),
     # The pebbling validator's move rules.
     (  # a white removal needs no predecessor on the board
         PEBBLING,
@@ -185,6 +214,12 @@ MUTANTS = [
         """elif kind != "PB" and not white_ok:""",
         """elif kind == "PW" and not white_ok:""",
         [PEB + "test_white_moves_forbidden_in_black_game", PEB + "test_validate_matches_set_based_reference"],
+    ),
+    (  # the highest missing target is named, not the lowest
+        PEBBLING,
+        "target {(missing & -missing).bit_length() - 1} never pebbled",
+        "target {missing.bit_length() - 1} never pebbled",
+        [PEB + "test_validate_matches_set_based_reference"],
     ),
     # Induce by prime implicates, and explain by the closure layers needed.
     (  # an implicate whose positive and negative vertices overlap is kept
@@ -217,6 +252,14 @@ MUTANTS = [
             break
 """,
         [SIM + "test_explain_matches_reference", SIM + "test_starred_replays_pinned"],
+    ),
+    (  # explain writes each addition as it decides it, so a refusal comes late
+        SIMULATION,
+        """        plan.append((s, pair, base))
+    for s, pair, base in plan:
+        _realize""",
+        """        _realize""",
+        [SIM + "test_explain_refusal_writes_nothing"],
     ),
 ]
 

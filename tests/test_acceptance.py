@@ -237,7 +237,7 @@ def test_criterion_5_tradeoff_frontier(verdict):
         g = build_family(spec)
         price = optimal_price(g, game="black")
         frontier = tradeoff_frontier(g, game="black", space_cap=price + 3)
-        pts = frontier.points
+        pts = frontier
         if len(pts) < 2:
             bad.append(f"{spec.label()}: frontier {pts} has fewer than 2 points")
             continue

@@ -1,11 +1,13 @@
 """End-to-end tests for the command line interface."""
 
 import csv
+import gc
 import io
 import json
 import os
 import random
 import time
+import weakref
 
 import pytest
 
@@ -960,3 +962,31 @@ def test_report_strategy_column_below_schedule_minimum(tmp_path, monkeypatch):
     )
     csv_text, _, _ = tradeoff_report(spec)
     assert csv_text.splitlines()[1:] == ["carlson_savage,2-1,black,3,16,", "carlson_savage,2-1,black,4,11,16"]
+
+
+def test_report_drops_its_spec_parser_before_the_searches(tmp_path, capsys, monkeypatch):
+    """A ConfigParser is a reference cycle, so one kept through the searches
+    would be freed only by a full garbage collection."""
+    parsers = []
+
+    def tracked(path):
+        cp = read_spec(path)
+        parsers.append(weakref.ref(cp))
+        return cp
+
+    def frontier(*args, **kwargs):
+        gc.collect()
+        assert parsers and parsers[0]() is None, "the spec parser outlived its reading"
+        return tradeoff_frontier(*args, **kwargs)
+
+    read_spec = cli._read_spec
+    monkeypatch.setattr(cli, "_read_spec", tracked)
+    monkeypatch.setattr(cli, "tradeoff_frontier", frontier)
+    out_csv = tmp_path / "report.csv"
+    spec = write_spec(
+        tmp_path,
+        f"[experiment]\nout_csv = {out_csv}\nplot_prefix = {tmp_path}/plot-\n[family:chain]\nn = 2..3\n",
+    )
+    assert run(capsys, "tradeoff-report", "--spec", spec) == (0, "", "")
+    assert out_csv.read_text().splitlines()[1:] == ["chain,2,black,2,2,2", "chain,3,black,2,3,3"]
+    assert (tmp_path / "plot-chain-3.csv").read_text() == "space,time\n2,3\n"

@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from functools import partial
 
 import pytest
 
@@ -72,12 +73,12 @@ def test_bw_price_witness_validates():
 def test_frontier_monotone_and_pareto():
     g = build_family(FamilySpec.pyramid(2))
     fr = tradeoff_frontier(g, "black", space_cap=6)
-    times = [t for _, t in fr.points]
-    spaces = [s for s, t in fr.points]
+    times = [t for _, t in fr]
+    spaces = [s for s, t in fr]
     assert spaces == sorted(spaces)
     assert times == sorted(times, reverse=True)
     assert len(set(times)) == len(times)  # strict improvements only
-    assert fr.min_time() == times[-1]
+    assert fr[-1][1] == times[-1]
 
 
 def test_frontier_chain_is_one_point():
@@ -86,7 +87,7 @@ def test_frontier_chain_is_one_point():
     fr = tradeoff_frontier(g, "black", space_cap=4, stats=stats)
     # price space: one placement per vertex, the time floor, so extra space
     # cannot help a chain and the sweep stops at the price
-    assert fr.points == ((2, 4),) == tuple(fr)
+    assert fr == ((2, 4),)
     assert stats.stop == "floor"
     assert [b.space for b in stats.budgets] == [2]  # the price floor is 2
 
@@ -94,7 +95,7 @@ def test_frontier_chain_is_one_point():
 def test_frontier_below_price_is_empty_prefix():
     g = build_family(FamilySpec.pyramid(2))
     fr = tradeoff_frontier(g, "black", space_cap=3)
-    assert fr.points == ()  # price is 4: nothing achievable at cap 3
+    assert fr == ()  # price is 4: nothing achievable at cap 3
 
 
 def test_frontier_pyramid_is_flat():
@@ -102,13 +103,13 @@ def test_frontier_pyramid_is_flat():
     # its price, so extra space buys nothing and the frontier is one point
     g = build_family(FamilySpec.pyramid(2))
     fr = tradeoff_frontier(g, "black", space_cap=6)
-    assert fr.points == ((4, 6),)
+    assert fr == ((4, 6),)
 
 
 def test_carlson_savage_frontier_golden():
     g = build_family(FamilySpec.carlson_savage(2, 1))
     fr = tradeoff_frontier(g, "black", space_cap=6)
-    assert fr.points == ((3, 16), (4, 11))
+    assert fr == ((3, 16), (4, 11))
 
 
 def test_instances_past_the_old_vertex_bounds_answer():
@@ -151,13 +152,23 @@ def test_size_bound_guard(monkeypatch):
     assert counts(stats) == counts(free)
     # A stats object that has counted other calls does not count against one.
     assert optimal_price(g, "black", stats=stats) == 4
-    assert tradeoff_frontier(g, "black", space_cap=6, stats=stats).points == ((4, 6),)
+    assert tradeoff_frontier(g, "black", space_cap=6, stats=stats) == ((4, 6),)
 
 
 def test_unknown_game_rejected():
+    """Both sweeps refuse an unknown game before any budget is searched,
+    a cap below the price floor included, and leave ``stats`` untouched."""
     g = build_family(FamilySpec.chain(2))
-    with pytest.raises(Exception):
-        optimal_price(g, game="red")
+    for call in (
+        partial(optimal_price, g, "red"),
+        partial(tradeoff_frontier, g, "red", space_cap=4),
+        partial(tradeoff_frontier, g, "red", space_cap=0),
+        partial(tradeoff_frontier, g, "red", above_price=1),
+    ):
+        stats = SearchStats()
+        with pytest.raises(ValueError, match="^unknown game 'red'; expected 'black' or 'bw'$"):
+            call(stats=stats)
+        assert stats.report() == SearchStats().report()
 
 
 def test_no_pebbling_of_a_cycle():
@@ -411,9 +422,9 @@ def test_pruned_frontier_matches_naive_sweep(game):
         for k in range(4):
             want = pareto(p for p in full if p[0] <= price + k)
             got = tradeoff_frontier(g, game, space_cap=price + k)
-            assert got.points == want, (g, game, price + k)
+            assert got == want, (g, game, price + k)
             got = tradeoff_frontier(g, game, above_price=k)
-            assert got.points == want, (g, game, k)
+            assert got == want, (g, game, k)
 
 
 def test_frontier_stops_at_time_floor():
@@ -422,7 +433,7 @@ def test_frontier_stops_at_time_floor():
     fr = tradeoff_frontier(g, "black", space_cap=8, stats=stats)
     assert [b.space for b in stats.budgets] == [3, 4]  # floor 3; 4 reaches time 11
     assert stats.stop == "floor"
-    assert fr.points == ((3, 16), (4, 11))
+    assert fr == ((3, 16), (4, 11))
 
 
 # --- the best-first core against the reference, budget by budget --------------
@@ -536,7 +547,7 @@ def test_black_successors_hold_no_state_twice(monkeypatch):
 
     monkeypatch.setattr(search, "_black_steps", checked)
     frontier = tradeoff_frontier(build_family(FamilySpec.carlson_savage(2, 2)), "black", above_price=2)
-    assert frontier.points == ((4, 50), (5, 23))
+    assert frontier == ((4, 50), (5, 23))
     assert optimal_price(window_dag(22, 6, random.Random(3)), "black") == 5
     assert seen[0] > 10_000  # both searches ran through the wrapper
 
@@ -925,7 +936,7 @@ def test_search_stats_deterministic_and_additive(game):
 def test_search_stats_stop_reasons():
     g = build_family(FamilySpec.carlson_savage(2, 1))  # price 3, floor at 4
     stats = SearchStats()
-    assert tradeoff_frontier(g, "black", space_cap=2, stats=stats).points == ()
+    assert tradeoff_frontier(g, "black", space_cap=2, stats=stats) == ()
     assert ([b.space for b in stats.budgets], stats.stop) == ([], "cap")  # price floor 3
     stats = SearchStats()
     tradeoff_frontier(g, "black", above_price=0, stats=stats)
@@ -946,7 +957,7 @@ def test_frontier_rejects_negative_above_price():
     g = build_family(FamilySpec.carlson_savage(2, 1))
     with pytest.raises(ValueError, match="^above_price must be >= 0$"):
         tradeoff_frontier(g, "black", above_price=-1)
-    assert tradeoff_frontier(g, "black", above_price=0).points == ((3, 16),)
+    assert tradeoff_frontier(g, "black", above_price=0) == ((3, 16),)
 
 
 # --- blob price ---------------------------------------------------------------

@@ -928,6 +928,20 @@ def test_explain_refuses_what_nothing_derives():
         explain_transition(g, BlobScriptBuilder(g), BlobConfig(frozenset({sub([5])})))
 
 
+def test_explain_refusal_writes_nothing():
+    """Every addition is decided before the first move: [0]<>, which comes
+    first in text order and is derivable, is not introduced when [5]<> is
+    refused, and the builder keeps its moves, ids and next id."""
+    g = build_family(FamilySpec.chain(3))
+    builder = BlobScriptBuilder(g)
+    explain_transition(g, builder, BlobConfig(frozenset({sub([1], [0])})))
+    before = list(builder.moves), dict(builder.ids), builder.next_id
+    with pytest.raises(UnsupportedOperation, match=r"^cannot explain induced subconfiguration \[5\]<>$"):
+        explain_transition(g, builder, BlobConfig(frozenset({sub([0]), sub([5])})))
+    assert (builder.moves, builder.ids, builder.next_id) == before
+    assert format_blob_moves(builder.moves) == "I 1\n"
+
+
 def test_explain_leaves_no_reference_cycle():
     """An explained transition is freed by reference counting alone: no
     recursive closure keeps the closure table alive until a collection."""

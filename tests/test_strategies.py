@@ -72,7 +72,7 @@ def test_pyramid_strategy_time_is_exact_at_the_price():
         spec = FamilySpec.pyramid(h)
         trace = run(spec, black_strategy(spec))
         fr = tradeoff_frontier(build_family(spec), "black", above_price=0)
-        assert fr.points == ((trace.space, trace.time),), h
+        assert fr == ((trace.space, trace.time),), h
 
 
 def test_move_bound_counts_removals(monkeypatch):
@@ -167,7 +167,7 @@ def test_strategy_near_optimal_on_frontier():
 
     g = build_family(FamilySpec.carlson_savage(2, 1))
     fr = tradeoff_frontier(g, "black", space_cap=6)
-    for s, t_opt in fr.points:
+    for s, t_opt in fr:
         trace = run(
             FamilySpec.carlson_savage(2, 1),
             cs_tradeoff_strategy(2, 1, s),
