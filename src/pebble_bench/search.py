@@ -6,14 +6,14 @@ first.  Removals are free and can always be deferred, so this collapsed
 model reaches the same (space, placements) optima as the move-level game
 while visiting far fewer states.  It is also confined to the vertices that
 some unvisited target still needs (``_black_steps``).  The black-white
-game is searched at move level (placements cost 1, removals 0).  Both
-games run on one best-first loop, ``_search`` (A*), guided by the
-ancestor-closure bound of ``_closure``.  The BW search places a white
-pebble only where a predecessor is missing, as a black one serves as well
-elsewhere (``_bw_steps``).  Price and frontier walk the space budgets in
-one sweep, ``_sweep``, up from a lower bound on the game's price worked out
-from the graph alone, ``_price_floor`` (black) or ``_bw_price_floor`` (BW);
-the blob search starts at 1.
+game's placements cost 1 and its removals 0, and a white pebble is placed
+only in the step that first uses it, with the other missing predecessors
+of the vertex it serves (``_bw_steps``).  Both games run on one best-first
+loop, ``_search`` (A*), guided by the ancestor-closure bound of
+``_closure``.  Price and frontier walk the space budgets in one sweep,
+``_sweep``, up from a lower bound on the game's price worked out from the
+graph alone, ``_price_floor`` (black) or ``_bw_price_floor`` (BW); the
+blob search starts at 1.
 
 These oracles are meant for desk-size instances.  A call stops with
 SizeBoundExceeded once the states it has stored, over all its space budgets
@@ -266,23 +266,31 @@ def _black_steps(g: Dag, s: int, dist: dict):
 def _bw_steps(g: Dag, s: int, dist: dict):
     """Successors of a BW state ``black | white << n | visited << 2n``.
 
-    Placements cost 1 and removals 0.  A black placement of v takes just v
-    out of the closure.  A white one also adds the closure of v's
-    unoccupied predecessors, which must be on the board when v is removed.
-    A removal of v adds closure(v) when v feeds the closure or a white
-    pebble.  Only the moves that improve on ``dist`` are returned.
+    Placements cost 1 and removals 0.  A white pebble is placed only in the
+    step that first uses it, a black placement of a successor v or a white
+    removal of v.  The step places v's missing predecessors in ascending
+    id, each black when all its own predecessors are then on the board,
+    else white (ids are topological, so the ones placed after it feed none
+    of them), then places v black or removes it.  It costs 1 per pebble
+    placed and needs room for all of them.  A black placement with no
+    predecessor missing, and a black removal, are steps of their own.
 
-    A free vertex gets one placement: white when some predecessor is off
-    the board, else black.  This keeps every least time.  With all of v's
-    predecessors on, both placements are legal, cost the same, mark the
-    same visited bits and leave the same closure, as the white one's adds
-    nothing.  A later white removal of v needs v's predecessors on the
-    board, but a black removal is always legal, and every other move sees
-    only that v is occupied.  So in any pebbling, placing such a pebble
-    black and removing it black at the white removal's step gives a legal
-    pebbling with the same boards' sizes at every step: no wider and no
-    longer.  Every white placement it keeps had a predecessor missing, so
-    the search still reaches a least-time pebbling at every budget.
+    This keeps every least time.  Take any pebbling and move each white
+    placement to just before the first move that needs the pebble on the
+    board: no move in between reads it, the board holds one pebble less,
+    and the placements are as many.  A white pebble whose first use is its
+    own removal has its predecessors on the board then, so it is placed
+    and removed black.  The others come in runs, each just before the move
+    that uses them, and a run is that move's missing predecessors, in any
+    order.  A white placement with all its predecessors on may be black:
+    both are legal and mark the same visited bits, a black removal is
+    always legal, and every other move sees only that the vertex is
+    occupied.
+
+    A placed vertex leaves X, the closure, and a white one adds the closure
+    of its unoccupied predecessors, which must be on the board when it is
+    removed.  A removal of v adds closure(v) when v feeds X or a white
+    pebble.  Only the steps that improve on ``dist`` are returned.
 
     On a full board only removals are legal, as a placement needs a free
     pebble, so then only the occupied vertices are visited, in ascending
@@ -291,14 +299,14 @@ def _bw_steps(g: Dag, s: int, dist: dict):
     """
     n, pm, sm = g.n, g.pred_mask, g.succ_mask
     full = (1 << n) - 1
-    seen = [(1 << v & g.target_mask) << 2 * n for v in range(n)]
+    targets = g.target_mask
 
     def steps(state: int, x: int, d: int):
         black = state & full
         white = state >> n & full
         occupied = black | white
-        room = occupied.bit_count() < s
-        if room:
+        free = s - occupied.bit_count()
+        if free:
             vs = range(n)
         else:
             vs = []
@@ -310,19 +318,29 @@ def _bw_steps(g: Dag, s: int, dist: dict):
         out = []
         for v in vs:
             vbit = 1 << v
-            missing = pm[v] & ~occupied
-            if occupied & vbit:
-                if white & vbit and missing:
-                    continue
-                nstate = state ^ (vbit if black & vbit else vbit << n)
-                if dist.get(nstate, d + 1) > d:
-                    nx = _closure(pm, x, vbit, occupied ^ vbit) if sm[v] & (x | white) else x
-                    out.append((d, nstate, nx))
-            elif room:
-                # White with a predecessor missing, else black: one placement.
-                nstate = state | (vbit << n if missing else vbit) | seen[v]
-                if dist.get(nstate, d + 2) > d + 1:
-                    out.append((d + 1, nstate, _closure(pm, x & ~vbit, missing, occupied | vbit)))
+            # v's missing predecessors unless v is black, and v when free.
+            placed = 0 if black & vbit else (pm[v] | vbit) & ~occupied
+            nd = d + placed.bit_count()
+            if nd - d > free:
+                continue
+            on = occupied | placed
+            nstate = state | (placed & targets) << 2 * n
+            gaps = 0  # the unoccupied predecessors of the new white pebbles
+            rest = placed & ~vbit
+            while rest:
+                low = rest & -rest
+                gap = pm[low.bit_length() - 1] & ~on
+                nstate |= low << n if gap else low
+                gaps |= gap
+                rest ^= low
+            nstate ^= vbit << n if white & vbit else vbit  # v on black, or v off
+            if dist.get(nstate, nd + 1) > nd:
+                nx = x & ~placed
+                if gaps:
+                    nx = _closure(pm, nx, gaps, on)
+                if occupied & vbit and sm[v] & (x | white):
+                    nx = _closure(pm, nx, vbit, on ^ vbit)
+                out.append((nd, nstate, nx))
         return out
 
     return steps
@@ -411,11 +429,11 @@ def _search(g: Dag, game: str, s: int, parents, stats: SearchStats, stored: int)
     Sound: every vertex in X must be placed again.  An unvisited target
     must be; a placement of v, black at once or white by its removal,
     needs preds(v) on the board, so an unoccupied one must be placed too.
-    Consistent: a placement removes at most v from X and a removal only
-    grows it, so f = g + h never falls along a move.  So the queue,
-    buckets indexed by f and popped LIFO, pops each state at its least
-    distance, the first goal popped is optimal, and the 0-cost removals
-    need no special order.  A bucket is a dict, state -> X; a state whose
+    Consistent: a step of cost k takes at most k vertices out of X, the
+    ones it places, and a removal only grows it, so f = g + h never falls
+    along a step.  So the queue, buckets indexed by f and popped LIFO, pops
+    each state at its least distance, the first goal popped is optimal,
+    and the 0-cost removals need no special order.  A bucket is a dict, state -> X; a state whose
     distance improves moves to its new bucket, so each state is queued
     once and every state popped but the goal is expanded.
     """
@@ -462,13 +480,14 @@ def _search(g: Dag, game: str, s: int, parents, stats: SearchStats, stored: int)
 def _witness(g: Dag, game: str, parents: dict, goal: int) -> list[Move]:
     """The moves along the parent links to ``goal``, then its free removals.
 
-    A BW step is one move.  A black step is one placement of a vertex v
-    with its removals: an eviction, and the pebbles that no unvisited
-    target needs once v is placed, v itself among them when it is a
-    target that is dropped at once.  Such a v is not on the next board,
-    so it is read from the visited bits.  The removals of v and of its
-    predecessors come after the placement, which needs them; the others
-    come before it, so the board never holds more than the budget.
+    A BW step is its placements in ascending id, each in the colour the
+    next state shows, then its removal.  A black step is one placement of a
+    vertex v with its removals: an eviction, and the pebbles that no
+    unvisited target needs once v is placed, v itself among them when it
+    is a target that is dropped at once.  Such a v is not on the next
+    board, so it is read from the visited bits.  The removals of v and of
+    its predecessors come after the placement, which needs them; the
+    others come before it, so the board never holds more than the budget.
     """
     n = g.n
     full = (1 << n) - 1
@@ -483,13 +502,11 @@ def _witness(g: Dag, game: str, parents: dict, goal: int) -> list[Move]:
         prev = parents[state]
         (pb, pw), (nb, nw) = colours(prev), colours(state)
         placed = (nb | nw) & ~(pb | pw) or (state ^ prev) >> at
-        v = placed.bit_length() - 1
-        after = placed | g.pred_mask[v] if placed else 0
+        after = full if game == "bw" else placed | g.pred_mask[placed.bit_length() - 1]
         kinds = (("RB", (pb | placed) & ~(nb | nw)), ("RW", pw & ~nw))
         removals = [Move(kind, u) for kind, bits in kinds for u in range(n) if bits >> u & 1]
         step = [m for m in removals if not after >> m.v & 1]
-        if placed:
-            step.append(Move("PW" if nw & placed else "PB", v))
+        step += [Move("PW" if nw >> u & 1 else "PB", u) for u in range(n) if placed >> u & 1]
         steps.append(step + [m for m in removals if after >> m.v & 1])
         state = prev
     moves = [m for step in reversed(steps) for m in step]

@@ -138,11 +138,29 @@ MUTANTS = [
         "return 1 + max(len(g.preds[v]) for v in range(g.n))",
         [SRCH + "test_pruned_frontier_matches_naive_sweep[bw]", SRCH + "test_bw_price_floor_pinned"],
     ),
-    (  # no white placement: a free vertex is placed only when black is legal
+    (  # no white placement: a step places every missing predecessor black
         SEARCH,
-        "elif room:",
-        "elif room and not missing:",
-        [SRCH + "test_bw_price_witness_validates", SRCH + "test_successors_match_vertex_scan[bw]"],
+        "nstate |= low << n if gap else low",
+        "nstate |= low",
+        [SRCH + "test_search_matches_reference_every_budget[bw]", SRCH + "test_successors_match_vertex_scan[bw]"],
+    ),
+    (  # a step places every missing predecessor white, even one whose own are on
+        SEARCH,
+        "nstate |= low << n if gap else low",
+        "nstate |= low << n",
+        [SRCH + "test_successors_match_vertex_scan[bw]", SRCH + "test_frontier_work_pinned[bw]"],
+    ),
+    (  # a BW step may place one pebble more than the board has room for
+        SEARCH,
+        "if nd - d > free:",
+        "if nd - d > free + 1:",
+        [SRCH + "test_search_matches_reference_every_budget[bw]", SRCH + "test_successors_match_vertex_scan[bw]"],
+    ),
+    (  # the witness writes a BW step's removal before its placements
+        SEARCH,
+        """after = full if game == "bw" else""",
+        """after = 0 if game == "bw" else""",
+        [SRCH + "test_bw_price_witness_validates", SRCH + "test_search_matches_reference_every_budget[bw]"],
     ),
     (  # the black floor one too high
         SEARCH,

@@ -411,7 +411,9 @@ def cross_check_graphs():
         # ancestors, so the time floor falls below n.
         targets = rng.sample(range(n), rng.randint(1, n)) if rng.random() < 0.5 else None
         graphs.append(Dag(n, edges, targets=targets))
-    return graphs
+    # Vertices with three predecessors, so that one BW step places several.
+    fan_in_3 = (g for g in random_dags(40, 8, SEED + 8) if any(len(p) == 3 for p in g.preds))
+    return graphs + list(fan_in_3)[:8]
 
 
 @pytest.mark.parametrize("game", ["black", "bw"])
@@ -595,9 +597,9 @@ def test_closure_kept_per_state_matches_recomputation(game):
 
 
 # --- successor lists against the vertex-scanning loops -------------------------
-# The successor functions as they were when they scanned every vertex, kept
-# as the reference: the search must see the same successors, in the same
-# order, so that it pops the same states and its counts stay the same.
+# Each game's rules written as a scan of every vertex, kept as the
+# reference: the search must see the same successors, in the same order, so
+# that it pops the same states and its counts stay the same.
 
 
 def needed(g: Dag, visited: int) -> int:
@@ -668,36 +670,41 @@ def reference_black_steps(g: Dag, s: int, dist: dict):
 
 
 def reference_bw_steps(g: Dag, s: int, dist: dict):
-    """The vertex scan; a free vertex gets a white placement only when a
-    predecessor is off the board, and a black one only when none is."""
+    """The vertex scan of the first-use rule, one move at a time.  For each
+    vertex v: unless v is black, place v's missing predecessors one by one
+    in ascending id, each black when its own predecessors are on the board,
+    else white; then place v black when it is free, else remove it.  Each
+    placement needs a free pebble and costs 1, and updates X as a single
+    move of the move-level game does."""
     n, pm, sm = g.n, g.pred_mask, g.succ_mask
     full = (1 << n) - 1
-    seen = [(1 << v & g.target_mask) << 2 * n for v in range(n)]
+
+    def place(state: int, x: int, u: int, white: bool) -> tuple[int, int]:
+        occupied = (state | state >> n) & full | 1 << u
+        state |= (1 << u + n if white else 1 << u) | (1 << u & g.target_mask) << 2 * n
+        x &= ~(1 << u)
+        return state, search._closure(pm, x, pm[u] & ~occupied, occupied) if white else x
 
     def steps(state: int, x: int, d: int):
-        black = state & full
-        white = state >> n & full
-        occupied = black | white
-        room = occupied.bit_count() < s
         out = []
         for v in range(n):
-            vbit = 1 << v
-            missing = pm[v] & ~occupied
-            if occupied & vbit:
-                if white & vbit and missing:
-                    continue
-                nstate = state ^ (vbit if black & vbit else vbit << n)
-                if dist.get(nstate, d + 1) > d:
-                    nx = search._closure(pm, x, vbit, occupied ^ vbit) if sm[v] & (x | white) else x
-                    out.append((d, nstate, nx))
-            elif room:
-                nx = x & ~vbit
-                nstate = state | vbit | seen[v]
-                if not missing and dist.get(nstate, d + 2) > d + 1:
-                    out.append((d + 1, nstate, nx))
-                nstate = state | vbit << n | seen[v]
-                if missing and dist.get(nstate, d + 2) > d + 1:
-                    out.append((d + 1, nstate, search._closure(pm, nx, missing, occupied | vbit)))
+            t, nx, nd = state, x, d
+            for u in range(v) if not state >> v & 1 else ():
+                occupied = (t | t >> n) & full
+                if pm[v] >> u & 1 and not occupied >> u & 1:
+                    t, nx = place(t, nx, u, bool(pm[u] & ~occupied))
+                    nd += 1
+            black, white = t & full, t >> n & full
+            occupied = black | white
+            if not occupied >> v & 1:
+                t, nx = place(t, nx, v, False)
+                nd += 1
+            else:
+                t ^= 1 << v if black >> v & 1 else 1 << v + n
+                if sm[v] & (nx | white):
+                    nx = search._closure(pm, nx, 1 << v, occupied & ~(1 << v))
+            if ((state | state >> n) & full).bit_count() + nd - d <= s and dist.get(t, nd + 1) > nd:
+                out.append((nd, t, nx))
         return out
 
     return steps
@@ -742,9 +749,9 @@ def test_successors_match_vertex_scan(game):
 # (space, generated, expanded) per budget of tradeoff_frontier on every
 # instance of the two benchmark frontier specs, at their caps above the price,
 # as the vertex-scanning successor functions counted them, the black game
-# confined to N(T) and the BW game placing white only where a predecessor is
-# missing, as the references above are.  The sweeps start at the price floor
-# of their game, so they have no row below it.
+# confined to N(T) and the BW game placing a white pebble only in the step
+# that first uses it, as the references above are.  The sweeps start at the
+# price floor of their game, so they have no row below it.
 FRONTIER_WORK = {
     "black": {
         (FamilySpec.chain(2), 3): [(2, 3, 2)],
@@ -765,20 +772,20 @@ FRONTIER_WORK = {
         (FamilySpec.carlson_savage(2, 2), 2): [(4, 7082, 6388), (5, 467, 28)],
     },
     "bw": {
-        (FamilySpec.chain(2), 2): [(2, 5, 3)],
-        (FamilySpec.chain(3), 2): [(2, 10, 5)],
-        (FamilySpec.chain(4), 2): [(2, 16, 7)],
-        (FamilySpec.chain(5), 2): [(2, 23, 9)],
-        (FamilySpec.chain(6), 2): [(2, 31, 11)],
-        (FamilySpec.chain(7), 2): [(2, 40, 13)],
-        (FamilySpec.chain(8), 2): [(2, 50, 15)],
-        (FamilySpec.pyramid(1), 2): [(3, 8, 4)],
-        (FamilySpec.pyramid(2), 2): [(3, 84, 66), (4, 40, 10)],
-        (FamilySpec.pyramid(3), 2): [(3, 361, 361), (4, 820, 601), (5, 131, 18)],
-        (FamilySpec.binary_tree(1), 1): [(3, 8, 4)],
-        (FamilySpec.binary_tree(2), 1): [(3, 94, 67)],
-        (FamilySpec.binary_tree(3), 1): [(3, 1072, 1072), (4, 744, 530)],
-        (FamilySpec.carlson_savage(2, 1), 2): [(3, 752, 627), (4, 139, 36)],
+        (FamilySpec.chain(2), 2): [(2, 3, 1)],
+        (FamilySpec.chain(3), 2): [(2, 7, 3)],
+        (FamilySpec.chain(4), 2): [(2, 11, 4)],
+        (FamilySpec.chain(5), 2): [(2, 15, 5)],
+        (FamilySpec.chain(6), 2): [(2, 19, 6)],
+        (FamilySpec.chain(7), 2): [(2, 23, 7)],
+        (FamilySpec.chain(8), 2): [(2, 27, 8)],
+        (FamilySpec.pyramid(1), 2): [(3, 4, 1)],
+        (FamilySpec.pyramid(2), 2): [(3, 37, 24), (4, 21, 4)],
+        (FamilySpec.pyramid(3), 2): [(3, 143, 143), (4, 211, 105), (5, 59, 7)],
+        (FamilySpec.binary_tree(1), 1): [(3, 4, 1)],
+        (FamilySpec.binary_tree(2), 1): [(3, 34, 13)],
+        (FamilySpec.binary_tree(3), 1): [(3, 495, 495), (4, 239, 104)],
+        (FamilySpec.carlson_savage(2, 1), 2): [(3, 283, 216), (4, 67, 12)],
     },
 }
 
@@ -878,18 +885,34 @@ def test_price_floor_pinned():
 
 
 def test_bw_price_work_pinned():
-    """The BW price from the BW floor, white pebbles placed only where a
-    predecessor is missing.  Placing white anywhere and searching from
-    budget 1, the same calls stored 25,306, 98,132 and 196,230 states."""
+    """The BW price from the BW floor, each white pebble placed only in the
+    step that first uses it.  Placing white wherever a predecessor was
+    missing, the same calls stored 11,524, 46,215 and 64,459 states, and
+    placing white anywhere from budget 1, 25,306, 98,132 and 196,230."""
     for spec, want in (
-        (FamilySpec.pyramid(4), [(3, 1103, 1103), (4, 10421, 10032)]),
-        (FamilySpec.carlson_savage(2, 2), [(3, 5279, 5279), (4, 40936, 38845)]),
-        (FamilySpec.binary_tree(4), [(3, 8996, 8996), (4, 55463, 51302)]),
+        (FamilySpec.pyramid(4), [(3, 274, 274), (4, 4279, 4019)]),
+        (FamilySpec.carlson_savage(2, 2), [(3, 988, 988), (4, 8842, 7329)]),
+        (FamilySpec.binary_tree(4), [(3, 3295, 3295), (4, 1677, 706)]),
     ):
         g = build_family(spec)
         stats = SearchStats()
         price, moves = optimal_price(g, "bw", with_trace=True, stats=stats)
         assert price == 4 and validate_pebbling(g, moves, game="bw").space == 4, spec
+        assert counts(stats) == (want, "goal"), spec
+
+
+def test_bw_price_past_the_old_reach():
+    """BW price 5 for pyramid(6) and carlson_savage(2, 3), each witness
+    valid at space 5.  Placing white wherever a predecessor was missing,
+    both calls passed the limit, after 972,599 and 945,214 states."""
+    for spec, want in (
+        (FamilySpec.pyramid(6), [(3, 717, 717), (4, 23204, 23204), (5, 174605, 156112)]),
+        (FamilySpec.carlson_savage(2, 3), [(3, 2603, 2603), (4, 118994, 118994), (5, 3701, 2459)]),
+    ):
+        g = build_family(spec)
+        stats = SearchStats()
+        price, moves = optimal_price(g, "bw", with_trace=True, stats=stats)
+        assert price == 5 and validate_pebbling(g, moves, game="bw").space == 5, spec
         assert counts(stats) == (want, "goal"), spec
 
 
