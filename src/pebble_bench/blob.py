@@ -28,13 +28,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .dag import Dag
-from .errors import (
-    BadInflation,
-    BadMerge,
-    IllegalMove,
-    IncompletePebbling,
-    ParseError,
-)
+from .errors import BadInflation, BadMerge, IllegalMove, IncompletePebbling, ParseError, _lines
 from .pebbling import format_moves as format_blob_moves  # one move per line, as for pebbling
 
 __all__ = [
@@ -331,11 +325,7 @@ def _vertex_list(tok: str, lineno: int) -> frozenset[int]:
 
 def parse_blob_moves(text: str) -> list[BlobMove]:
     out: list[BlobMove] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in _lines(text):
         try:
             if parts[0] == "I" and len(parts) == 2:
                 out.append(IntroduceMove(int(parts[1])))
@@ -352,7 +342,7 @@ def parse_blob_moves(text: str) -> list[BlobMove]:
             elif parts[0] == "E" and len(parts) == 2:
                 out.append(EraseMove(int(parts[1])))
             else:
-                raise ParseError(f"bad move line {line!r}", lineno)
+                raise ParseError(f"bad move line {line.strip()!r}", lineno)
         except ValueError:
-            raise ParseError(f"bad integer in {line!r}", lineno) from None
+            raise ParseError(f"bad integer in {line.strip()!r}", lineno) from None
     return out

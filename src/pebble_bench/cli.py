@@ -84,10 +84,10 @@ def _limit(text: str) -> int:
 
 
 def _read_text(path: str) -> str:
-    """The text of a file argument; a file that does not decode is a
+    """The UTF-8 text of a file argument; a file that does not decode is a
     ParseError naming the path (OSError messages already name it)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: {e}") from None
@@ -125,9 +125,11 @@ def _search_stats(args):
 
 
 def _write_out(path: str | None, text: str):
-    """Write ``text`` to the file ``path``, or to stdout without one."""
+    """Write ``text`` to the file ``path`` as UTF-8, or to stdout without
+    one.  A name from an undecodable argument byte holds a surrogate, which
+    is written back as that byte, as stdout writes it."""
     if path:
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -452,8 +454,9 @@ def run_command(argv) -> int:
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (PebbleBenchError, OSError) as e:
+    except (PebbleBenchError, OSError, UnicodeEncodeError) as e:
         # OSError: a file that cannot be opened, read or written.
+        # UnicodeEncodeError: text that the stream written to cannot encode.
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -13,7 +13,7 @@ from itertools import product
 from operator import neg
 
 from .dag import Dag
-from .errors import GraphError, ParseError, SizeBoundExceeded
+from .errors import GraphError, ParseError, SizeBoundExceeded, _lines
 
 __all__ = [
     "Clause",
@@ -177,12 +177,8 @@ def read_dimacs(text: str) -> Cnf:
     num_vars = None
     declared = None
     clauses: list[Clause] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
+    for lineno, line, parts in _lines(text):
+        if parts[0][0] == "p":
             if num_vars is not None:
                 raise ParseError("duplicate p line", lineno)
             try:
@@ -192,14 +188,14 @@ def read_dimacs(text: str) -> Cnf:
                 if num_vars < 0 or declared < 0:
                     raise ValueError
             except ValueError:
-                raise ParseError(f"bad header {line!r}", lineno) from None
+                raise ParseError(f"bad header {line.strip()!r}", lineno) from None
             continue
         if num_vars is None:
             raise ParseError("clause before p line", lineno)
         try:
-            lits = tuple(map(int, line.split()))
+            lits = tuple(map(int, parts))
         except ValueError:
-            raise ParseError(f"bad clause line {line!r}", lineno) from None
+            raise ParseError(f"bad clause line {line.strip()!r}", lineno) from None
         if lits[-1:] != (0,):
             raise ParseError("clause line missing trailing 0", lineno)
         lits = lits[:-1]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import GraphError, ParseError, SizeBoundExceeded, UnsupportedFamily
+from .errors import GraphError, ParseError, SizeBoundExceeded, UnsupportedFamily, _lines
 
 __all__ = [
     "MAX_VERTICES",
@@ -357,25 +357,21 @@ def read_graph(text: str) -> Dag:
     n: int | None = None
     edges: list[tuple[int, int]] = []
     targets: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in _lines(text):
         if parts[0] == "p":
             if n is not None:
                 raise ParseError("duplicate p line", lineno)
             if len(parts) != 3 or parts[1] != "dag":
-                raise ParseError(f"bad header {line!r}", lineno)
+                raise ParseError(f"bad header {line.strip()!r}", lineno)
             n = _int(parts[2], lineno)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("e line before p line", lineno)
             if len(parts) != 3:
-                raise ParseError(f"bad edge line {line!r}", lineno)
+                raise ParseError(f"bad edge line {line.strip()!r}", lineno)
             u, v = _int(parts[1], lineno), _int(parts[2], lineno)
             if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"vertex out of range in {line!r}", lineno)
+                raise ParseError(f"vertex out of range in {line.strip()!r}", lineno)
             if u >= v:
                 raise ParseError(f"non-topological edge ({u}, {v})", lineno)
             edges.append((u, v))
@@ -383,10 +379,10 @@ def read_graph(text: str) -> Dag:
             if n is None:
                 raise ParseError("t line before p line", lineno)
             if len(parts) != 2:
-                raise ParseError(f"bad target line {line!r}", lineno)
+                raise ParseError(f"bad target line {line.strip()!r}", lineno)
             t = _int(parts[1], lineno)
             if not (0 <= t < n):
-                raise ParseError(f"vertex out of range in {line!r}", lineno)
+                raise ParseError(f"vertex out of range in {line.strip()!r}", lineno)
             targets.append(t)
         else:
             raise ParseError(f"unknown line type {parts[0]!r}", lineno)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``_lines``, the one line
+reader of every text format, which supplies ``ParseError``'s line numbers."""
 
 from __future__ import annotations
 
@@ -36,6 +37,18 @@ class ParseError(PebbleBenchError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _lines(text: str):
+    """The lines of ``text`` that are neither blank nor comments, as
+    ``(lineno, line, tokens)``: the 1-based line number, counting every
+    line, the line as read, and its whitespace-split tokens.  A comment is
+    a line whose first token starts with ``c``, as in DIMACS.  Every text
+    format is read through this; a message that quotes ``line`` strips it."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        if parts and parts[0][0] != "c":
+            yield lineno, line, parts
 
 
 class _IndexedError(PebbleBenchError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dag import Dag
-from .errors import IllegalMove, IncompletePebbling, ParseError
+from .errors import IllegalMove, IncompletePebbling, ParseError, _lines
 
 __all__ = [
     "Move",
@@ -143,16 +143,12 @@ def format_moves(moves) -> str:
 
 def parse_moves(text: str) -> list[Move]:
     out: list[Move] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in _lines(text):
         if len(parts) != 2 or parts[0] not in MOVE_KINDS:
-            raise ParseError(f"bad move line {line!r}", lineno)
+            raise ParseError(f"bad move line {line.strip()!r}", lineno)
         try:
             v = int(parts[1])
         except ValueError:
-            raise ParseError(f"bad vertex in {line!r}", lineno) from None
+            raise ParseError(f"bad vertex in {line.strip()!r}", lineno) from None
         out.append(Move(parts[0], v))
     return out

@@ -22,7 +22,7 @@ from operator import neg
 from typing import NamedTuple
 
 from .cnf import Clause, Cnf, canon_clause
-from .errors import BadPivot, ParseError, TautologicalResolvent, VerificationError
+from .errors import BadPivot, ParseError, TautologicalResolvent, VerificationError, _lines
 
 __all__ = [
     "Axiom",
@@ -245,16 +245,13 @@ def _read(text: str):
     ``parse_trace``.  It yields the event of each line as it reads the
     line: ``("e", id)``, ``("a", literals)`` or
     ``("r", (left, right, pivot, *literals))``, the literals as written
-    and the trailing 0 dropped.  Comment and blank lines are skipped.  It
+    and the trailing 0 dropped, from the lines ``_lines`` yields.  It
     raises ParseError at the first malformed line, after yielding every
     event before it.  A literal recurs in many clauses, an id does not, so
     only literals are read through a memo, one per trace; erase lines,
     half of a compiled trace, are tested first."""
     lit = _Memo(int).__getitem__
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
+    for lineno, line, parts in _lines(text):
         kind = parts[0]
         if kind == "e":
             if len(parts) != 2:
@@ -262,10 +259,8 @@ def _read(text: str):
             try:
                 cid = int(parts[1])
             except ValueError:
-                raise ParseError(f"bad integer in {raw.strip()!r}", lineno) from None
+                raise ParseError(f"bad integer in {line.strip()!r}", lineno) from None
             yield kind, cid
-            continue
-        if kind[0] == "c":
             continue
         if kind != "a" and kind != "r":
             raise ParseError(f"unknown line type {kind!r}", lineno)
@@ -275,7 +270,7 @@ def _read(text: str):
             else:
                 ints = (*map(int, parts[1:3]), *map(lit, parts[3:]))
         except ValueError:
-            raise ParseError(f"bad integer in {raw.strip()!r}", lineno) from None
+            raise ParseError(f"bad integer in {line.strip()!r}", lineno) from None
         if kind == "a":
             if not ints or ints[-1]:
                 raise ParseError("axiom line missing trailing 0", lineno)

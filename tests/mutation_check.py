@@ -30,10 +30,16 @@ CHECK = "pebble_bench/resolution.py"
 SEARCH = "pebble_bench/search.py"
 PEBBLING = "pebble_bench/pebbling.py"
 SIMULATION = "pebble_bench/simulation.py"
+ERRORS = "pebble_bench/errors.py"
+CNF = "pebble_bench/cnf.py"
+BLOB = "pebble_bench/blob.py"
 RES = "tests/test_resolution.py::"
 SRCH = "tests/test_search.py::"
 PEB = "tests/test_pebbling.py::"
 SIM = "tests/test_simulation.py::"
+FMT = "tests/test_formats.py::"
+CNFT = "tests/test_cnf.py::"
+BLB = "tests/test_blob.py::"
 
 # (file under src/, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -116,14 +122,55 @@ MUTANTS = [
         "elif len(ints) < 3 or ints[-1]:",
         [RES + "test_parse_trace_errors", RES + "test_malformed_line_refused_alike_by_both_callers"],
     ),
-    (  # only a line whose first word is "c" is a comment
-        CHECK,
-        """if kind[0] == "c":""",
-        """if kind == "c":""",
+    # The line reader of every text format.
+    (  # only a line whose first token is "c" itself is a comment
+        ERRORS,
+        """if parts and parts[0][0] != "c":""",
+        """if parts and parts[0] != "c":""",
         [
+            FMT + "test_blank_and_comment_lines_skipped[read_graph]",
+            FMT + "test_blank_and_comment_lines_skipped[parse_trace]",
             RES + "test_malformed_line_refused_alike_by_both_callers",
             RES + "test_check_trace_text_matches_parse_then_check",
         ],
+    ),
+    # The DIMACS reader and the formula's clause rules.
+    (  # a 0 inside a clause line is left to the range check, which names no line
+        CNF,
+        """        if 0 in lits:
+            raise ParseError("literal 0 inside clause", lineno)
+""",
+        "",
+        [CNFT + "test_dimacs_refuses_a_zero_inside_a_clause"],
+    ),
+    (  # every list clause takes the fast path, repeated variables and all
+        CNF,
+        "plain = type(cl) in (tuple, list) and len({*map(abs, cl)}) == len(cl)",
+        "plain = type(cl) in (tuple, list)",
+        [CNFT + "test_cnf_rejects_bad_clauses", CNFT + "test_dimacs_names_clause_as_written"],
+    ),
+    (  # a target gets one unit clause, not one per copy
+        CNF,
+        """            for i in range(1, d + 1):
+                clauses.append((-var_id(t, i, d),))""",
+        """            for i in range(1, 2):
+                clauses.append((-var_id(t, i, d),))""",
+        [CNFT + "test_clause_count_formula"],
+    ),
+    # The blob validator's cost and its duplicate rule.
+    (  # every white is charged, not only those below the bottom vertex
+        BLOB,
+        "return blob | (whites & below[(blob & -blob).bit_length() - 1])",
+        "return blob | whites",
+        [BLB + "test_chargeable_only_below_bottom"],
+    ),
+    (  # a subconfiguration already live may be created again
+        BLOB,
+        """            if (blob, whites) in held:
+                problem = "duplicate subconfiguration "
+            elif labelled_only""",
+        """            if labelled_only""",
+        [BLB + "test_duplicate_and_unknown_ids"],
     ),
     # The exact searches' pruning rules, lower bounds, witness and budget sweep.
     (  # the BW floor one too high

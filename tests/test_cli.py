@@ -6,11 +6,14 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 import weakref
 
 import pytest
 
+import pebble_bench
 from pebble_bench import (
     FamilySpec,
     black_strategy,
@@ -549,6 +552,53 @@ def test_parse_error_names_file(tmp_path, capsys, argv, bad, text, message):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+
+def test_undecodable_file_name_written_as_stdout_writes_it(tmp_path, monkeypatch):
+    """A file name byte that does not decode reaches argv as a surrogate.
+    ``-o`` writes it back as that byte, the bytes stdout gets."""
+    graph = tmp_path / "x\udcff.graph"
+    graph.write_text(write_graph(build_family(FamilySpec.chain(2))))
+    argv = ["frontier", "--graph", str(graph), "--space-cap", "3"]
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert run_command(argv) == 0
+    out = tmp_path / "out.csv"
+    assert run_command([*argv, "-o", str(out)]) == 0
+    assert out.read_bytes() == sys.stdout.getvalue().encode("utf-8", "surrogateescape")
+    assert out.read_bytes().splitlines()[1] == b"file,x\xff.graph,black,2,2"
+
+
+def test_unencodable_output_is_one_line(tmp_path, capsys, monkeypatch):
+    """Text that the stream written to cannot encode is an error line."""
+    graph = tmp_path / "pl\u00e4in.graph"
+    graph.write_text(write_graph(build_family(FamilySpec.chain(2))))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    assert run_command(["frontier", "--graph", str(graph), "--space-cap", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'ascii' codec can't encode character") and err.count("\n") == 1
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """Under the C locale without UTF-8 mode, a graph whose comment holds
+    UTF-8 is read, and a name that argv holds as surrogates is written to
+    a file as the bytes stdout gets."""
+    src = os.path.dirname(os.path.dirname(pebble_bench.__file__))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    name = "pl\u00e4in.graph"
+    (tmp_path / name).write_bytes(f"c gr\u00fc\u00dfe\n{write_graph(build_family(FamilySpec.chain(2)))}".encode())
+
+    def cli_run(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "pebble_bench.cli", *argv], cwd=tmp_path, env=env, capture_output=True
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        return done.stdout
+
+    assert cli_run("price", "--graph", name) == b"2\n"
+    out = cli_run("frontier", "--graph", name, "--space-cap", "3")
+    assert out.splitlines()[1] == f"file,{name},black,2,2".encode()
+    assert cli_run("frontier", "--graph", name, "--space-cap", "3", "-o", "out.csv") == b""
+    assert (tmp_path / "out.csv").read_bytes() == out
 
 
 # --- seeded fuzz of the command line and its input files ----------------------

@@ -280,6 +280,13 @@ def test_dimacs_names_clause_as_written():
     assert read_dimacs("p cnf 2 1\n2 -1 2 0\n").clauses == ((-1, 2),)
 
 
+def test_dimacs_refuses_a_zero_inside_a_clause():
+    """A 0 ends a clause line, so one before the end is refused at its line,
+    not later by the formula's range check, which names no line."""
+    with pytest.raises(ParseError, match="^line 3: literal 0 inside clause$"):
+        read_dimacs("p cnf 2 2\n1 0\n1 0 2 0\n")
+
+
 def test_dimacs_accepts_comments():
     f = read_dimacs("c hi\np cnf 2 1\nc mid\n-1 2 0\n")
     assert f.clauses == ((-1, 2),)
