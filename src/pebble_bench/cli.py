@@ -21,12 +21,12 @@ from types import SimpleNamespace
 
 from . import blob as blobmod
 from . import simulation
-from .cnf import pebbling_contradiction, read_dimacs, write_dimacs
+from .cnf import _dimacs_lines, pebbling_contradiction, read_dimacs
 from .dag import _FAMILY_PARAMS, Dag, FamilySpec, build_family, read_graph, write_graph
 from .errors import BudgetTooSmall, ParseError, PebbleBenchError, SizeBoundExceeded
 from .measures import hidden_vertices, klawe_measure, potential, LayeredView
 from .pebbling import format_moves, parse_moves, validate_pebbling
-from .resolution import check_trace_text, format_trace
+from .resolution import _trace_lines, check_trace_text
 from .search import SearchStats, optimal_price, tradeoff_frontier
 from .strategies import _schedules
 
@@ -124,15 +124,21 @@ def _search_stats(args):
             print(json.dumps(stats.report()), file=sys.stderr)
 
 
-def _write_out(path: str | None, text: str):
-    """Write ``text`` to the file ``path`` as UTF-8, or to stdout without
-    one.  A name from an undecodable argument byte holds a surrogate, which
-    is written back as that byte, as stdout writes it."""
+def _write_out(path: str | None, pieces):
+    """Write ``pieces``, an iterable of strings, to the file ``path`` as
+    UTF-8, or to stdout without one: the writer of every command's output.
+    It writes a piece at a time, so a text made as it is written is never
+    held whole; a caller holding one string passes a one-element tuple.
+    The file is opened by the name's UTF-8 bytes, the encoding a spec is
+    read in, and a surrogate from an undecodable argument byte goes back to
+    that byte, as stdout writes it; so a name opens alike under any
+    locale."""
     if path:
-        with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-            fh.write(text)
+        name = path.encode("utf-8", "surrogateescape")
+        with open(name, "w", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -140,14 +146,14 @@ def _write_out(path: str | None, text: str):
 
 def _cmd_gen_graph(args) -> int:
     g = build_family(_spec_from_args(args))
-    _write_out(args.output, write_graph(g))
+    _write_out(args.output, (write_graph(g),))
     return 0
 
 
 def _cmd_gen_cnf(args) -> int:
     g = _graph_from_args(args)
     f = pebbling_contradiction(g, args.d, starred=args.starred)
-    _write_out(args.output, write_dimacs(f))
+    _write_out(args.output, _dimacs_lines(f))
     return 0
 
 
@@ -155,7 +161,7 @@ def _cmd_price(args) -> int:
     g = _graph_from_args(args)
     with _search_stats(args) as stats:
         price = optimal_price(g, game=args.game, stats=stats)
-    _write_out(args.output, f"{price}\n")
+    _write_out(args.output, (f"{price}\n",))
     return 0
 
 
@@ -180,7 +186,7 @@ def _cmd_frontier(args) -> int:
     else:
         fam, par = "file", os.path.basename(args.graph)
     header = ("family", "params", "game", "space", "min_time")
-    _write_out(args.output, _csv([header, *((fam, par, args.game, s, t) for s, t in fr)]))
+    _write_out(args.output, (_csv([header, *((fam, par, args.game, s, t) for s, t in fr)]),))
     return 0
 
 
@@ -188,9 +194,9 @@ def _cmd_strategy(args) -> int:
     g, schedule = _schedules(_spec_from_args(args))
     moves = schedule(args.budget)
     trace = validate_pebbling(g, moves, game="black")
-    _write_out(args.output, format_moves(moves))
+    _write_out(args.output, (format_moves(moves),))
     if args.output:
-        sys.stdout.write(json.dumps(trace.report()) + "\n")
+        _write_out(None, (json.dumps(trace.report()) + "\n",))
     return 0
 
 
@@ -202,14 +208,14 @@ def _cmd_compile(args) -> int:
     else:
         trace = validate_pebbling(g, _parse_file(args.moves, parse_moves), game="black")
     rtrace = simulation.compile_pebbling(g, args.d, trace, starred=args.starred)
-    _write_out(args.output, format_trace(rtrace))
+    _write_out(args.output, _trace_lines(rtrace))
     return 0
 
 
 def _cmd_check(args) -> int:
     f = _parse_file(args.cnf, read_dimacs)
     metrics = _parse_file(args.proof, functools.partial(check_trace_text, f))
-    sys.stdout.write(json.dumps(metrics.report()) + "\n")
+    _write_out(None, (json.dumps(metrics.report()) + "\n",))
     return 0
 
 
@@ -231,7 +237,7 @@ def _cmd_measure(args) -> int:
     config = _parse_vertex_set(args.black) | _parse_vertex_set(args.white)
     if config:
         report["potential"] = potential(g, config, direction=args.direction)
-    sys.stdout.write(json.dumps(report) + "\n")
+    _write_out(None, (json.dumps(report) + "\n",))
     return 0
 
 
@@ -360,10 +366,10 @@ def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     csv_text = _csv(rows)
-    _write_out(out_csv, csv_text)
+    _write_out(out_csv, (csv_text,))
     if prefix:
         for name, text in plots.items():
-            _write_out(prefix + name, text)
+            _write_out(prefix + name, (text,))
     return csv_text, plots, warnings
 
 

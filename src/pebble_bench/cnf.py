@@ -13,7 +13,7 @@ from itertools import product
 from operator import neg
 
 from .dag import Dag
-from .errors import GraphError, ParseError, SizeBoundExceeded, _lines
+from .errors import GraphError, ParseError, SizeBoundExceeded, _lines, _Memo
 
 __all__ = [
     "Clause",
@@ -98,10 +98,6 @@ def var_vertex(x: int, d: int) -> tuple[int, int]:
     return (x - 1) // d, (x - 1) % d + 1
 
 
-def _all_true(v: int, d: int) -> list[int]:
-    return [var_id(v, i, d) for i in range(1, d + 1)]
-
-
 def check_formula_size(g: Dag, d: int, starred: bool = False) -> tuple[int, int]:
     """The clause and literal counts of ``pebbling_contradiction(g, d,
     starred)``, predicted from the graph.  A source has one clause of d
@@ -145,17 +141,14 @@ def pebbling_contradiction(g: Dag, d: int, starred: bool = False) -> Cnf:
     ``MAX_LITERALS``.
     """
     check_formula_size(g, d, starred)
-    clauses = []
-    for s in g.sources:
-        clauses.append(_all_true(s, d))
+    pos = [tuple(var_id(v, i, d) for i in range(1, d + 1)) for v in range(g.n)]
+    negs = [tuple(-x for x in lits) for lits in pos]
+    clauses = [pos[s] for s in g.sources]
     for v in range(g.n):
         ps = g.preds[v]
-        if not ps:
-            continue
-        head = _all_true(v, d)
-        for js in product(range(1, d + 1), repeat=len(ps)):
-            body = [-var_id(u, j, d) for u, j in zip(ps, js)]
-            clauses.append(body + head)
+        if ps:
+            head = pos[v]
+            clauses += [body + head for body in product(*(negs[u] for u in ps))]
     if not starred:
         for t in g.targets:
             for i in range(1, d + 1):
@@ -166,14 +159,31 @@ def pebbling_contradiction(g: Dag, d: int, starred: bool = False) -> Cnf:
 # --- DIMACS -----------------------------------------------------------------
 
 
-def write_dimacs(f: Cnf) -> str:
-    lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
+def _dimacs_lines(f: Cnf):
+    """The formula's DIMACS text a line at a time, each with its line feed:
+    the ``p cnf`` line, then one line per clause ending in 0.  The
+    ``gen-cnf`` command writes the lines as they come, so it never holds
+    the whole text.  A literal recurs in many clauses, so its text is
+    computed once per formula."""
+    text = _Memo(str).__getitem__
+    yield f"p cnf {f.num_vars} {len(f.clauses)}\n"
     for cl in f.clauses:
-        lines.append(" ".join(map(str, cl + (0,))))
-    return "\n".join(lines) + "\n"
+        yield " ".join(map(text, cl + (0,))) + "\n"
+
+
+def write_dimacs(f: Cnf) -> str:
+    """The formula as DIMACS text: the lines of ``_dimacs_lines`` joined."""
+    return "".join(_dimacs_lines(f))
 
 
 def read_dimacs(text: str) -> Cnf:
+    """The formula of a DIMACS text, read through ``_lines``: one ``p cnf
+    <vars> <clauses>`` line, before any clause, then clause lines ending in
+    0.  A literal recurs in many clauses, so each token is read through a
+    memo, one per text: the formula holds one int object per literal value
+    (4,080 for binary_tree(7) at d = 8, not one per literal, 82,312).
+    Raises ParseError, with the line number of a malformed line."""
+    lit = _Memo(int).__getitem__
     num_vars = None
     declared = None
     clauses: list[Clause] = []
@@ -193,7 +203,7 @@ def read_dimacs(text: str) -> Cnf:
         if num_vars is None:
             raise ParseError("clause before p line", lineno)
         try:
-            lits = tuple(map(int, parts))
+            lits = tuple(map(lit, parts))
         except ValueError:
             raise ParseError(f"bad clause line {line.strip()!r}", lineno) from None
         if lits[-1:] != (0,):

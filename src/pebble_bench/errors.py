@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and ``_lines``, the one line
-reader of every text format, which supplies ``ParseError``'s line numbers."""
+"""Exception types shared across the package; ``_lines``, the one line
+reader of every text format, which supplies ``ParseError``'s line numbers;
+and ``_Memo``, which makes a recurring literal's text, or the int a
+literal's token stands for, once per text."""
 
 from __future__ import annotations
 
@@ -39,16 +41,50 @@ class ParseError(PebbleBenchError):
         super().__init__(message)
 
 
+# Characters of text that ``_lines`` splits at a time.
+_CHUNK = 1 << 16
+
+
 def _lines(text: str):
-    """The lines of ``text`` that are neither blank nor comments, as
+    r"""The lines of ``text`` that are neither blank nor comments, as
     ``(lineno, line, tokens)``: the 1-based line number, counting every
     line, the line as read, and its whitespace-split tokens.  A comment is
     a line whose first token starts with ``c``, as in DIMACS.  Every text
-    format is read through this; a message that quotes ``line`` strips it."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if parts and parts[0][0] != "c":
-            yield lineno, line, parts
+    format is read through this; a message that quotes ``line`` strips it.
+
+    The lines are those of ``text.splitlines()``, but the text is split a
+    chunk at a time, so the line objects of one chunk are held at once, not
+    those of the whole text.  A chunk runs from where the last one ended
+    through the first ``"\n"`` at or after ``_CHUNK`` characters on, or to
+    the end of the text; a text with no ``"\n"`` is one chunk.  Every chunk
+    but the last ends with ``"\n"``, which ends a line, so no line and no
+    ``"\r\n"`` pair straddles two chunks: the ``splitlines()`` of the whole
+    text is the concatenation of the chunks' ``splitlines()``, and the line
+    numbers carry on from one chunk to the next: a chunk is not empty, so
+    it has a line, and ``lineno`` ends at its last."""
+    lineno = start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK)
+        stop = len(text) if stop < 0 else stop + 1
+        for lineno, line in enumerate(text[start:stop].splitlines(), lineno + 1):
+            parts = line.split()
+            if parts and parts[0][0] != "c":
+                yield lineno, line, parts
+        start = stop
+
+
+class _Memo(dict):
+    """key -> fn(key), computed on a miss and kept: the text of a literal,
+    or the literal a token stands for, made once per text written or read,
+    so a clause list holds one int object per literal value.  A miss that
+    raises keeps nothing."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class _IndexedError(PebbleBenchError):

@@ -3,7 +3,8 @@
 A trace is a sequence of events, each a named tuple: ``Axiom`` downloads a
 clause of the formula, ``Infer`` resolves two live clauses, and ``Erase``
 frees a live clause.  Axiom and inference events get sequential 1-based ids.
-The compiler emits these events and ``format_trace`` writes them as text.
+The compiler emits these events, ``_trace_lines`` writes them as text a
+line at a time, and ``format_trace`` joins those lines.
 One lazy reader, ``_read``, holds the text grammar and serves two callers:
 ``parse_trace`` builds events from it with canonical clauses, and the one
 checker, ``check_trace_text``, verifies each event as it is read, with the
@@ -22,7 +23,7 @@ from operator import neg
 from typing import NamedTuple
 
 from .cnf import Clause, Cnf, canon_clause
-from .errors import BadPivot, ParseError, TautologicalResolvent, VerificationError, _lines
+from .errors import BadPivot, ParseError, TautologicalResolvent, VerificationError, _lines, _Memo
 
 __all__ = [
     "Axiom",
@@ -101,18 +102,6 @@ class ProofMetrics:
             "width": self.width,
             "clause_space": self.clause_space,
         }
-
-
-class _Memo(dict):
-    """key -> fn(key), computed on a miss: the text of a literal, or the
-    literal a token stands for, once per trace."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 def check_refutation(f: Cnf, trace: ResolutionTrace) -> ProofMetrics:
@@ -204,24 +193,30 @@ def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
 # Ids are assigned sequentially (1-based) to a/r lines.
 
 
-def format_trace(trace: ResolutionTrace) -> str:
-    """The trace as text, one line per event.  A literal recurs in many
-    clauses, so its text is computed once per call; ids are unique, and
-    are written directly."""
+def _trace_lines(trace: ResolutionTrace):
+    """The trace's text a line at a time, one line per event, each with its
+    line feed.  The ``compile`` command writes the lines as they come, so
+    it never holds the whole text.  A literal recurs in many clauses, so
+    its text is computed once per trace; ids are unique, and are written
+    directly."""
     text = _Memo(str).__getitem__
-    lines = []
     for ev in trace.events:
         kind = type(ev)
         if kind is Erase:
-            lines.append(f"e {ev.id}")
+            yield f"e {ev.id}\n"
             continue
         lits = " ".join(map(text, ev.clause))
-        lits = lits + " 0" if lits else "0"
+        lits = lits + " 0\n" if lits else "0\n"
         if kind is Axiom:
-            lines.append("a " + lits)
+            yield "a " + lits
         else:
-            lines.append(f"r {ev.left} {ev.right} {ev.pivot} {lits}")
-    return "\n".join(lines) + ("\n" if lines else "")
+            yield f"r {ev.left} {ev.right} {ev.pivot} {lits}"
+
+
+def format_trace(trace: ResolutionTrace) -> str:
+    """The trace as text: the lines of ``_trace_lines`` joined, so an empty
+    trace is the empty text and any other ends with a line feed."""
+    return "".join(_trace_lines(trace))
 
 
 def parse_trace(text: str) -> ResolutionTrace:

@@ -134,6 +134,16 @@ MUTANTS = [
             RES + "test_check_trace_text_matches_parse_then_check",
         ],
     ),
+    (  # each chunk is cut before its "\n", not after it, so the next starts with an empty line
+        ERRORS,
+        "stop = len(text) if stop < 0 else stop + 1",
+        "stop = len(text) if stop < 0 else stop",
+        [
+            FMT + "test_lines_match_one_splitlines_across_chunk_cuts[LF]",
+            FMT + "test_lines_match_one_splitlines_across_chunk_cuts[CRLF]",
+            FMT + "test_malformed_line_after_a_cut_names_its_line",
+        ],
+    ),
     # The DIMACS reader and the formula's clause rules.
     (  # a 0 inside a clause line is left to the range check, which names no line
         CNF,

@@ -6,8 +6,8 @@ Usage, from the repository root (extra arguments go to pytest)::
 
 Runs pytest in-process under a stdlib ``sys.settrace`` line collector limited
 to ``src/pebble_bench``, then prints each statement that never ran as
-``path:line: source`` and exits 1 if there is one.  The test outcome is
-ignored: the plain test run gates it.
+``path:line: source``.  It exits 1 if there is one, and also if the
+traced pytest run fails, so the suite must pass under the tracer too.
 
 A statement counts unless it is a docstring, an import, or the header of a
 ``def`` or ``class``.  A line marked ``# pragma: no cover - <reason>``
@@ -26,8 +26,9 @@ PACKAGE = os.path.join(ROOT, "src", "pebble_bench") + os.sep
 PRAGMA = re.compile(r"#\s*pragma: no cover - \S")
 
 
-def _collect(argv: list[str]) -> dict[str, set[int]]:
-    """Run pytest with ``argv`` and return the lines executed per file."""
+def _collect(argv: list[str]) -> tuple[dict[str, set[int]], int]:
+    """Run pytest with ``argv``; return the lines executed per file and
+    pytest's exit code."""
     hits: dict[str, set[int]] = {}
 
     def local(frame, event, arg):
@@ -47,10 +48,10 @@ def _collect(argv: list[str]) -> dict[str, set[int]]:
 
     sys.settrace(tracer)
     try:
-        pytest.main(argv)
+        code = pytest.main(argv)
     finally:
         sys.settrace(None)
-    return hits
+    return hits, code
 
 
 def _exempt_lines(lines: list[str]) -> set[int]:
@@ -115,12 +116,14 @@ def _missed(hits: dict[str, set[int]]) -> list[tuple[str, int, str]]:
 
 
 def main(argv: list[str]) -> int:
-    hits = _collect(argv)
+    hits, code = _collect(argv)
     gaps = _missed(hits)
     for rel, line, text in gaps:
         print(f"{rel}:{line}: {text}")
     print(f"{len(gaps)} statement(s) of src/pebble_bench never ran")
-    return 1 if gaps else 0
+    if code:
+        print(f"the traced pytest run failed (exit code {int(code)})")
+    return 1 if gaps or code else 0
 
 
 if __name__ == "__main__":

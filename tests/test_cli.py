@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -431,6 +432,55 @@ def test_check_reports_the_first_fault(tmp_path, capsys):
     )
 
 
+@pytest.fixture(scope="module")
+def tree7_proof(tmp_path_factory):
+    """binary_tree(7)'s pebbling, its formula at d = 8 and the compiled
+    proof (34,828 lines, 1.25 MiB), as files, with the family flags."""
+    spec, d = FamilySpec.binary_tree(7), 8
+    g = build_family(spec)
+    ptrace = validate_pebbling(g, black_strategy(spec), game="black")
+    root = tmp_path_factory.mktemp("tree7")
+    files = {"moves": format_moves(ptrace.moves), "cnf": write_dimacs(pebbling_contradiction(g, d))}
+    files["proof"] = format_trace(compile_pebbling(g, d, ptrace))
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return ["--family", "binary_tree", "--h", "7", "--d", str(d)], root
+
+
+def peak_mib(argv) -> float:
+    """The tracemalloc peak of one successful in-process command, in MiB."""
+    tracemalloc.start()
+    try:
+        assert run_command(argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_compile_writes_its_trace_a_line_at_a_time(tree7_proof, capsys):
+    """compile holds the events, 5.3 MiB here, but not the whole trace text
+    as well.  In a fresh process it peaked at 5.8 MiB, and at 11.4 MiB when
+    it wrote the text in one piece; after other commands have run, free
+    lists hand it some objects untraced, and it read 4.5 MiB.  The 8 MiB
+    bound leaves 2.2 MiB above the fresh peak and 3.4 MiB below the old.
+    """
+    family, root = tree7_proof
+    out = root / "compiled"
+    assert peak_mib(["compile", *family, "--moves", str(root / "moves"), "-o", str(out)]) < 8
+    assert out.read_text() == (root / "proof").read_text()
+
+
+def test_check_reads_its_trace_a_chunk_at_a_time(tree7_proof, capsys):
+    """check holds the trace text and the formula, but not a string per line
+    of the trace.  In a fresh process it peaked at 4.1 MiB, and at 9.0 MiB
+    when it split the whole text at once; after other commands, 3.9 MiB.
+    The 6 MiB bound leaves 1.9 MiB above the fresh peak and 3 MiB below
+    the old."""
+    _, root = tree7_proof
+    assert peak_mib(["check", "--cnf", str(root / "cnf"), "--proof", str(root / "proof")]) < 6
+    assert json.loads(capsys.readouterr().out) == {"length": 17416, "width": 16, "clause_space": 12}
+
+
 # --- measure -------------------------------------------------------------------
 
 
@@ -599,6 +649,27 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert out.splitlines()[1] == f"file,{name},black,2,2".encode()
     assert cli_run("frontier", "--graph", name, "--space-cap", "3", "-o", "out.csv") == b""
     assert (tmp_path / "out.csv").read_bytes() == out
+
+
+def test_spec_file_names_are_utf8_under_an_ascii_locale(tmp_path):
+    """Under the C locale without UTF-8 mode, a spec, read as UTF-8, names
+    its output files by their UTF-8 bytes, not in the locale's encoding,
+    which cannot encode them."""
+    src = os.path.dirname(os.path.dirname(pebble_bench.__file__))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    spec = "[experiment]\nout_csv = r\u00e9sum\u00e9.csv\nplot_prefix = pl\u00e4-\n[family:chain]\nn = 2\n"
+    (tmp_path / "spec.ini").write_bytes(spec.encode())
+    done = subprocess.run(
+        [sys.executable, "-m", "pebble_bench.cli", "tradeoff-report", "--spec", "spec.ini"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    names = {"r\u00e9sum\u00e9.csv", "pl\u00e4-chain-2.csv", "spec.ini"}
+    assert set(os.listdir(os.fsencode(tmp_path))) == {name.encode() for name in names}
+    report = (tmp_path / "r\u00e9sum\u00e9.csv").read_bytes()
+    assert report == b"family,params,game,space,min_time,strategy_time\nchain,2,black,2,2,2\n"
 
 
 # --- seeded fuzz of the command line and its input files ----------------------
