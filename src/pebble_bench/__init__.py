@@ -68,6 +68,7 @@ from .simulation import (
     explain_transition,
     induce_configuration,
     metrics_vs_cost,
+    replay_proof,
     subconfig_clause,
 )
 from .measures import (

@@ -25,6 +25,8 @@ the set's prime implicates, which resolution with subsumption computes on
 (positive, negative) variable masks.  ``explain_transition`` turns one
 induced configuration into the next with blob moves, searching what merges
 on mask pairs derive from the live set, only as far as the additions need.
+``replay_proof`` runs the two over a proof, inducing after every event, so
+a compiled starred proof replays as a blob pebbling.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .cnf import (
     var_id,
 )
 from .dag import Dag
-from .errors import SizeBoundExceeded, UnsupportedOperation
+from .errors import SizeBoundExceeded, UnsupportedOperation, VerificationError
 from .pebbling import PebblingTrace
 from .resolution import (
     Axiom,
@@ -69,6 +71,7 @@ __all__ = [
     "induce_configuration",
     "BlobScriptBuilder",
     "explain_transition",
+    "replay_proof",
     "MAX_IMPLICATES",
 ]
 
@@ -78,7 +81,14 @@ __all__ = [
 # hold 990 in 1.0 s and 60 hold 1,770 in 4.3-5.0 s (Python 3.11, 2 cores),
 # the time growing about 40-fold per doubling of k; 33 variables are refused
 # after 0.09 s.  The starred replays of pyramid(7), binary_tree(5) and
-# carlson_savage(2,3) hold at most 10.
+# carlson_savage(2,3) hold at most 10, 8 and 7 clauses at d = 1, and 13, 11
+# and 10 at d = 2.  The bound counts clauses held, not resolvents tried: a
+# clause taken up is resolved against the held clauses taken up before it,
+# but one taken up may later be dropped as subsumed, so a set whose
+# resolvents are mostly subsumed could take up far more than it holds.  At
+# these sizes holding is enough, as no replay drops much: one induction
+# takes up at most 15 clauses and tries at most 91 pairs (pyramid(7),
+# d = 2).
 MAX_IMPLICATES = 500
 
 
@@ -507,3 +517,45 @@ def explain_transition(g: Dag, builder: BlobScriptBuilder, new: BlobConfig) -> N
 
     for s in sorted(ids.keys() - want.values(), key=text):
         builder.moves.append(EraseMove(ids.pop(s)))
+
+
+# ---------------------------------------------------------------------------
+# Replaying a proof as a blob pebbling
+# ---------------------------------------------------------------------------
+
+
+def _live_sets(events):
+    """The live clauses after each event, as a new list each time.
+
+    Axioms and inferences take ids 1, 2, ... in order, as in the trace
+    format, and an erase deletes its id.  Raises VerificationError, with
+    the event's index, for an erase of an id that is not live.
+    """
+    live: dict[int, Clause] = {}
+    ids = count(1)
+    for idx, ev in enumerate(events):
+        if isinstance(ev, Erase):
+            if ev.id not in live:
+                raise VerificationError(f"erased id {ev.id} not live", index=idx)
+            del live[ev.id]
+        else:
+            live[next(ids)] = ev.clause
+        yield list(live.values())
+
+
+def replay_proof(g: Dag, d: int, events) -> BlobScriptBuilder:
+    """Replay a proof over the degree-d contradiction of g as blob moves.
+
+    After every event the live clauses induce a configuration
+    (``induce_configuration``), and ``explain_transition`` extends the
+    script from the last one to it.  Returns the builder, whose ``moves``
+    are the play.  The starred proofs that ``compile_pebbling`` makes of
+    ``black_strategy`` replay, at d = 1 and d = 2, as plays that
+    ``validate_blob_pebbling`` accepts and that end with each target's
+    blob [t]<>.  Raises VerificationError for an erase of an id that is
+    not live, and whatever induce and explain raise.
+    """
+    builder = BlobScriptBuilder(g)
+    for clauses in _live_sets(events):
+        explain_transition(g, builder, induce_configuration(g, d, clauses))
+    return builder

@@ -336,6 +336,23 @@ MUTANTS = [
         """        _realize""",
         [SIM + "test_explain_refusal_writes_nothing"],
     ),
+    # The live-set bookkeeping of the replay.
+    (  # clause ids start at 0, so an erase deletes the clause after the one it names
+        SIMULATION,
+        """    ids = count(1)
+    for idx, ev in enumerate(events):""",
+        """    ids = count(0)
+    for idx, ev in enumerate(events):""",
+        [SIM + "test_replay_refuses_an_erase_of_a_dead_id", SIM + "test_starred_replays_pinned"],
+    ),
+    (  # an erase of an id that is not live is ignored
+        SIMULATION,
+        """            if ev.id not in live:
+                raise VerificationError(f"erased id {ev.id} not live", index=idx)
+            del live[ev.id]""",
+        """            live.pop(ev.id, None)""",
+        [SIM + "test_replay_refuses_an_erase_of_a_dead_id"],
+    ),
 ]
 
 

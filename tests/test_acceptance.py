@@ -18,7 +18,6 @@ from pebble_bench import (
     Axiom,
     BadMerge,
     BadPivot,
-    BlobScriptBuilder,
     BlobSubconfig,
     Dag,
     Erase,
@@ -37,13 +36,12 @@ from pebble_bench import (
     check_refutation,
     compile_pebbling,
     cs_tradeoff_strategy,
-    explain_transition,
     hidden_vertices,
-    induce_configuration,
     min_lhc_bound,
     optimal_price,
     parse_moves,
     pebbling_contradiction,
+    replay_proof,
     resolve,
     subconfig_clause,
     tradeoff_frontier,
@@ -354,27 +352,17 @@ def test_criterion_7_induced_replay(verdict):
                         + "\n" + "\n".join(f"RB {v}" for v in range(g.n))),
             game="black",
         )
-        rtrace = compile_pebbling(g, 1, trace, starred=True)
-        builder = BlobScriptBuilder(g)
-        live = {}
-        nid = 0
-        try:
-            for ev in rtrace.events:
-                if isinstance(ev, (Axiom, Infer)):
-                    nid += 1
-                    live[nid] = ev.clause
-                else:
-                    del live[ev.id]
-                cfg = induce_configuration(g, 1, list(live.values()))
-                explain_transition(g, builder, cfg)
-            final = validate_blob_pebbling(g, builder.moves)
-        except Exception as e:  # any failure means the criterion fails
-            bad.append(f"n={g.n}: {type(e).__name__}: {e}")
-            continue
-        want = BlobSubconfig(frozenset({g.n - 1}), frozenset())
-        if want not in final.final.subs:
-            bad.append(f"n={g.n}: target subconfiguration missing at the end")
-    verdict(7, not bad, bad[0] if bad else "both starred proofs replay as blob pebblings")
+        for d in (1, 2):
+            try:
+                builder = replay_proof(g, d, compile_pebbling(g, d, trace, starred=True).events)
+                final = validate_blob_pebbling(g, builder.moves)
+            except Exception as e:  # any failure means the criterion fails
+                bad.append(f"n={g.n}, d={d}: {type(e).__name__}: {e}")
+                continue
+            want = BlobSubconfig(frozenset({g.n - 1}), frozenset())
+            if want not in final.final.subs:
+                bad.append(f"n={g.n}, d={d}: target subconfiguration missing at the end")
+    verdict(7, not bad, bad[0] if bad else "both starred proofs replay as blob pebblings at d = 1 and 2")
 
 
 # --- criterion 8: hiding laws under fuzz; pyramid hider bound --------------------

@@ -30,6 +30,7 @@ from pebble_bench import (
     parse_blob_moves,
     parse_moves,
     pebbling_contradiction,
+    replay_proof,
     sub,
     validate_blob_pebbling,
     validate_pebbling,
@@ -37,7 +38,7 @@ from pebble_bench import (
 from pebble_bench.blob import EraseMove, InflateMove, IntroduceMove, MergeMove
 from pebble_bench.cnf import Clause, canon_clause, var_id
 from pebble_bench.resolution import Axiom, Erase, Infer, format_trace, resolve
-from pebble_bench.simulation import _prime_implicates, subconfig_clause
+from pebble_bench.simulation import _live_sets, _prime_implicates, subconfig_clause
 from pebble_bench.strategies import black_strategy
 from test_blob import reference_introduce, reference_merge, refusal
 
@@ -147,15 +148,9 @@ def test_random_dags_any_fanin_compile_and_check():
             # every step checks; only the empty clause is missing
             with pytest.raises(VerificationError, match="lacks the empty clause"):
                 check_refutation(pebbling_contradiction(g, d, starred=True), starred)
-            live, nid = {}, 0
-            for ev in starred.events:
-                if isinstance(ev, Erase):
-                    del live[ev.id]
-                else:
-                    nid += 1
-                    live[nid] = ev.clause
+            *_, live = _live_sets(starred.events)
             for t in g.targets:
-                assert tuple(range(d * t + 1, d * t + d + 1)) in live.values()
+                assert tuple(range(d * t + 1, d * t + d + 1)) in live
     assert fanins == {0, 1, 2, 3}
 
 
@@ -163,20 +158,12 @@ def test_compile_starred_keeps_target_clauses():
     g, trace = black_trace(FamilySpec.pyramid(2))
     f = pebbling_contradiction(g, 1, starred=True)
     rtrace = compile_pebbling(g, 1, trace, starred=True)
-    # replay by hand: final live set must contain the target's positive clause
-    live = {}
-    nid = 0
-    for ev in rtrace.events:
-        if isinstance(ev, (Axiom, Infer)):
-            nid += 1
-            live[nid] = ev.clause
-            if isinstance(ev, Axiom):
-                assert ev.clause in f.clauses
-        else:
-            del live[ev.id]
+    assert all(ev.clause in f.clauses for ev in rtrace.events if isinstance(ev, Axiom))
+    # the final live set must contain the target's positive clause
+    *_, live = _live_sets(rtrace.events)
     target_clause = (6,)  # All_1 of the apex, variables are vertex+1 at d=1
-    assert target_clause in live.values()
-    assert () not in live.values()
+    assert target_clause in live
+    assert () not in live
 
 
 def test_compile_starred_keeps_a_target_removed_early():
@@ -560,7 +547,7 @@ def test_blob_compile_matches_reference():
     traces = [(g, validate_blob_pebbling(g, parse_blob_moves(text))) for g, text in plays]
     for spec in [FamilySpec.chain(4), FamilySpec.pyramid(1), FamilySpec.pyramid(2), FamilySpec.binary_tree(2)]:
         g, trace = black_trace(spec)
-        builder = replay_induced(g, compile_pebbling(g, 1, trace, starred=True))
+        builder = replay_proof(g, 1, compile_pebbling(g, 1, trace, starred=True).events)
         traces.append((g, validate_blob_pebbling(g, builder.moves)))
     rng = random.Random(SEED + 2)
     for _ in range(60):
@@ -795,14 +782,7 @@ def test_induce_matches_reference():
     for g, trace in graphs:
         for d in (1, 2):
             for starred in (False, True):
-                live, sets, nid = {}, [], 0
-                for ev in compile_pebbling(g, d, trace, starred=starred).events:
-                    if isinstance(ev, Erase):
-                        del live[ev.id]
-                    else:
-                        nid += 1
-                        live[nid] = ev.clause
-                    sets.append(list(live.values()))
+                sets = list(_live_sets(compile_pebbling(g, d, trace, starred=starred).events))
                 for clauses in sets[:: max(1, len(sets) // 5)] + sets[-1:]:
                     got = induce_configuration(g, d, clauses)
                     assert got == ref_induce(g, d, clauses), (g.n, d, clauses)
@@ -823,84 +803,87 @@ def test_induce_matches_reference():
     assert min(counts[d, True] for d in (1, 2, 3)) > 50, counts
 
 
-def induced(g, rtrace):
-    """The configuration induced after each event."""
-    live = {}
-    nid = 0
-    out = []
-    for ev in rtrace.events:
-        if isinstance(ev, (Axiom, Infer)):
-            nid += 1
-            live[nid] = ev.clause
-        else:
-            del live[ev.id]
-        out.append(induce_configuration(g, 1, list(live.values())))
-    return out
-
-
-def replay_induced(g, rtrace):
-    """Induce after every event and explain each transition with blob moves."""
-    builder = BlobScriptBuilder(g)
-    for cfg in induced(g, rtrace):
-        explain_transition(g, builder, cfg)
-    return builder
-
-
 def test_explained_script_round_trip_edge():
     g = Dag(2, [(0, 1)], targets=[1])
     trace = validate_pebbling(g, parse_moves("PB 0\nPB 1\nRB 0\nRB 1"), game="black")
-    rtrace = compile_pebbling(g, 1, trace, starred=True)
-    builder = replay_induced(g, rtrace)
+    builder = replay_proof(g, 1, compile_pebbling(g, 1, trace, starred=True).events)
     final = validate_blob_pebbling(g, builder.moves)
     assert sub([1], []) in final.final.subs
 
 
 def test_explained_script_round_trip_chain3():
-    spec = FamilySpec.chain(3)
-    g, trace = black_trace(spec)
-    rtrace = compile_pebbling(g, 1, trace, starred=True)
-    builder = replay_induced(g, rtrace)
+    g, trace = black_trace(FamilySpec.chain(3))
+    builder = replay_proof(g, 1, compile_pebbling(g, 1, trace, starred=True).events)
     final = validate_blob_pebbling(g, builder.moves)
     assert sub([2], []) in final.final.subs
 
 
 def test_explained_script_round_trip_pyramid1():
-    spec = FamilySpec.pyramid(1)
-    g, trace = black_trace(spec)
-    rtrace = compile_pebbling(g, 1, trace, starred=True)
-    builder = replay_induced(g, rtrace)
+    g, trace = black_trace(FamilySpec.pyramid(1))
+    builder = replay_proof(g, 1, compile_pebbling(g, 1, trace, starred=True).events)
     final = validate_blob_pebbling(g, builder.moves)
     assert sub([2], []) in final.final.subs
 
 
 REPLAY_PINS = [
-    # spec, blob cost, peak live clauses, blob moves
-    (FamilySpec.chain(6), 2, 3, 20),
-    (FamilySpec.pyramid(3), 5, 6, 41),
-    (FamilySpec.carlson_savage(2, 1), 4, 5, 60),
-    (FamilySpec.binary_tree(3), 5, 6, 55),
-    (FamilySpec.pyramid(4), 6, 7, 67),
-    (FamilySpec.pyramid(5), 7, 8, 99),
-    (FamilySpec.carlson_savage(2, 2), 5, 6, 212),
-    (FamilySpec.binary_tree(4), 6, 7, 119),
+    # spec, then blob cost, peak live clauses and blob moves at d = 1 and at d = 2
+    (FamilySpec.chain(2), (2, 3, 4), (2, 4, 6)),
+    (FamilySpec.chain(3), (2, 3, 8), (2, 4, 12)),
+    (FamilySpec.pyramid(1), (3, 4, 7), (3, 6, 17)),
+    (FamilySpec.chain(6), (2, 3, 20), (2, 4, 30)),
+    (FamilySpec.pyramid(3), (5, 6, 41), (5, 8, 101)),
+    (FamilySpec.carlson_savage(2, 1), (4, 5, 60), (4, 7, 140)),
+    (FamilySpec.binary_tree(3), (5, 6, 55), (5, 8, 125)),
+    (FamilySpec.pyramid(4), (6, 7, 67), (6, 9, 167)),
+    (FamilySpec.pyramid(5), (7, 8, 99), (7, 10, 249)),
+    (FamilySpec.carlson_savage(2, 2), (5, 6, 212), (5, 8, 492)),
+    (FamilySpec.binary_tree(4), (6, 7, 119), (6, 9, 269)),
 ]
 
 
 def test_starred_replays_pinned():
-    """The starred d = 1 proof of black_strategy, induced after every event
-    and explained, replays as a blob pebbling that ends with each target's
-    blob [t]<>, at the pinned cost and length."""
-    for spec, cost, peak, moves in REPLAY_PINS:
+    """The starred proof of black_strategy at d = 1 and d = 2, induced after
+    every event and explained, replays as a blob pebbling that ends with
+    each target's blob [t]<>, at the pinned cost and length.  chain(2) is
+    the one edge 0 -> 1 pebbled PB 0, PB 1, RB 0, RB 1."""
+    for spec, *pins in REPLAY_PINS:
         g, trace = black_trace(spec)
-        rtrace = compile_pebbling(g, 1, trace, starred=True)
-        live = live_peak = 0
-        for ev in rtrace.events:
-            live += -1 if isinstance(ev, Erase) else 1
-            live_peak = max(live_peak, live)
-        builder = replay_induced(g, rtrace)
-        final = validate_blob_pebbling(g, builder.moves)
-        assert all(sub([t]) in final.final.subs for t in g.targets), spec
-        assert (final.cost, live_peak, len(builder.moves)) == (cost, peak, moves), spec
+        for d, pin in enumerate(pins, 1):
+            events = compile_pebbling(g, d, trace, starred=True).events
+            builder = replay_proof(g, d, events)
+            final = validate_blob_pebbling(g, builder.moves)
+            assert all(sub([t]) in final.final.subs for t in g.targets), (spec, d)
+            assert (final.cost, max(map(len, _live_sets(events))), len(builder.moves)) == pin, (spec, d)
+
+
+def test_replayed_play_replays_to_itself():
+    """A replayed play, compiled by the blob compiler and replayed again,
+    gives the same moves: so induce and explain also see the clauses
+    ``_compile_blob`` writes, which the black compiler never does."""
+    for spec in [
+        FamilySpec.chain(6),
+        FamilySpec.pyramid(3),
+        FamilySpec.binary_tree(3),
+        FamilySpec.carlson_savage(2, 1),
+        FamilySpec.pyramid(5),
+        FamilySpec.carlson_savage(2, 2),
+    ]:
+        g, trace = black_trace(spec)
+        play = validate_blob_pebbling(g, replay_proof(g, 1, compile_pebbling(g, 1, trace, starred=True).events).moves)
+        again = replay_proof(g, 1, compile_pebbling(g, 1, play, starred=True).events)
+        assert format_blob_moves(again.moves) == format_blob_moves(play.moves), spec
+
+
+def test_replay_refuses_an_erase_of_a_dead_id():
+    """An erase of an id that is not live is refused with the event's
+    index and the checker's message; ids start at 1."""
+    g = build_family(FamilySpec.chain(2))
+    events = (Axiom((1,)), Axiom((-1, 2)), Erase(1), Erase(1))
+    assert list(_live_sets(events[:3])) == [[(1,)], [(1,), (-1, 2)], [(-1, 2)]]
+    for bad, index in ((events[:3] + (Erase(3),), 3), (events, 3), ((Erase(0),), 0)):
+        with pytest.raises(VerificationError) as e:
+            replay_proof(g, 1, bad)
+        assert (e.value.reason, e.value.index) == (f"erased id {bad[index].id} not live", index)
 
 
 def test_explain_inflates_what_no_merge_derives():
@@ -946,7 +929,8 @@ def test_explain_leaves_no_reference_cycle():
     """An explained transition is freed by reference counting alone: no
     recursive closure keeps the closure table alive until a collection."""
     g, trace = black_trace(FamilySpec.chain(3))
-    configs = induced(g, compile_pebbling(g, 1, trace, starred=True))
+    events = compile_pebbling(g, 1, trace, starred=True).events
+    configs = [induce_configuration(g, 1, c) for c in _live_sets(events)]
     gc.collect()
     gc.disable()
     try:
@@ -1104,7 +1088,8 @@ def test_explain_matches_reference():
     configurations on random DAGs, and on vertices outside the graph."""
     for spec in [FamilySpec.chain(4), FamilySpec.pyramid(1), FamilySpec.pyramid(2), FamilySpec.binary_tree(2)]:
         g, trace = black_trace(spec)
-        configs = induced(g, compile_pebbling(g, 1, trace, starred=True))
+        events = compile_pebbling(g, 1, trace, starred=True).events
+        configs = [induce_configuration(g, 1, c) for c in _live_sets(events)]
         got = explained(BlobScriptBuilder, explain_transition, g, configs)
         assert got == explained(ReferenceBlobScriptBuilder, reference_explain_transition, g, configs), spec
     rng = random.Random(SEED + 3)
