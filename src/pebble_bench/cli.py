@@ -207,8 +207,7 @@ def _cmd_compile(args) -> int:
         trace = blobmod.validate_blob_pebbling(g, moves)
     else:
         trace = validate_pebbling(g, _parse_file(args.moves, parse_moves), game="black")
-    rtrace = simulation.compile_pebbling(g, args.d, trace, starred=args.starred)
-    _write_out(args.output, _trace_lines(rtrace))
+    _write_out(args.output, _trace_lines(simulation._events(g, args.d, trace, args.starred)))
     return 0
 
 

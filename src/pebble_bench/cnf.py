@@ -64,8 +64,9 @@ class Cnf:
     A tuple or list clause with no repeated variable, as every generated
     clause is, takes a fast path: sorted by variable it is canonical
     already, and it cannot hold a complementary pair, so neither
-    ``canon_clause`` nor ``is_tautology`` runs.  A literal 0 sorts first
-    and is caught by the range check, as on the other path."""
+    ``canon_clause`` nor ``is_tautology`` runs, and a tuple sorted already
+    is kept, not copied.  A literal 0 sorts first and is caught by the
+    range check, as on the other path."""
 
     num_vars: int
     clauses: tuple[Clause, ...]
@@ -81,7 +82,7 @@ class Cnf:
                 raise GraphError(f"literal {bad} out of range in clause {cl}")
             if not plain and is_tautology(c):
                 raise GraphError(f"tautological clause {cl}")
-            clauses.append(c)
+            clauses.append(cl if plain and c == cl else c)
         object.__setattr__(self, "clauses", tuple(clauses))
 
     def __len__(self):

@@ -1,7 +1,7 @@
 """Exception types shared across the package; ``_lines``, the one line
 reader of every text format, which supplies ``ParseError``'s line numbers;
-and ``_Memo``, which makes a recurring literal's text, or the int a
-literal's token stands for, once per text."""
+and ``_Memo``, which makes a recurring literal's text, the int a literal's
+token stands for, or a move, once per text."""
 
 from __future__ import annotations
 
@@ -75,9 +75,10 @@ def _lines(text: str):
 
 class _Memo(dict):
     """key -> fn(key), computed on a miss and kept: the text of a literal,
-    or the literal a token stands for, made once per text written or read,
-    so a clause list holds one int object per literal value.  A miss that
-    raises keeps nothing."""
+    the literal a token stands for, or a move, made once per text written
+    or read, so a clause list holds one int object per literal value and a
+    move list one ``Move`` per distinct move.  A miss that raises keeps
+    nothing."""
 
     def __init__(self, fn):
         self.fn = fn

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dag import Dag
-from .errors import IllegalMove, IncompletePebbling, ParseError, _lines
+from .errors import IllegalMove, IncompletePebbling, ParseError, _lines, _Memo
 
 __all__ = [
     "Move",
@@ -142,6 +142,8 @@ def format_moves(moves) -> str:
 
 
 def parse_moves(text: str) -> list[Move]:
+    """The moves of ``text``, one per line, one ``Move`` per distinct move."""
+    move = _Memo(lambda key: Move(*key)).__getitem__
     out: list[Move] = []
     for lineno, line, parts in _lines(text):
         if len(parts) != 2 or parts[0] not in MOVE_KINDS:
@@ -150,5 +152,5 @@ def parse_moves(text: str) -> list[Move]:
             v = int(parts[1])
         except ValueError:
             raise ParseError(f"bad vertex in {line.strip()!r}", lineno) from None
-        out.append(Move(parts[0], v))
+        out.append(move((parts[0], v)))
     return out

@@ -3,8 +3,8 @@
 A trace is a sequence of events, each a named tuple: ``Axiom`` downloads a
 clause of the formula, ``Infer`` resolves two live clauses, and ``Erase``
 frees a live clause.  Axiom and inference events get sequential 1-based ids.
-The compiler emits these events, ``_trace_lines`` writes them as text a
-line at a time, and ``format_trace`` joins those lines.
+The compilers yield these events, ``_trace_lines`` writes any iterable of
+them as text a line at a time, and ``format_trace`` joins a trace's lines.
 One lazy reader, ``_read``, holds the text grammar and serves two callers:
 ``parse_trace`` builds events from it with canonical clauses, and the one
 checker, ``check_trace_text``, verifies each event as it is read, with the
@@ -193,14 +193,15 @@ def check_trace_text(f: Cnf, text: str) -> ProofMetrics:
 # Ids are assigned sequentially (1-based) to a/r lines.
 
 
-def _trace_lines(trace: ResolutionTrace):
-    """The trace's text a line at a time, one line per event, each with its
-    line feed.  The ``compile`` command writes the lines as they come, so
-    it never holds the whole text.  A literal recurs in many clauses, so
-    its text is computed once per trace; ids are unique, and are written
-    directly."""
+def _trace_lines(events):
+    """The text of ``events``, any iterable of them, a line at a time, one
+    line per event, each with its line feed.  The ``compile`` command
+    passes the compiler's generator and writes the lines as they come, so
+    it holds neither the events nor the text.  A literal recurs in many
+    clauses, so its text is computed once per trace; ids are unique, and
+    are written directly."""
     text = _Memo(str).__getitem__
-    for ev in trace.events:
+    for ev in events:
         kind = type(ev)
         if kind is Erase:
             yield f"e {ev.id}\n"
@@ -216,7 +217,7 @@ def _trace_lines(trace: ResolutionTrace):
 def format_trace(trace: ResolutionTrace) -> str:
     """The trace as text: the lines of ``_trace_lines`` joined, so an empty
     trace is the empty text and any other ends with a line feed."""
-    return "".join(_trace_lines(trace))
+    return "".join(_trace_lines(trace.events))
 
 
 def parse_trace(text: str) -> ResolutionTrace:

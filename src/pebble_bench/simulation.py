@@ -16,7 +16,9 @@ reuse the stronger clause; each of its clauses is that of a
 subconfiguration, so none is computed by resolution either
 (``_compile_blob``).  It replays the play on (blob, whites) mask pairs, as
 the validator does, and writes each clause with ``_clause``, the one rule
-``subconfig_clause`` also uses.
+``subconfig_clause`` also uses.  Both compilers yield their events:
+``compile_pebbling`` keeps them, and the ``compile`` command writes each
+as a line of text as it comes (``_events``).
 
 ``induce_configuration`` goes the other way: given live clauses it returns
 every subconfiguration whose clause the set implies, keeping only precise
@@ -129,6 +131,12 @@ def compile_pebbling(g: Dag, d: int, trace, starred: bool = False) -> Resolution
     SizeBoundExceeded when that formula would exceed ``MAX_CLAUSES`` or
     ``MAX_LITERALS``.
     """
+    return ResolutionTrace(tuple(_events(g, d, trace, starred)))
+
+
+def _events(g: Dag, d: int, trace, starred: bool):
+    """``compile_pebbling``'s events, as a generator.  The checks run at the
+    call, before the first event, so a refused compile writes nothing."""
     check_formula_size(g, d, starred)
     if isinstance(trace, PebblingTrace):
         if trace.game != "black":
@@ -141,16 +149,17 @@ def compile_pebbling(g: Dag, d: int, trace, starred: bool = False) -> Resolution
     raise UnsupportedOperation(f"cannot compile {type(trace).__name__}")
 
 
-def _derive(emit, ids, held: dict[int, int], pos, ps, head: Clause, negs=()) -> int:
-    """The one elimination step: derive ``negs ∨ head`` and return its id.
+def _derive(ids, held: dict[int, int], pos, ps, head: Clause, negs=()):
+    """The one elimination step: derive ``negs ∨ head``, yielding each
+    event, and return its id (read with ``yield from``).
 
-    Every event goes to ``emit``, and the clauses it derives take their ids
-    from ``ids``.  With ``ps`` empty that clause is an axiom.  Otherwise,
-    for each variable x of u = ps[0], the clause ``negs ∨ ¬x ∨ head``
-    (derived recursively over ps[1:]) is resolved on x against the running
-    clause, which starts as u's held positive clause; once all d variables
-    are gone the running clause is ``negs ∨ head``.  Side clauses and
-    intermediates that are not held are erased as soon as they are used.
+    The clauses it derives take their ids from ``ids``.  With ``ps`` empty
+    that clause is an axiom.  Otherwise, for each variable x of u = ps[0],
+    the clause ``negs ∨ ¬x ∨ head`` (derived recursively over ps[1:]) is
+    resolved on x against the running clause, which starts as u's held
+    positive clause; once all d variables are gone the running clause is
+    ``negs ∨ head``.  Side clauses and intermediates that are not held are
+    erased as soon as they are used.
 
     Each clause is written from the step, not computed by resolution.
     The clause held for u is u's positive clause ``pos[u]``.  After u's
@@ -165,31 +174,26 @@ def _derive(emit, ids, held: dict[int, int], pos, ps, head: Clause, negs=()) -> 
     order.  Each variable occurs once, as the vertices are distinct.  So
     the clause is sorted by variable and has no complementary pair, which
     is the canonical resolvent ``resolve`` would return.  Events are built
-    by ``tuple.__new__``, as ``parse_trace`` builds them.  This is a
-    module-level function: a nested function that called itself would
-    refer to itself, and through ``emit`` keep the event list alive until
-    the cyclic collector ran.
+    by ``tuple.__new__``, as ``parse_trace`` builds them.
     """
     new = tuple.__new__
     if not ps:
-        emit(new(Axiom, (negs + head,)))
+        yield new(Axiom, (negs + head,))
         return next(ids)
     u, rest = ps[0], ps[1:]
     cur = own = held[u]
     xs = pos[u]
     for j, x in enumerate(xs, 1):
-        side = _derive(emit, ids, held, pos, rest, head, negs + (-x,))
-        emit(new(Infer, (cur, side, x, negs + xs[j:] + head)))
-        emit(new(Erase, (side,)))
+        side = yield from _derive(ids, held, pos, rest, head, negs + (-x,))
+        yield new(Infer, (cur, side, x, negs + xs[j:] + head))
+        yield new(Erase, (side,))
         if cur != own:
-            emit(new(Erase, (cur,)))
+            yield new(Erase, (cur,))
         cur = next(ids)
     return cur
 
 
-def _compile_black(g: Dag, d: int, trace: PebblingTrace, starred: bool) -> ResolutionTrace:
-    events: list = []
-    emit = events.append
+def _compile_black(g: Dag, d: int, trace: PebblingTrace, starred: bool):
     ids = count(1)
     pos = [tuple(range(d * v + 1, d * v + d + 1)) for v in range(g.n)]
     held: dict[int, int] = {}
@@ -198,10 +202,10 @@ def _compile_black(g: Dag, d: int, trace: PebblingTrace, starred: bool) -> Resol
     for mv in trace.moves:
         v = mv.v
         if mv.kind == "PB":
-            held[v] = _derive(emit, ids, held, pos, g.preds[v], pos[v])
+            held[v] = yield from _derive(ids, held, pos, g.preds[v], pos[v])
             if v in targets:
                 if not starred:
-                    _derive(emit, ids, held, pos, (v,), ())
+                    yield from _derive(ids, held, pos, (v,), ())
                     break
                 derived.add(v)
                 if derived == targets:
@@ -209,11 +213,10 @@ def _compile_black(g: Dag, d: int, trace: PebblingTrace, starred: bool) -> Resol
         elif starred and v in targets:  # RB; validated black traces have no whites
             held.pop(v)  # keep derived target clauses live
         else:
-            emit(tuple.__new__(Erase, (held.pop(v),)))
-    return ResolutionTrace(tuple(events))
+            yield tuple.__new__(Erase, (held.pop(v),))
 
 
-def _compile_blob(g: Dag, trace: BlobTrace, starred: bool) -> ResolutionTrace:
+def _compile_blob(g: Dag, trace: BlobTrace, starred: bool):
     """Each blob id is bound to its subconfiguration s, a clause id, and
     the subconfiguration t whose clause that id holds, each a (blob,
     whites) mask pair.  t is s or lies inside it, blob in blob and whites
@@ -225,7 +228,6 @@ def _compile_blob(g: Dag, trace: BlobTrace, starred: bool) -> ResolutionTrace:
     blob, or not white in t2, that operand's clause already subsumes the
     merge result and is reused.  So every clause is written from a
     subconfiguration, and none is computed by resolution."""
-    events: list = []
     ids = count(1)
     bound: dict[int, tuple[int, tuple, tuple]] = {}  # blob id -> (clause id, s, t)
     refs: dict[int, int] = {}
@@ -235,14 +237,11 @@ def _compile_blob(g: Dag, trace: BlobTrace, starred: bool) -> ResolutionTrace:
         bound[next(bids)] = (cid, s, t)
         refs[cid] = refs.get(cid, 0) + 1
 
-    def axiom(cl: Clause) -> int:
-        events.append(Axiom(cl))
-        return next(ids)
-
     for mv in trace.moves:
         if isinstance(mv, IntroduceMove):
             s = 1 << mv.v, g.pred_mask[mv.v]
-            bind(axiom(_clause(*s)), s, s)
+            yield Axiom(_clause(*s))
+            bind(next(ids), s, s)
         elif isinstance(mv, MergeMove):
             (c1, s1, t1), (c2, s2, t2) = bound[mv.i], bound[mv.j]
             bit = 1 << mv.pivot
@@ -253,7 +252,7 @@ def _compile_blob(g: Dag, trace: BlobTrace, starred: bool) -> ResolutionTrace:
                 bind(c2, s, t2)
             else:
                 t = _merge(t1, t2, bit)
-                events.append(Infer(c1, c2, var_id(mv.pivot, 1, 1), _clause(*t)))
+                yield Infer(c1, c2, var_id(mv.pivot, 1, 1), _clause(*t))
                 bind(next(ids), s, t)
         elif isinstance(mv, InflateMove):
             cid, _, t = bound[mv.i]
@@ -262,16 +261,17 @@ def _compile_blob(g: Dag, trace: BlobTrace, starred: bool) -> ResolutionTrace:
             cid = bound.pop(mv.i)[0]
             refs[cid] -= 1
             if refs[cid] == 0:
-                events.append(Erase(cid))
+                yield Erase(cid)
 
     if not starred:
         t = g.targets[0]
         cid = next(c for c, s, _ in bound.values() if s == (1 << t, 0))
         # the empty clause from [t]'s clause, (x_t), and the unit axiom (-x_t)
         pv = var_id(t, 1, 1)
-        unit = axiom((-pv,))
-        events += [Infer(cid, unit, pv, ()), Erase(unit)]
-    return ResolutionTrace(tuple(events))
+        yield Axiom((-pv,))
+        unit = next(ids)
+        yield Infer(cid, unit, pv, ())
+        yield Erase(unit)
 
 
 def metrics_vs_cost(g: Dag, d: int, trace) -> dict:
@@ -432,9 +432,9 @@ class BlobScriptBuilder:
 def _realize(builder: BlobScriptBuilder, parent: dict, s: tuple[int, int]) -> None:
     """Make the (blob, whites) pair ``s`` live in the builder's script: by
     an introduction, or by the merge ``parent[s]`` records once both its
-    operands are live.  A module-level function, as ``_derive`` is: a nested
-    function that called itself would refer to itself through its closure,
-    a cycle that keeps the closure table alive until the collector runs."""
+    operands are live.  A module-level function: a nested function that
+    called itself would refer to itself through its closure, a cycle that
+    keeps the closure table alive until the collector runs."""
     if s in builder.ids:
         return
     if not parent[s]:

@@ -40,6 +40,7 @@ SIM = "tests/test_simulation.py::"
 FMT = "tests/test_formats.py::"
 CNFT = "tests/test_cnf.py::"
 BLB = "tests/test_blob.py::"
+CLI = "tests/test_cli.py::"
 
 # (file under src/, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -335,6 +336,29 @@ MUTANTS = [
         _realize""",
         """        _realize""",
         [SIM + "test_explain_refusal_writes_nothing"],
+    ),
+    # The compiler's checks, made before its first event.
+    (  # the compiler's checks run in a generator, so a refused compile opens its file
+        SIMULATION,
+        """    check_formula_size(g, d, starred)
+    if isinstance(trace, PebblingTrace):
+        if trace.game != "black":
+            raise UnsupportedOperation("only black traces compile to resolution")
+        return _compile_black(g, d, trace, starred)
+    if isinstance(trace, BlobTrace):
+        if d != 1:
+            raise UnsupportedOperation("blob traces compile only at d = 1")
+        return _compile_blob(g, trace, starred)""",
+        """    check_formula_size(g, d, starred)
+    if isinstance(trace, PebblingTrace):
+        if trace.game != "black":
+            raise UnsupportedOperation("only black traces compile to resolution")
+        return (yield from _compile_black(g, d, trace, starred))
+    if isinstance(trace, BlobTrace):
+        if d != 1:
+            raise UnsupportedOperation("blob traces compile only at d = 1")
+        return (yield from _compile_blob(g, trace, starred))""",
+        [CLI + f"test_refused_compile_writes_no_file[{case}]" for case in ("oversized", "d0", "blob-d2")],
     ),
     # The live-set bookkeeping of the replay.
     (  # clause ids start at 0, so an erase deletes the clause after the one it names

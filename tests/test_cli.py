@@ -394,6 +394,29 @@ def test_oversized_formula_exits_1(tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["--family", "pyramid", "--h", "2", "--d", "180"],
+            f"degree-180 pebbling contradiction has 17691120 literals, above the bound {MAX_LITERALS}",
+        ),
+        (["--family", "pyramid", "--h", "2", "--d", "0"], "d must be >= 1"),
+        (["--family", "chain", "--n", "2", "--blob", "--d", "2"], "blob traces compile only at d = 1"),
+    ],
+    ids=["oversized", "d0", "blob-d2"],
+)
+def test_refused_compile_writes_no_file(tmp_path, capsys, argv, error):
+    """compile writes each line as the compiler yields its event, but every
+    check runs before the output file is opened, so a refusal leaves none."""
+    moves, out = tmp_path / "moves", tmp_path / "proof"
+    blob = "I 0\nI 1\nM 0 1 0\nE 0\nE 1\n"
+    moves.write_text(blob if "--blob" in argv else format_moves(black_strategy(FamilySpec.pyramid(2))))
+    assert run(capsys, "compile", *argv, "--moves", str(moves), "-o", str(out)) == (1, "", f"error: {error}\n")
+    assert not out.exists()
+    assert run(capsys, "compile", *argv[:-1], "1", "--moves", str(moves), "-o", str(out))[0] == 0
+
+
 def test_check_rejects_corrupt_proof(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     proof = tmp_path / "proof.txt"
@@ -458,15 +481,17 @@ def peak_mib(argv) -> float:
 
 
 def test_compile_writes_its_trace_a_line_at_a_time(tree7_proof, capsys):
-    """compile holds the events, 5.3 MiB here, but not the whole trace text
-    as well.  In a fresh process it peaked at 5.8 MiB, and at 11.4 MiB when
-    it wrote the text in one piece; after other commands have run, free
-    lists hand it some objects untraced, and it read 4.5 MiB.  The 8 MiB
-    bound leaves 2.2 MiB above the fresh peak and 3.4 MiB below the old.
+    """compile holds neither the events nor the trace text: it writes each
+    line as the compiler yields its event.  In a fresh process it peaked at
+    0.9 MiB; after other commands have run, free lists hand it some objects
+    untraced, and it read 0.6 MiB.  When it built every event first it
+    peaked at 6.0 MiB fresh and 4.5 MiB here, and at 11.4 MiB when it also
+    wrote the text in one piece.  The 2.5 MiB bound leaves 1.6 MiB above
+    the fresh peak and 2.0 MiB below the old one here.
     """
     family, root = tree7_proof
     out = root / "compiled"
-    assert peak_mib(["compile", *family, "--moves", str(root / "moves"), "-o", str(out)]) < 8
+    assert peak_mib(["compile", *family, "--moves", str(root / "moves"), "-o", str(out)]) < 2.5
     assert out.read_text() == (root / "proof").read_text()
 
 

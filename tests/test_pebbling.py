@@ -97,6 +97,15 @@ def test_validate_black_chain():
     assert trace.report() == {"time": 3, "space": 2, "moves_total": 6}
 
 
+def test_parse_moves_makes_one_move_per_distinct_move():
+    """A move that recurs is one object, so a long schedule holds a Move per
+    distinct move, not per line."""
+    moves = parse_moves("PB 0\nPB 1000\nRB 0\nPB 0\nRB 1000\nRB 0\nPB 1000")
+    assert moves == [pb(0), pb(1000), rb(0), pb(0), rb(1000), rb(0), pb(1000)]
+    assert moves[0] is moves[3] and moves[1] is moves[6] and moves[2] is moves[5]
+    assert len({id(m) for m in moves}) == 4
+
+
 def test_validate_flags_move_index():
     g = build_family(FamilySpec.chain(3))
     moves = parse_moves("PB 0\nPB 2")
