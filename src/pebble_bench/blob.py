@@ -24,8 +24,8 @@ between the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
 from .dag import Dag
 from .errors import BadInflation, BadMerge, IllegalMove, IncompletePebbling, ParseError, _lines
@@ -45,18 +45,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BlobSubconfig:
+class _SubconfigFields(NamedTuple):
+    blob: frozenset[int]
+    whites: frozenset[int]
+
+
+class BlobSubconfig(_SubconfigFields):
     """One blob with its white support: [B]<W>."""
 
-    blob: frozenset[int]
-    whites: frozenset[int] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.blob:
+    def __new__(cls, blob: frozenset[int], whites: frozenset[int] = frozenset()):
+        if not blob:
             raise IllegalMove("blob empty")
-        if self.blob & self.whites:
+        if blob & whites:
             raise IllegalMove("blob and whites overlap")
+        return tuple.__new__(cls, (blob, whites))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks its fields too
+        return cls(*iterable)
 
     def __str__(self):
         b = ",".join(str(v) for v in sorted(self.blob))
@@ -69,8 +77,7 @@ def sub(blob, whites=()) -> BlobSubconfig:
     return BlobSubconfig(frozenset(blob), frozenset(whites))
 
 
-@dataclass(frozen=True)
-class BlobConfig:
+class BlobConfig(NamedTuple):
     """A set of subconfigurations (no duplicates by construction)."""
 
     subs: frozenset[BlobSubconfig] = frozenset()
@@ -155,31 +162,45 @@ def _charge(below: tuple[int, ...], blob: int, whites: int) -> int:
 # Moves address subconfigurations by the order they were created: the k-th
 # subconfiguration ever added (by introduction, merger, or inflation) has id
 # k, counting from 0.  Erased ids stay dead.
+#
+# Each move is a named tuple that equals only a move of its own type, so
+# that IntroduceMove(0) and EraseMove(0), equal as tuples, differ as moves.
 
 
-@dataclass(frozen=True)
-class IntroduceMove:
+def _same_move(a, b) -> bool:
+    return type(a) is type(b) and tuple.__eq__(a, b)
+
+
+def _other_move(a, b) -> bool:
+    return not _same_move(a, b)
+
+
+class IntroduceMove(NamedTuple):
     v: int
+
+    __eq__, __ne__, __hash__ = _same_move, _other_move, tuple.__hash__
 
     def __str__(self):
         return f"I {self.v}"
 
 
-@dataclass(frozen=True)
-class MergeMove:
+class MergeMove(NamedTuple):
     i: int
     j: int
     pivot: int
+
+    __eq__, __ne__, __hash__ = _same_move, _other_move, tuple.__hash__
 
     def __str__(self):
         return f"M {self.i} {self.j} {self.pivot}"
 
 
-@dataclass(frozen=True)
-class InflateMove:
+class InflateMove(NamedTuple):
     i: int
     blob: frozenset[int]
     whites: frozenset[int]
+
+    __eq__, __ne__, __hash__ = _same_move, _other_move, tuple.__hash__
 
     def __str__(self):
         b = ",".join(str(v) for v in sorted(self.blob))
@@ -187,9 +208,10 @@ class InflateMove:
         return f"F {self.i} {b}|{w}"
 
 
-@dataclass(frozen=True)
-class EraseMove:
+class EraseMove(NamedTuple):
     i: int
+
+    __eq__, __ne__, __hash__ = _same_move, _other_move, tuple.__hash__
 
     def __str__(self):
         return f"E {self.i}"
@@ -198,8 +220,7 @@ class EraseMove:
 BlobMove = IntroduceMove | MergeMove | InflateMove | EraseMove
 
 
-@dataclass(frozen=True)
-class BlobTrace:
+class BlobTrace(NamedTuple):
     """A validated complete blob pebbling with its cost profile."""
 
     moves: tuple[BlobMove, ...]

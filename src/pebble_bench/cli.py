@@ -25,7 +25,7 @@ from .cnf import _dimacs_lines, pebbling_contradiction, read_dimacs
 from .dag import _FAMILY_PARAMS, Dag, FamilySpec, build_family, read_graph, write_graph
 from .errors import BudgetTooSmall, ParseError, PebbleBenchError, SizeBoundExceeded
 from .measures import hidden_vertices, klawe_measure, potential, LayeredView
-from .pebbling import format_moves, parse_moves, validate_pebbling
+from .pebbling import _move_lines, parse_moves, validate_pebbling
 from .resolution import _trace_lines, check_trace_text
 from .search import SearchStats, optimal_price, tradeoff_frontier
 from .strategies import _schedules
@@ -194,7 +194,7 @@ def _cmd_strategy(args) -> int:
     g, schedule = _schedules(_spec_from_args(args))
     moves = schedule(args.budget)
     trace = validate_pebbling(g, moves, game="black")
-    _write_out(args.output, (format_moves(moves),))
+    _write_out(args.output, _move_lines(moves))
     if args.output:
         _write_out(None, (json.dumps(trace.report()) + "\n",))
     return 0
@@ -258,23 +258,27 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _experiment_instances(cp: ConfigParser):
+def _experiment_instances(sections: dict[str, dict[str, str]]):
     """(spec, cap) pairs in file order, params in cross-product order; cap is
     the space-cap keyword for ``tradeoff_frontier`` (``+k``: above_price).
     The specs, which refuse a value below its least, are built once every
     section has parsed, so a usage error anywhere in the file comes first."""
-    sections = []
-    for section in cp.sections():
+    found = []
+    for section, values in sections.items():
         if not section.startswith("family:"):
             continue
         kind = section.split(":", 1)[1]
         if kind not in _FAMILY_PARAMS:
             raise _Usage(f"unknown family {kind!r} in spec")
         try:
-            ranges = [_parse_range(cp.get(section, name)) for name in _FAMILY_PARAMS[kind]]
-        except (ValueError, ConfigError) as e:
+            ranges = []
+            for name in _FAMILY_PARAMS[kind]:
+                if name not in values:  # configparser's NoOptionError text
+                    raise ValueError(f"No option {name!r} in section: {section!r}")
+                ranges.append(_parse_range(values[name]))
+        except ValueError as e:
             raise _Usage(f"bad parameter ranges in [{section}]: {e}") from None
-        cap = cp.get(section, "space_cap", fallback="+2")
+        cap = values.get("space_cap", "+2")
         key = "above_price" if cap.startswith("+") else "space_cap"
         try:
             cap_kw = {key: int(cap.removeprefix("+"))}
@@ -282,8 +286,8 @@ def _experiment_instances(cp: ConfigParser):
                 raise ValueError
         except ValueError:
             raise _Usage(f"bad space_cap {cap!r} in [{section}]") from None
-        sections.append((kind, product(*ranges), cap_kw))
-    return [(FamilySpec(kind, combo), cap_kw) for kind, combos, cap_kw in sections for combo in combos]
+        found.append((kind, product(*ranges), cap_kw))
+    return [(FamilySpec(kind, combo), cap_kw) for kind, combos, cap_kw in found for combo in combos]
 
 
 def _instance_rows(spec: FamilySpec, cap_kw: dict[str, int], game: str):
@@ -310,9 +314,12 @@ def _instance_rows(spec: FamilySpec, cap_kw: dict[str, int], game: str):
     return rows, frontier
 
 
-def _read_spec(spec_path: str) -> ConfigParser:
-    """The parsed spec, every value of which interpolates; a spec that
-    cannot be read or parsed, or that holds a NUL byte, is a usage error."""
+def _read_spec(spec_path: str) -> dict[str, dict[str, str]]:
+    """The spec as plain values: each section, in file order, mapped to its
+    options' interpolated values, the DEFAULT section's among them.  A spec
+    that cannot be read or parsed, that holds a NUL byte or a value that
+    does not interpolate is a usage error.  The parser, a reference cycle,
+    lives only while the text is read."""
     try:
         text = _read_text(spec_path)
     except OSError:
@@ -322,11 +329,9 @@ def _read_spec(spec_path: str) -> ConfigParser:
     cp = ConfigParser()
     try:
         cp.read_string(text, source=spec_path)
-        for section in cp.sections():
-            cp.items(section)
+        return {section: dict(cp.items(section)) for section in cp.sections()}
     except ConfigError as e:
         raise _Usage(f"bad spec {spec_path!r}: {str(e).splitlines()[0]}") from None
-    return cp
 
 
 def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
@@ -335,19 +340,19 @@ def tradeoff_report(spec_path: str) -> tuple[str, dict[str, str], list[str]]:
     This is what the ``tradeoff-report`` command runs.  It prints each
     warning to stderr, then writes the csv and plot files where the spec's
     ``out_csv`` (stdout without one) and ``plot_prefix`` say.  The spec is
-    read once, so a pipe such as ``--spec /dev/stdin`` works, and checked
-    whole before any search; the parser, a reference cycle, is let go
-    before them.  A ``bound`` key, which older specs set, is ignored: the
-    searches are bounded by what they store.
+    read once into plain values, so a pipe such as ``--spec /dev/stdin``
+    works, and checked whole before any search.  A ``bound`` key, which
+    older specs set, is ignored: the searches are bounded by what they
+    store.
     """
-    cp = _read_spec(spec_path)
-    game = cp.get("experiment", "game", fallback="black")
+    sections = _read_spec(spec_path)
+    experiment = sections.get("experiment", {})
+    game = experiment.get("game", "black")
     if game not in ("black", "bw"):
         raise _Usage(f"unknown game {game!r}")
-    out_csv = cp.get("experiment", "out_csv", fallback=None)
-    prefix = cp.get("experiment", "plot_prefix", fallback=None)
-    instances = _experiment_instances(cp)
-    del cp
+    out_csv = experiment.get("out_csv")
+    prefix = experiment.get("plot_prefix")
+    instances = _experiment_instances(sections)
     if not instances:
         raise _Usage("empty family range: no instances to run")
 

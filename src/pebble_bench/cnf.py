@@ -8,7 +8,6 @@ variable, truth propagates along edges, and every target has none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import neg
 
@@ -54,8 +53,36 @@ def is_tautology(lits) -> bool:
     return not s.isdisjoint(map(neg, s))
 
 
-@dataclass(frozen=True)
-class Cnf:
+class _Frozen:
+    """A record of the fields in ``__slots__``, each set once in
+    ``__init__`` through ``object.__setattr__``: a field cannot be assigned
+    or deleted afterwards.  Two records are equal when they are of one
+    type and their fields are equal in order; hash and repr read the
+    fields in the same order."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Cnf(_Frozen):
     """A CNF formula: a clause list (multiset) over variables 1..num_vars,
     each clause stored in canonical form.  A clause holding literal 0, a
     literal beyond num_vars or a complementary pair is refused; the error
@@ -68,13 +95,12 @@ class Cnf:
     is kept, not copied.  A literal 0 sorts first and is caught by the
     range check, as on the other path."""
 
-    num_vars: int
-    clauses: tuple[Clause, ...]
+    __slots__ = ("num_vars", "clauses")
 
-    def __post_init__(self):
-        n = self.num_vars
-        clauses = []
-        for cl in self.clauses:
+    def __init__(self, num_vars: int, clauses):
+        n = num_vars
+        kept: list[Clause] = []
+        for cl in clauses:
             plain = type(cl) in (tuple, list) and len({*map(abs, cl)}) == len(cl)
             c = tuple(sorted(cl, key=abs)) if plain else canon_clause(cl)
             if c and (c[0] == 0 or abs(c[-1]) > n):  # sorted by variable
@@ -82,8 +108,9 @@ class Cnf:
                 raise GraphError(f"literal {bad} out of range in clause {cl}")
             if not plain and is_tautology(c):
                 raise GraphError(f"tautological clause {cl}")
-            clauses.append(cl if plain and c == cl else c)
-        object.__setattr__(self, "clauses", tuple(clauses))
+            kept.append(cl if plain and c == cl else c)
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "clauses", tuple(kept))
 
     def __len__(self):
         return len(self.clauses)

@@ -7,7 +7,7 @@ use fan-in 1.  Targets default to the sinks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import GraphError, ParseError, SizeBoundExceeded, UnsupportedFamily, _lines
 
@@ -156,22 +156,30 @@ _FAMILY_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named graph family instance, e.g. pyramid(3) or carlson_savage(2,1)."""
-
+class _FamilyFields(NamedTuple):
     kind: str
     params: tuple[int, ...]
 
-    def __post_init__(self):
+
+class FamilySpec(_FamilyFields):
+    """A named graph family instance, e.g. pyramid(3) or carlson_savage(2,1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, params: tuple[int, ...]):
         # A wrong parameter count or a value below its least is refused
         # here; an unknown kind by build_family.
-        least, got = _FAMILY_PARAMS.get(self.kind, {}), len(self.params)
+        least, got = _FAMILY_PARAMS.get(kind, {}), len(params)
         if least and got != len(least):
-            raise GraphError(f"family {self.kind} takes parameters ({', '.join(least)}), got {got}")
-        for (name, low), value in zip(least.items(), self.params):
+            raise GraphError(f"family {kind} takes parameters ({', '.join(least)}), got {got}")
+        for (name, low), value in zip(least.items(), params):
             if value < low:
-                raise GraphError(f"{self.kind} needs {name} >= {low}")
+                raise GraphError(f"{kind} needs {name} >= {low}")
+        return tuple.__new__(cls, (kind, params))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks its fields too
+        return cls(*iterable)
 
     @classmethod
     def chain(cls, n: int) -> "FamilySpec":
@@ -260,8 +268,7 @@ def _pyramid_rows(h: int, start: int) -> tuple[list[list[int]], list[tuple[int, 
     return rows, edges, nxt
 
 
-@dataclass(frozen=True)
-class CsLevel:
+class CsLevel(NamedTuple):
     """One recursion level of the trade-off family."""
 
     apex: int
@@ -271,14 +278,13 @@ class CsLevel:
     sinks: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CsLayout:
+class CsLayout(NamedTuple):
     """Vertex bookkeeping for carlson_savage(c, r), used by strategies."""
 
     c: int
     r: int
     base: tuple[int, ...]
-    levels: tuple[CsLevel, ...] = field(default_factory=tuple)
+    levels: tuple[CsLevel, ...] = ()
 
 
 def carlson_savage_layout(c: int, r: int) -> tuple[Dag, CsLayout]:

@@ -76,9 +76,9 @@ def _lines(text: str):
 class _Memo(dict):
     """key -> fn(key), computed on a miss and kept: the text of a literal,
     the literal a token stands for, or a move, made once per text written
-    or read, so a clause list holds one int object per literal value and a
-    move list one ``Move`` per distinct move.  A miss that raises keeps
-    nothing."""
+    or read or per schedule emitted, so a clause list holds one int object
+    per literal value and a move list one ``Move`` per distinct move.  A
+    miss that raises keeps nothing."""
 
     def __init__(self, fn):
         self.fn = fn

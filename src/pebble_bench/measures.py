@@ -17,8 +17,8 @@ small bound cannot dodge the potential argument.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .dag import Dag
 from .errors import GraphError, SizeBoundExceeded
@@ -41,19 +41,27 @@ POTENTIAL_BOUND = 14
 LHC_BOUND = 12
 
 
-@dataclass(frozen=True)
-class LayeredView:
-    """A DAG with a level per vertex, strictly increasing along edges."""
-
+class _LayeredFields(NamedTuple):
     g: Dag
     levels: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.levels) != self.g.n:
+
+class LayeredView(_LayeredFields):
+    """A DAG with a level per vertex, strictly increasing along edges."""
+
+    __slots__ = ()
+
+    def __new__(cls, g: Dag, levels: tuple[int, ...]):
+        if len(levels) != g.n:
             raise GraphError("level map size mismatch")
-        for u, v in self.g.edges:
-            if self.levels[u] >= self.levels[v]:
+        for u, v in g.edges:
+            if levels[u] >= levels[v]:
                 raise GraphError(f"graph not layered: edge ({u}, {v})")
+        return tuple.__new__(cls, (g, levels))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks its fields too
+        return cls(*iterable)
 
     @classmethod
     def from_dag(cls, g: Dag) -> "LayeredView":
@@ -104,8 +112,7 @@ def hidden_vertices(g: Dag, U, direction: str = "below") -> frozenset[int]:
     return frozenset(v for v in range(g.n) if hull >> v & 1)
 
 
-@dataclass(frozen=True)
-class MeasureValue:
+class MeasureValue(NamedTuple):
     """Measure of a set, with the per-level partial values m^j."""
 
     value: int
@@ -159,8 +166,7 @@ def potential(g: Dag, config, direction: str = "below") -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LhcWitness:
+class LhcWitness(NamedTuple):
     """A tight, hiding-connected set with no small enough replacement hider."""
 
     vertices: tuple[int, ...]
@@ -168,8 +174,7 @@ class LhcWitness:
     smallest_hider: int | None
 
 
-@dataclass(frozen=True)
-class LhcResult:
+class LhcResult(NamedTuple):
     holds: bool
     bound: int
     witness: LhcWitness | None

@@ -12,7 +12,7 @@ one place these rules are applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dag import Dag
 from .errors import IllegalMove, IncompletePebbling, ParseError, _lines, _Memo
@@ -28,16 +28,24 @@ __all__ = [
 MOVE_KINDS = ("PB", "RB", "PW", "RW")
 
 
-@dataclass(frozen=True)
-class Move:
-    """One pebbling move: place/remove a black/white pebble on vertex v."""
-
+class _MoveFields(NamedTuple):
     kind: str
     v: int
 
-    def __post_init__(self):
-        if self.kind not in MOVE_KINDS:
-            raise IllegalMove(f"unknown move kind {self.kind!r}")
+
+class Move(_MoveFields):
+    """One pebbling move: place/remove a black/white pebble on vertex v."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, v: int):
+        if kind not in MOVE_KINDS:
+            raise IllegalMove(f"unknown move kind {kind!r}")
+        return tuple.__new__(cls, (kind, v))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks its fields too
+        return cls(*iterable)
 
     def __str__(self):
         return f"{self.kind} {self.v}"
@@ -59,8 +67,7 @@ def rw(v: int) -> Move:
     return Move("RW", v)
 
 
-@dataclass(frozen=True)
-class PebblingTrace:
+class PebblingTrace(NamedTuple):
     """A validated complete pebbling with its resource usage."""
 
     game: str
@@ -137,8 +144,14 @@ def validate_pebbling(g: Dag, moves, game: str = "black") -> PebblingTrace:
 # --- text format: one move per line, e.g. "PB 3" ---------------------------
 
 
+def _move_lines(moves):
+    """The moves' text a line at a time, each with its line feed; the
+    ``strategy`` command writes the lines as they come."""
+    return (f"{m}\n" for m in moves)
+
+
 def format_moves(moves) -> str:
-    return "".join(f"{m}\n" for m in moves)
+    return "".join(_move_lines(moves))
 
 
 def parse_moves(text: str) -> list[Move]:

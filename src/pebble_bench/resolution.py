@@ -18,11 +18,10 @@ accepts a stated clause of the resolvent's length and set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import neg
 from typing import NamedTuple
 
-from .cnf import Clause, Cnf, canon_clause
+from .cnf import Clause, Cnf, _Frozen, canon_clause
 from .errors import BadPivot, ParseError, TautologicalResolvent, VerificationError, _lines, _Memo
 
 __all__ = [
@@ -82,16 +81,17 @@ class Erase(NamedTuple):
 Event = Axiom | Infer | Erase
 
 
-@dataclass(frozen=True)
-class ResolutionTrace:
-    events: tuple[Event, ...]
+class ResolutionTrace(_Frozen):
+    __slots__ = ("events",)
+
+    def __init__(self, events: tuple[Event, ...]):
+        object.__setattr__(self, "events", events)
 
     def __len__(self):
         return len(self.events)
 
 
-@dataclass(frozen=True)
-class ProofMetrics:
+class ProofMetrics(NamedTuple):
     length: int
     width: int
     clause_space: int

@@ -15,9 +15,10 @@ level's sinks), so time falls as the budget grows.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 from .dag import CsLayout, Dag, FamilySpec, _pyramid_rows, build_family, carlson_savage_layout
-from .errors import BudgetTooSmall, SizeBoundExceeded, UnsupportedFamily
+from .errors import BudgetTooSmall, SizeBoundExceeded, UnsupportedFamily, _Memo
 from .pebbling import Move
 
 __all__ = [
@@ -118,19 +119,24 @@ def _bounded(placements: int) -> None:
 
 
 class _Emitter:
-    """A move list under construction and the black pebbles on the board."""
+    """A move list under construction and the black pebbles on the board.
+    A carlson_savage schedule places and removes a vertex many times, so
+    the list holds one ``Move`` per distinct move, as ``parse_moves``
+    does."""
 
     def __init__(self, g: Dag):
         self.preds = g.preds
         self.moves: list[Move] = []
         self.board: set[int] = set()
+        self._placement = _Memo(partial(Move, "PB"))
+        self._removal = _Memo(partial(Move, "RB"))
 
     def place(self, v: int) -> None:
-        self.moves.append(Move("PB", v))
+        self.moves.append(self._placement[v])
         self.board.add(v)
 
     def remove(self, v: int) -> None:
-        self.moves.append(Move("RB", v))
+        self.moves.append(self._removal[v])
         self.board.discard(v)
 
     def pebble(self, v: int) -> None:

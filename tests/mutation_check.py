@@ -41,6 +41,7 @@ FMT = "tests/test_formats.py::"
 CNFT = "tests/test_cnf.py::"
 BLB = "tests/test_blob.py::"
 CLI = "tests/test_cli.py::"
+REC = "tests/test_records.py::"
 
 # (file under src/, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -296,6 +297,21 @@ MUTANTS = [
         "target {(missing & -missing).bit_length() - 1} never pebbled",
         "target {missing.bit_length() - 1} never pebbled",
         [PEB + "test_validate_matches_set_based_reference"],
+    ),
+    (  # a move of any kind is made
+        PEBBLING,
+        """        if kind not in MOVE_KINDS:
+            raise IllegalMove(f"unknown move kind {kind!r}")
+""",
+        "",
+        [PEB + "test_unknown_move_kind_and_game"],
+    ),
+    # The records.
+    (  # blob moves of different kinds with equal fields are equal, as tuples are
+        BLOB,
+        "return type(a) is type(b) and tuple.__eq__(a, b)",
+        "return tuple.__eq__(a, b)",
+        [REC + "test_moves_of_different_kinds_differ"],
     ),
     # Induce by prime implicates, and explain by the closure layers needed.
     (  # an implicate whose positive and negative vertices overlap is kept

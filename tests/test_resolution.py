@@ -393,7 +393,7 @@ def test_check_refutation_matches_reference():
         got = outcome(check_refutation, f, trace)
         assert got == outcome(ref_check_refutation, f, trace)
         # "ok", or the first word of the reason: axiom, stated, premise, ...
-        verdicts.add(got[2].split(": ")[-1].split()[0] if isinstance(got, tuple) else "ok")
+        verdicts.add("ok" if isinstance(got, ProofMetrics) else got[2].split(": ")[-1].split()[0])
     assert {"ok", "axiom", "stated", "final"} <= verdicts
 
 

@@ -1,6 +1,5 @@
 """Tests for explicit pebbling strategies and the space-time trade-off family."""
 
-import dataclasses
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -244,7 +243,7 @@ def reference_layout(c, r):
     for k, lv in enumerate(layout.levels, start=1):
         first = lv.apex + 1 - (k + 1) * (k + 2) // 2
         rows = tuple(tuple(row) for row in _pyramid_rows(k, first)[0])
-        level = SimpleNamespace(**dataclasses.asdict(lv))
+        level = SimpleNamespace(**lv._asdict())
         level.pyramid_rows = rows
         levels.append(level)
     return SimpleNamespace(base=layout.base, levels=tuple(levels))
